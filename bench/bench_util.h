@@ -8,10 +8,12 @@
 #define PRECIS_BENCH_BENCH_UTIL_H_
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <ostream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -20,6 +22,8 @@
 #include "datagen/movies_dataset.h"
 #include "datagen/workload.h"
 #include "precis/database_generator.h"
+#include "precis/schema_generator.h"
+#include "storage/serialization.h"
 
 namespace precis {
 namespace bench {
@@ -134,6 +138,57 @@ inline std::vector<DbGenCase> MakeDbGenCases(const MoviesDataset& dataset,
     }
   }
   return cases;
+}
+
+/// The case the generation scaling benches (parallel_dbgen, shard_scaling)
+/// share: one wide result schema rooted at DIRECTOR — the paper's "précis
+/// of a director" shape, deep enough (w >= 0.5) that the walk crosses
+/// several to-N joins and the result database carries real volume —
+/// seeded with the first 16 (smoke) or 1024 directors.
+inline DbGenCase DirectorCase(const MoviesDataset& dataset, bool smoke) {
+  ResultSchemaGenerator schema_gen(&dataset.graph());
+  auto schema =
+      schema_gen.Generate({std::string("DIRECTOR")}, *MinPathWeight(0.5));
+  auto director = dataset.db().GetRelation("DIRECTOR");
+  if (!schema.ok() || !director.ok()) std::abort();
+  const RelationNodeId director_id = *dataset.graph().RelationId("DIRECTOR");
+  const size_t num_seeds =
+      std::min<size_t>((*director)->num_tuples(), smoke ? 16 : 1024);
+  DbGenCase out{std::move(*schema), {}};
+  for (Tid tid = 0; tid < num_seeds; ++tid) {
+    out.seeds[director_id].push_back(tid);
+  }
+  return out;
+}
+
+/// One timed generation run, serialized for byte comparison.
+struct TimedGeneration {
+  double ms = 0.0;
+  std::string bytes;  // SaveDatabase text of the emitted database
+  DbGenReport report;
+};
+
+/// Times `gen.Generate` on `dbgen_case`; exits the bench on any error.
+inline TimedGeneration TimeGenerate(ResultDatabaseGenerator gen,
+                                    const DbGenCase& dbgen_case,
+                                    const CardinalityConstraint& c,
+                                    const DbGenOptions& options) {
+  const auto start = std::chrono::steady_clock::now();
+  auto result = gen.Generate(dbgen_case.schema, dbgen_case.seeds, c, options);
+  TimedGeneration out;
+  out.ms = std::chrono::duration<double, std::milli>(
+               std::chrono::steady_clock::now() - start)
+               .count();
+  std::ostringstream os;
+  if (!result.ok() || !SaveDatabase(*result, &os).ok()) {
+    std::fprintf(stderr, "generate: %s\n",
+                 result.ok() ? "serialize failed"
+                             : result.status().ToString().c_str());
+    std::exit(1);
+  }
+  out.bytes = os.str();
+  out.report = gen.last_report();
+  return out;
 }
 
 }  // namespace bench

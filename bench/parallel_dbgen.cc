@@ -1,6 +1,6 @@
-// Intra-query parallel result-database generation: sequential Fig. 5 walk
-// vs the same walk with per-tuple work fanned out on a work-stealing
-// TaskPool (DESIGN.md §11).
+// Intra-query parallel result-database generation: the Fig. 5 planner with
+// its per-tuple work run inline (parallelism 1) vs the same plan with that
+// work fanned out on a work-stealing TaskPool (DESIGN.md §11).
 //
 // Two timing modes per cardinality point:
 //
@@ -11,14 +11,14 @@
 //   * sim-io: every accepted tuple additionally pays
 //     PRECIS_BENCH_LATENCY_NS of simulated storage latency — the paper's
 //     setting, where the DBMS round-trip dominates (its §6 cost model
-//     prices IndexTime/TupleTime in I/O terms). Sequential generation
-//     pays the latency serially (batched sleeps); parallel generation
-//     overlaps it across chunk tasks, so the speedup is real even on one
-//     core — exactly like overlapping outstanding reads against a real
-//     storage engine.
+//     prices IndexTime/TupleTime in I/O terms). An inline run pays the
+//     latency serially (one sleep per chunk); a pooled run overlaps it
+//     across chunk tasks, so the speedup is real even on one core —
+//     exactly like overlapping outstanding reads against a real storage
+//     engine.
 //
-// Every parallel run is byte-compared (storage/serialization) against the
-// sequential one and the program exits non-zero on ANY mismatch: this
+// Every pooled run is byte-compared (storage/serialization) against the
+// inline one and the program exits non-zero on ANY mismatch: this
 // bench doubles as the determinism gate ci.sh runs in smoke mode:
 //
 //   PRECIS_BENCH_MOVIES=300 PRECIS_BENCH_SMOKE=1 ./parallel_dbgen
@@ -30,7 +30,6 @@
 // Full mode additionally gates on the headline claim: >= 2x sim-io
 // speedup at parallelism 8 on the largest cardinality point.
 
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -43,43 +42,9 @@
 #include "common/task_pool.h"
 #include "precis/constraints.h"
 #include "precis/database_generator.h"
-#include "precis/schema_generator.h"
-#include "storage/serialization.h"
 
 namespace precis {
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-struct RunOutcome {
-  double ms = 0.0;
-  std::string bytes;
-  size_t total_tuples = 0;
-};
-
-RunOutcome RunOnce(const Database& db, const ResultSchema& schema,
-                   const SeedTids& seeds, const CardinalityConstraint& c,
-                   const DbGenOptions& options) {
-  ResultDatabaseGenerator gen(&db);
-  auto start = Clock::now();
-  auto result = gen.Generate(schema, seeds, c, options);
-  double ms =
-      std::chrono::duration<double, std::milli>(Clock::now() - start).count();
-  if (!result.ok()) {
-    std::fprintf(stderr, "generate: %s\n", result.status().ToString().c_str());
-    std::exit(1);
-  }
-  std::ostringstream os;
-  if (!SaveDatabase(*result, &os).ok()) {
-    std::fprintf(stderr, "serialize failed\n");
-    std::exit(1);
-  }
-  RunOutcome outcome;
-  outcome.ms = ms;
-  outcome.bytes = os.str();
-  outcome.total_tuples = gen.last_report().total_tuples;
-  return outcome;
-}
 
 int Main() {
   const bool smoke = std::getenv("PRECIS_BENCH_SMOKE") != nullptr;
@@ -89,25 +54,8 @@ int Main() {
 
   const MoviesDataset& dataset = bench::SharedDataset();
 
-  // One wide result schema rooted at DIRECTOR: the paper's "précis of a
-  // director" shape, deep enough (w >= 0.5) that the walk crosses several
-  // to-N joins and the result database carries real volume.
-  ResultSchemaGenerator schema_gen(&dataset.graph());
-  auto schema =
-      schema_gen.Generate({std::string("DIRECTOR")}, *MinPathWeight(0.5));
-  if (!schema.ok()) {
-    std::fprintf(stderr, "schema: %s\n", schema.status().ToString().c_str());
-    return 1;
-  }
-  auto director = dataset.db().GetRelation("DIRECTOR");
-  if (!director.ok()) return 1;
-  RelationNodeId director_id = *dataset.graph().RelationId("DIRECTOR");
-  const size_t num_seeds =
-      std::min<size_t>((*director)->num_tuples(), smoke ? 16 : 1024);
-  SeedTids seeds;
-  for (Tid tid = 0; tid < num_seeds; ++tid) {
-    seeds[director_id].push_back(tid);
-  }
+  const bench::DbGenCase director = bench::DirectorCase(dataset, smoke);
+  const size_t num_seeds = director.seeds.begin()->second.size();
 
   const std::vector<size_t> cardinalities =
       smoke ? std::vector<size_t>{200, 800}
@@ -145,8 +93,9 @@ int Main() {
 
       DbGenOptions seq_options = base;
       seq_options.parallelism = 1;
-      RunOutcome seq = RunOnce(dataset.db(), *schema, seeds, *cardinality,
-                               seq_options);
+      bench::TimedGeneration seq = bench::TimeGenerate(
+          ResultDatabaseGenerator(&dataset.db()), director, *cardinality,
+          seq_options);
 
       std::vector<double> par_ms;
       std::vector<double> speedups;
@@ -154,12 +103,13 @@ int Main() {
         DbGenOptions par_options = base;
         par_options.parallelism = p;
         par_options.pool = pools[p].get();
-        RunOutcome par = RunOnce(dataset.db(), *schema, seeds, *cardinality,
-                                 par_options);
+        bench::TimedGeneration par = bench::TimeGenerate(
+            ResultDatabaseGenerator(&dataset.db()), director, *cardinality,
+            par_options);
         if (par.bytes != seq.bytes) {
           std::fprintf(stderr,
                        "MISMATCH: mode=%s c=%zu parallelism=%zu emitted a "
-                       "different database than the sequential walk\n",
+                       "different database than the inline run\n",
                        mode, c, p);
           ++mismatches;
         }
@@ -170,7 +120,7 @@ int Main() {
         speedup_8t_largest_io = speedups.back();
       }
 
-      std::printf("%-8s %-7zu %8zu %10.2f", mode, c, seq.total_tuples,
+      std::printf("%-8s %-7zu %8zu %10.2f", mode, c, seq.report.total_tuples,
                   seq.ms);
       for (double ms : par_ms) std::printf(" %8.2f", ms);
       for (double s : speedups) std::printf(" %6.2fx", s);
@@ -179,7 +129,7 @@ int Main() {
       if (!first_row) json << ",\n";
       first_row = false;
       json << "    {\"mode\": \"" << mode << "\", \"c\": " << c
-           << ", \"tuples\": " << seq.total_tuples
+           << ", \"tuples\": " << seq.report.total_tuples
            << ", \"seq_ms\": " << seq.ms << ", \"parallel\": [";
       for (size_t i = 0; i < parallelisms.size(); ++i) {
         json << (i > 0 ? ", " : "") << "{\"threads\": " << parallelisms[i]
@@ -206,7 +156,7 @@ int Main() {
   // Gates. Byte-identity always; the >= 2x headline only in full mode
   // (smoke datasets are too small for stable timing).
   if (mismatches != 0) {
-    std::fprintf(stderr, "FAIL: %zu parallel/sequential mismatches\n",
+    std::fprintf(stderr, "FAIL: %zu pooled/inline mismatches\n",
                  mismatches);
     return 1;
   }

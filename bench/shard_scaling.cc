@@ -1,12 +1,11 @@
-// Sharded scatter-gather result-database generation: the sequential
-// single-engine Fig. 5 walk vs the same walk scattered across N hash
-// partitions behind ShardedResultDatabaseGenerator (DESIGN.md §15).
+// Sharded scatter-gather result-database generation: the Fig. 5 planner
+// over one unpartitioned database, run inline, vs the same planner over N
+// hash partitions (a ShardedSource, DESIGN.md §15).
 //
 // Sweep: shards in {1, 2, 4, 8} x {cpu, sim-io} x cardinality points.
-// The shards=1 row IS the sequential single-engine generator (that is what
+// The shards=1 row IS the inline single-engine generator (that is what
 // ShardedPrecisEngine delegates to at one shard), so speedup_N = seq_ms /
-// shardN_ms compares real serving shapes, not two codepaths of the same
-// binary.
+// shardN_ms compares real serving shapes.
 //
 //   * cpu: materialization is pure compute; the scatter wins by running
 //     per-shard columnar kernels and posting-list merges on the pool while
@@ -16,7 +15,7 @@
 //     across shard chunk tasks.
 //
 // Every sharded run is byte-compared (storage/serialization) against the
-// sequential database, and the report fields (total tuples, executed
+// single-engine database, and the report fields (total tuples, executed
 // edges, truncations) must match too: the bench doubles as the shard
 // determinism gate ci.sh runs in smoke mode:
 //
@@ -31,7 +30,6 @@
 // compute cannot speed up past the core count; on a smaller machine the
 // cpu number is reported but not gated).
 
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -46,75 +44,11 @@
 #include "common/task_pool.h"
 #include "precis/constraints.h"
 #include "precis/database_generator.h"
-#include "precis/schema_generator.h"
 #include "shard/sharded_database.h"
-#include "shard/sharded_dbgen.h"
-#include "storage/serialization.h"
+#include "shard/sharded_source.h"
 
 namespace precis {
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-struct RunOutcome {
-  double ms = 0.0;
-  std::string bytes;
-  size_t total_tuples = 0;
-  std::vector<std::string> executed_edges;
-  size_t truncated = 0;
-};
-
-std::string Serialize(const Database& db) {
-  std::ostringstream os;
-  if (!SaveDatabase(db, &os).ok()) {
-    std::fprintf(stderr, "serialize failed\n");
-    std::exit(1);
-  }
-  return os.str();
-}
-
-RunOutcome FillOutcome(double ms, const Database& db,
-                       const DbGenReport& report) {
-  RunOutcome outcome;
-  outcome.ms = ms;
-  outcome.bytes = Serialize(db);
-  outcome.total_tuples = report.total_tuples;
-  outcome.executed_edges = report.executed_edges;
-  outcome.truncated = report.truncated_relations.size();
-  return outcome;
-}
-
-RunOutcome RunSequential(const Database& db, const ResultSchema& schema,
-                         const SeedTids& seeds, const CardinalityConstraint& c,
-                         const DbGenOptions& options) {
-  ResultDatabaseGenerator gen(&db);
-  auto start = Clock::now();
-  auto result = gen.Generate(schema, seeds, c, options);
-  double ms =
-      std::chrono::duration<double, std::milli>(Clock::now() - start).count();
-  if (!result.ok()) {
-    std::fprintf(stderr, "generate: %s\n", result.status().ToString().c_str());
-    std::exit(1);
-  }
-  return FillOutcome(ms, *result, gen.last_report());
-}
-
-RunOutcome RunSharded(const ShardedDatabase& sharded,
-                      const ResultSchema& schema, const SeedTids& seeds,
-                      const CardinalityConstraint& c,
-                      const DbGenOptions& options) {
-  ShardedResultDatabaseGenerator gen(&sharded);
-  auto start = Clock::now();
-  auto result = gen.Generate(schema, seeds, c, options);
-  double ms =
-      std::chrono::duration<double, std::milli>(Clock::now() - start).count();
-  if (!result.ok()) {
-    std::fprintf(stderr, "sharded generate: %s\n",
-                 result.status().ToString().c_str());
-    std::exit(1);
-  }
-  return FillOutcome(ms, *result, gen.last_report());
-}
 
 int Main() {
   const bool smoke = std::getenv("PRECIS_BENCH_SMOKE") != nullptr;
@@ -124,24 +58,8 @@ int Main() {
 
   const MoviesDataset& dataset = bench::SharedDataset();
 
-  // Same DIRECTOR-rooted workload as the parallel_dbgen bench: deep enough
-  // that the walk crosses several to-N joins and real volume moves.
-  ResultSchemaGenerator schema_gen(&dataset.graph());
-  auto schema =
-      schema_gen.Generate({std::string("DIRECTOR")}, *MinPathWeight(0.5));
-  if (!schema.ok()) {
-    std::fprintf(stderr, "schema: %s\n", schema.status().ToString().c_str());
-    return 1;
-  }
-  auto director = dataset.db().GetRelation("DIRECTOR");
-  if (!director.ok()) return 1;
-  RelationNodeId director_id = *dataset.graph().RelationId("DIRECTOR");
-  const size_t num_seeds =
-      std::min<size_t>((*director)->num_tuples(), smoke ? 16 : 1024);
-  SeedTids seeds;
-  for (Tid tid = 0; tid < num_seeds; ++tid) {
-    seeds[director_id].push_back(tid);
-  }
+  const bench::DbGenCase director = bench::DirectorCase(dataset, smoke);
+  const size_t num_seeds = director.seeds.begin()->second.size();
 
   const std::vector<size_t> cardinalities =
       smoke ? std::vector<size_t>{200, 800}
@@ -190,24 +108,28 @@ int Main() {
       options.simulated_access_latency_ns = io ? latency_ns : 0;
       options.parallelism = 1;  // scatter width comes from the shard count
 
-      RunOutcome seq = RunSequential(dataset.db(), *schema, seeds,
-                                     *cardinality, options);
+      bench::TimedGeneration seq = bench::TimeGenerate(
+          ResultDatabaseGenerator(&dataset.db()), director, *cardinality,
+          options);
 
       std::vector<double> shard_ms;
       std::vector<double> speedups;
       for (size_t n : shard_counts) {
         DbGenOptions shard_options = options;
         shard_options.pool = pools[n].get();
-        RunOutcome sharded = RunSharded(partitions.at(n), *schema, seeds,
-                                        *cardinality, shard_options);
+        ShardedSource source(&partitions.at(n));
+        bench::TimedGeneration sharded =
+            bench::TimeGenerate(ResultDatabaseGenerator(&source), director,
+                                *cardinality, shard_options);
         if (sharded.bytes != seq.bytes ||
-            sharded.total_tuples != seq.total_tuples ||
-            sharded.executed_edges != seq.executed_edges ||
-            sharded.truncated != seq.truncated) {
+            sharded.report.total_tuples != seq.report.total_tuples ||
+            sharded.report.executed_edges != seq.report.executed_edges ||
+            sharded.report.truncated_relations !=
+                seq.report.truncated_relations) {
           std::fprintf(stderr,
                        "MISMATCH: mode=%s c=%zu shards=%zu emitted a "
-                       "different database or report than the sequential "
-                       "single-engine walk\n",
+                       "different database or report than the "
+                       "single-engine run\n",
                        mode, c, n);
           ++mismatches;
         }
@@ -219,7 +141,7 @@ int Main() {
             speedups.back();
       }
 
-      std::printf("%-8s %-7zu %8zu %10.2f", mode, c, seq.total_tuples,
+      std::printf("%-8s %-7zu %8zu %10.2f", mode, c, seq.report.total_tuples,
                   seq.ms);
       for (double ms : shard_ms) std::printf(" %8.2f", ms);
       for (double s : speedups) std::printf(" %6.2fx", s);
@@ -228,7 +150,7 @@ int Main() {
       if (!first_row) json << ",\n";
       first_row = false;
       json << "    {\"mode\": \"" << mode << "\", \"c\": " << c
-           << ", \"tuples\": " << seq.total_tuples
+           << ", \"tuples\": " << seq.report.total_tuples
            << ", \"shards1_ms\": " << seq.ms << ", \"sharded\": [";
       for (size_t i = 0; i < shard_counts.size(); ++i) {
         json << (i > 0 ? ", " : "") << "{\"shards\": " << shard_counts[i]
@@ -259,7 +181,7 @@ int Main() {
   // Gates. Byte-identity always; the >= 2x headlines only in full mode
   // (smoke datasets are too small for stable timing).
   if (mismatches != 0) {
-    std::fprintf(stderr, "FAIL: %zu sharded/sequential mismatches\n",
+    std::fprintf(stderr, "FAIL: %zu sharded/single-engine mismatches\n",
                  mismatches);
     return 1;
   }

@@ -6,9 +6,10 @@
 #                         on a zero answer-cache hit rate or any stale
 #                         answer served after an insert — epoch invalidation
 #                         gate), bench/parallel_dbgen in smoke mode (fails
-#                         if any parallel run emits bytes different from the
-#                         sequential walk — determinism gate, DESIGN.md
-#                         §11), and bench/fault_tolerance in smoke mode
+#                         if any pooled run emits bytes different from the
+#                         inline run of the one Fig. 5 planner — determinism
+#                         gate, DESIGN.md §11), and bench/fault_tolerance in
+#                         smoke mode
 #                         (fails when disarmed fault machinery costs > 5%
 #                         throughput or any query fails under injected
 #                         faults — robustness gates, DESIGN.md §12),
@@ -20,8 +21,11 @@
 #                         gates, DESIGN.md §13 + §16), and
 #                         bench/shard_scaling in smoke mode (fails when any
 #                         sharded run emits a different database or report
-#                         than the sequential single-engine walk — shard
-#                         determinism gate, DESIGN.md §15).
+#                         than the unsharded single-engine run — shard
+#                         determinism gate, DESIGN.md §15). Both gates
+#                         compare planner runs; the planner itself is
+#                         checked against the sequential walk oracle by the
+#                         test suite in step 1.
 #   3. Server smoke     — tools/precis_serve started on an ephemeral port
 #                         with --shards 2 (the sharded scatter-gather
 #                         engine) and driven over real sockets by
@@ -70,9 +74,12 @@
 #                         sharded arm and the body-cache insert/query
 #                         interleaving sweep), the answer/body cache suite,
 #                         the shard suite (circuit breakers, hedged
-#                         sub-queries, degraded merges) and the HTTP server
-#                         suite (slowloris timeouts, drain, socket chaos)
-#                         rebuilt under address+undefined sanitizers.
+#                         sub-queries, degraded merges), the HTTP server
+#                         suite (slowloris timeouts, drain, socket chaos),
+#                         the planner determinism suite and the TaskPool
+#                         suite rebuilt under address+undefined sanitizers.
+#                         Every answer's rows pass through the planner's
+#                         arena chunk buffers, inline or pooled.
 #                         Injected faults exercise every degradation path
 #                         (drops, failed lookups, retries, placeholders,
 #                         skipped shards, short writes); this leg proves
@@ -97,8 +104,8 @@ echo "=== [2/6] Bench smokes (cache + parallel determinism + faults) ==="
 PRECIS_BENCH_MOVIES=300 PRECIS_BENCH_SMOKE=1 \
   PRECIS_BENCH_OUT="$ROOT/build-release/BENCH_cache.json" \
   "$ROOT/build-release/bench/cache_effectiveness"
-# Sequential-vs-parallel byte-identity across cardinalities and thread
-# counts; a mismatch exits non-zero and fails CI.
+# Inline-vs-pooled byte-identity across cardinalities and thread counts; a
+# mismatch exits non-zero and fails CI.
 PRECIS_BENCH_MOVIES=300 PRECIS_BENCH_SMOKE=1 \
   PRECIS_BENCH_OUT="$ROOT/build-release/BENCH_parallel_dbgen.json" \
   "$ROOT/build-release/bench/parallel_dbgen_bench"
@@ -113,8 +120,8 @@ PRECIS_BENCH_MOVIES=300 PRECIS_BENCH_SMOKE=1 \
   PRECIS_BENCH_OUT="$ROOT/build-release/BENCH_kernels.json" \
   "$ROOT/build-release/bench/kernels_bench"
 # Sharded scatter-gather byte-identity: every sharded run across shard
-# counts {2,4,8} must emit the same database and report as the sequential
-# single-engine walk (DESIGN.md §15).
+# counts {2,4,8} must emit the same database and report as the unsharded
+# single-engine run (DESIGN.md §15).
 PRECIS_BENCH_MOVIES=300 PRECIS_BENCH_SMOKE=1 \
   PRECIS_BENCH_OUT="$ROOT/build-release/BENCH_shard.json" \
   "$ROOT/build-release/bench/shard_scaling"
@@ -256,9 +263,9 @@ cmake -B "$ROOT/build-asan-ubsan" -S "$ROOT" \
 cmake --build "$ROOT/build-asan-ubsan" -j "$JOBS" \
   --target fault_injection_test fuzz_lite_test service_test \
            arena_test columnar_test server_test shard_test \
-           answer_cache_test
+           answer_cache_test parallel_dbgen_test task_pool_test
 PRECIS_TASK_POOL_THREADS=4 \
   ctest --test-dir "$ROOT/build-asan-ubsan" --output-on-failure -j "$JOBS" \
-  -R 'FaultInjector|Retry|FaultChaos|CacheTaint|Service|FuzzLite|Arena|Column|RelationKernel|JsonLite|HttpParser|RequestParse|HttpServer|Shard|MergeAscendingTids|AnswerCache|CircuitBreaker|ServerChaosConfig'
+  -R 'FaultInjector|Retry|FaultChaos|CacheTaint|Service|FuzzLite|Arena|Column|RelationKernel|JsonLite|HttpParser|RequestParse|HttpServer|Shard|MergeAscendingTids|AnswerCache|CircuitBreaker|ServerChaosConfig|ParallelDbGen|TaskPool'
 
 echo "=== CI passed (Release + bench smokes + server smoke + chaos drill + $SANITIZER + asan,ubsan chaos) ==="

@@ -10,15 +10,15 @@
 // error, or a latency spike. Because the decision depends only on that
 // triple, a rerun with the same seed and the same sequence of checks
 // reproduces the same faults bit-for-bit — which is what lets the chaos
-// suite assert byte-identical answers across reruns and across
-// sequential/parallel database generation (DESIGN.md §12).
+// suite assert byte-identical answers across reruns, parallelism and
+// partition counts (DESIGN.md §12).
 //
-// Determinism contract with the parallel generator: fault checks fire only
-// on the sequential control path (the planner thread). Parallel chunk tasks
-// fetch through Relation::FetchPrevalidated, which never consults the
-// injector, and the planner replays the sequential fault-check sequence at
-// exactly the positions the sequential walk would issue Gets — the same
-// mechanism PR 3 uses to replay budget charges (`sim_charges`).
+// Determinism contract with the result-database generator: fault checks
+// fire only on the planner thread. Chunk tasks project through
+// Relation::ProjectRows, which never consults the injector, and the
+// planner replays the fault-check sequence at exactly the positions the
+// classic tuple-at-a-time walk would issue Gets — the same mechanism that
+// replays budget charges (`sim_charges`).
 //
 // Thread safety: Check() is safe to call concurrently (per-site atomic
 // counters). Configuration (SetSchedule/Reset/Reseed) must not race with

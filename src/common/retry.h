@@ -128,12 +128,12 @@ auto RetryWithBackoff(const RetryPolicy& policy, ExecutionContext* ctx,
       retries);
 }
 
-/// \brief A retried fault check: the unit the parallel planner uses to
-/// *replay* the sequential walk's per-Get fault/retry sequence without
-/// touching storage (the chunk tasks fetch via FetchPrevalidated, which
+/// \brief A retried fault check: the unit the Fig. 5 planner uses to
+/// *replay* the classic walk's per-Get fault/retry sequence without
+/// touching storage (its chunk tasks project through ProjectRows, which
 /// never consults the injector). Consumes exactly the same injector check
 /// indices as `RetryWithBackoff(policy, ctx, [&]{ return Get(...); })`
-/// would on the sequential path.
+/// would.
 inline Status CheckFaultWithRetry(ExecutionContext* ctx, FaultSite site,
                                   const RetryPolicy& policy,
                                   uint64_t* retries = nullptr) {

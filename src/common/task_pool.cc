@@ -230,10 +230,17 @@ void TaskPool::Group::Wait() {
 }
 
 void TaskPool::Group::TaskDone() noexcept {
+  // Decrement and notify under the mutex. Wait() returns only after it
+  // observed pending_ == 0 *and* then acquired this mutex, so once the
+  // last task's decrement is visible the waiter blocks until this thread
+  // is done touching the group — the caller may destroy a stack Group the
+  // moment Wait() returns. (Decrementing first and locking afterwards left
+  // a window in which Wait() returned and the group's storage was reused
+  // while this thread still locked its mutex.) The notify under the lock
+  // also keeps a waiter between its pending check and cv wait from
+  // missing the signal.
+  std::lock_guard<std::mutex> lock(mutex_);
   if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    // Notify under the mutex so a waiter between its pending check and
-    // cv wait cannot miss the signal.
-    std::lock_guard<std::mutex> lock(mutex_);
     done_cv_.notify_all();
   }
 }

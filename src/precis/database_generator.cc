@@ -1,10 +1,62 @@
+// Result Database Algorithm (paper §5.2, Fig. 5): the one planner behind
+// every execution shape — inline, pooled and sharded (DESIGN.md §11, §15).
+//
+// The algorithm makes every decision that shapes the output — which tuple
+// is accepted, in which order, where the cardinality budget truncates,
+// which edge runs next — from *tids and counts only*; tuple values are
+// needed only to drive join keys (uncharged column reads) and to
+// materialize the output. That observation is the whole design:
+//
+//   * PLAN (calling thread): walks Fig. 5 — same seed order, edge schedule,
+//     per-edge RoundRobin rounds, duplicate handling and budget checks as
+//     the classic walk — but records accepted tids instead of fetching
+//     tuples. Budget stops are decided against a *simulated* charge
+//     counter that replays the classic walk's charge sequence (probe per
+//     key, fetch per processed candidate, duplicates included), because
+//     the real AccessStats legitimately differ (duplicates are never
+//     re-fetched); the decided reason is latched onto the ExecutionContext
+//     so one observed stop stops everything. Fault checks are replayed at
+//     the walk's positions too, so the injector sees the walk's sequence.
+//   * FETCH: every kChunkTuples accepted tids of a relation become one
+//     materialization task that pays the simulated per-tuple I/O wait and
+//     projects the tuples, charged, into a chunk-owned arena buffer through
+//     the source. Chunk boundaries depend only on the accepted sequence.
+//   * MERGE/EMIT: after the plan completes and the chunks drain, chunk
+//     buffers are concatenated in acceptance order and inserted; the
+//     per-relation emit and per-FK validation are tasks too.
+//
+// The source is a PartitionSource: one Database (DatabaseSource) or one
+// sharded query (ShardedSource). Tasks run inline on the caller when
+// max(parallelism, partitions) == 1 and on the task pool otherwise. The
+// emitted database and DbGenReport are byte-identical either way, at any
+// pool size, including budget-stopped partial runs; deadline and
+// cancellation stops stay wall-clock-dependent.
+//
+// The classic sequential walk lives on as the test oracle
+// (tests/sequential_walk.cc): it is the only code that performs for real
+// the fault-check and charge sequence this planner replays.
+
 #include "precis/database_generator.h"
 
 #include <algorithm>
+#include <chrono>
+#include <cstdint>
+#include <deque>
+#include <functional>
+#include <map>
+#include <memory>
+#include <mutex>
+#include <optional>
 #include <set>
+#include <string>
+#include <thread>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
+#include <vector>
 
+#include "common/retry.h"
+#include "common/task_pool.h"
 #include "precis/dbgen_common.h"
 #include "sql/select.h"
 
@@ -13,26 +65,75 @@ namespace precis {
 using dbgen_internal::DegradationFor;
 using dbgen_internal::EmittedAttributeIndices;
 using dbgen_internal::FaultsArmed;
-using dbgen_internal::FaultyLookup;
 using dbgen_internal::ForeignKeyHolds;
-using dbgen_internal::IdentityProjection;
 using dbgen_internal::IsToOne;
-using dbgen_internal::LatencyDebt;
 using dbgen_internal::RenderSeedSql;
-using dbgen_internal::SimulateStatementOverhead;
 
 namespace {
 
-/// Tuples collected so far for one result relation.
-struct Collected {
-  std::vector<Row> rows;          // in retrieval order (full source tuples)
-  std::unordered_set<Tid> seen;   // duplicate elimination by rowid
-  /// Arrival tags per tuple (path-aware propagation): the G' join edges
-  /// that delivered the tuple, nullptr meaning "seeded by the query
-  /// tokens". A tuple reached over several edges carries every tag.
+/// Accepted tids per materialization task. Large enough that a chunk's
+/// simulated I/O consolidates into one substantial sleep and the pool
+/// transfer cost is noise; small enough that a large-c query yields many
+/// chunks to steal.
+constexpr size_t kChunkTuples = 256;
+
+/// Accepted-tid count above which pooled runs fan join-key column reads
+/// out across the pool.
+constexpr size_t kParallelKeyExtraction = 4096;
+
+/// Busy-waits for the simulated per-statement overhead (see
+/// DbGenOptions::statement_overhead_ns). A sleep would be descheduled for
+/// far longer than the microsecond scale being modelled.
+void SimulateStatementOverhead(uint64_t total_ns) {
+  if (total_ns == 0) return;
+  auto until = std::chrono::steady_clock::now() +
+               std::chrono::nanoseconds(total_ns);
+  while (std::chrono::steady_clock::now() < until) {
+  }
+}
+
+/// The out-of-range message Relation::Get produces, replicated so a seed
+/// tid the planner validates without fetching fails with the byte-same
+/// status text a Get would.
+std::string TidOutOfRangeMessage(Tid tid, const SourceRelation& relation) {
+  return "tid " + std::to_string(tid) + " out of range for relation '" +
+         relation.schema().name() + "' with " +
+         std::to_string(relation.num_tuples()) + " tuples";
+}
+
+/// One materialization task's input (tid snapshot) and output (projected
+/// cells, row-major `count x width`, index-aligned with `tids`). Both
+/// arrays live in the query's Arena — allocated by the planner, filled by
+/// the chunk task through the source's columnar projection, freed
+/// wholesale at context teardown. The task owns the cells exclusively
+/// until the group Wait hands them back to the merging thread; a Value is
+/// trivially copyable, so a chunk is two flat arena arrays.
+struct MaterializedChunk {
+  const Tid* tids = nullptr;
+  size_t count = 0;
+  size_t width = 0;        // attributes per row
+  Value* cells = nullptr;  // count * width, row-major
+};
+
+/// Plan-side state of one result relation: the accepted tids and their
+/// bookkeeping, proportional to what the query accepts (never to the
+/// source relation's size). Arrival tags are only tracked when path-aware
+/// propagation will read them.
+struct PlannedRelation {
+  std::unique_ptr<SourceRelation> source;
+  std::vector<size_t> emitted;  // emitted attribute indices (sorted)
+  bool identity = false;        // emitted == full schema order
+
+  std::vector<Tid> accepted;  // Fig. 5 collection order
+  std::unordered_set<Tid> seen;
+  bool track_arrivals = false;
   std::unordered_map<Tid, std::vector<const JoinEdge*>> arrivals;
 
+  size_t next_chunk_start = 0;  // first accepted index not yet chunked
+  std::vector<MaterializedChunk*> chunks;  // arena-owned, planner-ordered
+
   void Tag(Tid tid, const JoinEdge* arrival) {
+    if (!track_arrivals) return;
     std::vector<const JoinEdge*>& tags = arrivals[tid];
     for (const JoinEdge* t : tags) {
       if (t == arrival) return;
@@ -41,23 +142,122 @@ struct Collected {
   }
 };
 
-/// Ordered distinct non-NULL values of `attribute` over the collected rows —
-/// the IN-list for the next join query. The order follows the order in which
-/// the source tuples were collected, which is what gives NaiveQ its
-/// "prefix of the source tuples" behaviour on truncation.
-Result<std::vector<Value>> JoinKeys(
-    const Collected& collected, const RelationSchema& schema,
+/// Runs one query's tasks: inline on the caller when `pool` is null, else
+/// on the pool with at most `limit` in flight. Excess pool submissions
+/// queue locally and are chained in by completing tasks, so one query
+/// cannot flood the shared pool ahead of its share. Destruction waits for
+/// everything (including the deferred chain) before tearing down.
+class ThrottledGroup {
+ public:
+  ThrottledGroup(TaskPool* pool, size_t limit)
+      : limit_(std::max<size_t>(1, limit)) {
+    if (pool != nullptr) group_.emplace(pool);
+  }
+
+  ~ThrottledGroup() {
+    try {
+      Wait();
+    } catch (...) {
+      // Callers who care about task exceptions call Wait() themselves.
+    }
+  }
+
+  void Run(std::function<void()> fn) {
+    if (!group_) {
+      fn();
+      return;
+    }
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (in_flight_ >= limit_) {
+        deferred_.push_back(std::move(fn));
+        return;
+      }
+      ++in_flight_;
+    }
+    Launch(std::move(fn));
+  }
+
+  /// Waits for every submitted task (rethrows the first task exception).
+  /// The group is reusable afterwards — the emit and FK phases reuse it.
+  void Wait() {
+    if (group_) group_->Wait();
+  }
+
+ private:
+  void Launch(std::function<void()> fn) {
+    group_->Run([this, fn = std::move(fn)]() mutable {
+      try {
+        fn();
+      } catch (...) {
+        OnDone();  // keep the deferred chain draining even on failure
+        throw;
+      }
+      OnDone();
+    });
+  }
+
+  void OnDone() {
+    std::function<void()> next;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (deferred_.empty()) {
+        --in_flight_;
+        return;
+      }
+      next = std::move(deferred_.front());
+      deferred_.pop_front();
+    }
+    Launch(std::move(next));
+  }
+
+  std::optional<TaskPool::Group> group_;  // engaged in pool mode
+  size_t limit_;
+  std::mutex mu_;
+  std::deque<std::function<void()>> deferred_;
+  size_t in_flight_ = 0;
+};
+
+/// The IN-list for the next join query: ordered distinct non-NULL values of
+/// `attribute` over the accepted tuples (restricted to those whose arrival
+/// tags may drive the edge, under path-aware propagation). The order
+/// follows collection order, which is what gives NaiveQ its "prefix of the
+/// source tuples" behaviour on truncation. Above kParallelKeyExtraction
+/// accepted tids a pooled run reads the (uncharged, read-only) column
+/// values across the pool first; the order-defining dedup stays on this
+/// thread, so the key list is the same either way.
+Result<std::vector<Value>> PlanJoinKeys(
+    const PlannedRelation& p, const RelationSchema& schema,
     const std::string& attribute,
-    const std::set<const JoinEdge*>* allowed_arrivals) {
+    const std::set<const JoinEdge*>* allowed_arrivals, TaskPool* pool) {
   auto idx = schema.AttributeIndex(attribute);
   if (!idx.ok()) return idx.status();
+  const size_t n = p.accepted.size();
+
+  std::vector<Value> vals;
+  if (pool != nullptr && n >= kParallelKeyExtraction) {
+    vals.resize(n);
+    TaskPool::Group extract(pool);
+    const size_t seg = kParallelKeyExtraction / 2;
+    for (size_t begin = 0; begin < n; begin += seg) {
+      const size_t end = std::min(n, begin + seg);
+      extract.Run([&, begin, end] {
+        for (size_t i = begin; i < end; ++i) {
+          vals[i] = p.source->ColumnValue(p.accepted[i], *idx);
+        }
+      });
+    }
+    extract.Wait();
+  }
+
   std::vector<Value> keys;
   std::unordered_set<Value, ValueHash> dedup;
-  for (const Row& row : collected.rows) {
+  for (size_t i = 0; i < n; ++i) {
+    const Tid tid = p.accepted[i];
     if (allowed_arrivals != nullptr) {
-      auto tags = collected.arrivals.find(row.tid);
+      auto tags = p.arrivals.find(tid);
       bool feeds = false;
-      if (tags != collected.arrivals.end()) {
+      if (tags != p.arrivals.end()) {
         for (const JoinEdge* t : tags->second) {
           if (allowed_arrivals->count(t) > 0) {
             feeds = true;
@@ -67,14 +267,79 @@ Result<std::vector<Value>> JoinKeys(
       }
       if (!feeds) continue;
     }
-    const Value& v = row.values[*idx];
+    const Value v = vals.empty() ? p.source->ColumnValue(tid, *idx) : vals[i];
     if (v.is_null()) continue;
     if (dedup.insert(v).second) keys.push_back(v);
   }
   return keys;
 }
 
+/// DatabaseSource's relation view: every call forwards to the Relation.
+class DatabaseRelation final : public SourceRelation {
+ public:
+  explicit DatabaseRelation(const Relation* relation) : relation_(relation) {}
+
+  const RelationSchema& schema() const override { return relation_->schema(); }
+  size_t num_tuples() const override { return relation_->num_tuples(); }
+  Value ColumnValue(Tid tid, size_t attribute) const override {
+    return relation_->ColumnValue(tid, attribute);
+  }
+  void CountStatement(ExecutionContext* ctx) const override {
+    relation_->CountStatement(ctx);
+  }
+  void ProjectRows(const Tid* tids, size_t n,
+                   const std::vector<size_t>& projection, Value* out,
+                   ExecutionContext* ctx) const override {
+    relation_->ProjectRows(tids, n, projection, out, ctx);
+  }
+  void ProjectRowsAll(const Tid* tids, size_t n, Value* out,
+                      ExecutionContext* ctx) const override {
+    relation_->ProjectRowsAll(tids, n, out, ctx);
+  }
+  std::unique_ptr<KeyLookup> LookupKeys(const std::string& attribute,
+                                        const std::vector<Value>& keys,
+                                        TaskPool* /*pool*/) const override;
+
+ private:
+  const Relation* relation_;
+};
+
+/// On-demand lookups: key k is probed only when the planner reaches it —
+/// literally Relation::LookupEquals, preceded by a charge-free prefetch of
+/// the index slot a few keys ahead.
+class DatabaseKeyLookup final : public KeyLookup {
+ public:
+  DatabaseKeyLookup(const Relation* relation, const std::string& attribute,
+                    const std::vector<Value>& keys)
+      : relation_(relation), attribute_(attribute), keys_(keys) {}
+
+  Result<std::vector<Tid>> Lookup(size_t k, ExecutionContext* ctx) override {
+    if (k + 4 < keys_.size()) {
+      relation_->PrefetchEquals(attribute_, keys_[k + 4]);
+    }
+    return relation_->LookupEquals(attribute_, keys_[k], ctx);
+  }
+
+ private:
+  const Relation* relation_;
+  const std::string& attribute_;
+  const std::vector<Value>& keys_;
+};
+
+std::unique_ptr<KeyLookup> DatabaseRelation::LookupKeys(
+    const std::string& attribute, const std::vector<Value>& keys,
+    TaskPool* /*pool*/) const {
+  return std::make_unique<DatabaseKeyLookup>(relation_, attribute, keys);
+}
+
 }  // namespace
+
+Result<std::unique_ptr<SourceRelation>> DatabaseSource::OpenRelation(
+    const std::string& name) const {
+  auto relation = db_->GetRelation(name);
+  if (!relation.ok()) return relation.status();
+  return std::unique_ptr<SourceRelation>(new DatabaseRelation(*relation));
+}
 
 std::string DegradationReport::ToString() const {
   std::string out;
@@ -114,58 +379,84 @@ Result<Database> ResultDatabaseGenerator::Generate(
     const ResultSchema& schema, const SeedTids& seeds,
     const CardinalityConstraint& c, const DbGenOptions& options,
     ExecutionContext* ctx) {
-  if (options.parallelism >= 2) {
-    return GenerateParallel(schema, seeds, c, options, ctx);
-  }
-  return GenerateSequential(schema, seeds, c, options, ctx);
+  if (source_ != nullptr) return Plan(*source_, schema, seeds, c, options, ctx);
+  DatabaseSource view(database_);
+  return Plan(view, schema, seeds, c, options, ctx);
 }
 
-Result<Database> ResultDatabaseGenerator::GenerateSequential(
-    const ResultSchema& schema, const SeedTids& seeds,
-    const CardinalityConstraint& c, const DbGenOptions& options,
-    ExecutionContext* ctx) {
+Result<Database> ResultDatabaseGenerator::Plan(
+    const PartitionSource& source, const ResultSchema& schema,
+    const SeedTids& seeds, const CardinalityConstraint& c,
+    const DbGenOptions& options, ExecutionContext* ctx) {
   last_report_ = DbGenReport{};
   const SchemaGraph& graph = schema.graph();
 
-  // Per-query arena for scratch tid vectors (ordered seeds, ranked
-  // candidates): bump-allocated, freed wholesale with the context (or at
-  // the end of this call when no context is attached).
+  std::map<RelationNodeId, PlannedRelation> planned;
+  for (RelationNodeId rel : schema.relations()) {
+    auto opened = source.OpenRelation(graph.relation_name(rel));
+    if (!opened.ok()) return opened.status();
+    PlannedRelation& p = planned[rel];
+    p.source = std::move(*opened);
+    p.emitted =
+        EmittedAttributeIndices(schema, rel, options.include_join_attributes);
+    p.identity = IsIdentityProjection(p.emitted,
+                                      p.source->schema().num_attributes());
+    p.track_arrivals = options.path_aware_propagation;
+  }
+  size_t total = 0;
+
+  // Per-query arena for tid snapshots and chunk cell buffers. When a
+  // context is attached its arena is used (freed wholesale at context
+  // teardown); otherwise a local arena scoped to this call serves.
+  // Declared before the task group so that the group's destructor — which
+  // waits for in-flight chunk tasks — always runs before the arena (and
+  // the memory those tasks write into) goes away.
   Arena local_arena;
   Arena* arena = ctx != nullptr ? &ctx->arena() : &local_arena;
 
-  // Simulated per-accepted-tuple I/O wait (cost-model substrate; see
-  // DbGenOptions::simulated_access_latency_ns). Timing-only.
-  LatencyDebt io_debt(options.simulated_access_latency_ns);
+  // Where tasks run is derived, not configured: inline on this thread for
+  // one partition at parallelism <= 1, else on the pool with one in-flight
+  // slot per unit of parallelism and at least one per partition. The task
+  // group outlives nothing it references: everything chunk tasks touch
+  // (planned, sources, arena, ctx) is declared above, so the group's
+  // destructor — which waits — runs first on every return path.
+  const size_t width = std::max(options.parallelism, source.num_partitions());
+  TaskPool* pool =
+      width >= 2 ? (options.pool != nullptr ? options.pool : TaskPool::Shared())
+                 : nullptr;
+  ThrottledGroup group(pool, width);
 
-  // Per-query stop check (deadline / access budget / cancellation). On
-  // stop, fetching ends wherever it is and the algorithm falls through to
-  // the emit steps, so the caller always receives a well-formed database.
-  auto stopped = [&] { return ctx != nullptr && ctx->ShouldStop(); };
+  const uint64_t latency_ns = options.simulated_access_latency_ns;
 
-  // Fault injection (DESIGN.md §12): when the context carries an armed
-  // injector, every storage access below retries transient faults with the
-  // context's RetryPolicy; exhausted retries *degrade* the answer (dropped
-  // tuple / failed lookup, accounted per relation) instead of failing the
-  // run. The taint bit is set whenever the injector is armed — even if no
-  // fault fires — so the engine's caches never store an answer produced
-  // under fault conditions.
-  const bool faults = FaultsArmed(ctx);
-  last_report_.fault_tainted = faults;
-  auto degradation_for = [&](RelationNodeId rel) -> RelationDegradation& {
-    return DegradationFor(last_report_.degradation, graph.relation_name(rel));
+  // --- Stop logic ---------------------------------------------------------
+  //
+  // sim_charges replays the charge sequence of the classic walk: one per
+  // index probe / sequential scan at the probe sites, one per tuple Get at
+  // the fetch sites — including duplicate fetches the planner never
+  // performs. Budget stops are decided against it (and latched,
+  // monotonically, onto the context) so truncation lands on exactly the
+  // walk's tuple. Cancellation and deadline come from the context as usual.
+  // Check order mirrors ExecutionContext::ShouldStop.
+  const uint64_t budget = ctx != nullptr ? ctx->access_budget() : 0;
+  uint64_t sim_charges = 0;
+  auto plan_stopped = [&]() -> bool {
+    if (ctx == nullptr) return false;
+    if (ctx->stop_reason() != StopReason::kNone) return true;
+    if (ctx->cancelled()) {
+      ctx->LatchStop(StopReason::kCancelled);
+      return true;
+    }
+    if (budget != 0 && sim_charges >= budget) {
+      ctx->LatchStop(StopReason::kAccessBudgetExhausted);
+      return true;
+    }
+    auto remaining = ctx->RemainingSeconds();
+    if (remaining.has_value() && *remaining <= 0.0) {
+      ctx->LatchStop(StopReason::kDeadlineExceeded);
+      return true;
+    }
+    return false;
   };
-
-  // Resolve source relations once.
-  std::map<RelationNodeId, const Relation*> source_relations;
-  for (RelationNodeId rel : schema.relations()) {
-    auto r = source_->GetRelation(graph.relation_name(rel));
-    if (!r.ok()) return r.status();
-    source_relations[rel] = *r;
-  }
-
-  std::map<RelationNodeId, Collected> collected;
-  for (RelationNodeId rel : schema.relations()) collected[rel];
-  size_t total = 0;
 
   auto mark_truncated = [&](RelationNodeId rel) {
     const std::string& name = graph.relation_name(rel);
@@ -173,29 +464,126 @@ Result<Database> ResultDatabaseGenerator::GenerateSequential(
     if (std::find(t.begin(), t.end(), name) == t.end()) t.push_back(name);
   };
 
-  // Step 1: D' <- tuples involving query tokens (sigma_Tids queries), each
-  // relation's subset limited NaiveQ-style by the cardinality budget.
+  // Fault injection (DESIGN.md §12). All fault decisions stay on this
+  // thread: tuple-fetch checks are *replayed* at exactly the positions the
+  // walk issues Gets (including duplicate fetches the planner plans away),
+  // and lookups run here, so the injector consumes the walk's check
+  // sequence. Chunk tasks project through the source, which never consults
+  // the injector. The taint bit is set whenever the injector is armed —
+  // even if no fault fires — so the engine's caches never store an answer
+  // produced under fault conditions.
+  const bool faults = FaultsArmed(ctx);
+  last_report_.fault_tainted = faults;
+  auto degradation_for = [&](RelationNodeId rel) -> RelationDegradation& {
+    return DegradationFor(last_report_.degradation, graph.relation_name(rel));
+  };
+  // Replays one retried Get: consumes the same kTupleFetch check indices as
+  // `RetryWithBackoff(..., [&]{ return Get(tid, ctx); })`. OK = the tuple
+  // survives (and its sim charge is due); Unavailable = the walk dropped it.
+  auto sim_fetch_check = [&](RelationNodeId rel) -> bool {
+    if (!faults) return true;
+    uint64_t r = 0;
+    Status fs = CheckFaultWithRetry(ctx, FaultSite::kTupleFetch,
+                                    ctx->retry_policy(), &r);
+    if (r > 0) degradation_for(rel).retries += r;
+    if (fs.ok()) return true;
+    ++degradation_for(rel).dropped_tuples;
+    return false;
+  };
+
+  // Partition-outage accounting (DESIGN.md §17): partitions the query runs
+  // without are recorded before any other degradation event — the skip
+  // happened before any edge ran — along with each relation's tuples
+  // resident on them. Entry order is the schema's relation order.
+  const std::vector<uint32_t> skipped = source.skipped_partitions();
+  if (!skipped.empty()) {
+    last_report_.degradation.shards_skipped = skipped;
+    last_report_.degradation.shards_total =
+        static_cast<uint32_t>(source.num_partitions());
+    for (auto& [rel, p] : planned) {
+      const uint64_t unavailable = p.source->unavailable_tuples();
+      if (unavailable > 0) {
+        degradation_for(rel).unavailable_tuples += unavailable;
+      }
+    }
+  }
+
+  // Spawns materialization tasks for every completed chunk of `p`'s
+  // accepted tids (`flush` also chunks the residual tail). Boundaries
+  // depend only on the accepted sequence — never on threads or timing —
+  // so the chunk set is a deterministic partition of the output.
+  auto spawn_chunks = [&](PlannedRelation& p, bool flush) {
+    while (p.accepted.size() - p.next_chunk_start >= kChunkTuples ||
+           (flush && p.accepted.size() > p.next_chunk_start)) {
+      size_t begin = p.next_chunk_start;
+      size_t count = std::min(kChunkTuples, p.accepted.size() - begin);
+      p.next_chunk_start = begin + count;
+      auto* chunk = new (arena->Allocate(sizeof(MaterializedChunk),
+                                         alignof(MaterializedChunk)))
+          MaterializedChunk();
+      chunk->count = count;
+      chunk->width = p.identity ? p.source->schema().num_attributes()
+                                : p.emitted.size();
+      Tid* tids = arena->AllocateArray<Tid>(count);
+      std::copy(p.accepted.begin() + begin, p.accepted.begin() + begin + count,
+                tids);
+      chunk->tids = tids;
+      chunk->cells = arena->AllocateArray<Value>(count * chunk->width);
+      const SourceRelation* src = p.source.get();
+      const std::vector<size_t>* emitted = &p.emitted;  // stable (node map)
+      const bool identity = p.identity;
+      p.chunks.push_back(chunk);
+      group.Run([chunk, src, emitted, identity, latency_ns, ctx] {
+        if (latency_ns != 0) {
+          // The chunk's whole simulated I/O wait in one sleep: the same
+          // total per accepted tuple whether chunks run inline or overlap.
+          std::this_thread::sleep_for(std::chrono::nanoseconds(
+              latency_ns * static_cast<uint64_t>(chunk->count)));
+        }
+        // Charged bulk fetch+project of planner-validated tids. Projection
+        // never consults the fault injector — fault decisions live on the
+        // planner thread only, which keeps fault sequences deterministic
+        // (DESIGN.md §12).
+        if (identity) {
+          src->ProjectRowsAll(chunk->tids, chunk->count, chunk->cells, ctx);
+        } else {
+          src->ProjectRows(chunk->tids, chunk->count, *emitted, chunk->cells,
+                           ctx);
+        }
+      });
+    }
+  };
+
+  // Accepts `tid` into `p` (bookkeeping only; materialization is deferred
+  // to a chunk task). Caller has already done the dup/stop/budget checks.
+  auto accept = [&](PlannedRelation& p, Tid tid, const JoinEdge* arrival) {
+    p.Tag(tid, arrival);
+    p.seen.insert(tid);
+    p.accepted.push_back(tid);
+    ++total;
+    spawn_chunks(p, /*flush=*/false);
+  };
+
+  // --- Step 1: D' <- tuples involving query tokens (sigma_Tids queries),
+  // each relation's subset limited NaiveQ-style by the cardinality budget.
   for (const auto& [rel, tids] : seeds) {
     if (schema.relations().count(rel) == 0) {
       return Status::InvalidArgument("seed relation '" +
                                      graph.relation_name(rel) +
                                      "' is not part of the result schema");
     }
-    if (stopped()) {
+    if (plan_stopped()) {
       mark_truncated(rel);
       continue;
     }
-    const Relation& source = *source_relations[rel];
-    source.CountStatement(ctx);  // one sigma_Tids query per seed relation
+    PlannedRelation& p = planned[rel];
+    const SourceRelation& src = *p.source;
+    src.CountStatement(ctx);  // one sigma_Tids query per seed relation
     SimulateStatementOverhead(options.statement_overhead_ns);
     if (options.trace_sql) {
-      last_report_.sql_trace.push_back(RenderSeedSql(
-          source.schema(),
-          EmittedAttributeIndices(schema, rel,
-                                  options.include_join_attributes),
-          tids));
+      last_report_.sql_trace.push_back(
+          RenderSeedSql(src.schema(), p.emitted, tids));
     }
-    Collected& col = collected[rel];
     ArenaVector<Tid> ordered_tids{ArenaAllocator<Tid>(arena)};
     ordered_tids.assign(tids.begin(), tids.end());
     if (options.tuple_weights != nullptr) {
@@ -207,38 +595,25 @@ Result<Database> ResultDatabaseGenerator::GenerateSequential(
                        });
     }
     for (Tid tid : ordered_tids) {
-      if (col.seen.count(tid) > 0) continue;
-      if (stopped()) {
+      if (p.seen.count(tid) > 0) continue;
+      if (plan_stopped()) {
         mark_truncated(rel);
         break;
       }
-      std::optional<size_t> budget = c.Budget(col.rows.size(), total);
-      if (budget.has_value() && *budget == 0) {
+      std::optional<size_t> b = c.Budget(p.accepted.size(), total);
+      if (b.has_value() && *b == 0) {
         mark_truncated(rel);
         break;
       }
-      auto tuple = [&]() -> Result<const Tuple*> {
-        if (!faults) return source.Get(tid, ctx);  // counted tuple fetch
-        uint64_t r = 0;
-        auto t = RetryWithBackoff(ctx->retry_policy(), ctx,
-                                  FaultSite::kTupleFetch,
-                                  [&] { return source.Get(tid, ctx); }, &r);
-        if (r > 0) degradation_for(rel).retries += r;
-        return t;
-      }();
-      if (!tuple.ok()) {
-        if (tuple.status().IsUnavailable()) {
-          // Retries exhausted: this seed tuple is lost, not the query.
-          ++degradation_for(rel).dropped_tuples;
-          continue;
-        }
-        return tuple.status();
+      if (tid >= src.num_tuples()) {
+        // The walk fails here inside Relation::Get.
+        return Status::OutOfRange(TidOutOfRangeMessage(tid, src));
       }
-      col.seen.insert(tid);
-      col.rows.push_back(Row{tid, **tuple});
-      col.Tag(tid, nullptr);
-      ++total;
-      io_debt.Charge();
+      // Replay of the seed Get's fault/retry sequence (the bounds check
+      // above precedes the fault check, as in Relation::Get).
+      if (!sim_fetch_check(rel)) continue;
+      sim_charges += 1;  // the walk's seed Get
+      accept(p, tid, nullptr);
     }
   }
 
@@ -255,19 +630,19 @@ Result<Database> ResultDatabaseGenerator::GenerateSequential(
     }
   }
 
-  // Step 2: loop over the join edges of G'. An edge is preferably executed
-  // only when every join arriving at its source relation has already been
-  // executed (in-degree postponement); among applicable edges the one with
-  // the highest weight precedes. If postponement ever blocks all remaining
-  // edges (a cycle among G' relations), the best remaining edge runs anyway
-  // so the algorithm always terminates.
+  // --- Step 2: loop over the join edges of G'. An edge is preferably
+  // executed only when every join arriving at its source relation has
+  // already been executed (in-degree postponement); among applicable edges
+  // the one with the highest weight precedes. If postponement ever blocks
+  // all remaining edges (a cycle among G' relations), the best remaining
+  // edge runs anyway so the algorithm always terminates.
   std::map<RelationNodeId, int> pending;
   for (RelationNodeId rel : schema.relations()) {
     pending[rel] = schema.in_degree(rel);
   }
   std::unordered_set<const JoinEdge*> executed;
 
-  while (!stopped() && executed.size() < schema.join_edges().size()) {
+  while (!plan_stopped() && executed.size() < schema.join_edges().size()) {
     const JoinEdge* next = nullptr;
     bool next_applicable = false;
     for (const JoinEdge* e : schema.join_edges()) {
@@ -286,19 +661,16 @@ Result<Database> ResultDatabaseGenerator::GenerateSequential(
         next_applicable = applicable;
       }
     }
-    // next != nullptr by the loop condition.
     const JoinEdge& edge = *next;
-    const Relation& to_relation = *source_relations[edge.to];
-    const RelationSchema& from_schema =
-        graph.relation_schema(edge.from);
+    const RelationSchema& from_schema = graph.relation_schema(edge.from);
     const RelationSchema& to_schema = graph.relation_schema(edge.to);
 
     const std::set<const JoinEdge*>* allowed = nullptr;
     if (options.path_aware_propagation) {
       allowed = &feeders[&edge];
     }
-    auto keys = JoinKeys(collected[edge.from], from_schema,
-                         edge.from_attribute, allowed);
+    auto keys = PlanJoinKeys(planned[edge.from], from_schema,
+                             edge.from_attribute, allowed, pool);
     if (!keys.ok()) return keys.status();
 
     SubsetStrategy strategy = options.strategy;
@@ -307,8 +679,25 @@ Result<Database> ResultDatabaseGenerator::GenerateSequential(
                                           : SubsetStrategy::kRoundRobin;
     }
 
-    Collected& col = collected[edge.to];
-    std::vector<size_t> projection = IdentityProjection(to_schema);
+    PlannedRelation& col = planned[edge.to];
+    const SourceRelation& to_relation = *col.source;
+
+    // The edge's lookups, consumed key by key below. The kJoinValueLookup
+    // gate wraps each one, so a retried lookup re-runs the source's probe
+    // charge and fault checks exactly as the classic walk's retried lookup.
+    std::unique_ptr<KeyLookup> lookup =
+        to_relation.LookupKeys(edge.to_attribute, *keys, pool);
+    auto lookup_key = [&](size_t k,
+                          uint64_t* retries) -> Result<std::vector<Tid>> {
+      if (!faults) return lookup->Lookup(k, ctx);
+      return RetryWithBackoff(
+          ctx->retry_policy(), ctx, FaultSite::kJoinValueLookup,
+          [&]() -> Result<std::vector<Tid>> {
+            PRECIS_RETURN_NOT_OK(ctx->CheckFault(FaultSite::kJoinValueLookup));
+            return lookup->Lookup(k, ctx);
+          },
+          retries);
+    };
 
     if (options.trace_sql) {
       std::vector<size_t> display = EmittedAttributeIndices(
@@ -322,58 +711,52 @@ Result<Database> ResultDatabaseGenerator::GenerateSequential(
         }
       } else {
         std::optional<size_t> limit;
-        std::optional<size_t> budget = c.Budget(col.rows.size(), total);
+        std::optional<size_t> b = c.Budget(col.accepted.size(), total);
         if (strategy == SubsetStrategy::kNaiveQ &&
-            options.tuple_weights == nullptr && budget.has_value()) {
-          limit = budget;  // NaiveQ pushes the cap down as RowNum
+            options.tuple_weights == nullptr && b.has_value()) {
+          limit = b;  // NaiveQ pushes the cap down as RowNum
         }
         last_report_.sql_trace.push_back(RenderInListSql(
             to_schema, edge.to_attribute, *keys, display, limit));
       }
     }
 
-    auto try_add = [&](Row row) -> bool {
-      // Returns false when the budget is exhausted. Duplicates are skipped
-      // without consuming budget (but still gain this edge's arrival tag).
-      if (col.seen.count(row.tid) > 0) {
-        col.Tag(row.tid, &edge);
+    // Returns false when the budget is exhausted. Duplicates are skipped
+    // without consuming budget (but still gain this edge's arrival tag);
+    // the stop and budget checks sit at exactly the walk's points.
+    auto plan_try_add = [&](Tid tid) -> bool {
+      if (col.seen.count(tid) > 0) {
+        col.Tag(tid, &edge);
         return true;
       }
-      if (stopped()) {
+      if (plan_stopped()) {
         mark_truncated(edge.to);
         return false;
       }
-      std::optional<size_t> budget = c.Budget(col.rows.size(), total);
-      if (budget.has_value() && *budget == 0) {
+      std::optional<size_t> b = c.Budget(col.accepted.size(), total);
+      if (b.has_value() && *b == 0) {
         mark_truncated(edge.to);
         return false;
       }
-      col.Tag(row.tid, &edge);
-      col.seen.insert(row.tid);
-      col.rows.push_back(std::move(row));
-      ++total;
-      io_debt.Charge();
+      accept(col, tid, &edge);
       return true;
     };
 
     if (options.tuple_weights != nullptr) {
       // Ranked selection (§7's data-value weights): collect all joining
-      // candidates, order by tuple weight (heaviest first), then fetch up
-      // to the budget.
+      // candidates, order by tuple weight (heaviest first), then take them
+      // up to the budget. The walk Gets every ordered candidate (charging
+      // a fetch) before its try_add, so sim charges do too.
       const std::string& to_name = graph.relation_name(edge.to);
       to_relation.CountStatement(ctx);
       SimulateStatementOverhead(options.statement_overhead_ns);
       ArenaVector<Tid> candidates{ArenaAllocator<Tid>(arena)};
       std::unordered_set<Tid> candidate_seen;
-      for (const Value& key : *keys) {
-        if (stopped()) break;
-        auto tids = [&]() -> Result<std::vector<Tid>> {
-          if (!faults) return to_relation.LookupEquals(edge.to_attribute, key, ctx);
-          uint64_t r = 0;
-          auto t = FaultyLookup(to_relation, edge.to_attribute, key, ctx, &r);
-          if (r > 0) degradation_for(edge.to).retries += r;
-          return t;
-        }();
+      for (size_t k = 0; k < keys->size(); ++k) {
+        if (plan_stopped()) break;
+        uint64_t r = 0;
+        auto tids = lookup_key(k, &r);
+        if (r > 0) degradation_for(edge.to).retries += r;
         if (!tids.ok()) {
           if (tids.status().IsUnavailable()) {
             // This key's joining tuples are lost; the other keys survive.
@@ -382,6 +765,7 @@ Result<Database> ResultDatabaseGenerator::GenerateSequential(
           }
           return tids.status();
         }
+        sim_charges += 1;  // the probe (or fallback scan)
         for (Tid tid : *tids) {
           if (col.seen.count(tid) > 0) continue;
           if (candidate_seen.insert(tid).second) candidates.push_back(tid);
@@ -393,39 +777,21 @@ Result<Database> ResultDatabaseGenerator::GenerateSequential(
                                 options.tuple_weights->Weight(to_name, b);
                        });
       for (Tid tid : candidates) {
-        auto tuple = [&]() -> Result<const Tuple*> {
-          if (!faults) return to_relation.Get(tid, ctx);
-          uint64_t r = 0;
-          auto t = RetryWithBackoff(ctx->retry_policy(), ctx,
-                                    FaultSite::kTupleFetch,
-                                    [&] { return to_relation.Get(tid, ctx); },
-                                    &r);
-          if (r > 0) degradation_for(edge.to).retries += r;
-          return t;
-        }();
-        if (!tuple.ok()) {
-          if (tuple.status().IsUnavailable()) {
-            ++degradation_for(edge.to).dropped_tuples;
-            continue;
-          }
-          return tuple.status();
-        }
-        if (!try_add(Row{tid, **tuple})) break;
+        if (!sim_fetch_check(edge.to)) continue;
+        sim_charges += 1;  // the walk's candidate Get
+        if (!plan_try_add(tid)) break;
       }
     } else if (strategy == SubsetStrategy::kNaiveQ) {
-      // One IN-list query, kept up to the budget in retrieval order.
+      // One IN-list query, kept up to the budget in retrieval order. The
+      // walk has no per-key stop check here (stops surface via try_add),
+      // and Gets duplicates before skipping them: mirrored.
       to_relation.CountStatement(ctx);
       SimulateStatementOverhead(options.statement_overhead_ns);
       bool budget_open = true;
-      for (const Value& key : *keys) {
-        if (!budget_open) break;
-        auto tids = [&]() -> Result<std::vector<Tid>> {
-          if (!faults) return to_relation.LookupEquals(edge.to_attribute, key, ctx);
-          uint64_t r = 0;
-          auto t = FaultyLookup(to_relation, edge.to_attribute, key, ctx, &r);
-          if (r > 0) degradation_for(edge.to).retries += r;
-          return t;
-        }();
+      for (size_t k = 0; k < keys->size() && budget_open; ++k) {
+        uint64_t r = 0;
+        auto tids = lookup_key(k, &r);
+        if (r > 0) degradation_for(edge.to).retries += r;
         if (!tids.ok()) {
           if (tids.status().IsUnavailable()) {
             ++degradation_for(edge.to).failed_lookups;
@@ -433,62 +799,85 @@ Result<Database> ResultDatabaseGenerator::GenerateSequential(
           }
           return tids.status();
         }
+        sim_charges += 1;  // the probe (or fallback scan)
         for (Tid tid : *tids) {
-          auto tuple = [&]() -> Result<const Tuple*> {
-            if (!faults) return to_relation.Get(tid, ctx);
-            uint64_t r = 0;
-            auto t = RetryWithBackoff(ctx->retry_policy(), ctx,
-                                      FaultSite::kTupleFetch,
-                                      [&] { return to_relation.Get(tid, ctx); },
-                                      &r);
-            if (r > 0) degradation_for(edge.to).retries += r;
-            return t;
-          }();
-          if (!tuple.ok()) {
-            if (tuple.status().IsUnavailable()) {
-              ++degradation_for(edge.to).dropped_tuples;
-              continue;
-            }
-            return tuple.status();
-          }
-          if (!try_add(Row{tid, **tuple})) {
+          // The walk fault-checks the Get before try_add, for duplicates
+          // too; replay that check at the same position.
+          if (!sim_fetch_check(edge.to)) continue;
+          sim_charges += 1;  // the walk's Get, duplicates included
+          if (!plan_try_add(tid)) {
             budget_open = false;
             break;
           }
         }
       }
     } else {
-      // RoundRobin: one scan per key; one joining tuple per open scan per
-      // round, while the cardinality constraint holds.
-      auto scans = PerValueScanSet::Open(to_relation, edge.to_attribute,
-                                         *keys, projection, ctx);
-      if (!scans.ok()) return scans.status();
+      // RoundRobin: one scan per key (PerValueScanSet::Open parity: scans
+      // opened after a stop are empty and uncharged), then one tuple per
+      // open scan per round while the cardinality constraint holds.
+      std::vector<std::vector<Tid>> scans;
+      scans.reserve(keys->size());
+      // Mirror of PerValueScanSet's degradation counters, folded into the
+      // report once after the edge drains, exactly where the walk folds
+      // scans->retries()/failed_opens()/dropped_fetches() in.
+      uint64_t rr_retries = 0;
+      uint64_t rr_failed = 0;
+      uint64_t rr_dropped = 0;
+      for (size_t k = 0; k < keys->size(); ++k) {
+        if (plan_stopped()) {
+          scans.emplace_back();
+          continue;
+        }
+        to_relation.CountStatement(ctx);  // one cursor per probe value
+        auto tids = lookup_key(k, &rr_retries);
+        if (!tids.ok()) {
+          if (tids.status().IsUnavailable()) {
+            // PerValueScanSet::Open parity: the key's scan opens drained.
+            ++rr_failed;
+            scans.emplace_back();
+            continue;
+          }
+          return tids.status();
+        }
+        sim_charges += 1;  // the probe (or fallback scan)
+        scans.push_back(std::move(*tids));
+      }
       SimulateStatementOverhead(options.statement_overhead_ns *
                                 static_cast<uint64_t>(keys->size()));
+      std::vector<size_t> positions(scans.size(), 0);
+      auto all_closed = [&] {
+        for (size_t i = 0; i < scans.size(); ++i) {
+          if (positions[i] < scans[i].size()) return false;
+        }
+        return true;
+      };
       bool budget_open = true;
-      while (budget_open && !scans->AllClosed()) {
-        for (size_t i = 0; i < scans->num_scans(); ++i) {
-          std::optional<Row> row = scans->Next(i);
-          if (!row.has_value()) continue;
-          if (!try_add(std::move(*row))) {
+      while (budget_open && !all_closed()) {
+        for (size_t i = 0; i < scans.size(); ++i) {
+          if (positions[i] >= scans[i].size()) continue;
+          Tid tid = scans[i][positions[i]++];
+          if (faults) {
+            // Replay of PerValueScanSet::Next's retried Get; a drop skips
+            // this tuple (Next returned nullopt) but keeps the scan open.
+            Status fs = CheckFaultWithRetry(ctx, FaultSite::kTupleFetch,
+                                            ctx->retry_policy(), &rr_retries);
+            if (!fs.ok()) {
+              ++rr_dropped;
+              continue;
+            }
+          }
+          sim_charges += 1;  // PerValueScanSet::Next's Get
+          if (!plan_try_add(tid)) {
             budget_open = false;
             break;
           }
         }
       }
-      // The scan set retried/degraded internally (failed opens become
-      // drained scans, failed fetches drop single tuples); fold its
-      // counters into the report once, after the edge drains.
-      if (faults) {
-        const uint64_t r = scans->retries();
-        const uint64_t f = scans->failed_opens();
-        const uint64_t d = scans->dropped_fetches();
-        if (r > 0 || f > 0 || d > 0) {
-          RelationDegradation& deg = degradation_for(edge.to);
-          deg.retries += r;
-          deg.failed_lookups += f;
-          deg.dropped_tuples += d;
-        }
+      if (faults && (rr_retries > 0 || rr_failed > 0 || rr_dropped > 0)) {
+        RelationDegradation& deg = degradation_for(edge.to);
+        deg.retries += rr_retries;
+        deg.failed_lookups += rr_failed;
+        deg.dropped_tuples += rr_dropped;
       }
     }
 
@@ -499,20 +888,25 @@ Result<Database> ResultDatabaseGenerator::GenerateSequential(
                                           graph.relation_name(edge.to));
   }
 
-  io_debt.Flush();
+  // --- Merge barrier: flush residual chunks, drain materialization --------
+  for (auto& [rel, p] : planned) {
+    spawn_chunks(p, /*flush=*/true);
+  }
+  group.Wait();
 
-  // Step 3: emit the result database.
+  // --- Step 3: emit the result database -----------------------------------
   Database result("precis_result");
-  std::map<RelationNodeId, std::vector<size_t>> emitted_attrs;
-  for (RelationNodeId rel : schema.relations()) {
+  std::vector<RelationNodeId> rel_order(schema.relations().begin(),
+                                        schema.relations().end());
+  std::vector<Relation*> out_relations(rel_order.size(), nullptr);
+  for (size_t i = 0; i < rel_order.size(); ++i) {
+    RelationNodeId rel = rel_order[i];
     const RelationSchema& src_schema = graph.relation_schema(rel);
-    std::vector<size_t> ordered = EmittedAttributeIndices(
-        schema, rel, options.include_join_attributes);
-    emitted_attrs[rel] = ordered;
+    const PlannedRelation& p = planned[rel];
 
     std::vector<AttributeSchema> out_attrs;
-    out_attrs.reserve(ordered.size());
-    for (size_t idx : ordered) out_attrs.push_back(src_schema.attribute(idx));
+    out_attrs.reserve(p.emitted.size());
+    for (size_t idx : p.emitted) out_attrs.push_back(src_schema.attribute(idx));
     RelationSchema out_schema(src_schema.name(), std::move(out_attrs));
     if (src_schema.primary_key()) {
       const std::string& pk_name =
@@ -522,21 +916,48 @@ Result<Database> ResultDatabaseGenerator::GenerateSequential(
       }
     }
     PRECIS_RETURN_NOT_OK(result.CreateRelation(std::move(out_schema)));
-
     auto out_relation = result.GetRelation(src_schema.name());
     if (!out_relation.ok()) return out_relation.status();
-    for (const Row& row : collected[rel].rows) {
-      Tuple projected = ProjectTuple(row.values, ordered);
-      auto tid = (*out_relation)->Insert(std::move(projected));
-      if (!tid.ok()) return tid.status();
-    }
+    out_relations[i] = *out_relation;
   }
 
-  // Step 4: carry over the source foreign keys that are applicable to the
-  // result schema and actually hold on the emitted data (a cardinality cut
-  // may have removed referenced parents; such constraints are reported and
-  // omitted rather than declared falsely).
-  for (const ForeignKey& fk : source_->foreign_keys()) {
+  // Chunk buffers concatenate in acceptance order, so per-relation inserts
+  // reproduce the Fig. 5 collection order. Relations are disjoint insert
+  // targets (the database epoch is atomic), so one task per relation is
+  // race-free.
+  std::vector<Status> insert_status(rel_order.size(), Status::OK());
+  for (size_t i = 0; i < rel_order.size(); ++i) {
+    PlannedRelation* p = &planned[rel_order[i]];
+    Relation* out = out_relations[i];
+    Status* slot = &insert_status[i];
+    group.Run([p, out, slot] {
+      for (const MaterializedChunk* chunk : p->chunks) {
+        for (size_t r = 0; r < chunk->count; ++r) {
+          const Value* row = chunk->cells + r * chunk->width;
+          auto tid = out->Insert(Tuple(row, row + chunk->width));
+          if (!tid.ok()) {
+            *slot = tid.status();
+            return;
+          }
+        }
+      }
+    });
+  }
+  group.Wait();
+  for (const Status& s : insert_status) {
+    PRECIS_RETURN_NOT_OK(s);
+  }
+
+  // --- Step 4: carry over the source foreign keys that are applicable to
+  // the result schema and actually hold on the emitted data (a cardinality
+  // cut may have removed referenced parents; such constraints are reported
+  // and omitted rather than declared falsely). One check task per FK.
+  struct FkCheck {
+    const ForeignKey* fk;
+    bool holds = false;
+  };
+  std::vector<FkCheck> checks;
+  for (const ForeignKey& fk : source.foreign_keys()) {
     if (!result.HasRelation(fk.child_relation) ||
         !result.HasRelation(fk.parent_relation)) {
       continue;
@@ -547,10 +968,19 @@ Result<Database> ResultDatabaseGenerator::GenerateSequential(
         !(*parent)->schema().HasAttribute(fk.parent_attribute)) {
       continue;
     }
-    if (ForeignKeyHolds(result, fk)) {
-      PRECIS_RETURN_NOT_OK(result.AddForeignKey(fk));
+    checks.push_back(FkCheck{&fk});
+  }
+  for (FkCheck& check : checks) {  // `checks` is fully built: stable refs
+    FkCheck* slot = &check;
+    const Database* res = &result;
+    group.Run([res, slot] { slot->holds = ForeignKeyHolds(*res, *slot->fk); });
+  }
+  group.Wait();
+  for (const FkCheck& check : checks) {
+    if (check.holds) {
+      PRECIS_RETURN_NOT_OK(result.AddForeignKey(*check.fk));
     } else {
-      last_report_.dropped_foreign_keys.push_back(fk.ToString());
+      last_report_.dropped_foreign_keys.push_back(check.fk->ToString());
     }
   }
 

@@ -21,6 +21,7 @@
 #include "common/task_pool.h"
 #include "storage/database.h"
 #include "precis/constraints.h"
+#include "precis/partition_source.h"
 #include "precis/result_schema.h"
 #include "precis/tuple_weights.h"
 
@@ -94,29 +95,29 @@ struct DbGenOptions {
   /// *counted* in AccessStats either way.
   uint64_t statement_overhead_ns = 0;
 
-  /// Intra-query parallelism (DESIGN.md §11). 0 or 1 runs the classic
-  /// sequential Fig. 5 walk; >= 2 plans the walk sequentially (so every
-  /// acceptance / truncation / budget decision is made in exactly the
-  /// sequential order) but fans the expensive per-tuple work — simulated
-  /// I/O waits, tuple materialization and projection, per-relation emit,
-  /// FK validation — out to a work-stealing task pool, keeping at most
-  /// `parallelism` of this query's chunk tasks in flight. The emitted
-  /// database and DbGenReport are byte-identical to the sequential run for
-  /// every value of this knob and any pool size.
+  /// Intra-query parallelism (DESIGN.md §11). The planner always makes
+  /// every acceptance / truncation / budget decision on the calling thread
+  /// in the Fig. 5 order; this knob only decides where the per-tuple work
+  /// (simulated I/O waits, tuple materialization and projection,
+  /// per-relation emit, FK validation) runs. When max(parallelism, source
+  /// partitions) is 1 it runs inline on the caller; otherwise it fans out
+  /// to a work-stealing task pool with at most that many of this query's
+  /// chunk tasks in flight. The emitted database and DbGenReport are
+  /// byte-identical for every value of this knob and any pool size.
   size_t parallelism = 1;
 
-  /// Pool for parallel generation; nullptr (default) uses the process-wide
+  /// Pool for pooled generation; nullptr (default) uses the process-wide
   /// TaskPool::Shared() so `service workers x per-query chunk tasks`
-  /// cannot oversubscribe the machine. Ignored when parallelism <= 1.
+  /// cannot oversubscribe the machine. Unused when the query runs inline.
   TaskPool* pool = nullptr;
 
   /// Simulated per-retrieved-tuple access latency, in nanoseconds — the
   /// TupleTime term of the paper's §6 cost model on its Oracle substrate,
   /// where every accepted tuple pays real I/O wait. Paid as batched
   /// *sleeps* (not busy-waits: it models time the CPU is idle), which is
-  /// exactly the component concurrent subtree expansion overlaps. Both the
-  /// sequential and the parallel path pay it once per accepted tuple, so
-  /// sequential-vs-parallel comparisons under this knob are fair.
+  /// exactly the component concurrent subtree expansion overlaps: each
+  /// materialization chunk sleeps its tuples' share, so inline and pooled
+  /// runs pay the same total and comparisons under this knob are fair.
   /// Timing-only: never affects the generated database. 0 disables.
   uint64_t simulated_access_latency_ns = 0;
 };
@@ -141,7 +142,7 @@ struct RelationDegradation {
 /// \brief Per-relation account of what fault injection cost the answer.
 ///
 /// Relations appear in first-degradation-event order — deterministic for a
-/// fixed seed, and replayed identically by the parallel generator.
+/// fixed seed, at any parallelism and partition count.
 struct DegradationReport {
   std::vector<RelationDegradation> relations;
 
@@ -224,9 +225,20 @@ struct DbGenReport {
 using SeedTids = std::map<RelationNodeId, std::vector<Tid>>;
 
 /// \brief Implements the Result Database Algorithm of Fig. 5.
+///
+/// One planner for every execution shape (DESIGN.md §11): it walks the
+/// algorithm on the calling thread over tids and counts, reads its source
+/// through the PartitionSource interface, and materializes accepted tuples
+/// in chunk tasks that run inline or on a task pool.
 class ResultDatabaseGenerator {
  public:
+  /// Generation over one unpartitioned database (a DatabaseSource view).
   explicit ResultDatabaseGenerator(const Database* source)
+      : database_(source) {}
+
+  /// Generation over any partition source, e.g. one sharded query's
+  /// ShardedSource. The source must outlive the generator.
+  explicit ResultDatabaseGenerator(const PartitionSource* source)
       : source_(source) {}
 
   /// Generates the result database for `schema` seeded with `seeds` under
@@ -241,13 +253,13 @@ class ResultDatabaseGenerator {
   /// so far are emitted as a well-formed (constraint-checked) partial
   /// database and the cause is recorded in DbGenReport::stop_reason.
   ///
-  /// With options.parallelism >= 2 the run executes on a task pool
-  /// (DESIGN.md §11) and is guaranteed byte-identical — database and
-  /// report — to the sequential run, including budget-stopped partial
-  /// answers. AccessStats attribution may differ slightly in parallel mode
-  /// (duplicate-tuple re-fetches are planned away), which is why budget
+  /// The database and report are byte-identical at every parallelism and
+  /// partition count, including budget-stopped partial answers: budget
   /// stops are decided against a simulated charge counter that replays the
-  /// sequential charge sequence exactly.
+  /// classic walk's charge sequence (one charge per probe and per candidate
+  /// fetch, duplicates included). Real per-query AccessStats count the
+  /// same probes and statements, but tuple fetches only for the tuples
+  /// actually materialized.
   Result<Database> Generate(const ResultSchema& schema, const SeedTids& seeds,
                             const CardinalityConstraint& c,
                             const DbGenOptions& options = DbGenOptions(),
@@ -256,21 +268,13 @@ class ResultDatabaseGenerator {
   const DbGenReport& last_report() const { return last_report_; }
 
  private:
-  /// The classic single-threaded Fig. 5 walk (database_generator.cc).
-  Result<Database> GenerateSequential(const ResultSchema& schema,
-                                      const SeedTids& seeds,
-                                      const CardinalityConstraint& c,
-                                      const DbGenOptions& options,
-                                      ExecutionContext* ctx);
+  Result<Database> Plan(const PartitionSource& source,
+                        const ResultSchema& schema, const SeedTids& seeds,
+                        const CardinalityConstraint& c,
+                        const DbGenOptions& options, ExecutionContext* ctx);
 
-  /// Sequential plan + parallel fetch/emit/validate (parallel_dbgen.cc).
-  Result<Database> GenerateParallel(const ResultSchema& schema,
-                                    const SeedTids& seeds,
-                                    const CardinalityConstraint& c,
-                                    const DbGenOptions& options,
-                                    ExecutionContext* ctx);
-
-  const Database* source_;
+  const Database* database_ = nullptr;
+  const PartitionSource* source_ = nullptr;
   DbGenReport last_report_;
 };
 

@@ -1,24 +1,20 @@
-// Helpers shared by the sequential and parallel result-database
-// generators (database_generator.cc and parallel_dbgen.cc).
+// Helpers shared by the Fig. 5 planner (database_generator.cc) and the
+// sequential-walk test oracle (tests/sequential_walk.cc).
 //
-// Both implementations must agree bit-for-bit on everything in here: the
-// parallel generator's determinism guarantee ("byte-identical output to the
-// single-threaded run") rests on the two paths computing the same emitted
-// attribute sets, the same SQL trace text, the same FK-holds verdicts and
-// the same simulated-cost timing hooks from the same inputs.
+// The planner's determinism guarantee ("byte-identical output to the
+// classic walk") rests on the two computing the same emitted attribute
+// sets, the same SQL trace text, the same FK-holds verdicts and the same
+// degradation-report order from the same inputs, so both use these.
 
 #ifndef PRECIS_PRECIS_DBGEN_COMMON_H_
 #define PRECIS_PRECIS_DBGEN_COMMON_H_
 
-#include <chrono>
 #include <cstdint>
 #include <set>
 #include <string>
-#include <thread>
 #include <unordered_set>
 #include <vector>
 
-#include "common/retry.h"
 #include "precis/database_generator.h"
 #include "precis/result_schema.h"
 #include "storage/database.h"
@@ -27,30 +23,11 @@
 namespace precis {
 namespace dbgen_internal {
 
-/// True when fault checks can fire for this query. Both generator paths
-/// branch on this once so the fault-free hot path stays a direct call.
+/// True when fault checks can fire for this query. Generation branches on
+/// this once so the fault-free hot path stays a direct call.
 inline bool FaultsArmed(const ExecutionContext* ctx) {
   return ctx != nullptr && ctx->fault_injector() != nullptr &&
          ctx->fault_injector()->armed();
-}
-
-/// The per-join-key lookup as one retriable unit — the kJoinValueLookup
-/// gate plus the probe/scan behind it (which consults kIndexProbe or
-/// kRelationScan inside Relation::LookupEquals). Both generator paths call
-/// this from their sequential control thread, so the injector check
-/// sequence is identical between modes. Only call when FaultsArmed(ctx).
-inline Result<std::vector<Tid>> FaultyLookup(const Relation& relation,
-                                             const std::string& attribute,
-                                             const Value& key,
-                                             ExecutionContext* ctx,
-                                             uint64_t* retries) {
-  return RetryWithBackoff(
-      ctx->retry_policy(), ctx, FaultSite::kJoinValueLookup,
-      [&]() -> Result<std::vector<Tid>> {
-        PRECIS_RETURN_NOT_OK(ctx->CheckFault(FaultSite::kJoinValueLookup));
-        return relation.LookupEquals(attribute, key, ctx);
-      },
-      retries);
 }
 
 /// Find-or-append accessor for the per-relation degradation entry; first
@@ -62,58 +39,6 @@ inline RelationDegradation& DegradationFor(DegradationReport& report,
   }
   report.relations.push_back(RelationDegradation{relation});
   return report.relations.back();
-}
-
-/// Busy-waits for the simulated per-statement overhead (see
-/// DbGenOptions::statement_overhead_ns). A sleep would be descheduled for
-/// far longer than the microsecond scale being modelled.
-inline void SimulateStatementOverhead(uint64_t total_ns) {
-  if (total_ns == 0) return;
-  auto until = std::chrono::steady_clock::now() +
-               std::chrono::nanoseconds(total_ns);
-  while (std::chrono::steady_clock::now() < until) {
-  }
-}
-
-/// Accumulates simulated per-tuple access latency (see
-/// DbGenOptions::simulated_access_latency_ns) and pays it in batched
-/// sleeps. Unlike the statement overhead above, this models *I/O wait* on
-/// the paper's DBMS substrate — time the CPU is idle — so it sleeps
-/// (yielding the core, which is what lets concurrent subtree expansion
-/// overlap the waits) instead of busy-waiting, and batches to
-/// kFlushThresholdNs so scheduler wake-up noise does not swamp the
-/// microsecond-scale debt being modelled. Timing-only: never affects
-/// output.
-class LatencyDebt {
- public:
-  static constexpr uint64_t kFlushThresholdNs = 100'000;  // 100us
-
-  explicit LatencyDebt(uint64_t per_access_ns) : per_access_ns_(per_access_ns) {}
-
-  /// Records `count` accesses of debt and sleeps it off once the batch
-  /// crosses the flush threshold.
-  void Charge(size_t count = 1) {
-    if (per_access_ns_ == 0) return;
-    owed_ns_ += per_access_ns_ * static_cast<uint64_t>(count);
-    if (owed_ns_ >= kFlushThresholdNs) Flush();
-  }
-
-  /// Sleeps off any remaining debt.
-  void Flush() {
-    if (owed_ns_ == 0) return;
-    std::this_thread::sleep_for(std::chrono::nanoseconds(owed_ns_));
-    owed_ns_ = 0;
-  }
-
- private:
-  uint64_t per_access_ns_;
-  uint64_t owed_ns_ = 0;
-};
-
-inline std::vector<size_t> IdentityProjection(const RelationSchema& schema) {
-  std::vector<size_t> out(schema.num_attributes());
-  for (size_t i = 0; i < out.size(); ++i) out[i] = i;
-  return out;
 }
 
 /// The attribute indices a result relation exposes: the projections of G'
@@ -215,15 +140,6 @@ inline bool IsToOne(const JoinEdge& edge, const RelationSchema& to_schema) {
   auto idx = to_schema.AttributeIndex(edge.to_attribute);
   if (!idx.ok()) return false;
   return *idx == *to_schema.primary_key();
-}
-
-/// The out-of-range message Relation::Get produces, replicated so the
-/// parallel planner (which validates tids without fetching) fails with the
-/// byte-same status text as the sequential generator.
-inline std::string TidOutOfRangeMessage(Tid tid, const Relation& relation) {
-  return "tid " + std::to_string(tid) + " out of range for relation '" +
-         relation.name() + "' with " + std::to_string(relation.num_tuples()) +
-         " tuples";
 }
 
 }  // namespace dbgen_internal

@@ -1,7 +1,6 @@
 #include "precis/engine.h"
 
 #include <algorithm>
-#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -60,27 +59,26 @@ std::vector<TokenMatch> PrecisEngine::MatchTokens(
   return matches;
 }
 
-Result<PrecisAnswer> PrecisEngine::AnswerFromMatches(
-    std::vector<TokenMatch> matches, const DegreeConstraint& degree,
-    const CardinalityConstraint& cardinality, const DbGenOptions& options,
-    ExecutionContext* ctx) const {
+Result<ResultSchema> AssembleSeedsAndSchema(
+    const SchemaGraph* graph, const std::vector<TokenMatch>& matches,
+    const DegreeConstraint& degree, SchemaCache* schema_cache,
+    ExecutionContext* ctx, SeedTids* seeds) {
   // Input relations (deduplicated, in match order) and seed tuple ids.
   // Relation dedup stays a linear std::find (a handful of entries); tid
-  // dedup uses a hash-set membership check per relation — multi-token
-  // queries over a popular relation used to pay a quadratic std::find over
-  // the accumulated seed list. Insertion order is preserved either way.
+  // dedup uses a hash-set membership check per relation — a GENRE token
+  // seeds tens of thousands of tuples, and a std::find over the growing
+  // list would be quadratic in them. Insertion order is match order.
   std::vector<RelationNodeId> token_relations;
-  SeedTids seeds;
   std::unordered_map<RelationNodeId, std::unordered_set<Tid>> seen_tids;
   for (const TokenMatch& match : matches) {
     for (const TokenOccurrence& occ : match.occurrences()) {
-      auto rel = graph_->RelationId(occ.relation);
+      auto rel = graph->RelationId(occ.relation);
       if (!rel.ok()) return rel.status();
       if (std::find(token_relations.begin(), token_relations.end(), *rel) ==
           token_relations.end()) {
         token_relations.push_back(*rel);
       }
-      std::vector<Tid>& tids = seeds[*rel];
+      std::vector<Tid>& tids = (*seeds)[*rel];
       std::unordered_set<Tid>& seen = seen_tids[*rel];
       for (Tid tid : occ.tids) {
         if (seen.insert(tid).second) tids.push_back(tid);
@@ -88,57 +86,54 @@ Result<PrecisAnswer> PrecisEngine::AnswerFromMatches(
     }
   }
 
-  // Step 2: result schema generation (optionally cached by token-relation
-  // set, degree constraint and graph weight epoch — see DESIGN.md §10).
-  // A partial schema produced under an already-stopped context is NOT
-  // cached: it reflects the stop, not the constraint.
-  std::optional<ResultSchema> schema;
-  {
-    ScopedSpan span(ctx, "schema_gen");
-    if (schema_cache_enabled_.load(std::memory_order_relaxed)) {
-      std::vector<RelationNodeId> sorted = token_relations;
-      std::sort(sorted.begin(), sorted.end());
-      std::string key;
-      key.reserve(32 + sorted.size() * 4);
-      for (RelationNodeId rel : sorted) {
-        key += std::to_string(rel);
-        key += ',';
-      }
-      key += '|';
-      key += degree.ToString();
-      key += '|';
-      key += std::to_string(graph_->weight_epoch());
-      if (std::shared_ptr<const ResultSchema> hit =
-              caches_->schema.Get(key)) {
-        schema = *hit;  // copy out of the immutable cached value
-      } else {
-        ResultSchemaGenerator schema_generator(graph_);
-        auto generated =
-            schema_generator.Generate(token_relations, degree, ctx);
-        if (!generated.ok()) return generated.status();
-        bool partial = ctx != nullptr && ctx->ShouldStop();
-        // Fault taint: a schema generated while a fault injector is armed
-        // on the context may silently reflect injected failures; never let
-        // it into the shared cache (DESIGN.md §12).
-        bool tainted = ctx != nullptr && ctx->fault_injector() != nullptr &&
-                       ctx->fault_injector()->armed();
-        if (!partial && !tainted) {
-          caches_->schema.Put(
-              key, std::make_shared<const ResultSchema>(*generated),
-              EstimateSchemaCharge(*generated));
-        }
-        schema = std::move(*generated);
-      }
-    } else {
-      ResultSchemaGenerator schema_generator(graph_);
-      auto generated =
-          schema_generator.Generate(token_relations, degree, ctx);
-      if (!generated.ok()) return generated.status();
-      schema = std::move(*generated);
-    }
+  // Result schema generation (optionally cached by token-relation set,
+  // degree constraint and graph weight epoch — see DESIGN.md §10).
+  ScopedSpan span(ctx, "schema_gen");
+  ResultSchemaGenerator schema_generator(graph);
+  if (schema_cache == nullptr) {
+    return schema_generator.Generate(token_relations, degree, ctx);
   }
+  std::vector<RelationNodeId> sorted = token_relations;
+  std::sort(sorted.begin(), sorted.end());
+  std::string key;
+  key.reserve(32 + sorted.size() * 4);
+  for (RelationNodeId rel : sorted) {
+    key += std::to_string(rel);
+    key += ',';
+  }
+  key += '|';
+  key += degree.ToString();
+  key += '|';
+  key += std::to_string(graph->weight_epoch());
+  if (std::shared_ptr<const ResultSchema> hit = schema_cache->Get(key)) {
+    return *hit;  // copy out of the immutable cached value
+  }
+  auto generated = schema_generator.Generate(token_relations, degree, ctx);
+  if (!generated.ok()) return generated.status();
+  const bool partial = ctx != nullptr && ctx->ShouldStop();
+  // Fault taint (DESIGN.md §12): a schema generated while a fault injector
+  // is armed may silently reflect injected failures.
+  const bool tainted = ctx != nullptr && ctx->fault_injector() != nullptr &&
+                       ctx->fault_injector()->armed();
+  if (!partial && !tainted) {
+    schema_cache->Put(key, std::make_shared<const ResultSchema>(*generated),
+                      EstimateSchemaCharge(*generated));
+  }
+  return generated;
+}
 
-  // Step 3: result database generation.
+Result<PrecisAnswer> PrecisEngine::AnswerFromMatches(
+    std::vector<TokenMatch> matches, const DegreeConstraint& degree,
+    const CardinalityConstraint& cardinality, const DbGenOptions& options,
+    ExecutionContext* ctx) const {
+  SeedTids seeds;
+  auto schema = AssembleSeedsAndSchema(
+      graph_, matches, degree,
+      schema_cache_enabled_.load(std::memory_order_relaxed) ? &caches_->schema
+                                                            : nullptr,
+      ctx, &seeds);
+  if (!schema.ok()) return schema.status();
+
   ResultDatabaseGenerator db_generator(db_);
   Result<Database> database = [&] {
     ScopedSpan span(ctx, "db_gen");
@@ -193,8 +188,8 @@ std::string AnswerFingerprintBase(const PrecisQuery& query,
   key += '|';
   key += std::to_string(options.statement_overhead_ns);
   // Deliberately NOT part of the key: parallelism, pool and
-  // simulated_access_latency_ns. Parallel generation is byte-identical to
-  // sequential (DESIGN.md §11) and the latency knob is timing-only, so
+  // simulated_access_latency_ns. Generation is byte-identical inline and
+  // pooled (DESIGN.md §11) and the latency knob is timing-only, so
   // answers produced under any of those settings are interchangeable —
   // fingerprinting them would only fragment the cache.
   return key;

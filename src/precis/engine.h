@@ -100,6 +100,25 @@ std::string AnswerFingerprintBase(const PrecisQuery& query,
                                   const CardinalityConstraint& cardinality,
                                   const DbGenOptions& options);
 
+/// \brief The result-schema cache (DESIGN.md §10, level 2): schemas keyed
+/// by sorted token-relation ids, degree constraint and graph weight epoch.
+using SchemaCache = ShardedLruCache<std::string, ResultSchema>;
+
+/// \brief The steps between token matching and result-database generation,
+/// shared by PrecisEngine and the sharded engine.
+///
+/// Seed assembly: the token relations (deduplicated, in match order) are
+/// the schema generator's input relations, and `seeds` receives each
+/// relation's matched tids, deduplicated in match order. Then the result
+/// schema is generated under `degree` — through `schema_cache` when given.
+/// A schema produced under an already-stopped context, or while a fault
+/// injector is armed on it, is never cached: it reflects the stop or the
+/// faults, not the constraint.
+Result<ResultSchema> AssembleSeedsAndSchema(
+    const SchemaGraph* graph, const std::vector<TokenMatch>& matches,
+    const DegreeConstraint& degree, SchemaCache* schema_cache,
+    ExecutionContext* ctx, SeedTids* seeds);
+
 /// \brief Orchestrates inverted index, schema generator and database
 /// generator over one source database and schema graph.
 class PrecisEngine {
@@ -334,7 +353,6 @@ class PrecisEngine {
   std::atomic<bool> answer_cache_enabled_{false};
   std::atomic<bool> body_cache_enabled_{false};
 
-  using SchemaCache = ShardedLruCache<std::string, ResultSchema>;
   using AnswerCache = ShardedLruCache<std::string, PrecisAnswer>;
   using BodyCache = ShardedLruCache<std::string, std::string>;
   // Behind a unique_ptr so the engine stays movable despite the shard

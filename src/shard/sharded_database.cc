@@ -59,8 +59,11 @@ Status ShardedRelation::MirrorLookupCharges(const std::string& attribute_name,
 }
 
 Result<std::vector<Tid>> ShardedRelation::ShardLookupGlobal(
-    size_t shard, const std::string& attribute_name, const Value& key) const {
-  auto locals = shard_rel_[shard]->LookupEquals(attribute_name, key, nullptr);
+    size_t shard, const std::string& attribute_name, const Value& key,
+    bool replica) const {
+  const Relation* relation =
+      replica ? replica_rel_[shard] : shard_rel_[shard];
+  auto locals = relation->LookupEquals(attribute_name, key, nullptr);
   if (!locals.ok()) return locals.status();
   std::vector<Tid> out;
   out.reserve(locals->size());
@@ -69,37 +72,13 @@ Result<std::vector<Tid>> ShardedRelation::ShardLookupGlobal(
   return out;
 }
 
-Result<std::vector<Tid>> ShardedRelation::ReplicaLookupGlobal(
-    size_t shard, const std::string& attribute_name, const Value& key) const {
-  auto locals =
-      replica_rel_[shard]->LookupEquals(attribute_name, key, nullptr);
-  if (!locals.ok()) return locals.status();
-  std::vector<Tid> out;
-  out.reserve(locals->size());
-  const std::vector<Tid>& map = local_to_global_[shard];
-  for (Tid local : *locals) out.push_back(map[local]);
-  return out;
-}
-
-Result<std::vector<Tid>> ShardedRelation::LookupEquals(
-    const std::string& attribute_name, const Value& key,
-    ExecutionContext* ctx) const {
-  PRECIS_RETURN_NOT_OK(MirrorLookupCharges(attribute_name, ctx));
-  std::vector<std::vector<Tid>> lists;
-  lists.reserve(shard_rel_.size());
-  for (size_t s = 0; s < shard_rel_.size(); ++s) {
-    auto l = ShardLookupGlobal(s, attribute_name, key);
-    if (!l.ok()) return l.status();
-    lists.push_back(std::move(*l));
-  }
-  return MergeAscendingTids(std::move(lists));
-}
-
-void ShardedRelation::ProjectScatterImpl(
+void ShardedRelation::ProjectRowsScatter(
     const Tid* tids, size_t n, const std::vector<size_t>* projection,
-    size_t width, Value* out, ExecutionContext* ctx,
+    Value* out, ExecutionContext* ctx,
     std::vector<uint64_t>* shard_fetches) const {
   const size_t shards = shard_rel_.size();
+  const size_t width =
+      projection != nullptr ? projection->size() : schema_.num_attributes();
   // Group the chunk's global tids by owning shard, preserving each tid's
   // output row so the scatter-back lands cells exactly where the
   // single-engine kernel would.
@@ -125,25 +104,8 @@ void ShardedRelation::ProjectScatterImpl(
       std::copy(tmp.begin() + j * width, tmp.begin() + (j + 1) * width,
                 out + rows[s][j] * width);
     }
-    if (shard_fetches != nullptr) {
-      (*shard_fetches)[s] += locals[s].size();
-    }
+    (*shard_fetches)[s] += locals[s].size();
   }
-}
-
-void ShardedRelation::ProjectRowsScatter(
-    const Tid* tids, size_t n, const std::vector<size_t>& projection,
-    Value* out, ExecutionContext* ctx,
-    std::vector<uint64_t>* shard_fetches) const {
-  ProjectScatterImpl(tids, n, &projection, projection.size(), out, ctx,
-                     shard_fetches);
-}
-
-void ShardedRelation::ProjectRowsAllScatter(
-    const Tid* tids, size_t n, Value* out, ExecutionContext* ctx,
-    std::vector<uint64_t>* shard_fetches) const {
-  ProjectScatterImpl(tids, n, nullptr, schema_.num_attributes(), out, ctx,
-                     shard_fetches);
 }
 
 void ShardedRelation::CountStatement(ExecutionContext* ctx) const {

@@ -18,7 +18,7 @@
 // ExecutionContext while the actual data work runs against the shard
 // relations with a null context — shard-side operations never consult the
 // fault injector and never double-charge the query (fault decisions stay on
-// the coordinator thread, exactly as in parallel_dbgen.cc).
+// the planner thread; see shard/sharded_source.h).
 
 #ifndef PRECIS_SHARD_SHARDED_DATABASE_H_
 #define PRECIS_SHARD_SHARDED_DATABASE_H_
@@ -56,9 +56,6 @@ class ShardedRelation {
   size_t num_tuples() const { return owner_.size(); }
 
   size_t num_shards() const { return shard_rel_.size(); }
-  const Relation* shard_relation(size_t shard) const {
-    return shard_rel_[shard];
-  }
   size_t shard_tuples(size_t shard) const {
     return local_to_global_[shard].size();
   }
@@ -88,8 +85,8 @@ class ShardedRelation {
   /// produces on the coordinator context — CheckFault(kIndexProbe) then one
   /// index-probe charge when the attribute is indexed, CheckFault(
   /// kRelationScan) then one scan charge otherwise, attribute-missing error
-  /// first — without touching any shard. The sharded generator pairs this
-  /// with prefetched shard results so the injector consumes the identical
+  /// first — without touching any shard. ShardedSource pairs this with
+  /// prefetched shard results so the injector consumes the identical
   /// check sequence the single-engine run does (DESIGN.md §15).
   Status MirrorLookupCharges(const std::string& attribute_name,
                              ExecutionContext* ctx) const;
@@ -98,44 +95,32 @@ class ShardedRelation {
   /// Runs with a null context: no fault checks, no coordinator charges (the
   /// shard relation's own stats still count the probe). Safe to call from
   /// pool threads — this is the scatter half of the per-edge prefetch.
+  ///
+  /// With `replica`, the lookup runs against the shard's read replica
+  /// (only valid when has_replicas()). Replicas hold byte-identical tuples
+  /// at identical local tids, so the result is the same tid list the
+  /// primary would return — which is what lets hedged sub-queries pick
+  /// whichever copy answers first without changing the answer (DESIGN.md
+  /// §17).
   Result<std::vector<Tid>> ShardLookupGlobal(size_t shard,
                                              const std::string& attribute_name,
-                                             const Value& key) const;
+                                             const Value& key,
+                                             bool replica = false) const;
 
   /// True when this relation carries a read replica for every shard
   /// (ShardedDatabase::Partition with replicas, DESIGN.md §17).
   bool has_replicas() const { return !replica_rel_.empty(); }
 
-  /// ShardLookupGlobal against shard `shard`'s *replica*. Replicas hold
-  /// byte-identical tuples at identical local tids, so the result is the
-  /// same tid list the primary would return — which is what lets hedged
-  /// sub-queries pick whichever copy answers first without changing the
-  /// answer (DESIGN.md §17). Only valid when has_replicas().
-  Result<std::vector<Tid>> ReplicaLookupGlobal(
-      size_t shard, const std::string& attribute_name, const Value& key) const;
-
-  /// Full instrumented lookup: MirrorLookupCharges + sequential gather over
-  /// all shards + ascending merge. Byte-identical results (and coordinator
-  /// charges) to the single-engine Relation::LookupEquals.
-  Result<std::vector<Tid>> LookupEquals(const std::string& attribute_name,
-                                        const Value& key,
-                                        ExecutionContext* ctx = nullptr) const;
-
   /// Bulk fetch+project of global tids: groups by owning shard, runs each
-  /// shard's columnar ProjectRows kernel (charging `ctx` the same n tuple
-  /// fetches the single-engine chunk pays), scatters rows back into
-  /// `out[i * width + j]` aligned with `tids`. `shard_fetches`, when given,
-  /// receives the per-shard fetch counts (the budget-ledger telemetry).
+  /// shard's columnar kernel (ProjectRows, or ProjectRowsAll when
+  /// `projection` is null), charging `ctx` the same n tuple fetches the
+  /// single-engine kernel pays, and scatters rows back into
+  /// `out[i * width + j]` aligned with `tids`. `shard_fetches` receives the
+  /// per-shard fetch counts (the budget-ledger telemetry).
   void ProjectRowsScatter(const Tid* tids, size_t n,
-                          const std::vector<size_t>& projection, Value* out,
+                          const std::vector<size_t>* projection, Value* out,
                           ExecutionContext* ctx,
-                          std::vector<uint64_t>* shard_fetches = nullptr) const;
-
-  /// Identity-projection variant (all attributes in schema order).
-  void ProjectRowsAllScatter(const Tid* tids, size_t n, Value* out,
-                             ExecutionContext* ctx,
-                             std::vector<uint64_t>* shard_fetches =
-                                 nullptr) const;
+                          std::vector<uint64_t>* shard_fetches) const;
 
   /// One submitted statement, attributed to the sharded database's own
   /// stats and the context (statements are counted, never budget-charged).
@@ -146,11 +131,6 @@ class ShardedRelation {
 
   ShardedRelation(RelationSchema schema, uint64_t seed, AccessStats* stats)
       : schema_(std::move(schema)), seed_(seed), stats_(stats) {}
-
-  void ProjectScatterImpl(const Tid* tids, size_t n,
-                          const std::vector<size_t>* projection, size_t width,
-                          Value* out, ExecutionContext* ctx,
-                          std::vector<uint64_t>* shard_fetches) const;
 
   RelationSchema schema_;
   uint64_t seed_;              // ShardRouter::RelationSeed(name())
@@ -192,11 +172,9 @@ class ShardedDatabase {
 
   size_t num_shards() const { return shards_.size(); }
   const Database& shard(size_t i) const { return *shards_[i]; }
-  Database& mutable_shard(size_t i) { return *shards_[i]; }
 
   /// True when Partition was asked for read replicas.
   bool has_replicas() const { return !replicas_.empty(); }
-  const Database& replica(size_t i) const { return *replicas_[i]; }
 
   /// The shard's mutation epoch — the shard-aware cache key component: an
   /// insert routed to shard i moves only epoch i (DESIGN.md §15).

@@ -1,6 +1,5 @@
 #include "shard/sharded_engine.h"
 
-#include <algorithm>
 #include <optional>
 #include <utility>
 
@@ -8,19 +7,6 @@
 #include "precis/json_export.h"
 
 namespace precis {
-
-namespace {
-
-/// Approximate heap footprint of a cached ResultSchema (same estimator as
-/// the single-engine schema cache, so the two byte budgets mean the same).
-size_t EstimateSchemaCharge(const ResultSchema& schema) {
-  return 256 + schema.relations().size() * 64 +
-         schema.projection_paths().size() * 160 +
-         schema.join_edges().size() * 24 +
-         schema.TotalProjectedAttributes() * 16;
-}
-
-}  // namespace
 
 Result<std::unique_ptr<ShardedPrecisEngine>> ShardedPrecisEngine::Create(
     const Database& source, const SchemaGraph* graph, size_t num_shards,
@@ -200,78 +186,30 @@ Result<PrecisAnswer> ShardedPrecisEngine::AnswerFromMatches(
     const CardinalityConstraint& cardinality, const DbGenOptions& options,
     ExecutionContext* ctx, ShardQueryStats* shard_stats,
     const ShardQueryFaultPlan* plan) const {
-  // Input relations (deduplicated, in match order) and seed tuple ids —
-  // identical discipline to PrecisEngine::AnswerFromMatches.
-  std::vector<RelationNodeId> token_relations;
+  // Seed assembly and the coordinator-cached result schema: the same
+  // helper, cache key scheme and insertion order as PrecisEngine (schemas
+  // depend on the graph, not the partitioning).
   SeedTids seeds;
-  for (const TokenMatch& match : matches) {
-    for (const TokenOccurrence& occ : match.occurrences()) {
-      auto rel = graph_->RelationId(occ.relation);
-      if (!rel.ok()) return rel.status();
-      if (std::find(token_relations.begin(), token_relations.end(), *rel) ==
-          token_relations.end()) {
-        token_relations.push_back(*rel);
-      }
-      std::vector<Tid>& tids = seeds[*rel];
-      for (Tid tid : occ.tids) {
-        if (std::find(tids.begin(), tids.end(), tid) == tids.end()) {
-          tids.push_back(tid);
-        }
-      }
-    }
-  }
+  auto schema = AssembleSeedsAndSchema(
+      graph_, matches, degree,
+      caches_enabled_.load(std::memory_order_relaxed) ? &caches_->schema
+                                                      : nullptr,
+      ctx, &seeds);
+  if (!schema.ok()) return schema.status();
 
-  // Result schema generation, coordinator-cached with the single-engine
-  // key scheme (schemas depend on the graph, not the partitioning).
-  std::optional<ResultSchema> schema;
-  {
-    ScopedSpan span(ctx, "schema_gen");
-    if (caches_enabled_.load(std::memory_order_relaxed)) {
-      std::vector<RelationNodeId> sorted = token_relations;
-      std::sort(sorted.begin(), sorted.end());
-      std::string key;
-      key.reserve(32 + sorted.size() * 4);
-      for (RelationNodeId rel : sorted) {
-        key += std::to_string(rel);
-        key += ',';
-      }
-      key += '|';
-      key += degree.ToString();
-      key += '|';
-      key += std::to_string(graph_->weight_epoch());
-      if (std::shared_ptr<const ResultSchema> hit = caches_->schema.Get(key)) {
-        schema = *hit;  // copy out of the immutable cached value
-      } else {
-        ResultSchemaGenerator schema_generator(graph_);
-        auto generated =
-            schema_generator.Generate(token_relations, degree, ctx);
-        if (!generated.ok()) return generated.status();
-        bool partial = ctx != nullptr && ctx->ShouldStop();
-        bool tainted = ctx != nullptr && ctx->fault_injector() != nullptr &&
-                       ctx->fault_injector()->armed();
-        if (!partial && !tainted) {
-          caches_->schema.Put(key,
-                              std::make_shared<const ResultSchema>(*generated),
-                              EstimateSchemaCharge(*generated));
-        }
-        schema = std::move(*generated);
-      }
-    } else {
-      ResultSchemaGenerator schema_generator(graph_);
-      auto generated = schema_generator.Generate(token_relations, degree, ctx);
-      if (!generated.ok()) return generated.status();
-      schema = std::move(*generated);
-    }
-  }
-
-  // Result database generation: the sharded coordinator replay.
-  ShardedResultDatabaseGenerator db_generator(&sharded_);
+  // Result database generation: the one Fig. 5 planner over this query's
+  // sharded source, which carries the fault plan and the stats ledger.
+  ShardedSource source(&sharded_, plan);
+  ResultDatabaseGenerator db_generator(&source);
   Result<Database> database = [&] {
     ScopedSpan span(ctx, "db_gen");
-    return db_generator.Generate(*schema, seeds, cardinality, options, ctx,
-                                 shard_stats, plan);
+    return db_generator.Generate(*schema, seeds, cardinality, options, ctx);
   }();
   if (!database.ok()) return database.status();
+  if (shard_stats != nullptr) {
+    source.CollectStats(ctx != nullptr ? ctx->access_budget() : 0,
+                        shard_stats);
+  }
 
   return PrecisAnswer{std::move(matches), std::move(*schema),
                       std::move(*database), db_generator.last_report()};

@@ -4,8 +4,8 @@
 // Owns a ShardedDatabase plus one PrecisEngine per shard (each with its own
 // inverted index over the shard's tuples). Token matching scatters one
 // lookup task per shard and merges the translated occurrence lists into the
-// single-engine grouping and tid order; result-database generation runs
-// through ShardedResultDatabaseGenerator's coordinator replay. Answers are
+// single-engine grouping and tid order; result-database generation runs the
+// one Fig. 5 planner over a per-query ShardedSource. Answers are
 // byte-identical to a plain PrecisEngine over the unpartitioned source for
 // any shard count.
 //
@@ -34,7 +34,7 @@
 #include "precis/engine.h"
 #include "shard/shard_health.h"
 #include "shard/sharded_database.h"
-#include "shard/sharded_dbgen.h"
+#include "shard/sharded_source.h"
 #include "text/synonyms.h"
 
 namespace precis {
@@ -189,7 +189,7 @@ class ShardedPrecisEngine {
   struct Caches {
     /// Coordinator result-schema cache (same key scheme as PrecisEngine's:
     /// sorted token-relation ids + degree + weight epoch).
-    ShardedLruCache<std::string, ResultSchema> schema{8 << 20};
+    SchemaCache schema{8 << 20};
     /// Shard-aware full-answer cache.
     ShardedLruCache<std::string, PrecisAnswer> answer{64 << 20};
     /// Rendered-body cache (level 4): fingerprint -> AnswerToJson bytes,

@@ -82,10 +82,9 @@ class Relation {
   const Column& column(size_t pos) const { return columns_[pos]; }
 
   /// Charged fetch of a tid the caller already validated — no bounds check
-  /// and, critically, no fault-injection check. The parallel generator's
-  /// chunk tasks fetch through this so fault decisions stay on the
-  /// deterministic sequential control path (the planner replays them; see
-  /// parallel_dbgen.cc and DESIGN.md §12).
+  /// and, critically, no fault-injection check: fault decisions stay on the
+  /// planner thread, which replays them (database_generator.cc, DESIGN.md
+  /// §12). The row-at-a-time reference for the ProjectRows kernel below.
   const Tuple* FetchPrevalidated(Tid tid, ExecutionContext* ctx) const;
 
   /// Bulk prevalidated fetch+project off the columnar mirror: fills

@@ -7,7 +7,8 @@
 //   2. End-to-end chaos over the movies workload: with every storage site
 //      armed at p ∈ {0.01, 0.1}, every answer is OK (gracefully degraded),
 //      structurally well-formed, and — the determinism contract — byte-
-//      identical across reruns and across parallelism ∈ {1, 2, 8}.
+//      identical across reruns, across parallelism ∈ {1, 2, 8} and to the
+//      sequential walk oracle (tests/sequential_walk.h).
 //   3. The cache-taint regression: armed injectors, degraded answers and
 //      truncated answers never enter the schema/answer caches, so a cache
 //      hit always serves a clean, complete answer.
@@ -26,6 +27,7 @@
 #include "datagen/movies_templates.h"
 #include "precis/engine.h"
 #include "precis/json_export.h"
+#include "sequential_walk.h"
 #include "service/precis_service.h"
 #include "translator/translator.h"
 
@@ -242,9 +244,11 @@ class FaultChaosTest : public ::testing::Test {
   /// Runs the whole token workload under one armed injector and returns
   /// the per-query outcomes. The injector is reseeded first, so the fault
   /// sequence depends only on (seed, workload) — never on earlier runs.
+  /// `use_oracle` answers through the sequential walk instead of the
+  /// engine's planner.
   std::vector<Outcome> RunWorkload(FaultInjector* injector, uint64_t seed,
-                                   size_t parallelism,
-                                   SubsetStrategy strategy) {
+                                   size_t parallelism, SubsetStrategy strategy,
+                                   bool use_oracle = false) {
     injector->Reseed(seed);
     std::vector<Outcome> outcomes;
     for (const std::string& token : kTokens) {
@@ -258,8 +262,13 @@ class FaultChaosTest : public ::testing::Test {
       DbGenOptions options;
       options.parallelism = parallelism;
       options.strategy = strategy;
-      auto answer = engine_->Answer(PrecisQuery{{token}}, *degree,
-                                    *cardinality, options, &ctx);
+      auto answer =
+          use_oracle
+              ? OracleAnswer(dataset_->db(), dataset_->graph(),
+                             engine_->index(), PrecisQuery{{token}}, *degree,
+                             *cardinality, options, &ctx)
+              : engine_->Answer(PrecisQuery{{token}}, *degree, *cardinality,
+                                options, &ctx);
       Outcome outcome;
       outcome.ok = answer.ok();
       if (answer.ok()) {
@@ -333,17 +342,19 @@ TEST_F(FaultChaosTest, SameSeedSameFaultsSameAnswers) {
 }
 
 TEST_F(FaultChaosTest, ParallelismDoesNotChangeFaultedAnswers) {
-  // The PR 3 byte-identity guarantee must survive fault injection: the
-  // planner replays the sequential fault/retry sequence, so the same seed
-  // yields the same degraded answer at any pool fan-out.
+  // The byte-identity guarantee must survive fault injection: the planner
+  // replays the walk's fault/retry sequence, so the same seed yields the
+  // same degraded answer as the sequential walk oracle — inline and at any
+  // pool fan-out.
   for (double p : {0.01, 0.1}) {
     FaultInjector injector(99);
     injector.SetAll(FaultSchedule::Probability(p));
-    auto sequential = RunWorkload(&injector, 99, 1, SubsetStrategy::kAuto);
-    for (size_t parallelism : {size_t{2}, size_t{8}}) {
+    auto oracle = RunWorkload(&injector, 99, 1, SubsetStrategy::kAuto,
+                              /*use_oracle=*/true);
+    for (size_t parallelism : {size_t{1}, size_t{2}, size_t{8}}) {
       auto parallel =
           RunWorkload(&injector, 99, parallelism, SubsetStrategy::kAuto);
-      ExpectSameOutcomes(sequential, parallel,
+      ExpectSameOutcomes(oracle, parallel,
                          "parallelism=" + std::to_string(parallelism) +
                              " p=" + std::to_string(p));
     }

@@ -18,6 +18,7 @@
 #include "precis/engine.h"
 #include "precis/json_export.h"
 #include "semistructured/document.h"
+#include "sequential_walk.h"
 #include "semistructured/shredder.h"
 #include "shard/sharded_engine.h"
 #include "storage/serialization.h"
@@ -145,7 +146,7 @@ TEST_P(FuzzLiteTest, ChaosQueriesUnderInjectedFaultsNeverCrash) {
   // randomized parallelism must produce an OK (possibly degraded) answer or
   // the typed transient error — never a crash, hang, or malformed database —
   // and an identical rerun (same injector seed, same query) must reproduce
-  // the identical outcome.
+  // the identical outcome — the one the sequential walk oracle produces.
   MoviesConfig config;
   config.num_movies = 120;
   auto ds = MoviesDataset::Create(config);
@@ -167,7 +168,8 @@ TEST_P(FuzzLiteTest, ChaosQueriesUnderInjectedFaultsNeverCrash) {
       const size_t parallelism = fanouts[rng.Index(fanouts.size())];
       const uint64_t fault_seed = static_cast<uint64_t>(rng.Uniform(0, 1u << 20));
 
-      auto run = [&]() -> std::string {
+      // `oracle` answers through the sequential walk instead.
+      auto run = [&](bool oracle) -> std::string {
         injector.Reseed(fault_seed);
         ExecutionContext ctx;
         ctx.SetFaultInjector(&injector);
@@ -178,8 +180,12 @@ TEST_P(FuzzLiteTest, ChaosQueriesUnderInjectedFaultsNeverCrash) {
         auto cardinality = MaxTuplesPerRelation(4);
         DbGenOptions options;
         options.parallelism = parallelism;
-        auto answer = engine->Answer(PrecisQuery{{token}}, *degree,
-                                     *cardinality, options, &ctx);
+        auto answer =
+            oracle ? OracleAnswer(ds->db(), ds->graph(), engine->index(),
+                                  PrecisQuery{{token}}, *degree, *cardinality,
+                                  options, &ctx)
+                   : engine->Answer(PrecisQuery{{token}}, *degree,
+                                    *cardinality, options, &ctx);
         if (!answer.ok()) {
           // The only failure the injector can surface is the typed
           // transient error.
@@ -192,11 +198,14 @@ TEST_P(FuzzLiteTest, ChaosQueriesUnderInjectedFaultsNeverCrash) {
         return AnswerToJson(*answer) + "|" +
                answer->report.degradation.ToString();
       };
-      std::string first = run();
-      std::string again = run();
+      std::string first = run(false);
+      std::string again = run(false);
       EXPECT_EQ(first, again)
           << "p=" << p << " token=" << token << " parallelism=" << parallelism
           << " fault_seed=" << fault_seed;
+      EXPECT_EQ(first, run(true))
+          << "oracle p=" << p << " token=" << token
+          << " parallelism=" << parallelism << " fault_seed=" << fault_seed;
     }
   }
 }
@@ -231,7 +240,10 @@ TEST_P(FuzzLiteTest, ShardedChaosMatchesSingleEngineUnderFaults) {
     const std::string& token = tokens[rng.Index(tokens.size())];
     const uint64_t fault_seed = static_cast<uint64_t>(rng.Uniform(0, 1u << 20));
 
-    auto run = [&](const ShardedPrecisEngine* shard_engine) -> std::string {
+    // `shard_engine == nullptr` runs the single engine; `oracle` the
+    // sequential walk.
+    auto run = [&](const ShardedPrecisEngine* shard_engine,
+                   bool oracle = false) -> std::string {
       injector.Reseed(fault_seed);
       ExecutionContext ctx;
       ctx.SetFaultInjector(&injector);
@@ -244,8 +256,11 @@ TEST_P(FuzzLiteTest, ShardedChaosMatchesSingleEngineUnderFaults) {
           shard_engine != nullptr
               ? shard_engine->Answer(PrecisQuery{{token}}, *degree,
                                      *cardinality, DbGenOptions(), &ctx)
-              : engine->Answer(PrecisQuery{{token}}, *degree, *cardinality,
-                               DbGenOptions(), &ctx);
+          : oracle ? OracleAnswer(ds->db(), ds->graph(), engine->index(),
+                                  PrecisQuery{{token}}, *degree, *cardinality,
+                                  DbGenOptions(), &ctx)
+                   : engine->Answer(PrecisQuery{{token}}, *degree,
+                                    *cardinality, DbGenOptions(), &ctx);
       if (!answer.ok()) {
         EXPECT_TRUE(answer.status().IsUnavailable())
             << answer.status().ToString();
@@ -256,6 +271,8 @@ TEST_P(FuzzLiteTest, ShardedChaosMatchesSingleEngineUnderFaults) {
              answer->report.degradation.ToString();
     };
     const std::string expect = run(nullptr);
+    EXPECT_EQ(run(nullptr, /*oracle=*/true), expect)
+        << "oracle token=" << token << " fault_seed=" << fault_seed;
     for (const auto& shard_engine : sharded) {
       EXPECT_EQ(run(shard_engine.get()), expect)
           << "shards=" << shard_engine->num_shards() << " token=" << token

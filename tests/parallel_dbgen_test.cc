@@ -1,8 +1,8 @@
-// Determinism suite for parallel result-database generation (DESIGN.md
-// §11): for every strategy, option and stop mode, the parallel path must
-// produce a database that is BYTE-IDENTICAL (via storage/serialization)
-// to the sequential Fig. 5 walk, with an equal DbGenReport — on pools of
-// 1, 2 and 8 threads, independent of the parallelism knob's value.
+// Determinism suite for the Fig. 5 planner (DESIGN.md §11, §15): for every
+// strategy, option and stop mode, the planner must produce a database that
+// is BYTE-IDENTICAL (via storage/serialization) to the sequential walk
+// oracle, with an equal DbGenReport — run inline, on pools of 1, 2 and 8
+// threads, and over 2- and 4-partition ShardedDatabase sources.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +18,9 @@
 #include "precis/database_generator.h"
 #include "precis/schema_generator.h"
 #include "precis/tuple_weights.h"
+#include "sequential_walk.h"
+#include "shard/sharded_database.h"
+#include "shard/sharded_source.h"
 #include "storage/serialization.h"
 
 namespace precis {
@@ -28,19 +31,25 @@ struct RunResult {
   std::string bytes;  // SaveDatabase text of the emitted database
   DbGenReport report;
   StopReason ctx_stop = StopReason::kNone;
+  AccessStats stats;  // the run's per-query charges
 };
 
-/// One generation run under fresh generator + fresh context.
-RunResult RunOnce(const Database& db, const ResultSchema& schema,
-                  const SeedTids& seeds, const CardinalityConstraint& c,
-                  DbGenOptions options,
-                  const std::function<void(ExecutionContext&)>& configure) {
+/// One way of producing a result database: the oracle walk or the planner
+/// over some source, writing its report.
+using Generator =
+    std::function<Result<Database>(ExecutionContext* ctx, DbGenReport*)>;
+
+/// One generation run under a fresh context (attached when `configure` is
+/// given, or when `with_context` asks for per-query stats).
+RunResult RunOnce(const Generator& generate,
+                  const std::function<void(ExecutionContext&)>& configure,
+                  bool with_context = false) {
   RunResult out;
   ExecutionContext ctx;
   if (configure) configure(ctx);
-  ResultDatabaseGenerator gen(&db);
+  DbGenReport report;
   auto result =
-      gen.Generate(schema, seeds, c, options, configure ? &ctx : nullptr);
+      generate(configure || with_context ? &ctx : nullptr, &report);
   if (!result.ok()) {
     ADD_FAILURE() << "Generate failed: " << result.status().ToString();
     return out;
@@ -53,37 +62,72 @@ RunResult RunOnce(const Database& db, const ResultSchema& schema,
   }
   out.ok = true;
   out.bytes = os.str();
-  out.report = gen.last_report();
+  out.report = std::move(report);
   out.ctx_stop = ctx.stop_reason();
+  out.stats = ctx.stats();
   return out;
 }
 
-void ExpectSameOutcome(const RunResult& seq, const RunResult& par) {
-  ASSERT_TRUE(seq.ok);
-  ASSERT_TRUE(par.ok);
-  EXPECT_EQ(par.bytes, seq.bytes) << "emitted database differs";
-  EXPECT_EQ(par.report.executed_edges, seq.report.executed_edges);
-  EXPECT_EQ(par.report.truncated_relations, seq.report.truncated_relations);
-  EXPECT_EQ(par.report.dropped_foreign_keys,
-            seq.report.dropped_foreign_keys);
-  EXPECT_EQ(par.report.total_tuples, seq.report.total_tuples);
-  EXPECT_EQ(par.report.sql_trace, seq.report.sql_trace);
-  EXPECT_EQ(static_cast<int>(par.report.stop_reason),
-            static_cast<int>(seq.report.stop_reason));
-  EXPECT_EQ(static_cast<int>(par.ctx_stop), static_cast<int>(seq.ctx_stop));
+Generator Oracle(const Database& db, const ResultSchema& schema,
+                 const SeedTids& seeds, const CardinalityConstraint& c,
+                 const DbGenOptions& options) {
+  return [&db, &schema, &seeds, &c, options](ExecutionContext* ctx,
+                                             DbGenReport* report) {
+    return SequentialWalk(db, schema, seeds, c, options, ctx, report);
+  };
 }
 
-/// Runs sequentially, then on pools of 1/2/8 threads (parallelism 2/2/8,
-/// including the degenerate parallelism=2-on-1-thread case), asserting
-/// byte-identity every time.
+Generator Planner(const PartitionSource& source, const ResultSchema& schema,
+                  const SeedTids& seeds, const CardinalityConstraint& c,
+                  const DbGenOptions& options) {
+  return [&source, &schema, &seeds, &c, options](ExecutionContext* ctx,
+                                                 DbGenReport* report) {
+    ResultDatabaseGenerator gen(&source);
+    auto result = gen.Generate(schema, seeds, c, options, ctx);
+    *report = gen.last_report();
+    return result;
+  };
+}
+
+void ExpectSameOutcome(const RunResult& oracle, const RunResult& got) {
+  ASSERT_TRUE(oracle.ok);
+  ASSERT_TRUE(got.ok);
+  EXPECT_EQ(got.bytes, oracle.bytes) << "emitted database differs";
+  EXPECT_EQ(got.report.executed_edges, oracle.report.executed_edges);
+  EXPECT_EQ(got.report.truncated_relations,
+            oracle.report.truncated_relations);
+  EXPECT_EQ(got.report.dropped_foreign_keys,
+            oracle.report.dropped_foreign_keys);
+  EXPECT_EQ(got.report.total_tuples, oracle.report.total_tuples);
+  EXPECT_EQ(got.report.sql_trace, oracle.report.sql_trace);
+  EXPECT_EQ(got.report.degradation.ToString(),
+            oracle.report.degradation.ToString());
+  EXPECT_EQ(got.report.fault_tainted, oracle.report.fault_tainted);
+  EXPECT_EQ(static_cast<int>(got.report.stop_reason),
+            static_cast<int>(oracle.report.stop_reason));
+  EXPECT_EQ(static_cast<int>(got.ctx_stop), static_cast<int>(oracle.ctx_stop));
+}
+
+/// Runs the oracle walk, then the planner inline, on pools of 1/2/8
+/// threads (parallelism 2/2/8, including the degenerate
+/// parallelism=2-on-1-thread case) and over 2- and 4-partition sharded
+/// sources, asserting byte-identity every time.
 void ExpectDeterministic(
     const Database& db, const ResultSchema& schema, const SeedTids& seeds,
     const CardinalityConstraint& c, DbGenOptions base,
     const std::function<void(ExecutionContext&)>& configure = nullptr) {
   base.parallelism = 1;
   base.pool = nullptr;
-  RunResult seq = RunOnce(db, schema, seeds, c, base, configure);
-  ASSERT_TRUE(seq.ok);
+  RunResult oracle = RunOnce(Oracle(db, schema, seeds, c, base), configure);
+  ASSERT_TRUE(oracle.ok);
+
+  const DatabaseSource unpartitioned(&db);
+  {
+    SCOPED_TRACE("inline");
+    ExpectSameOutcome(
+        oracle, RunOnce(Planner(unpartitioned, schema, seeds, c, base),
+                        configure));
+  }
 
   TaskPool pool1(1);
   TaskPool pool2(2);
@@ -103,9 +147,47 @@ void ExpectDeterministic(
     DbGenOptions options = base;
     options.parallelism = config.parallelism;
     options.pool = config.pool;
-    RunResult par = RunOnce(db, schema, seeds, c, options, configure);
-    ExpectSameOutcome(seq, par);
+    ExpectSameOutcome(
+        oracle, RunOnce(Planner(unpartitioned, schema, seeds, c, options),
+                        configure));
   }
+
+  for (size_t partitions : {size_t{2}, size_t{4}}) {
+    SCOPED_TRACE("partitions=" + std::to_string(partitions));
+    auto sharded = ShardedDatabase::Partition(db, partitions);
+    ASSERT_TRUE(sharded.ok());
+    ShardedSource source(&*sharded);
+    DbGenOptions options = base;
+    options.pool = &pool2;
+    ExpectSameOutcome(
+        oracle, RunOnce(Planner(source, schema, seeds, c, options), configure));
+  }
+}
+
+/// An inline planner run charges the oracle's probes, scans and statements
+/// exactly, and never more tuple fetches (duplicates are not re-fetched).
+void ExpectInlineStatsMatchOracle(const Database& db,
+                                  const ResultSchema& schema,
+                                  const SeedTids& seeds,
+                                  const CardinalityConstraint& c,
+                                  const DbGenOptions& options) {
+  const DatabaseSource unpartitioned(&db);
+  RunResult oracle = RunOnce(Oracle(db, schema, seeds, c, options), nullptr,
+                             /*with_context=*/true);
+  RunResult planned = RunOnce(Planner(unpartitioned, schema, seeds, c, options),
+                              nullptr, /*with_context=*/true);
+  ASSERT_TRUE(oracle.ok);
+  ASSERT_TRUE(planned.ok);
+  EXPECT_EQ(planned.bytes, oracle.bytes);
+  EXPECT_EQ(planned.stats.index_probes.load(),
+            oracle.stats.index_probes.load());
+  EXPECT_EQ(planned.stats.sequential_scans.load(),
+            oracle.stats.sequential_scans.load());
+  EXPECT_EQ(planned.stats.statements.load(), oracle.stats.statements.load());
+  EXPECT_LE(planned.stats.tuple_fetches.load(),
+            oracle.stats.tuple_fetches.load());
+  // Every emitted tuple was materialized exactly once.
+  EXPECT_EQ(planned.stats.tuple_fetches.load(), planned.report.total_tuples);
 }
 
 // ===== Hand-built two-relation fixture (mirrors database_generator_test) ==
@@ -348,14 +430,39 @@ TEST_F(ParallelDbGenMoviesTest, IncludeJoinAttributesIsByteIdentical) {
 TEST_F(ParallelDbGenMoviesTest, SharedPoolDefaultIsByteIdentical) {
   // pool == nullptr routes to TaskPool::Shared(): the production path used
   // by PrecisService workers.
-  DbGenOptions seq;
-  RunResult a = RunOnce(dataset_->db(), *schema_, DirectorSeeds(),
-                        *MaxTuplesPerRelation(30), seq, nullptr);
   DbGenOptions par;
   par.parallelism = 4;  // pool stays nullptr -> Shared()
-  RunResult b = RunOnce(dataset_->db(), *schema_, DirectorSeeds(),
-                        *MaxTuplesPerRelation(30), par, nullptr);
-  ExpectSameOutcome(a, b);
+  auto c = MaxTuplesPerRelation(30);
+  const SeedTids seeds = DirectorSeeds();
+  const DatabaseSource source(&dataset_->db());
+  ExpectSameOutcome(
+      RunOnce(Oracle(dataset_->db(), *schema_, seeds, *c, DbGenOptions()),
+              nullptr),
+      RunOnce(Planner(source, *schema_, seeds, *c, par), nullptr));
+}
+
+TEST_F(ParallelDbGenMoviesTest, InlineStatsMatchOracleProbesAndStatements) {
+  TupleWeightStore store;
+  ASSERT_TRUE(WeightsFromNumericAttribute(dataset_->db(), "MOVIE", "year",
+                                          &store)
+                  .ok());
+  for (SubsetStrategy strategy :
+       {SubsetStrategy::kAuto, SubsetStrategy::kNaiveQ,
+        SubsetStrategy::kRoundRobin}) {
+    for (const TupleWeightStore* weights :
+         std::vector<const TupleWeightStore*>{nullptr, &store}) {
+      SCOPED_TRACE("strategy=" +
+                   std::string(SubsetStrategyToString(strategy)) +
+                   (weights != nullptr ? " weighted" : ""));
+      DbGenOptions options;
+      options.strategy = strategy;
+      options.tuple_weights = weights;
+      ExpectInlineStatsMatchOracle(dataset_->db(), *schema_, DirectorSeeds(),
+                                   *MaxTuplesPerRelation(25), options);
+      ExpectInlineStatsMatchOracle(dataset_->db(), *schema_, DirectorSeeds(),
+                                   *UnlimitedCardinality(), options);
+    }
+  }
 }
 
 }  // namespace

@@ -1,11 +1,13 @@
 // Sharded scatter-gather execution (DESIGN.md §15): the central contract is
 // byte-identity — for ANY shard count, strategy, fault schedule, or
 // deadline/budget stop, the sharded engine must produce exactly the answer
-// the single engine produces. Plus router stability, partition/insert
+// the single engine produces — itself checked against the sequential walk
+// oracle (tests/sequential_walk.h). Plus router stability, partition/insert
 // routing, deterministic merges, and the shard-aware cache epoch scheme.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <sstream>
@@ -15,16 +17,19 @@
 #include "common/circuit_breaker.h"
 #include "common/execution_context.h"
 #include "common/fault_injection.h"
+#include "common/task_pool.h"
 #include "datagen/movies_dataset.h"
 #include "datagen/movies_templates.h"
 #include "precis/engine.h"
 #include "precis/json_export.h"
+#include "sequential_walk.h"
 #include "service/precis_service.h"
 #include "shard/shard_health.h"
 #include "shard/shard_router.h"
 #include "shard/sharded_database.h"
 #include "shard/sharded_engine.h"
 #include "shard/sharded_service.h"
+#include "shard/sharded_source.h"
 #include "storage/serialization.h"
 #include "translator/translator.h"
 
@@ -136,21 +141,35 @@ TEST_F(ShardedDatabaseTest, EveryShardHoldsEveryRelation) {
 TEST_F(ShardedDatabaseTest, LookupEqualsMatchesUnpartitionedSource) {
   auto sharded = ShardedDatabase::Partition(dataset_->db(), 4);
   ASSERT_TRUE(sharded.ok());
-  auto view = sharded->GetView("MOVIE");
+  ShardedSource source(&*sharded);
+  auto view = source.OpenRelation("MOVIE");
   ASSERT_TRUE(view.ok());
-  auto source = dataset_->db().GetRelation("MOVIE");
-  ASSERT_TRUE(source.ok());
+  auto movie = dataset_->db().GetRelation("MOVIE");
+  ASSERT_TRUE(movie.ok());
   // "did" is a many-to-one join key (indexed), so lookups return multi-tid
-  // lists whose global order must match the unpartitioned scan/probe.
-  auto did_index = (*source)->schema().AttributeIndex("did");
+  // lists whose global order — and per-key charges — must match the
+  // unpartitioned probe, whether the scatter runs pooled or inline.
+  auto did_index = (*movie)->schema().AttributeIndex("did");
   ASSERT_TRUE(did_index.ok());
+  std::vector<Value> keys;
   for (Tid probe = 0; probe < 40; ++probe) {
-    Value key = (*source)->ColumnValue(probe, *did_index);
-    auto expect = (*source)->LookupEquals("did", key);
-    auto got = (*view)->LookupEquals("did", key);
-    ASSERT_TRUE(expect.ok());
-    ASSERT_TRUE(got.ok());
-    EXPECT_EQ(*got, *expect) << "probe " << probe;
+    keys.push_back((*movie)->ColumnValue(probe, *did_index));
+  }
+  for (TaskPool* pool : {TaskPool::Shared(), static_cast<TaskPool*>(nullptr)}) {
+    auto lookup = (*view)->LookupKeys("did", keys, pool);
+    ExecutionContext expect_ctx;
+    ExecutionContext got_ctx;
+    for (size_t k = 0; k < keys.size(); ++k) {
+      auto expect = (*movie)->LookupEquals("did", keys[k], &expect_ctx);
+      auto got = lookup->Lookup(k, &got_ctx);
+      ASSERT_TRUE(expect.ok());
+      ASSERT_TRUE(got.ok());
+      EXPECT_EQ(*got, *expect) << "key " << k;
+    }
+    EXPECT_EQ(got_ctx.stats().index_probes.load(),
+              expect_ctx.stats().index_probes.load());
+    EXPECT_EQ(got_ctx.stats().sequential_scans.load(),
+              expect_ctx.stats().sequential_scans.load());
   }
 }
 
@@ -229,11 +248,30 @@ class ShardDeterminismTest : public ::testing::Test {
   }
 
   /// One configured run against either engine; `sharded == nullptr` runs
-  /// the single-engine reference.
+  /// the single-engine reference, which must itself match the sequential
+  /// walk oracle under the identical configuration.
   RunDigest Run(const ShardedPrecisEngine* sharded,
                 const std::vector<std::string>& tokens, SubsetStrategy strategy,
                 FaultInjector* injector, uint64_t fault_seed, uint64_t budget,
                 bool expired_deadline) {
+    RunDigest digest =
+        RunOne(sharded == nullptr ? kSingle : kSharded, sharded, tokens,
+               strategy, injector, fault_seed, budget, expired_deadline);
+    if (sharded == nullptr) {
+      RunDigest oracle = RunOne(kOracle, nullptr, tokens, strategy, injector,
+                                fault_seed, budget, expired_deadline);
+      ExpectIdentical(oracle, digest, "single engine vs sequential walk");
+    }
+    return digest;
+  }
+
+  enum Mode { kOracle, kSingle, kSharded };
+
+  RunDigest RunOne(Mode mode, const ShardedPrecisEngine* sharded,
+                   const std::vector<std::string>& tokens,
+                   SubsetStrategy strategy, FaultInjector* injector,
+                   uint64_t fault_seed, uint64_t budget,
+                   bool expired_deadline) {
     auto degree = MinPathWeight(0.8);
     auto cardinality = MaxTuplesPerRelation(4);
     DbGenOptions options;
@@ -250,11 +288,15 @@ class ShardDeterminismTest : public ::testing::Test {
       ctx.set_retry_policy(policy);
     }
 
-    auto answer = sharded != nullptr
-                      ? sharded->Answer(PrecisQuery{tokens}, *degree,
-                                        *cardinality, options, &ctx)
-                      : engine_->Answer(PrecisQuery{tokens}, *degree,
-                                        *cardinality, options, &ctx);
+    const PrecisQuery query{tokens};
+    auto answer =
+        mode == kSharded
+            ? sharded->Answer(query, *degree, *cardinality, options, &ctx)
+        : mode == kSingle
+            ? engine_->Answer(query, *degree, *cardinality, options, &ctx)
+            : OracleAnswer(dataset_->db(), dataset_->graph(),
+                           engine_->index(), query, *degree, *cardinality,
+                           options, &ctx);
     EXPECT_TRUE(answer.ok()) << answer.status().ToString();
     RunDigest digest;
     if (!answer.ok()) return digest;
@@ -302,6 +344,44 @@ TEST_F(ShardDeterminismTest, CleanRunsByteIdenticalAcrossShardCounts) {
                             " strategy=" +
                             std::to_string(static_cast<int>(strategy)));
       }
+    }
+  }
+}
+
+TEST_F(ShardDeterminismTest, OverlappingTokensPinSeedOrder) {
+  // Two tokens matching overlapping tuples of one relation: the second
+  // token's tids follow the first's, minus the overlap. Seed order decides
+  // which seeds survive a tight cardinality cut, so both engines (and the
+  // oracle) must assemble seeds identically.
+  auto tids_in = [&](const std::string& token, const std::string& relation) {
+    std::vector<Tid> tids;
+    const OccurrenceList occurrences = engine_->index().Lookup(token);
+    for (const TokenOccurrence& occ : *occurrences) {
+      if (occ.relation == relation) {
+        tids.insert(tids.end(), occ.tids.begin(), occ.tids.end());
+      }
+    }
+    return tids;
+  };
+  const std::vector<Tid> first = tids_in("Paris", "ACTOR");
+  const std::vector<Tid> second = tids_in("June", "ACTOR");
+  size_t overlap = 0;
+  for (Tid tid : second) {
+    overlap += std::count(first.begin(), first.end(), tid);
+  }
+  ASSERT_GT(overlap, 0u);
+  ASSERT_GT(second.size(), overlap);
+
+  for (SubsetStrategy strategy :
+       {SubsetStrategy::kNaiveQ, SubsetStrategy::kRoundRobin}) {
+    RunDigest expect =
+        Run(nullptr, {"Paris", "June"}, strategy, nullptr, 0, 0, false);
+    for (const auto& sharded : sharded_) {
+      RunDigest got = Run(sharded.get(), {"Paris", "June"}, strategy, nullptr,
+                          0, 0, false);
+      ExpectIdentical(expect, got,
+                      "overlap shards=" +
+                          std::to_string(sharded->num_shards()));
     }
   }
 }

@@ -252,6 +252,22 @@ TEST(TaskPoolTest, ManyConcurrentGroupsShareOnePool) {
   EXPECT_EQ(done.load(), kClients * kTasksPerClient);
 }
 
+TEST(TaskPoolTest, ShortLivedStackGroupsOutliveNoWorker) {
+  // A group's last TaskDone must be finished with the group before Wait()
+  // can return: otherwise the caller destroys the stack group (and the next
+  // iteration reuses its slot) while the worker still locks its mutex and
+  // notifies its condition variable. TSan flags the old ordering within
+  // the first iterations; a plain build can abort on the freed mutex.
+  TaskPool pool(4);
+  std::atomic<int> done{0};
+  for (int i = 0; i < 20000; ++i) {
+    TaskPool::Group group(&pool);
+    group.Run([&done] { done.fetch_add(1, std::memory_order_relaxed); });
+    group.Wait();
+  }
+  EXPECT_EQ(done.load(), 20000);
+}
+
 TEST(TaskPoolTest, SharedPoolIsASingleton) {
   TaskPool* a = TaskPool::Shared();
   TaskPool* b = TaskPool::Shared();

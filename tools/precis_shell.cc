@@ -74,7 +74,7 @@ constexpr const char* kHelp = R"(commands:
   set faults seed N        reseed the injector (counters cleared)
   set faults off           disarm everything
   set parallelism N        intra-query parallel generation on N-way task
-                           pool fan-out (1 = sequential); output is
+                           pool fan-out (1 = inline); output is
                            byte-identical at any setting
   set shards N             partition the dataset across N engine shards
                            (scatter-gather execution, DESIGN.md §15);
