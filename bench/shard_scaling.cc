@@ -3,9 +3,9 @@
 // hash partitions (a ShardedSource, DESIGN.md §15).
 //
 // Sweep: shards in {1, 2, 4, 8} x {cpu, sim-io} x cardinality points.
-// The shards=1 row IS the inline single-engine generator (that is what
-// ShardedPrecisEngine delegates to at one shard), so speedup_N = seq_ms /
-// shardN_ms compares real serving shapes.
+// The shards=1 row IS the inline one-partition generator (what PrecisEngine
+// runs over a database read in place), so speedup_N = seq_ms / shardN_ms
+// compares real serving shapes.
 //
 //   * cpu: materialization is pure compute; the scatter wins by running
 //     per-shard columnar kernels and posting-list merges on the pool while

@@ -27,12 +27,12 @@
 #                         checked against the sequential walk oracle by the
 #                         test suite in step 1.
 #   3. Server smoke     — tools/precis_serve started on an ephemeral port
-#                         with --shards 2 (the sharded scatter-gather
-#                         engine) and driven over real sockets by
-#                         bench/load_gen in smoke mode. load_gen fails on
-#                         any transport error, unexpected 4xx/5xx, or a
-#                         served body that is not byte-identical to the
-#                         in-process single-engine answer (DESIGN.md §14 +
+#                         with --shards 2 (PrecisEngine over 2 hash
+#                         partitions, scatter-gather) and driven over real
+#                         sockets by bench/load_gen in smoke mode. load_gen
+#                         fails on any transport error, unexpected 4xx/5xx,
+#                         or a served body that is not byte-identical to the
+#                         in-process one-partition answer (DESIGN.md §14 +
 #                         §15 byte-identity end-to-end — with --cache on by
 #                         default this also proves the memoized body cache
 #                         and zero-copy writev path serve the exact same
@@ -58,23 +58,26 @@
 #   5. ThreadSanitizer  — the concurrency-sensitive tests (ExecutionContext,
 #                         PrecisService, engine concurrency, the sharded LRU,
 #                         the answer cache, the work-stealing TaskPool, the
-#                         parallel database generator, the scatter-gather
-#                         shard suite, the query Arena, the SymbolTable
+#                         parallel database generator, the partitioned
+#                         engine suites of shard_test — all matched by
+#                         'Shard' — the query Arena, the SymbolTable
 #                         interner and the HTTP server) rebuilt and run
 #                         under TSan, so data races on the shared query
 #                         path fail the build rather than ship. The shared
 #                         pool is pinned to >= 4 threads so intra-query
 #                         parallelism really interleaves under the
-#                         sanitizer. The shard fault-domain suite (circuit
-#                         breakers, hedged sub-queries, degraded merges)
-#                         runs here too: hedging races a replica against a
-#                         stalled primary by design.
+#                         sanitizer. The partition fault-domain suite
+#                         (circuit breakers, hedged sub-queries, degraded
+#                         merges) runs here too: hedging races a replica
+#                         against a stalled primary by design.
 #   6. ASan + UBSan     — the chaos sanitizer gate: the fault-injection
 #                         suite, the fuzz-lite chaos sweep (including its
-#                         sharded arm and the body-cache insert/query
+#                         partitioned arm and the body-cache insert/query
 #                         interleaving sweep), the answer/body cache suite,
-#                         the shard suite (circuit breakers, hedged
-#                         sub-queries, degraded merges), the HTTP server
+#                         the partitioned engine suites of shard_test
+#                         (determinism, per-partition caches, the service,
+#                         circuit breakers, hedged sub-queries, degraded
+#                         merges — all matched by 'Shard'), the HTTP server
 #                         suite (slowloris timeouts, drain, socket chaos),
 #                         the planner determinism suite and the TaskPool
 #                         suite rebuilt under address+undefined sanitizers.
@@ -128,9 +131,10 @@ PRECIS_BENCH_MOVIES=300 PRECIS_BENCH_SMOKE=1 \
 
 echo "=== [3/6] Server smoke (precis_serve + load_gen over real sockets) ==="
 SERVE_LOG="$ROOT/build-release/precis_serve_smoke.log"
-# --shards 2 serves through the sharded scatter-gather engine; load_gen's
-# identity probe compares served bytes against an in-process SINGLE engine,
-# so this leg also checks the sharding byte-identity guarantee end-to-end.
+# --shards 2 serves a 2-partition engine (scatter-gather); load_gen's
+# identity probe compares served bytes against an in-process one-partition
+# engine, so this leg also checks the partitioning byte-identity guarantee
+# end-to-end.
 "$ROOT/build-release/tools/precis_serve" \
   --port 0 --movies 300 --workers 2 --io-threads 2 --queue-depth 32 \
   --shards 2 \

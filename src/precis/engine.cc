@@ -1,9 +1,12 @@
 #include "precis/engine.h"
 
 #include <algorithm>
+#include <map>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 
+#include "common/task_pool.h"
 #include "precis/json_export.h"
 
 namespace precis {
@@ -36,25 +39,133 @@ size_t EstimateAnswerCharge(const PrecisAnswer& answer) {
 }
 
 Result<PrecisEngine> PrecisEngine::Create(const Database* db,
-                                          const SchemaGraph* graph) {
+                                          const SchemaGraph* graph,
+                                          size_t partitions,
+                                          bool with_replicas) {
   if (db == nullptr || graph == nullptr) {
     return Status::InvalidArgument("database and graph must be non-null");
   }
-  auto index = InvertedIndex::Build(*db);
-  if (!index.ok()) return index.status();
-  return PrecisEngine(db, graph, std::move(*index));
+  if (with_replicas && partitions < 2) {
+    return Status::InvalidArgument(
+        "read replicas need at least 2 partitions");
+  }
+  PrecisEngine engine(graph);
+  if (partitions <= 1) {
+    engine.db_ = db;
+    auto index = InvertedIndex::Build(*db);
+    if (!index.ok()) return index.status();
+    engine.indexes_.push_back(std::move(*index));
+    return engine;
+  }
+  auto sharded = ShardedDatabase::Partition(*db, partitions, with_replicas);
+  if (!sharded.ok()) return sharded.status();
+  engine.partitions_ = std::make_unique<ShardedDatabase>(std::move(*sharded));
+  for (size_t p = 0; p < partitions; ++p) {
+    auto index = InvertedIndex::Build(engine.partitions_->shard(p));
+    if (!index.ok()) return index.status();
+    engine.indexes_.push_back(std::move(*index));
+  }
+  engine.health_ = std::make_unique<ShardHealthTracker>(partitions);
+  return engine;
+}
+
+Result<Tid> PrecisEngine::Insert(const std::string& relation, Tuple tuple) {
+  if (partitions_ == nullptr) {
+    return Status::InvalidArgument(
+        "a one-partition engine reads its database in place; insert into "
+        "that Database");
+  }
+  return partitions_->Insert(relation, std::move(tuple));
+}
+
+std::optional<ShardQueryFaultPlan> PrecisEngine::DecidePlan(
+    ExecutionContext* ctx) const {
+  if (partitions_ == nullptr) return std::nullopt;
+  return DecideShardFaultPlan(num_partitions(), health_.get(), ctx,
+                              partitions_->has_replicas());
 }
 
 std::vector<TokenMatch> PrecisEngine::MatchTokens(
-    const PrecisQuery& query) const {
+    const PrecisQuery& query, const ShardQueryFaultPlan* plan) const {
   // Step 1: inverted index — k_i -> {(R_j, A_lj, Tids_lj)} — after synonym
   // canonicalization where a table is installed.
+  const size_t num_tokens = query.tokens.size();
+  std::vector<std::string> resolved(num_tokens);
+  for (size_t t = 0; t < num_tokens; ++t) {
+    resolved[t] = synonyms_ != nullptr
+                      ? synonyms_->Canonicalize(query.tokens[t])
+                      : query.tokens[t];
+  }
   std::vector<TokenMatch> matches;
-  matches.reserve(query.tokens.size());
-  for (const std::string& token : query.tokens) {
-    std::string resolved =
-        synonyms_ != nullptr ? synonyms_->Canonicalize(token) : token;
-    matches.push_back(TokenMatch{token, resolved, index_.Lookup(resolved)});
+  matches.reserve(num_tokens);
+  if (partitions_ == nullptr) {
+    for (size_t t = 0; t < num_tokens; ++t) {
+      matches.push_back(TokenMatch{query.tokens[t], resolved[t],
+                                   indexes_[0].Lookup(resolved[t])});
+    }
+    return matches;
+  }
+
+  // Scatter: one task per live partition looks every token up in that
+  // partition's index and translates its local tids to global ones.
+  // Partitions the fault plan skipped contribute no occurrences — their
+  // seed tuples are part of what the outage costs the answer (DESIGN.md
+  // §17).
+  const size_t parts = num_partitions();
+  std::vector<std::vector<std::vector<TokenOccurrence>>> found(
+      parts, std::vector<std::vector<TokenOccurrence>>(num_tokens));
+  TaskPool::Group scatter(TaskPool::Shared());
+  for (size_t p = 0; p < parts; ++p) {
+    if (plan != nullptr && plan->live[p] == 0) continue;
+    scatter.Run([&, p] {
+      for (size_t t = 0; t < num_tokens; ++t) {
+        const OccurrenceList local = indexes_[p].Lookup(resolved[t]);
+        for (const TokenOccurrence& occ : *local) {
+          auto view = partitions_->GetView(occ.relation);
+          if (!view.ok()) continue;  // every partition relation has a view
+          TokenOccurrence global{occ.relation, occ.attribute, {}};
+          global.tids.reserve(occ.tids.size());
+          for (Tid tid : occ.tids) {
+            global.tids.push_back((*view)->GlobalOf(p, tid));
+          }
+          found[p][t].push_back(std::move(global));
+        }
+      }
+    });
+  }
+  scatter.Wait();
+
+  // Gather: an index emits occurrence groups in (sorted relation name,
+  // attribute index) order with ascending tids. Every partition holds every
+  // relation, so keying the merge the same way reproduces the one-partition
+  // grouping and order, and the ascending k-way tid merge restores the
+  // global posting order (each local->global map is increasing).
+  for (size_t t = 0; t < num_tokens; ++t) {
+    struct Group {
+      const TokenOccurrence* proto = nullptr;
+      std::vector<std::vector<Tid>> lists;
+    };
+    std::map<std::pair<std::string, size_t>, Group> groups;
+    for (size_t p = 0; p < parts; ++p) {
+      for (TokenOccurrence& occ : found[p][t]) {
+        auto view = partitions_->GetView(occ.relation);
+        if (!view.ok()) continue;
+        auto attr = (*view)->schema().AttributeIndex(occ.attribute);
+        if (!attr.ok()) continue;
+        Group& group = groups[{occ.relation, *attr}];
+        if (group.proto == nullptr) group.proto = &occ;
+        group.lists.push_back(std::move(occ.tids));
+      }
+    }
+    auto merged = std::make_shared<std::vector<TokenOccurrence>>();
+    merged->reserve(groups.size());
+    for (auto& [key, group] : groups) {
+      merged->push_back(TokenOccurrence{
+          group.proto->relation, group.proto->attribute,
+          MergeAscendingTids(std::move(group.lists))});
+    }
+    matches.push_back(
+        TokenMatch{query.tokens[t], resolved[t], std::move(merged)});
   }
   return matches;
 }
@@ -125,21 +236,34 @@ Result<ResultSchema> AssembleSeedsAndSchema(
 Result<PrecisAnswer> PrecisEngine::AnswerFromMatches(
     std::vector<TokenMatch> matches, const DegreeConstraint& degree,
     const CardinalityConstraint& cardinality, const DbGenOptions& options,
-    ExecutionContext* ctx) const {
+    ExecutionContext* ctx, const ShardQueryFaultPlan* plan,
+    ShardQueryStats* shard_stats) const {
   SeedTids seeds;
   auto schema = AssembleSeedsAndSchema(
       graph_, matches, degree,
-      schema_cache_enabled_.load(std::memory_order_relaxed) ? &caches_->schema
-                                                            : nullptr,
+      caches_->schema_enabled.load(std::memory_order_relaxed)
+          ? &caches_->schema
+          : nullptr,
       ctx, &seeds);
   if (!schema.ok()) return schema.status();
 
-  ResultDatabaseGenerator db_generator(db_);
+  // The one Fig. 5 planner, over the database in place or over this
+  // query's partitioned source, which carries the fault plan and the
+  // scatter-gather ledger.
+  std::optional<ShardedSource> sharded;
+  if (partitions_ != nullptr) sharded.emplace(partitions_.get(), plan);
+  ResultDatabaseGenerator db_generator =
+      sharded ? ResultDatabaseGenerator(&*sharded)
+              : ResultDatabaseGenerator(db_);
   Result<Database> database = [&] {
     ScopedSpan span(ctx, "db_gen");
     return db_generator.Generate(*schema, seeds, cardinality, options, ctx);
   }();
   if (!database.ok()) return database.status();
+  if (sharded && shard_stats != nullptr) {
+    sharded->CollectStats(ctx != nullptr ? ctx->access_budget() : 0,
+                          shard_stats);
+  }
 
   return PrecisAnswer{std::move(matches), std::move(*schema),
                       std::move(*database), db_generator.last_report()};
@@ -148,14 +272,16 @@ Result<PrecisAnswer> PrecisEngine::AnswerFromMatches(
 Result<PrecisAnswer> PrecisEngine::Answer(
     const PrecisQuery& query, const DegreeConstraint& degree,
     const CardinalityConstraint& cardinality, const DbGenOptions& options,
-    ExecutionContext* ctx) const {
+    ExecutionContext* ctx, ShardQueryStats* shard_stats) const {
+  std::optional<ShardQueryFaultPlan> plan = DecidePlan(ctx);
+  const ShardQueryFaultPlan* plan_ptr = plan ? &*plan : nullptr;
   std::vector<TokenMatch> matches;
   {
     ScopedSpan span(ctx, "match_tokens");
-    matches = MatchTokens(query);
+    matches = MatchTokens(query, plan_ptr);
   }
   return AnswerFromMatches(std::move(matches), degree, cardinality, options,
-                           ctx);
+                           ctx, plan_ptr, shard_stats);
 }
 
 std::string AnswerFingerprintBase(const PrecisQuery& query,
@@ -195,35 +321,33 @@ std::string AnswerFingerprintBase(const PrecisQuery& query,
   return key;
 }
 
-std::string PrecisEngine::AnswerFingerprint(
-    const PrecisQuery& query, const DegreeConstraint& degree,
-    const CardinalityConstraint& cardinality, const DbGenOptions& options,
-    uint64_t db_epoch, uint64_t weight_epoch) const {
+std::string PrecisEngine::EpochKey() const {
   std::string key;
-  key.reserve(32);
-  key += std::to_string(db_epoch);
+  for (size_t p = 0; p < num_partitions(); ++p) {
+    key += std::to_string(partitions_ != nullptr ? partitions_->shard_epoch(p)
+                                                 : db_->epoch());
+    key += '|';
+  }
+  key += std::to_string(graph_->weight_epoch());
   key += '|';
-  key += std::to_string(weight_epoch);
-  key += '|';
-  key += AnswerFingerprintBase(query, synonyms_, degree, cardinality, options);
   return key;
 }
 
 Result<std::shared_ptr<const PrecisAnswer>> PrecisEngine::AnswerShared(
     const PrecisQuery& query, const DegreeConstraint& degree,
     const CardinalityConstraint& cardinality, const DbGenOptions& options,
-    ExecutionContext* ctx) const {
+    ExecutionContext* ctx, ShardQueryStats* shard_stats) const {
   return AnswerSharedImpl(query, degree, cardinality, options, ctx,
-                          /*body_out=*/nullptr);
+                          shard_stats, /*body_out=*/nullptr);
 }
 
 Result<RenderedAnswer> PrecisEngine::AnswerSharedRendered(
     const PrecisQuery& query, const DegreeConstraint& degree,
     const CardinalityConstraint& cardinality, const DbGenOptions& options,
-    ExecutionContext* ctx) const {
+    ExecutionContext* ctx, ShardQueryStats* shard_stats) const {
   std::shared_ptr<const std::string> body;
-  auto answer =
-      AnswerSharedImpl(query, degree, cardinality, options, ctx, &body);
+  auto answer = AnswerSharedImpl(query, degree, cardinality, options, ctx,
+                                 shard_stats, &body);
   if (!answer.ok()) return answer.status();
   return RenderedAnswer{std::move(*answer), std::move(body)};
 }
@@ -231,7 +355,7 @@ Result<RenderedAnswer> PrecisEngine::AnswerSharedRendered(
 Result<std::shared_ptr<const PrecisAnswer>> PrecisEngine::AnswerSharedImpl(
     const PrecisQuery& query, const DegreeConstraint& degree,
     const CardinalityConstraint& cardinality, const DbGenOptions& options,
-    ExecutionContext* ctx,
+    ExecutionContext* ctx, ShardQueryStats* shard_stats,
     std::shared_ptr<const std::string>* body_out) const {
   // Options that make answers non-reusable bypass the caches entirely:
   // a traced run must re-execute to produce its SQL trace, and per-tuple
@@ -239,21 +363,19 @@ Result<std::shared_ptr<const PrecisAnswer>> PrecisEngine::AnswerSharedImpl(
   const bool reusable =
       options.tuple_weights == nullptr && !options.trace_sql;
   const bool cacheable =
-      answer_cache_enabled_.load(std::memory_order_relaxed) && reusable;
+      caches_->answer_enabled.load(std::memory_order_relaxed) && reusable;
   const bool body_cacheable =
       body_out != nullptr &&
-      body_cache_enabled_.load(std::memory_order_relaxed) && reusable;
+      caches_->body_enabled.load(std::memory_order_relaxed) && reusable;
 
+  std::string epochs;
   std::string key;
-  uint64_t db_epoch = 0;
-  uint64_t weight_epoch = 0;
   if (cacheable || body_cacheable) {
     // Epochs are read BEFORE the lookup/build. If a mutation lands during
     // the build, the re-read below differs and the answer is not inserted.
-    db_epoch = db_->epoch();
-    weight_epoch = graph_->weight_epoch();
-    key = AnswerFingerprint(query, degree, cardinality, options, db_epoch,
-                            weight_epoch);
+    epochs = EpochKey();
+    key = epochs + AnswerFingerprintBase(query, synonyms_, degree,
+                                         cardinality, options);
   }
   if (cacheable) {
     ScopedSpan span(ctx, "answer_cache");
@@ -277,7 +399,7 @@ Result<std::shared_ptr<const PrecisAnswer>> PrecisEngine::AnswerSharedImpl(
     }
   }
 
-  auto answer = Answer(query, degree, cardinality, options, ctx);
+  auto answer = Answer(query, degree, cardinality, options, ctx, shard_stats);
   if (!answer.ok()) return answer.status();
   auto shared = std::make_shared<const PrecisAnswer>(std::move(*answer));
 
@@ -294,8 +416,8 @@ Result<std::shared_ptr<const PrecisAnswer>> PrecisEngine::AnswerSharedImpl(
                      !shared->report.degraded();
   // Epochs unchanged across the build: the answer saw one consistent
   // database + weight state.
-  const bool epochs_stable = db_->epoch() == db_epoch &&
-                             graph_->weight_epoch() == weight_epoch;
+  const bool epochs_stable =
+      (cacheable || body_cacheable) && EpochKey() == epochs;
   if (cacheable && clean && epochs_stable) {
     caches_->answer->Put(key, shared, EstimateAnswerCharge(*shared));
   }
@@ -317,10 +439,12 @@ Result<std::vector<PrecisAnswer>> PrecisEngine::AnswerPerOccurrence(
     const PrecisQuery& query, const DegreeConstraint& degree,
     const CardinalityConstraint& cardinality, const DbGenOptions& options,
     ExecutionContext* ctx) const {
+  std::optional<ShardQueryFaultPlan> plan = DecidePlan(ctx);
+  const ShardQueryFaultPlan* plan_ptr = plan ? &*plan : nullptr;
   std::vector<TokenMatch> matches;
   {
     ScopedSpan span(ctx, "match_tokens");
-    matches = MatchTokens(query);
+    matches = MatchTokens(query, plan_ptr);
   }
   std::vector<PrecisAnswer> answers;
   for (const TokenMatch& match : matches) {
@@ -330,7 +454,8 @@ Result<std::vector<PrecisAnswer>> PrecisEngine::AnswerPerOccurrence(
           std::make_shared<const std::vector<TokenOccurrence>>(
               std::vector<TokenOccurrence>{occ})}};
       auto answer = AnswerFromMatches(std::move(single), degree, cardinality,
-                                      options, ctx);
+                                      options, ctx, plan_ptr,
+                                      /*shard_stats=*/nullptr);
       if (!answer.ok()) return answer.status();
       answers.push_back(std::move(*answer));
     }

@@ -12,6 +12,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -19,6 +20,9 @@
 #include "common/lru_cache.h"
 #include "common/result.h"
 #include "graph/schema_graph.h"
+#include "shard/shard_health.h"
+#include "shard/sharded_database.h"
+#include "shard/sharded_source.h"
 #include "storage/database.h"
 #include "text/inverted_index.h"
 #include "text/synonyms.h"
@@ -88,12 +92,10 @@ struct RenderedAnswer {
 };
 
 /// \brief The epoch-free part of the full-answer cache key: canonicalized
-/// token sequence + constraint renderings + generation options. Shared by
-/// PrecisEngine (which prefixes its database + weight epochs) and the
-/// sharded engine (which prefixes shard count + per-shard epochs), so the
-/// two fingerprints agree on exactly which options fragment the cache.
-/// Deliberately excludes parallelism, pool, and simulated access latency:
-/// answers produced under any of those settings are byte-identical.
+/// token sequence + constraint renderings + generation options. PrecisEngine
+/// prefixes every partition's epoch and the weight epoch. Deliberately
+/// excludes parallelism, pool, and simulated access latency: answers
+/// produced under any of those settings are byte-identical.
 std::string AnswerFingerprintBase(const PrecisQuery& query,
                                   const SynonymTable* synonyms,
                                   const DegreeConstraint& degree,
@@ -105,7 +107,7 @@ std::string AnswerFingerprintBase(const PrecisQuery& query,
 using SchemaCache = ShardedLruCache<std::string, ResultSchema>;
 
 /// \brief The steps between token matching and result-database generation,
-/// shared by PrecisEngine and the sharded engine.
+/// shared by PrecisEngine and the test-side sequential walk oracle.
 ///
 /// Seed assembly: the token relations (deduplicated, in match order) are
 /// the schema generator's input relations, and `seeds` receives each
@@ -120,13 +122,32 @@ Result<ResultSchema> AssembleSeedsAndSchema(
     ExecutionContext* ctx, SeedTids* seeds);
 
 /// \brief Orchestrates inverted index, schema generator and database
-/// generator over one source database and schema graph.
+/// generator over N >= 1 partitions of one source database and a schema
+/// graph (DESIGN.md §15).
+///
+/// One partition is the database read in place. At N >= 2 the engine owns a
+/// hash-partitioned copy with one inverted index per partition: token
+/// lookups scatter across the partitions the query's fault plan keeps
+/// (DESIGN.md §17) and merge into the one-partition occurrence order, and
+/// generation runs the Fig. 5 planner over a per-query ShardedSource.
+/// Answers are byte-identical at every partition count, and one cache
+/// stack serves them all.
 class PrecisEngine {
  public:
-  /// Builds the engine (including its inverted index) over `db` and `graph`,
-  /// both of which must outlive the engine and any PrecisAnswer it returns.
+  /// Builds the engine over `db` and `graph`. `graph` must outlive the
+  /// engine and any PrecisAnswer it returns.
+  ///
+  /// With `partitions <= 1` the engine is a view over `db` (which must
+  /// outlive it too) with one inverted index; nothing is copied. With
+  /// `partitions >= 2` it partitions a copy of `db`
+  /// (ShardedDatabase::Partition), indexes every partition and tracks
+  /// per-partition health; `db` is not referenced afterwards.
+  /// `with_replicas` gives every partition a read replica that slow
+  /// sub-queries hedge against (DESIGN.md §17); it needs `partitions >= 2`.
   static Result<PrecisEngine> Create(const Database* db,
-                                     const SchemaGraph* graph);
+                                     const SchemaGraph* graph,
+                                     size_t partitions = 1,
+                                     bool with_replicas = false);
 
   /// Answers a précis query under the given constraints. A query whose
   /// tokens match nothing yields an empty (but well-formed) answer.
@@ -136,11 +157,15 @@ class PrecisEngine {
   /// "schema_gen", "db_gen") are recorded, and a deadline / access-budget /
   /// cancellation stop yields the partial, well-formed answer built so far
   /// with the cause flagged in PrecisAnswer::report.stop_reason.
+  ///
+  /// At N >= 2 partitions, `shard_stats` (when given) receives the query's
+  /// scatter-gather telemetry; a one-partition engine leaves it untouched.
   Result<PrecisAnswer> Answer(const PrecisQuery& query,
                               const DegreeConstraint& degree,
                               const CardinalityConstraint& cardinality,
                               const DbGenOptions& options = DbGenOptions(),
-                              ExecutionContext* ctx = nullptr) const;
+                              ExecutionContext* ctx = nullptr,
+                              ShardQueryStats* shard_stats = nullptr) const;
 
   /// Homonym handling (§5.1): "in the absence of any additional knowledge
   /// stored in the system, we may return multiple answers, one for each
@@ -157,24 +182,27 @@ class PrecisEngine {
   ///
   /// The answer is returned as an immutable shared value so a cache hit
   /// hands out the stored answer without copying its result database. When
-  /// the answer cache is enabled, the lookup key fingerprints the
+  /// the answer cache is enabled, the lookup key fingerprints every
+  /// partition's mutation epoch (bumped by Insert / CreateIndex /
+  /// CreateRelation / AddForeignKey), the SchemaGraph's weight epoch
+  /// (bumped by every edge addition or re-weighting), the
   /// synonym-canonicalized token sequence, the degree and cardinality
-  /// constraint renderings, the generation options, and two epoch counters:
-  /// the source Database's mutation epoch (bumped by Insert / CreateIndex /
-  /// CreateRelation / AddForeignKey) and the SchemaGraph's weight epoch
-  /// (bumped by every edge addition or re-weighting). Any mutation
+  /// constraint renderings and the generation options. Any mutation
   /// therefore makes previously cached answers unreachable — a hit is never
   /// stale. Partial answers (deadline / budget / cancellation stops) are
-  /// never inserted, and neither are runs whose epochs moved mid-build or
-  /// whose options make answers non-reusable (trace_sql, tuple_weights).
+  /// never inserted, and neither are fault-tainted or degraded answers,
+  /// runs whose epochs moved mid-build, or runs whose options make answers
+  /// non-reusable (trace_sql, tuple_weights).
   ///
   /// With the answer cache disabled this builds a fresh answer every call
-  /// (equivalent to Answer(), just shared).
+  /// (equivalent to Answer(), just shared). A hit does no partition work
+  /// and leaves `shard_stats` untouched.
   Result<std::shared_ptr<const PrecisAnswer>> AnswerShared(
       const PrecisQuery& query, const DegreeConstraint& degree,
       const CardinalityConstraint& cardinality,
       const DbGenOptions& options = DbGenOptions(),
-      ExecutionContext* ctx = nullptr) const;
+      ExecutionContext* ctx = nullptr,
+      ShardQueryStats* shard_stats = nullptr) const;
 
   /// AnswerShared() plus serialization memoization (DESIGN.md §16, cache
   /// level 4): the returned body_json is exactly AnswerToJson(*answer),
@@ -190,7 +218,16 @@ class PrecisEngine {
       const PrecisQuery& query, const DegreeConstraint& degree,
       const CardinalityConstraint& cardinality,
       const DbGenOptions& options = DbGenOptions(),
-      ExecutionContext* ctx = nullptr) const;
+      ExecutionContext* ctx = nullptr,
+      ShardQueryStats* shard_stats = nullptr) const;
+
+  /// Routed insert into a partitioned engine: the tuple lands on its owning
+  /// partition, and only that partition's epoch moves. Inserted tuples are
+  /// not indexed for token matching (postings are built once, as at one
+  /// partition). A one-partition engine reads its database in place and
+  /// rejects this call — insert into that Database instead. Not safe
+  /// against concurrent queries.
+  Result<Tid> Insert(const std::string& relation, Tuple tuple);
 
   /// Installs a synonym table applied to every query token before lookup
   /// (§5.1's "W. Allen" == "Woody Allen"). Pass nullptr to remove. The
@@ -213,7 +250,7 @@ class PrecisEngine {
   void set_schema_cache_enabled(bool enabled) {
     // Atomic: the header allows concurrent Answer calls, which read this
     // flag; a plain bool here would be a data race under TSan.
-    schema_cache_enabled_.store(enabled, std::memory_order_relaxed);
+    caches_->schema_enabled.store(enabled, std::memory_order_relaxed);
     if (!enabled) ClearSchemaCache();
   }
   void ClearSchemaCache() { caches_->schema.Clear(); }
@@ -227,11 +264,11 @@ class PrecisEngine {
 
   /// Full-answer caching (level 3; see AnswerShared). Off by default.
   void set_answer_cache_enabled(bool enabled) {
-    answer_cache_enabled_.store(enabled, std::memory_order_relaxed);
+    caches_->answer_enabled.store(enabled, std::memory_order_relaxed);
     if (!enabled) ClearAnswerCache();
   }
   bool answer_cache_enabled() const {
-    return answer_cache_enabled_.load(std::memory_order_relaxed);
+    return caches_->answer_enabled.load(std::memory_order_relaxed);
   }
   void ClearAnswerCache() { caches_->answer->Clear(); }
   LruCacheStats answer_cache_stats() const {
@@ -246,11 +283,11 @@ class PrecisEngine {
   /// Rendered-body caching (level 4; see AnswerSharedRendered). Off by
   /// default.
   void set_body_cache_enabled(bool enabled) {
-    body_cache_enabled_.store(enabled, std::memory_order_relaxed);
+    caches_->body_enabled.store(enabled, std::memory_order_relaxed);
     if (!enabled) ClearBodyCache();
   }
   bool body_cache_enabled() const {
-    return body_cache_enabled_.load(std::memory_order_relaxed);
+    return caches_->body_enabled.load(std::memory_order_relaxed);
   }
   void ClearBodyCache() { caches_->body->Clear(); }
   LruCacheStats body_cache_stats() const { return caches_->body->stats(); }
@@ -260,12 +297,20 @@ class PrecisEngine {
     caches_->body = std::make_unique<BodyCache>(bytes);
   }
 
-  /// Token-occurrence caching (level 1; see InvertedIndex). Off by default.
+  /// Token-occurrence caching (level 1): each partition's InvertedIndex
+  /// memoizes its own multi-word lookups. Off by default.
   void set_token_cache_enabled(bool enabled) {
-    index_.set_lookup_cache_enabled(enabled);
+    for (InvertedIndex& index : indexes_) {
+      index.set_lookup_cache_enabled(enabled);
+    }
   }
+  /// Level-1 counters summed over the partitions.
   LruCacheStats token_cache_stats() const {
-    return index_.lookup_cache_stats();
+    LruCacheStats total;
+    for (const InvertedIndex& index : indexes_) {
+      total += index.lookup_cache_stats();
+    }
+    return total;
   }
 
   /// Convenience: flips all four cache levels at once.
@@ -276,46 +321,32 @@ class PrecisEngine {
     set_body_cache_enabled(enabled);
   }
 
-  const InvertedIndex& index() const { return index_; }
-
-  // Movable (the atomic members need explicit moves); not copyable.
-  PrecisEngine(PrecisEngine&& o) noexcept
-      : db_(o.db_),
-        graph_(o.graph_),
-        index_(std::move(o.index_)),
-        synonyms_(o.synonyms_),
-        schema_cache_enabled_(
-            o.schema_cache_enabled_.load(std::memory_order_relaxed)),
-        answer_cache_enabled_(
-            o.answer_cache_enabled_.load(std::memory_order_relaxed)),
-        body_cache_enabled_(
-            o.body_cache_enabled_.load(std::memory_order_relaxed)),
-        caches_(std::move(o.caches_)) {}
-  PrecisEngine& operator=(PrecisEngine&& o) noexcept {
-    db_ = o.db_;
-    graph_ = o.graph_;
-    index_ = std::move(o.index_);
-    synonyms_ = o.synonyms_;
-    schema_cache_enabled_.store(
-        o.schema_cache_enabled_.load(std::memory_order_relaxed),
-        std::memory_order_relaxed);
-    answer_cache_enabled_.store(
-        o.answer_cache_enabled_.load(std::memory_order_relaxed),
-        std::memory_order_relaxed);
-    body_cache_enabled_.store(
-        o.body_cache_enabled_.load(std::memory_order_relaxed),
-        std::memory_order_relaxed);
-    caches_ = std::move(o.caches_);
-    return *this;
+  size_t num_partitions() const { return indexes_.size(); }
+  /// The owned partitioned copy; null at one partition.
+  const ShardedDatabase* partitions() const { return partitions_.get(); }
+  /// Per-partition fault-domain health: circuit breakers, hedge-delay
+  /// windows, hedge and skip counters (DESIGN.md §17). Fault domains are
+  /// partitions, so this is null at one partition.
+  const ShardHealthTracker* health() const { return health_.get(); }
+  /// Partition `partition`'s inverted index. Its tids are partition-local
+  /// when the engine is partitioned.
+  const InvertedIndex& index(size_t partition = 0) const {
+    return indexes_[partition];
   }
 
  private:
-  PrecisEngine(const Database* db, const SchemaGraph* graph,
-               InvertedIndex index)
-      : db_(db), graph_(graph), index_(std::move(index)) {}
+  explicit PrecisEngine(const SchemaGraph* graph) : graph_(graph) {}
 
-  /// Lookup + canonicalization shared by Answer and AnswerPerOccurrence.
-  std::vector<TokenMatch> MatchTokens(const PrecisQuery& query) const;
+  /// The query's fault-domain decision, made once up front on the calling
+  /// thread: which partitions take part, which stall, whether hedging can
+  /// fire. Nothing to decide at one partition (nullopt).
+  std::optional<ShardQueryFaultPlan> DecidePlan(ExecutionContext* ctx) const;
+
+  /// Synonym canonicalization + lookup, shared by Answer and
+  /// AnswerPerOccurrence. At N >= 2 partitions the lookups scatter over the
+  /// partitions `plan` keeps, translate to global tids and merge.
+  std::vector<TokenMatch> MatchTokens(const PrecisQuery& query,
+                                      const ShardQueryFaultPlan* plan) const;
 
   /// Builds one answer from an explicit set of matches. Const because
   /// answering does not logically mutate the engine: the only touched state
@@ -324,16 +355,13 @@ class PrecisEngine {
                                          const DegreeConstraint& degree,
                                          const CardinalityConstraint& c,
                                          const DbGenOptions& options,
-                                         ExecutionContext* ctx) const;
+                                         ExecutionContext* ctx,
+                                         const ShardQueryFaultPlan* plan,
+                                         ShardQueryStats* shard_stats) const;
 
-  /// Full-answer cache key: canonicalized token sequence + constraint
-  /// renderings + generation options + the two epochs.
-  std::string AnswerFingerprint(const PrecisQuery& query,
-                                const DegreeConstraint& degree,
-                                const CardinalityConstraint& cardinality,
-                                const DbGenOptions& options,
-                                uint64_t db_epoch,
-                                uint64_t weight_epoch) const;
+  /// The epoch part of the full-answer key: every partition's mutation
+  /// epoch, then the graph's weight epoch, each followed by '|'.
+  std::string EpochKey() const;
 
   /// Shared implementation of AnswerShared / AnswerSharedRendered. When
   /// `body_out` is non-null it is always filled with AnswerToJson bytes,
@@ -341,29 +369,34 @@ class PrecisEngine {
   Result<std::shared_ptr<const PrecisAnswer>> AnswerSharedImpl(
       const PrecisQuery& query, const DegreeConstraint& degree,
       const CardinalityConstraint& cardinality, const DbGenOptions& options,
-      ExecutionContext* ctx,
+      ExecutionContext* ctx, ShardQueryStats* shard_stats,
       std::shared_ptr<const std::string>* body_out) const;
 
-  const Database* db_;
+  /// The one partition, read in place; null when partitioned.
+  const Database* db_ = nullptr;
   const SchemaGraph* graph_;
-  InvertedIndex index_;
+  /// The partitioned copy; null at one partition.
+  std::unique_ptr<ShardedDatabase> partitions_;
+  /// One per partition, each over that partition's tuples.
+  std::vector<InvertedIndex> indexes_;
+  /// Internally synchronized, so const query paths share it; null at one
+  /// partition.
+  std::unique_ptr<ShardHealthTracker> health_;
   const SynonymTable* synonyms_ = nullptr;
-
-  std::atomic<bool> schema_cache_enabled_{false};
-  std::atomic<bool> answer_cache_enabled_{false};
-  std::atomic<bool> body_cache_enabled_{false};
 
   using AnswerCache = ShardedLruCache<std::string, PrecisAnswer>;
   using BodyCache = ShardedLruCache<std::string, std::string>;
-  // Behind a unique_ptr so the engine stays movable despite the shard
-  // mutexes. Capacity defaults: 8 MiB of schemas (they are small; this is
-  // effectively "all schemas a realistic weight/constraint mix produces"),
-  // 64 MiB of answers (a result database per entry; bounded so a long tail
-  // of one-off queries evicts instead of growing forever — the fix for
-  // PR 1's unbounded schema-cache map), 32 MiB of rendered JSON bodies
-  // (cheaper per entry than answers; sized to hold the rendered form of a
-  // realistic hot set).
+  // Behind a unique_ptr so the engine stays movable despite the atomics
+  // and shard mutexes. Capacity defaults: 8 MiB of schemas (they are small;
+  // this is effectively "all schemas a realistic weight/constraint mix
+  // produces"), 64 MiB of answers (a result database per entry; bounded so
+  // a long tail of one-off queries evicts instead of growing forever), 32
+  // MiB of rendered JSON bodies (cheaper per entry than answers; sized to
+  // hold the rendered form of a realistic hot set).
   struct Caches {
+    std::atomic<bool> schema_enabled{false};
+    std::atomic<bool> answer_enabled{false};
+    std::atomic<bool> body_enabled{false};
     SchemaCache schema{8 << 20};
     std::unique_ptr<AnswerCache> answer =
         std::make_unique<AnswerCache>(64 << 20);

@@ -25,6 +25,9 @@ Result<std::unique_ptr<PrecisService>> PrecisService::Create(
 
 PrecisService::PrecisService(const PrecisEngine* engine, Options options)
     : engine_(engine), options_(std::move(options)) {
+  if (engine_->num_partitions() >= 2) {
+    metrics_.shards.resize(engine_->num_partitions());
+  }
   workers_.reserve(options_.num_workers);
   for (size_t i = 0; i < options_.num_workers; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
@@ -156,13 +159,15 @@ void PrecisService::WorkerLoop() {
       job = std::move(queue_.front());
       queue_.pop_front();
     }
-    ServiceResponse response = RunOne(job.request);
-    RecordOutcome(response);
+    ShardQueryStats shard_stats;
+    ServiceResponse response = RunOne(job.request, &shard_stats);
+    RecordOutcome(response, shard_stats);
     job.done(std::move(response));
   }
 }
 
-ServiceResponse PrecisService::RunOne(const ServiceRequest& request) {
+ServiceResponse PrecisService::RunOne(const ServiceRequest& request,
+                                      ShardQueryStats* shard_stats) {
   ExecutionContext ctx;
 
   double deadline = request.deadline_seconds > 0
@@ -215,12 +220,26 @@ ServiceResponse PrecisService::RunOne(const ServiceRequest& request) {
 
   ServiceResponse response;
   auto start = ExecutionContext::Clock::now();
-  // The base hook routes to the engine's AnswerShared (through its
-  // full-answer cache when enabled); ShardedPrecisService overrides it to
-  // scatter-gather across its shard engines.
-  auto answer =
-      AnswerQuery(request, *degree, *cardinality, dbgen_options, &ctx,
-                  request.render_body ? &response.body_json : nullptr);
+  // AnswerShared routes through the engine's full-answer cache when that is
+  // enabled (a hit shares the stored immutable answer) and degrades to a
+  // plain uncached build otherwise. A render_body request takes the
+  // rendered variant, which additionally memoizes the AnswerToJson bytes
+  // through the engine's body cache (DESIGN.md §16).
+  Result<std::shared_ptr<const PrecisAnswer>> answer = [&] {
+    if (!request.render_body) {
+      return engine_->AnswerShared(request.query, *degree, *cardinality,
+                                   dbgen_options, &ctx, shard_stats);
+    }
+    auto rendered = engine_->AnswerSharedRendered(
+        request.query, *degree, *cardinality, dbgen_options, &ctx,
+        shard_stats);
+    if (!rendered.ok()) {
+      return Result<std::shared_ptr<const PrecisAnswer>>(rendered.status());
+    }
+    response.body_json = std::move(rendered->body_json);
+    return Result<std::shared_ptr<const PrecisAnswer>>(
+        std::move(rendered->answer));
+  }();
   response.latency_seconds =
       std::chrono::duration<double>(ExecutionContext::Clock::now() - start)
           .count();
@@ -240,7 +259,8 @@ ServiceResponse PrecisService::RunOne(const ServiceRequest& request) {
   return response;
 }
 
-void PrecisService::RecordOutcome(const ServiceResponse& response) {
+void PrecisService::RecordOutcome(const ServiceResponse& response,
+                                  const ShardQueryStats& shard_stats) {
   std::lock_guard<std::mutex> lock(metrics_mutex_);
   ++metrics_.queries_served;
   if (!response.status.ok()) ++metrics_.failures;
@@ -270,69 +290,87 @@ void PrecisService::RecordOutcome(const ServiceResponse& response) {
     metrics_.span_seconds[span.name] += span.seconds;
   }
   latencies_.push_back(response.latency_seconds);
-}
-
-Result<std::shared_ptr<const PrecisAnswer>> PrecisService::AnswerQuery(
-    const ServiceRequest& request, const DegreeConstraint& degree,
-    const CardinalityConstraint& cardinality, const DbGenOptions& options,
-    ExecutionContext* ctx, std::shared_ptr<const std::string>* body_out) {
-  // AnswerShared routes through the engine's full-answer cache when that is
-  // enabled (a hit shares the stored immutable answer) and degrades to a
-  // plain uncached build otherwise. A render_body request takes the
-  // rendered variant, which additionally memoizes the AnswerToJson bytes
-  // through the engine's body cache (DESIGN.md §16).
-  if (body_out == nullptr) {
-    return engine_->AnswerShared(request.query, degree, cardinality, options,
-                                 ctx);
+  if (metrics_.shards.empty()) return;
+  // Cache hits contribute a zero-work sample, so merge percentiles honestly
+  // reflect what served queries cost.
+  merge_times_.push_back(shard_stats.merge_seconds);
+  for (size_t s = 0;
+       s < shard_stats.subqueries.size() && s < metrics_.shards.size(); ++s) {
+    ShardMetricsEntry& shard = metrics_.shards[s];
+    shard.subqueries += shard_stats.subqueries[s];
+    shard.charges += shard_stats.charges[s];
+    shard.scratch_peak_bytes =
+        std::max(shard.scratch_peak_bytes, shard_stats.scratch_bytes[s]);
   }
-  auto rendered = engine_->AnswerSharedRendered(request.query, degree,
-                                                cardinality, options, ctx);
-  if (!rendered.ok()) return rendered.status();
-  *body_out = std::move(rendered->body_json);
-  return std::move(rendered->answer);
+  metrics_.shard_rebalanced_budget_total += shard_stats.rebalanced_charges;
+  if (!shard_stats.shards_skipped.empty()) ++metrics_.shard_degraded_queries;
+  metrics_.shard_skips_total += shard_stats.shards_skipped.size();
+  metrics_.shard_probe_retries_total += shard_stats.shard_probe_retries;
+  metrics_.shard_breaker_rejects_total += shard_stats.breaker_rejects;
 }
 
-PrecisService::Metrics PrecisService::SnapshotCoreMetrics() const {
+namespace {
+
+/// Linear interpolation between closest ranks of `samples` (bench_util.h
+/// Percentile uses the same estimator, so bench reports and /metrics
+/// agree). Sorts in place; 0 when empty.
+double Percentile(std::vector<double>* samples, double p) {
+  if (samples->empty()) return 0.0;
+  std::sort(samples->begin(), samples->end());
+  const std::vector<double>& sorted = *samples;
+  double rank = p * static_cast<double>(sorted.size() - 1);
+  size_t lo = static_cast<size_t>(rank);
+  if (lo + 1 >= sorted.size()) return sorted.back();
+  double frac = rank - static_cast<double>(lo);
+  return sorted[lo] + frac * (sorted[lo + 1] - sorted[lo]);
+}
+
+}  // namespace
+
+PrecisService::Metrics PrecisService::metrics() const {
   Metrics snapshot;
-  std::vector<double> sorted;
+  std::vector<double> latencies;
+  std::vector<double> merges;
   {
     // Only the copy-out holds the lock. The percentile sort used to run in
     // here too — O(n log n) over the full latency history on every scrape,
     // stalling RecordOutcome (and through it the workers) under load.
     std::lock_guard<std::mutex> lock(metrics_mutex_);
     snapshot = metrics_;
-    sorted = latencies_;
+    latencies = latencies_;
+    merges = merge_times_;
   }
-  if (!sorted.empty()) {
-    std::sort(sorted.begin(), sorted.end());
-    // Linear interpolation between closest ranks (bench_util.h Percentile
-    // uses the same estimator, so bench reports and /metrics agree).
-    auto percentile = [&sorted](double p) {
-      double rank = p * static_cast<double>(sorted.size() - 1);
-      size_t lo = static_cast<size_t>(rank);
-      if (lo + 1 >= sorted.size()) return sorted.back();
-      double frac = rank - static_cast<double>(lo);
-      return sorted[lo] + frac * (sorted[lo + 1] - sorted[lo]);
-    };
-    snapshot.p50_latency_seconds = percentile(0.50);
-    snapshot.p99_latency_seconds = percentile(0.99);
-  }
+  snapshot.p50_latency_seconds = Percentile(&latencies, 0.50);
+  snapshot.p99_latency_seconds = Percentile(&latencies, 0.99);
+  snapshot.shard_merge_p50_seconds = Percentile(&merges, 0.50);
+  snapshot.shard_merge_p99_seconds = Percentile(&merges, 0.99);
   // The interner is process-wide (every Value shares it), so its footprint
   // belongs in the same one-call serving snapshot.
   snapshot.symbol_table = SymbolTable::Global()->stats();
-  return snapshot;
-}
 
-PrecisService::Metrics PrecisService::metrics() const {
-  Metrics snapshot = SnapshotCoreMetrics();
-  // Cache counters live in the engine (shared by every caller of it, not
-  // just this service); snapshot them here so one metrics() call tells the
-  // whole serving story.
-  if (engine_ != nullptr) {
-    snapshot.token_cache = engine_->token_cache_stats();
-    snapshot.schema_cache = engine_->schema_cache_stats();
-    snapshot.answer_cache = engine_->answer_cache_stats();
-    snapshot.body_cache = engine_->body_cache_stats();
+  // Cache counters and partition state live in the engine (shared by every
+  // caller of it, not just this service); snapshot them here so one
+  // metrics() call tells the whole serving story.
+  snapshot.token_cache = engine_->token_cache_stats();
+  snapshot.schema_cache = engine_->schema_cache_stats();
+  snapshot.answer_cache = engine_->answer_cache_stats();
+  snapshot.body_cache = engine_->body_cache_stats();
+  if (const ShardHealthTracker* health = engine_->health()) {
+    for (size_t s = 0; s < snapshot.shards.size(); ++s) {
+      ShardMetricsEntry& shard = snapshot.shards[s];
+      shard.tuples = engine_->partitions()->shard(s).TotalTuples();
+      shard.token_cache = engine_->index(s).lookup_cache_stats();
+      CircuitBreakerStats breaker = health->breaker(s).stats();
+      shard.breaker_state = BreakerStateToString(breaker.state);
+      shard.breaker_opened = breaker.opened_total;
+      shard.breaker_rejected = breaker.rejected_total;
+      shard.breaker_half_open_probes = breaker.half_open_probes;
+      shard.breaker_failures = breaker.failures_total;
+    }
+    snapshot.hedged_subqueries_total =
+        health->hedged_subqueries.load(std::memory_order_relaxed);
+    snapshot.hedge_wins_total =
+        health->hedge_wins.load(std::memory_order_relaxed);
   }
   return snapshot;
 }

@@ -138,8 +138,9 @@ class PrecisService {
     RetryPolicy retry_policy;
   };
 
-  /// Per-shard serving counters (ShardedPrecisService only; the plain
-  /// service reports an empty vector).
+  /// Per-partition serving counters, one entry per partition of an engine
+  /// with N >= 2 partitions (DESIGN.md §15); a one-partition engine reports
+  /// none.
   struct ShardMetricsEntry {
     /// Physical sub-operations dispatched to the shard (edge prefetches +
     /// chunk materializations) across all served queries.
@@ -151,12 +152,11 @@ class PrecisService {
     /// Largest single-edge prefetch scratch buffer held for the shard
     /// across all served queries (the sharded analog of the arena peak).
     uint64_t scratch_peak_bytes = 0;
-    /// The shard's partial-results (token occurrence) cache counters.
+    /// The partition's level-1 token cache counters (its InvertedIndex
+    /// lookup cache).
     LruCacheStats token_cache;
     /// The shard's circuit-breaker snapshot (DESIGN.md §17): state string
     /// ("closed"/"open"/"half_open") plus lifetime transition counters.
-    /// All-default for an unsharded service or a one-shard engine (shard
-    /// fault domains only exist at num_shards >= 2).
     std::string breaker_state = "closed";
     uint64_t breaker_opened = 0;
     uint64_t breaker_rejected = 0;
@@ -201,8 +201,8 @@ class PrecisService {
     /// Process-wide string-interner footprint (DESIGN.md §13),
     /// snapshotted from SymbolTable::Global() at metrics() time.
     SymbolTableStats symbol_table;
-    /// Sharded serving (DESIGN.md §15): one entry per shard; empty for an
-    /// unsharded service.
+    /// Partitioned serving (DESIGN.md §15): one entry per partition; empty
+    /// at one partition.
     std::vector<ShardMetricsEntry> shards;
     /// Percentiles of the per-query scatter-gather merge wall time.
     double shard_merge_p50_seconds = 0.0;
@@ -232,9 +232,7 @@ class PrecisService {
   }
 
   /// Stops accepting work and joins the workers (equivalent to Shutdown()).
-  /// Virtual: ShardedPrecisService derives from this class (it overrides
-  /// only the answer hook and the metrics snapshot).
-  virtual ~PrecisService();
+  ~PrecisService();
 
   PrecisService(const PrecisService&) = delete;
   PrecisService& operator=(const PrecisService&) = delete;
@@ -268,39 +266,15 @@ class PrecisService {
   /// Snapshot of the aggregate metrics. The copy-out happens under the
   /// stats mutex but the percentile sort runs on the copy *outside* it, so
   /// a metrics scrape over a long latency history cannot stall admission
-  /// or workers recording outcomes.
-  virtual Metrics metrics() const;
+  /// or workers recording outcomes. Cache counters and, at N >= 2
+  /// partitions, per-partition residency and health come from the engine.
+  Metrics metrics() const;
 
   size_t num_workers() const { return workers_.size(); }
 
- protected:
-  /// `engine` may be null only for subclasses that override AnswerQuery()
-  /// (and metrics()) to route somewhere else; the base implementations
-  /// guard every engine_ dereference. Workers start immediately — safe
-  /// against virtual dispatch because no job can be queued before the
-  /// subclass factory returns.
+ private:
   PrecisService(const PrecisEngine* engine, Options options);
 
-  /// The one pipeline call RunOne makes. Base: the engine's cached
-  /// AnswerShared (the rendered variant when `body_out` is non-null).
-  /// ShardedPrecisService overrides this to scatter-gather across its
-  /// shard engines; everything else about query execution (context setup,
-  /// constraints, metrics recording) stays shared. `body_out` is non-null
-  /// exactly when the request asked for render_body; implementations then
-  /// fill it with the AnswerToJson bytes of the returned answer.
-  virtual Result<std::shared_ptr<const PrecisAnswer>> AnswerQuery(
-      const ServiceRequest& request, const DegreeConstraint& degree,
-      const CardinalityConstraint& cardinality, const DbGenOptions& options,
-      ExecutionContext* ctx, std::shared_ptr<const std::string>* body_out);
-
-  /// Copies the aggregate counters + latency history under metrics_mutex_,
-  /// then computes percentiles and the symbol-table snapshot on the copy
-  /// outside the lock. Shared by both metrics() implementations.
-  Metrics SnapshotCoreMetrics() const;
-
-  const Options& service_options() const { return options_; }
-
- private:
   struct Job {
     ServiceRequest request;
     /// Completion continuation (a promise-fulfilling lambda for Submit,
@@ -309,8 +283,14 @@ class PrecisService {
   };
 
   void WorkerLoop();
-  ServiceResponse RunOne(const ServiceRequest& request);
-  void RecordOutcome(const ServiceResponse& response);
+  /// Runs one request; `shard_stats` receives its scatter-gather telemetry
+  /// at N >= 2 partitions.
+  ServiceResponse RunOne(const ServiceRequest& request,
+                         ShardQueryStats* shard_stats);
+  /// Folds one finished query into metrics_ (and, at N >= 2 partitions,
+  /// its telemetry into the per-partition counters).
+  void RecordOutcome(const ServiceResponse& response,
+                     const ShardQueryStats& shard_stats);
 
   const PrecisEngine* engine_;
   Options options_;
@@ -323,6 +303,8 @@ class PrecisService {
   mutable std::mutex metrics_mutex_;
   Metrics metrics_;
   std::vector<double> latencies_;
+  /// Per-query scatter-gather merge seconds (N >= 2 partitions only).
+  std::vector<double> merge_times_;
 
   std::vector<std::thread> workers_;
 };

@@ -118,8 +118,8 @@ void ShardedRelation::CountStatement(ExecutionContext* ctx) const {
 Result<ShardedDatabase> ShardedDatabase::Partition(const Database& source,
                                                    size_t num_shards,
                                                    bool with_replicas) {
-  if (num_shards == 0) {
-    return Status::InvalidArgument("num_shards must be >= 1");
+  if (num_shards < 2) {
+    return Status::InvalidArgument("num_shards must be >= 2");
   }
   ShardedDatabase sharded(num_shards);
   sharded.shards_.reserve(num_shards);
@@ -206,14 +206,6 @@ Result<ShardedDatabase> ShardedDatabase::Partition(const Database& source,
   }
 
   sharded.foreign_keys_ = source.foreign_keys();
-  if (num_shards == 1) {
-    // A single shard holds the whole database; declaring the source's
-    // foreign keys makes it a faithful standalone copy so the one-shard
-    // configuration can delegate to the plain single-engine pipeline.
-    for (const ForeignKey& fk : sharded.foreign_keys_) {
-      PRECIS_RETURN_NOT_OK(sharded.shards_[0]->AddForeignKey(fk));
-    }
-  }
   return sharded;
 }
 

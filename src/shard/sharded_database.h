@@ -146,14 +146,13 @@ class ShardedRelation {
 /// and the global foreign-key catalog.
 class ShardedDatabase {
  public:
-  /// Partitions `source` across `num_shards` shards. Every relation is
-  /// created on every shard (schema + primary key + replicated indexes);
-  /// tuples are routed by ShardRouter in ascending global-tid order. The
-  /// source is copied — it is not referenced afterwards. Foreign keys are
-  /// kept in the global catalog (a shard cannot declare them: a child tuple
-  /// and its parent may live on different shards); with a single shard they
-  /// are additionally declared on the shard so it is a faithful standalone
-  /// copy of the source.
+  /// Partitions `source` across `num_shards >= 2` shards (one partition is
+  /// the source itself, read in place). Every relation is created on every
+  /// shard (schema + primary key + replicated indexes); tuples are routed by
+  /// ShardRouter in ascending global-tid order. The source is copied — it is
+  /// not referenced afterwards. Foreign keys are kept in the global catalog
+  /// only: a shard cannot declare them, since a child tuple and its parent
+  /// may live on different shards.
   ///
   /// With `with_replicas` every shard additionally gets a read replica — a
   /// second Database holding byte-identical tuples at identical local tids

@@ -8,8 +8,6 @@
 #include "datagen/movies_dataset.h"
 #include "precis/engine.h"
 #include "service/precis_service.h"
-#include "shard/sharded_engine.h"
-#include "shard/sharded_service.h"
 #include "storage/serialization.h"
 
 namespace precis {
@@ -352,11 +350,11 @@ TEST_F(ConcurrencyTest, ServiceWorkersShareTheTaskPool) {
 }
 
 TEST_F(ConcurrencyTest, ShardedServiceByteIdenticalUnderConcurrentLoad) {
-  // The sharded front end under the same contention shape: four workers
-  // submit a mixed batch against a 4-shard engine whose scatter tasks land
-  // on the shared TaskPool. Every answer must be byte-identical to the
-  // single-engine sequential reference, and the per-shard serving counters
-  // must account for the scatter work.
+  // PrecisService over a 4-partition engine under the same contention
+  // shape: four workers submit a mixed batch whose scatter tasks land on
+  // the shared TaskPool. Every answer must be byte-identical to the
+  // one-partition sequential reference, and the per-partition serving
+  // counters must account for the scatter work.
   auto d = MinPathWeight(0.8);
   auto c = MaxTuplesPerRelation(10);
   auto reference = engine_->Answer(PrecisQuery{{"Woody Allen"}}, *d, *c);
@@ -365,14 +363,13 @@ TEST_F(ConcurrencyTest, ShardedServiceByteIdenticalUnderConcurrentLoad) {
   ASSERT_TRUE(SaveDatabase(reference->database, &ref_os).ok());
   const std::string expected = ref_os.str();
 
-  auto sharded =
-      ShardedPrecisEngine::Create(dataset_->db(), &dataset_->graph(), 4);
+  auto sharded = PrecisEngine::Create(&dataset_->db(), &dataset_->graph(), 4);
   ASSERT_TRUE(sharded.ok());
-  (*sharded)->set_caches_enabled(true);
+  sharded->set_caches_enabled(true);
 
   PrecisService::Options options;
   options.num_workers = 4;
-  auto service = ShardedPrecisService::Create(sharded->get(), options);
+  auto service = PrecisService::Create(&*sharded, options);
   ASSERT_TRUE(service.ok());
 
   std::vector<ServiceRequest> requests;

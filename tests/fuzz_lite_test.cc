@@ -20,7 +20,6 @@
 #include "semistructured/document.h"
 #include "sequential_walk.h"
 #include "semistructured/shredder.h"
-#include "shard/sharded_engine.h"
 #include "storage/serialization.h"
 #include "translator/catalog.h"
 #include "translator/template.h"
@@ -211,22 +210,23 @@ TEST_P(FuzzLiteTest, ChaosQueriesUnderInjectedFaultsNeverCrash) {
 }
 
 TEST_P(FuzzLiteTest, ShardedChaosMatchesSingleEngineUnderFaults) {
-  // The sharded arm of the chaos sweep: the same randomized fault-injected
-  // queries against a scatter-gather engine must not merely be stable
-  // across reruns — every run must produce the byte-identical outcome the
-  // single engine produces for the same injector seed (the coordinator
-  // replays the identical fault-check sequence; DESIGN.md §15).
+  // The partitioned arm of the chaos sweep: the same randomized
+  // fault-injected queries against engines over 2 and 5 partitions must
+  // not merely be stable across reruns — every run must produce the
+  // byte-identical outcome the one-partition engine produces for the same
+  // injector seed (the planner replays the identical fault-check sequence;
+  // DESIGN.md §15).
   MoviesConfig config;
   config.num_movies = 120;
   auto ds = MoviesDataset::Create(config);
   ASSERT_TRUE(ds.ok());
   auto engine = PrecisEngine::Create(&ds->db(), &ds->graph());
   ASSERT_TRUE(engine.ok());
-  std::vector<std::unique_ptr<ShardedPrecisEngine>> sharded;
+  std::vector<std::unique_ptr<PrecisEngine>> sharded;
   for (size_t n : {2u, 5u}) {
-    auto e = ShardedPrecisEngine::Create(ds->db(), &ds->graph(), n);
+    auto e = PrecisEngine::Create(&ds->db(), &ds->graph(), n);
     ASSERT_TRUE(e.ok());
-    sharded.push_back(std::move(*e));
+    sharded.push_back(std::make_unique<PrecisEngine>(std::move(*e)));
   }
 
   const std::vector<std::string> tokens = {
@@ -240,9 +240,9 @@ TEST_P(FuzzLiteTest, ShardedChaosMatchesSingleEngineUnderFaults) {
     const std::string& token = tokens[rng.Index(tokens.size())];
     const uint64_t fault_seed = static_cast<uint64_t>(rng.Uniform(0, 1u << 20));
 
-    // `shard_engine == nullptr` runs the single engine; `oracle` the
+    // `shard_engine == nullptr` runs the one-partition engine; `oracle` the
     // sequential walk.
-    auto run = [&](const ShardedPrecisEngine* shard_engine,
+    auto run = [&](const PrecisEngine* shard_engine,
                    bool oracle = false) -> std::string {
       injector.Reseed(fault_seed);
       ExecutionContext ctx;
@@ -275,16 +275,16 @@ TEST_P(FuzzLiteTest, ShardedChaosMatchesSingleEngineUnderFaults) {
         << "oracle token=" << token << " fault_seed=" << fault_seed;
     for (const auto& shard_engine : sharded) {
       EXPECT_EQ(run(shard_engine.get()), expect)
-          << "shards=" << shard_engine->num_shards() << " token=" << token
-          << " fault_seed=" << fault_seed;
+          << "partitions=" << shard_engine->num_partitions()
+          << " token=" << token << " fault_seed=" << fault_seed;
     }
   }
 }
 
 TEST_P(FuzzLiteTest, BodyCacheStaysCoherentUnderInsertQueryInterleavings) {
   // Randomized interleavings of inserts (each bumps a mutation epoch) and
-  // repeated rendered queries against fully-cached engines — single and
-  // sharded. Whatever the interleaving, the served body bytes must always
+  // repeated rendered queries against fully-cached engines — over one
+  // partition and over three. Whatever the interleaving, the served body bytes must always
   // equal a fresh uncached render of the current database state: a stale
   // memoized body surviving an epoch bump is exactly the bug this hunts
   // (DESIGN.md §16).
@@ -297,9 +297,9 @@ TEST_P(FuzzLiteTest, BodyCacheStaysCoherentUnderInsertQueryInterleavings) {
   cached->set_caches_enabled(true);
   auto fresh = PrecisEngine::Create(&ds->db(), &ds->graph());
   ASSERT_TRUE(fresh.ok());
-  auto sharded = ShardedPrecisEngine::Create(ds->db(), &ds->graph(), 3);
+  auto sharded = PrecisEngine::Create(&ds->db(), &ds->graph(), 3);
   ASSERT_TRUE(sharded.ok());
-  (*sharded)->set_caches_enabled(true);
+  sharded->set_caches_enabled(true);
 
   auto genre = ds->db().GetRelation("GENRE");
   ASSERT_TRUE(genre.ok());
@@ -316,13 +316,13 @@ TEST_P(FuzzLiteTest, BodyCacheStaysCoherentUnderInsertQueryInterleavings) {
   for (int i = 0; i < 30; ++i) {
     if (rng.Index(3) == 0) {
       // Mirror one insert into the source database (the single engines
-      // read it directly) and the sharded engine's partitioned copy.
+      // read it directly) and the partitioned engine's copy.
       int64_t mid = (*movie)->tuple(rng.Index((*movie)->num_tuples()))[0]
                         .AsInt64();
       Tuple tuple{Value(next_gid++), Value(mid), Value("fuzzwave")};
       auto src = (*genre)->Insert(tuple);
       ASSERT_TRUE(src.ok());
-      ASSERT_TRUE((*sharded)->Insert("GENRE", std::move(tuple)).ok());
+      ASSERT_TRUE(sharded->Insert("GENRE", std::move(tuple)).ok());
       continue;
     }
     const std::string& token = tokens[rng.Index(tokens.size())];
@@ -337,12 +337,13 @@ TEST_P(FuzzLiteTest, BodyCacheStaysCoherentUnderInsertQueryInterleavings) {
     EXPECT_EQ(*single->body_json, expected)
         << "single engine served stale bytes for '" << token << "' at step "
         << i;
-    auto shard = (*sharded)->AnswerSharedRendered(PrecisQuery{{token}},
-                                                  *degree, *cardinality);
+    auto shard = sharded->AnswerSharedRendered(PrecisQuery{{token}}, *degree,
+                                               *cardinality);
     ASSERT_TRUE(shard.ok());
     ASSERT_NE(shard->body_json, nullptr);
     EXPECT_EQ(*shard->body_json, expected)
-        << "sharded engine served stale bytes for '" << token << "' at step "
+        << "partitioned engine served stale bytes for '" << token
+        << "' at step "
         << i;
   }
 }

@@ -265,13 +265,15 @@ const MoviesDataset& TestDataset() {
   return *dataset;
 }
 
-/// Engine + two services ("default" and "boost" profiles) + server.
+/// Two engines over one dataset — read in place, and in 3 partitions —
+/// with a service each ("default" and "boost" profiles) + server.
 struct Harness {
   Harness() = default;
   Harness(Harness&&) = default;
   Harness& operator=(Harness&&) = default;
 
   std::unique_ptr<PrecisEngine> engine;
+  std::unique_ptr<PrecisEngine> boost_engine;
   std::unique_ptr<PrecisService> service;
   std::unique_ptr<PrecisService> boost_service;
   std::unique_ptr<HttpServer> server;
@@ -288,7 +290,11 @@ struct Harness {
     auto service = PrecisService::Create(h.engine.get(), service_options);
     EXPECT_TRUE(service.ok());
     h.service = std::move(*service);
-    auto boost = PrecisService::Create(h.engine.get());
+    auto boost_engine = PrecisEngine::Create(&TestDataset().db(),
+                                             &TestDataset().graph(), 3);
+    EXPECT_TRUE(boost_engine.ok());
+    h.boost_engine = std::make_unique<PrecisEngine>(std::move(*boost_engine));
+    auto boost = PrecisService::Create(h.boost_engine.get());
     EXPECT_TRUE(boost.ok());
     h.boost_service = std::move(*boost);
     auto server = HttpServer::Create(
@@ -345,8 +351,30 @@ TEST(HttpServerTest, HealthzAndMetrics) {
   ASSERT_NE(parsed->Find("server"), nullptr);
   const JsonValue* profiles = parsed->Find("profiles");
   ASSERT_NE(profiles, nullptr);
-  EXPECT_NE(profiles->Find("default"), nullptr);
-  EXPECT_NE(profiles->Find("boost"), nullptr);
+  const JsonValue* default_profile = profiles->Find("default");
+  ASSERT_NE(default_profile, nullptr);
+  const JsonValue* boost = profiles->Find("boost");
+  ASSERT_NE(boost, nullptr);
+
+  // The one-partition engine has no shards block; the 3-partition one
+  // reports every partition, together holding the whole dataset.
+  EXPECT_EQ(default_profile->Find("shards"), nullptr);
+  const JsonValue* shards = boost->Find("shards");
+  ASSERT_NE(shards, nullptr) << metrics->body;
+  const JsonValue* count = shards->Find("count");
+  ASSERT_NE(count, nullptr);
+  EXPECT_EQ(count->number, 3.0);
+  const JsonValue* per_shard = shards->Find("per_shard");
+  ASSERT_NE(per_shard, nullptr);
+  ASSERT_TRUE(per_shard->is_array());
+  ASSERT_EQ(per_shard->array.size(), 3u);
+  double tuples = 0;
+  for (const JsonValue& shard : per_shard->array) {
+    const JsonValue* shard_tuples = shard.Find("tuples");
+    ASSERT_NE(shard_tuples, nullptr);
+    tuples += shard_tuples->number;
+  }
+  EXPECT_EQ(tuples, static_cast<double>(TestDataset().db().TotalTuples()));
 }
 
 TEST(HttpServerTest, ServedAnswerIsByteIdenticalToInProcess) {

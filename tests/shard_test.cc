@@ -1,9 +1,9 @@
-// Sharded scatter-gather execution (DESIGN.md §15): the central contract is
-// byte-identity — for ANY shard count, strategy, fault schedule, or
-// deadline/budget stop, the sharded engine must produce exactly the answer
-// the single engine produces — itself checked against the sequential walk
+// Partitioned scatter-gather execution (DESIGN.md §15): the central contract
+// is byte-identity — for ANY partition count, strategy, fault schedule, or
+// deadline/budget stop, PrecisEngine must produce exactly the answer its
+// one-partition form produces — itself checked against the sequential walk
 // oracle (tests/sequential_walk.h). Plus router stability, partition/insert
-// routing, deterministic merges, and the shard-aware cache epoch scheme.
+// routing, deterministic merges, and the per-partition cache epoch scheme.
 
 #include <gtest/gtest.h>
 
@@ -27,10 +27,9 @@
 #include "shard/shard_health.h"
 #include "shard/shard_router.h"
 #include "shard/sharded_database.h"
-#include "shard/sharded_engine.h"
-#include "shard/sharded_service.h"
 #include "shard/sharded_source.h"
 #include "storage/serialization.h"
+#include "text/synonyms.h"
 #include "translator/translator.h"
 
 namespace precis {
@@ -241,16 +240,16 @@ class ShardDeterminismTest : public ::testing::Test {
     engine_ = std::make_unique<PrecisEngine>(std::move(*engine));
     for (size_t n : {1u, 2u, 4u, 8u}) {
       auto sharded =
-          ShardedPrecisEngine::Create(dataset_->db(), &dataset_->graph(), n);
+          PrecisEngine::Create(&dataset_->db(), &dataset_->graph(), n);
       ASSERT_TRUE(sharded.ok());
-      sharded_.push_back(std::move(*sharded));
+      sharded_.push_back(std::make_unique<PrecisEngine>(std::move(*sharded)));
     }
   }
 
   /// One configured run against either engine; `sharded == nullptr` runs
   /// the single-engine reference, which must itself match the sequential
   /// walk oracle under the identical configuration.
-  RunDigest Run(const ShardedPrecisEngine* sharded,
+  RunDigest Run(const PrecisEngine* sharded,
                 const std::vector<std::string>& tokens, SubsetStrategy strategy,
                 FaultInjector* injector, uint64_t fault_seed, uint64_t budget,
                 bool expired_deadline) {
@@ -267,7 +266,7 @@ class ShardDeterminismTest : public ::testing::Test {
 
   enum Mode { kOracle, kSingle, kSharded };
 
-  RunDigest RunOne(Mode mode, const ShardedPrecisEngine* sharded,
+  RunDigest RunOne(Mode mode, const PrecisEngine* sharded,
                    const std::vector<std::string>& tokens,
                    SubsetStrategy strategy, FaultInjector* injector,
                    uint64_t fault_seed, uint64_t budget,
@@ -325,7 +324,7 @@ class ShardDeterminismTest : public ::testing::Test {
 
   std::unique_ptr<MoviesDataset> dataset_;
   std::unique_ptr<PrecisEngine> engine_;
-  std::vector<std::unique_ptr<ShardedPrecisEngine>> sharded_;
+  std::vector<std::unique_ptr<PrecisEngine>> sharded_;
 };
 
 TEST_F(ShardDeterminismTest, CleanRunsByteIdenticalAcrossShardCounts) {
@@ -340,7 +339,7 @@ TEST_F(ShardDeterminismTest, CleanRunsByteIdenticalAcrossShardCounts) {
         RunDigest got =
             Run(sharded.get(), tokens, strategy, nullptr, 0, 0, false);
         ExpectIdentical(expect, got,
-                        "shards=" + std::to_string(sharded->num_shards()) +
+                        "shards=" + std::to_string(sharded->num_partitions()) +
                             " strategy=" +
                             std::to_string(static_cast<int>(strategy)));
       }
@@ -381,7 +380,7 @@ TEST_F(ShardDeterminismTest, OverlappingTokensPinSeedOrder) {
                           0, 0, false);
       ExpectIdentical(expect, got,
                       "overlap shards=" +
-                          std::to_string(sharded->num_shards()));
+                          std::to_string(sharded->num_partitions()));
     }
   }
 }
@@ -399,7 +398,7 @@ TEST_F(ShardDeterminismTest, FaultInjectedRunsByteIdentical) {
                             &injector, seed, 0, false);
         ExpectIdentical(expect, got,
                         "faults seed=" + std::to_string(seed) + " shards=" +
-                            std::to_string(sharded->num_shards()));
+                            std::to_string(sharded->num_partitions()));
       }
     }
   }
@@ -416,7 +415,7 @@ TEST_F(ShardDeterminismTest, BudgetStopsByteIdentical) {
                           false);
       ExpectIdentical(expect, got,
                       "budget=" + std::to_string(budget) + " shards=" +
-                          std::to_string(sharded->num_shards()));
+                          std::to_string(sharded->num_partitions()));
     }
     if (budget == 1) {
       EXPECT_EQ(expect.ctx_stop, StopReason::kAccessBudgetExhausted);
@@ -433,7 +432,7 @@ TEST_F(ShardDeterminismTest, ExpiredDeadlineStopsByteIdentical) {
                         nullptr, 0, 0, true);
     ExpectIdentical(expect, got,
                     "deadline shards=" +
-                        std::to_string(sharded->num_shards()));
+                        std::to_string(sharded->num_partitions()));
   }
 }
 
@@ -447,12 +446,53 @@ TEST_F(ShardDeterminismTest, FaultAndBudgetCombinedByteIdentical) {
                         SubsetStrategy::kRoundRobin, &injector, 9, 40, false);
     ExpectIdentical(expect, got,
                     "faults+budget shards=" +
-                        std::to_string(sharded->num_shards()));
+                        std::to_string(sharded->num_partitions()));
+  }
+}
+
+TEST_F(ShardDeterminismTest, SynonymsAndHomonymsByteIdenticalAcrossPartitions) {
+  // §5.1 over partitions: a synonym resolves before the scattered lookup,
+  // and the homonym split answers each merged occurrence, so both match the
+  // one-partition engine byte for byte.
+  SynonymTable synonyms;
+  ASSERT_TRUE(synonyms.AddSynonym("W. Allen", "Woody Allen").ok());
+  auto degree = MinPathWeight(0.8);
+  auto cardinality = MaxTuplesPerRelation(4);
+  auto answers = [&](PrecisEngine* engine) {
+    engine->set_synonyms(&synonyms);
+    std::vector<std::string> out;
+    auto combined =
+        engine->Answer(PrecisQuery{{"W. Allen"}}, *degree, *cardinality);
+    EXPECT_TRUE(combined.ok()) << combined.status().ToString();
+    if (combined.ok()) out.push_back(AnswerToJson(*combined));
+    auto split = engine->AnswerPerOccurrence(PrecisQuery{{"Woody Allen"}},
+                                             *degree, *cardinality);
+    EXPECT_TRUE(split.ok()) << split.status().ToString();
+    if (split.ok()) {
+      for (const PrecisAnswer& answer : *split) {
+        out.push_back(answer.matches[0].occurrences()[0].relation + " " +
+                      AnswerToJson(answer));
+      }
+    }
+    engine->set_synonyms(nullptr);
+    return out;
+  };
+
+  const std::vector<std::string> expect = answers(engine_.get());
+  ASSERT_EQ(expect.size(), 3u);
+  EXPECT_NE(expect[0].find("\"resolved_token\":\"Woody Allen\""),
+            std::string::npos)
+      << expect[0];
+  EXPECT_EQ(expect[1].rfind("ACTOR ", 0), 0u);
+  EXPECT_EQ(expect[2].rfind("DIRECTOR ", 0), 0u);
+  for (const auto& sharded : sharded_) {
+    EXPECT_EQ(answers(sharded.get()), expect)
+        << "partitions=" << sharded->num_partitions();
   }
 }
 
 // ---------------------------------------------------------------------------
-// Shard-aware caching.
+// Per-partition caching.
 
 class ShardedCacheTest : public ::testing::Test {
  protected:
@@ -463,9 +503,9 @@ class ShardedCacheTest : public ::testing::Test {
     ASSERT_TRUE(ds.ok());
     dataset_ = std::make_unique<MoviesDataset>(std::move(*ds));
     auto sharded =
-        ShardedPrecisEngine::Create(dataset_->db(), &dataset_->graph(), 4);
+        PrecisEngine::Create(&dataset_->db(), &dataset_->graph(), 4);
     ASSERT_TRUE(sharded.ok());
-    engine_ = std::move(*sharded);
+    engine_ = std::make_unique<PrecisEngine>(std::move(*sharded));
     engine_->set_caches_enabled(true);
   }
 
@@ -480,13 +520,13 @@ class ShardedCacheTest : public ::testing::Test {
 
   /// A fresh GENRE tuple; `gid` must be globally unused.
   Tuple FreshGenreTuple(int64_t gid) {
-    auto view = engine_->database().GetView("GENRE");
+    auto view = engine_->partitions()->GetView("GENRE");
     Value mid = (*view)->ColumnValue(0, 1);  // GENRE(gid*, mid, genre)
     return Tuple{Value(gid), mid, Value("fresh-genre")};
   }
 
   std::unique_ptr<MoviesDataset> dataset_;
-  std::unique_ptr<ShardedPrecisEngine> engine_;
+  std::unique_ptr<PrecisEngine> engine_;
 };
 
 TEST_F(ShardedCacheTest, RepeatQueryHitsFullAnswerCache) {
@@ -502,38 +542,44 @@ TEST_F(ShardedCacheTest, RepeatQueryHitsFullAnswerCache) {
   EXPECT_EQ(AnswerToJson(*first), AnswerToJson(*second));
 }
 
-TEST_F(ShardedCacheTest, SingleShardInsertInvalidatesOnlyThatShardsPartials) {
+TEST_F(ShardedCacheTest, SingleShardInsertRebuildsAnswerWhileTokenLookupsHit) {
   ASSERT_NE(Ask("Woody Allen"), nullptr);
   ASSERT_NE(Ask("Woody Allen"), nullptr);  // warm: full-answer hit
 
-  // Route one insert; exactly one shard's epoch moves.
-  auto view = engine_->database().GetView("GENRE");
+  // Route one insert; exactly the owner's epoch moves.
+  const ShardedDatabase& partitions = *engine_->partitions();
+  auto view = partitions.GetView("GENRE");
   ASSERT_TRUE(view.ok());
   Tid next = (*view)->num_tuples();
-  size_t owner = engine_->database().ShardOf("GENRE", next);
-  ASSERT_TRUE(engine_->Insert("GENRE", FreshGenreTuple(2000000)).ok());
-
+  size_t owner = partitions.ShardOf("GENRE", next);
+  std::vector<uint64_t> epochs;
   std::vector<LruCacheStats> before;
-  for (size_t s = 0; s < engine_->num_shards(); ++s) {
-    before.push_back(engine_->shard_partial_cache_stats(s));
+  for (size_t s = 0; s < engine_->num_partitions(); ++s) {
+    epochs.push_back(partitions.shard_epoch(s));
+    before.push_back(engine_->index(s).lookup_cache_stats());
+  }
+  ASSERT_TRUE(engine_->Insert("GENRE", FreshGenreTuple(2000000)).ok());
+  for (size_t s = 0; s < engine_->num_partitions(); ++s) {
+    if (s == owner) {
+      EXPECT_GT(partitions.shard_epoch(s), epochs[s]) << "owner " << s;
+    } else {
+      EXPECT_EQ(partitions.shard_epoch(s), epochs[s]) << "partition " << s;
+    }
   }
 
-  // The full answer must rebuild (its key carries every shard's epoch)...
+  // The full answer must rebuild (its key carries every partition's
+  // epoch)...
   uint64_t full_hits = engine_->answer_cache_stats().hits;
   ASSERT_NE(Ask("Woody Allen"), nullptr);
   EXPECT_EQ(engine_->answer_cache_stats().hits, full_hits);
 
-  // ...but during that rebuild only the mutated shard's partial entries
-  // went stale: every OTHER shard's token lookup hits its partial cache.
-  for (size_t s = 0; s < engine_->num_shards(); ++s) {
-    LruCacheStats after = engine_->shard_partial_cache_stats(s);
-    if (s == owner) {
-      EXPECT_EQ(after.hits, before[s].hits) << "mutated shard " << s;
-      EXPECT_GT(after.misses, before[s].misses) << "mutated shard " << s;
-    } else {
-      EXPECT_GT(after.hits, before[s].hits) << "untouched shard " << s;
-      EXPECT_EQ(after.misses, before[s].misses) << "untouched shard " << s;
-    }
+  // ...while every partition's token lookup, the owner's included, hits
+  // its level-1 cache: postings are never re-indexed, so an insert cannot
+  // make a cached lookup stale.
+  for (size_t s = 0; s < engine_->num_partitions(); ++s) {
+    LruCacheStats after = engine_->index(s).lookup_cache_stats();
+    EXPECT_GT(after.hits, before[s].hits) << "partition " << s;
+    EXPECT_EQ(after.misses, before[s].misses) << "partition " << s;
   }
 }
 
@@ -592,7 +638,7 @@ TEST_F(ShardedCacheTest, BodyCacheMemoizesRendersAndInvalidatesOnInsert) {
 }
 
 // ---------------------------------------------------------------------------
-// ShardedPrecisService.
+// PrecisService over a partitioned engine.
 
 TEST(ShardedServiceTest, AnswersMatchSingleEngineAndMetricsFillShards) {
   MoviesConfig config;
@@ -601,12 +647,12 @@ TEST(ShardedServiceTest, AnswersMatchSingleEngineAndMetricsFillShards) {
   ASSERT_TRUE(ds.ok());
   auto single = PrecisEngine::Create(&ds->db(), &ds->graph());
   ASSERT_TRUE(single.ok());
-  auto sharded = ShardedPrecisEngine::Create(ds->db(), &ds->graph(), 4);
+  auto sharded = PrecisEngine::Create(&ds->db(), &ds->graph(), 4);
   ASSERT_TRUE(sharded.ok());
 
   PrecisService::Options options;
   options.num_workers = 2;
-  auto service = ShardedPrecisService::Create(sharded->get(), options);
+  auto service = PrecisService::Create(&*sharded, options);
   ASSERT_TRUE(service.ok());
 
   auto degree = MinPathWeight(0.8);
@@ -641,14 +687,22 @@ TEST(ShardedServiceTest, AnswersMatchSingleEngineAndMetricsFillShards) {
   (*service)->Shutdown();
 }
 
-TEST(ShardedServiceTest, SingleShardDelegatesAndStillServes) {
+TEST(ShardedServiceTest, OnePartitionServesInPlaceAndRejectsReplicas) {
   MoviesConfig config;
   config.num_movies = 80;
   auto ds = MoviesDataset::Create(config);
   ASSERT_TRUE(ds.ok());
-  auto sharded = ShardedPrecisEngine::Create(ds->db(), &ds->graph(), 1);
-  ASSERT_TRUE(sharded.ok());
-  auto service = ShardedPrecisService::Create(sharded->get());
+  // Replicas hedge between partitions; one partition has nothing to hedge.
+  EXPECT_FALSE(PrecisEngine::Create(&ds->db(), &ds->graph(), 1,
+                                    /*with_replicas=*/true)
+                   .ok());
+  auto engine = PrecisEngine::Create(&ds->db(), &ds->graph(), 1);
+  ASSERT_TRUE(engine.ok());
+  // One partition is the database read in place: no copy, no health.
+  EXPECT_EQ(engine->num_partitions(), 1u);
+  EXPECT_EQ(engine->partitions(), nullptr);
+  EXPECT_EQ(engine->health(), nullptr);
+  auto service = PrecisService::Create(&*engine);
   ASSERT_TRUE(service.ok());
 
   ServiceRequest request;
@@ -660,8 +714,8 @@ TEST(ShardedServiceTest, SingleShardDelegatesAndStillServes) {
   ASSERT_NE(response.answer, nullptr);
   EXPECT_FALSE(response.answer->empty());
   PrecisService::Metrics metrics = (*service)->metrics();
-  ASSERT_EQ(metrics.shards.size(), 1u);
-  EXPECT_EQ(metrics.shards[0].tuples, ds->db().TotalTuples());
+  EXPECT_EQ(metrics.queries_served, 1u);
+  EXPECT_TRUE(metrics.shards.empty());
   (*service)->Shutdown();
 }
 
@@ -741,13 +795,13 @@ class ShardFaultDomainTest : public ::testing::Test {
     dataset_ = std::make_unique<MoviesDataset>(std::move(*ds));
   }
 
-  std::unique_ptr<ShardedPrecisEngine> MakeEngine(size_t shards,
-                                                  bool replicas = false) {
-    auto engine = ShardedPrecisEngine::Create(dataset_->db(),
-                                              &dataset_->graph(), shards,
-                                              replicas);
+  std::unique_ptr<PrecisEngine> MakeEngine(size_t shards,
+                                           bool replicas = false) {
+    auto engine = PrecisEngine::Create(&dataset_->db(), &dataset_->graph(),
+                                       shards, replicas);
     EXPECT_TRUE(engine.ok());
-    return engine.ok() ? std::move(*engine) : nullptr;
+    return engine.ok() ? std::make_unique<PrecisEngine>(std::move(*engine))
+                       : nullptr;
   }
 
   /// Latches `shard` permanently dead: the first kShardSubquery check in
@@ -774,7 +828,7 @@ class ShardFaultDomainTest : public ::testing::Test {
   /// One query against `engine` with `dead_shard` latched dead under
   /// `seed`, using a fresh injector per run so the latch/check streams
   /// restart identically.
-  Digest RunDead(const ShardedPrecisEngine& engine, uint32_t dead_shard,
+  Digest RunDead(const PrecisEngine& engine, uint32_t dead_shard,
                  uint64_t seed, size_t parallelism) {
     FaultInjector injector(seed);
     ScheduleDeadShard(&injector, dead_shard);
@@ -941,7 +995,7 @@ TEST_F(ShardFaultDomainTest, BreakerOpensOnDeadShardThenHalfOpenProbes) {
     breaker_rejects_seen += stats.breaker_rejects;
   }
 
-  CircuitBreakerStats breaker = engine->breaker_stats(1);
+  CircuitBreakerStats breaker = engine->health()->breaker(1).stats();
   EXPECT_EQ(breaker.state, BreakerState::kOpen);
   EXPECT_GE(breaker.opened_total, 2u);  // initial open + >= 1 failed probe
   EXPECT_GE(breaker.half_open_probes, 1u);
@@ -951,12 +1005,12 @@ TEST_F(ShardFaultDomainTest, BreakerOpensOnDeadShardThenHalfOpenProbes) {
 
   // Healthy shards' breakers stayed closed, accumulating successes.
   for (size_t s : {0u, 2u, 3u}) {
-    CircuitBreakerStats healthy = engine->breaker_stats(s);
+    CircuitBreakerStats healthy = engine->health()->breaker(s).stats();
     EXPECT_EQ(healthy.state, BreakerState::kClosed) << s;
     EXPECT_EQ(healthy.failures_total, 0u) << s;
     EXPECT_GT(healthy.successes_total, 0u) << s;
   }
-  EXPECT_GE(engine->health().shard_skips.load(std::memory_order_relaxed),
+  EXPECT_GE(engine->health()->shard_skips.load(std::memory_order_relaxed),
             30u);
 }
 
@@ -997,7 +1051,7 @@ TEST_F(ShardFaultDomainTest, HedgedSubqueriesNeverChangeAnswerBytes) {
   EXPECT_GT(stats.hedge_wins, 0u) << "the unstalled replica must beat an "
                                      "8 ms primary stall";
   EXPECT_LE(stats.hedge_wins, stats.hedged_subqueries);
-  const ShardHealthTracker& health = engine->health();
+  const ShardHealthTracker& health = *engine->health();
   EXPECT_GE(health.hedged_subqueries.load(std::memory_order_relaxed),
             stats.hedged_subqueries);
   EXPECT_GE(health.hedge_wins.load(std::memory_order_relaxed),
@@ -1009,7 +1063,7 @@ TEST(ShardedServiceTest, KilledShardServesDegradedAndExportsBreakers) {
   config.num_movies = 120;
   auto ds = MoviesDataset::Create(config);
   ASSERT_TRUE(ds.ok());
-  auto sharded = ShardedPrecisEngine::Create(ds->db(), &ds->graph(), 4);
+  auto sharded = PrecisEngine::Create(&ds->db(), &ds->graph(), 4);
   ASSERT_TRUE(sharded.ok());
 
   FaultInjector injector(42);
@@ -1021,7 +1075,7 @@ TEST(ShardedServiceTest, KilledShardServesDegradedAndExportsBreakers) {
   options.num_workers = 2;
   options.fault_injector = &injector;
   options.retry_policy.initial_backoff_ns = 0;
-  auto service = ShardedPrecisService::Create(sharded->get(), options);
+  auto service = PrecisService::Create(&*sharded, options);
   ASSERT_TRUE(service.ok());
 
   for (int i = 0; i < 5; ++i) {

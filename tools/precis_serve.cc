@@ -24,8 +24,6 @@
 #include "precis/engine.h"
 #include "server/http_server.h"
 #include "service/precis_service.h"
-#include "shard/sharded_engine.h"
-#include "shard/sharded_service.h"
 
 namespace precis {
 namespace {
@@ -40,11 +38,12 @@ struct ServeFlags {
   double deadline_ms = 0.0;
   size_t parallelism = 0;
   bool cache = true;
-  /// 0 = unsharded single engine; >= 1 partitions the dataset across N
-  /// shards behind a ShardedPrecisService (DESIGN.md §15). Answers are
-  /// byte-identical either way.
+  /// Partitions of the engine (DESIGN.md §15): 0 and 1 both read the
+  /// dataset in place; N >= 2 serves a hash-partitioned copy through
+  /// scatter-gather. Answers are byte-identical either way.
   size_t shards = 0;
-  /// Give every shard a read replica (hedged sub-queries, DESIGN.md §17).
+  /// Give every partition a read replica (hedged sub-queries, DESIGN.md
+  /// §17); needs shards >= 2.
   bool replicas = false;
   /// >= 0: that shard is fault-scheduled permanently dead (latched
   /// kShardSubquery fault) — the chaos-drill shape ci.sh gates on.
@@ -67,9 +66,11 @@ void Usage(const char* argv0) {
       "Serves POST /query, GET /metrics, GET /healthz until SIGINT/SIGTERM.\n"
       "--port 0 picks an ephemeral port (printed on stdout at startup).\n"
       "--queue-depth bounds the admission queue (excess -> HTTP 503).\n"
-      "--shards N partitions the dataset across N engine shards\n"
-      "  (scatter-gather execution; answers stay byte-identical).\n"
-      "--replicas on gives each shard a read replica (hedged sub-queries).\n"
+      "--shards N >= 2 serves a copy of the dataset hash-partitioned N ways\n"
+      "  (scatter-gather execution; answers stay byte-identical). 0 or 1\n"
+      "  reads the dataset in place.\n"
+      "--replicas on gives each partition a read replica (hedged\n"
+      "  sub-queries; needs --shards >= 2).\n"
       "--kill-shard N fault-schedules shard N permanently dead: queries\n"
       "  answer degraded from the surviving shards (needs --shards >= 2).\n"
       "--chaos 'seed=7,read=0.01,write=0.01,short=0.2' injects seeded\n"
@@ -136,6 +137,10 @@ bool ParseFlags(int argc, char** argv, ServeFlags* flags) {
                  "--kill-shard needs --shards >= 2 and a shard id < N\n");
     return false;
   }
+  if (flags->replicas && flags->shards < 2) {
+    std::fprintf(stderr, "--replicas on needs --shards >= 2\n");
+    return false;
+  }
   return true;
 }
 
@@ -186,46 +191,23 @@ int ServeMain(int argc, char** argv) {
                  static_cast<unsigned long long>(flags.fault_seed));
   }
 
-  // Either serving shape exposes the same PrecisService interface to the
-  // HTTP front end; --shards only changes how queries execute inside.
-  std::unique_ptr<PrecisEngine> engine;
-  std::unique_ptr<ShardedPrecisEngine> sharded_engine;
-  std::unique_ptr<PrecisService> service;
-  if (flags.shards > 0) {
-    auto created = ShardedPrecisEngine::Create(dataset.db(), &dataset.graph(),
-                                               flags.shards, flags.replicas);
-    if (!created.ok()) {
-      std::fprintf(stderr, "sharded engine: %s\n",
-                   created.status().ToString().c_str());
-      return 1;
-    }
-    sharded_engine = std::move(*created);
-    sharded_engine->set_caches_enabled(flags.cache);
-    auto svc =
-        ShardedPrecisService::Create(sharded_engine.get(), service_options);
-    if (!svc.ok()) {
-      std::fprintf(stderr, "service: %s\n", svc.status().ToString().c_str());
-      return 1;
-    }
-    service = std::move(*svc);
-    std::fprintf(stderr, "sharded execution: %zu shards%s\n",
-                 sharded_engine->num_shards(),
+  auto engine = PrecisEngine::Create(&dataset.db(), &dataset.graph(),
+                                     flags.shards, flags.replicas);
+  if (!engine.ok()) {
+    std::fprintf(stderr, "engine: %s\n", engine.status().ToString().c_str());
+    return 1;
+  }
+  engine->set_caches_enabled(flags.cache);
+  if (engine->num_partitions() >= 2) {
+    std::fprintf(stderr, "partitioned execution: %zu partitions%s\n",
+                 engine->num_partitions(),
                  flags.replicas ? " (with read replicas)" : "");
-  } else {
-    auto created = PrecisEngine::Create(&dataset.db(), &dataset.graph());
-    if (!created.ok()) {
-      std::fprintf(stderr, "engine: %s\n",
-                   created.status().ToString().c_str());
-      return 1;
-    }
-    engine = std::make_unique<PrecisEngine>(std::move(*created));
-    engine->set_caches_enabled(flags.cache);
-    auto svc = PrecisService::Create(engine.get(), service_options);
-    if (!svc.ok()) {
-      std::fprintf(stderr, "service: %s\n", svc.status().ToString().c_str());
-      return 1;
-    }
-    service = std::move(*svc);
+  }
+  auto service = PrecisService::Create(&*engine, service_options);
+  if (!service.ok()) {
+    std::fprintf(stderr, "service: %s\n",
+                 service.status().ToString().c_str());
+    return 1;
   }
 
   HttpServer::Options server_options;
@@ -233,7 +215,7 @@ int ServeMain(int argc, char** argv) {
   server_options.port = static_cast<uint16_t>(flags.port);
   server_options.io_threads = flags.io_threads;
   server_options.chaos_spec = flags.chaos;
-  auto server = HttpServer::Create({{"default", service.get()}},
+  auto server = HttpServer::Create({{"default", service->get()}},
                                    server_options);
   if (!server.ok()) {
     std::fprintf(stderr, "server: %s\n", server.status().ToString().c_str());
@@ -266,7 +248,7 @@ int ServeMain(int argc, char** argv) {
   }
   std::fprintf(stderr, "shutting down...\n");
   (*server)->Stop();        // stop accepting, drain in-flight responses
-  service->Shutdown();      // then stop the query workers
+  (*service)->Shutdown();   // then stop the query workers
   HttpServer::Metrics m = (*server)->metrics();
   std::fprintf(stderr,
                "served %llu requests (%llu 2xx, %llu 4xx, %llu shed, "

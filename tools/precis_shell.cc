@@ -43,7 +43,6 @@
 #include "precis/json_export.h"
 #include "semistructured/document.h"
 #include "semistructured/shredder.h"
-#include "shard/sharded_engine.h"
 #include "storage/serialization.h"
 #include "translator/translator.h"
 
@@ -76,10 +75,10 @@ constexpr const char* kHelp = R"(commands:
   set parallelism N        intra-query parallel generation on N-way task
                            pool fan-out (1 = inline); output is
                            byte-identical at any setting
-  set shards N             partition the dataset across N engine shards
-                           (scatter-gather execution, DESIGN.md §15);
-                           1 = single engine; answers are byte-identical
-                           at any setting
+  set shards N             serve N >= 2 hash partitions of a copy of the
+                           dataset (scatter-gather execution, DESIGN.md
+                           §15); 1 reads the dataset in place; answers
+                           are byte-identical at any setting
   deadline MS              per-query wall-clock deadline in ms (0 = off);
                            an expired query returns its partial answer
   budget N                 per-query access budget: max index probes + tuple
@@ -104,8 +103,6 @@ struct ShellState {
   std::unique_ptr<Database> db;
   std::unique_ptr<SchemaGraph> graph;
   std::unique_ptr<PrecisEngine> engine;
-  /// Non-null (and engine null) when 'set shards N>=2' is active.
-  std::unique_ptr<ShardedPrecisEngine> sharded_engine;
   std::unique_ptr<TemplateCatalog> catalog;  // set for the movies dataset
 
   double min_weight = 0.9;
@@ -113,7 +110,7 @@ struct ShellState {
   size_t tuples_per_relation = 5;
   SubsetStrategy strategy = SubsetStrategy::kAuto;
   size_t parallelism = 1;  // >= 2: parallel db generation (DESIGN.md §11)
-  size_t shards = 1;       // >= 2: scatter-gather engine (DESIGN.md §15)
+  size_t shards = 1;       // >= 2: partitioned engine (DESIGN.md §15)
   bool trace_sql = false;
   bool caches_enabled = false;  // token + schema + answer caches
   double deadline_ms = 0.0;     // 0 = no deadline
@@ -129,29 +126,17 @@ struct ShellState {
   std::shared_ptr<const PrecisAnswer> last_answer;
   /// The context the last query ran under (for 'stats' and 'trace').
   std::unique_ptr<ExecutionContext> last_context;
-  /// Scatter-gather telemetry of the last sharded query (for 'stats').
+  /// Scatter-gather telemetry of the last partitioned query (for 'stats').
   ShardQueryStats last_shard_stats;
-
-  bool HasEngine() const {
-    return engine != nullptr || sharded_engine != nullptr;
-  }
 
   Status RebuildEngine() {
     last_answer.reset();
     engine.reset();
-    sharded_engine.reset();
-    if (shards >= 2) {
-      auto result = ShardedPrecisEngine::Create(*db, graph.get(), shards);
-      if (!result.ok()) return result.status();
-      sharded_engine = std::move(*result);
-      sharded_engine->set_caches_enabled(caches_enabled);
-    } else {
-      auto engine_result = PrecisEngine::Create(db.get(), graph.get());
-      if (!engine_result.ok()) return engine_result.status();
-      engine = std::make_unique<PrecisEngine>(std::move(*engine_result));
-      // A fresh engine starts with empty caches; re-apply the setting.
-      engine->set_caches_enabled(caches_enabled);
-    }
+    auto result = PrecisEngine::Create(db.get(), graph.get(), shards);
+    if (!result.ok()) return result.status();
+    engine = std::make_unique<PrecisEngine>(std::move(*result));
+    // A fresh engine starts with empty caches; re-apply the setting.
+    engine->set_caches_enabled(caches_enabled);
     return Status::OK();
   }
 };
@@ -352,7 +337,7 @@ Status CmdSet(ShellState* state, const std::vector<std::string>& args) {
     if (state->shards >= 2) {
       std::printf("shards: %zu (scatter-gather execution)\n", state->shards);
     } else {
-      std::printf("shards: 1 (single engine)\n");
+      std::printf("shards: 1 (dataset read in place)\n");
     }
   } else if (key == "trace" && args.size() == 2) {
     state->trace_sql = (args[1] == "on");
@@ -363,9 +348,6 @@ Status CmdSet(ShellState* state, const std::vector<std::string>& args) {
     state->caches_enabled = (args[1] == "on");
     if (state->engine != nullptr) {
       state->engine->set_caches_enabled(state->caches_enabled);
-    }
-    if (state->sharded_engine != nullptr) {
-      state->sharded_engine->set_caches_enabled(state->caches_enabled);
     }
   } else if (key == "join" && args.size() == 4) {
     if (state->graph == nullptr) {
@@ -388,7 +370,7 @@ Status CmdSet(ShellState* state, const std::vector<std::string>& args) {
 }
 
 Status CmdQuery(ShellState* state, const std::vector<std::string>& args) {
-  if (!state->HasEngine()) {
+  if (state->engine == nullptr) {
     return Status::InvalidArgument("no dataset loaded; use 'dataset' first");
   }
   if (args.empty()) {
@@ -429,17 +411,12 @@ Status CmdQuery(ShellState* state, const std::vector<std::string>& args) {
   if (state->injector.armed()) ctx->SetFaultInjector(&state->injector);
 
   // AnswerShared serves from the full-answer cache when 'set cache on' is
-  // active (trace runs bypass it); otherwise it builds a fresh answer. The
-  // sharded path scatter-gathers and reports where the work landed.
+  // active (trace runs bypass it); otherwise it builds a fresh answer. A
+  // partitioned engine also reports where the scattered work landed.
   state->last_shard_stats = ShardQueryStats();
-  auto result =
-      state->sharded_engine != nullptr
-          ? state->sharded_engine->AnswerShared(PrecisQuery{tokens}, *degree,
-                                                *cardinality, options,
-                                                ctx.get(),
-                                                &state->last_shard_stats)
-          : state->engine->AnswerShared(PrecisQuery{tokens}, *degree,
-                                        *cardinality, options, ctx.get());
+  auto result = state->engine->AnswerShared(PrecisQuery{tokens}, *degree,
+                                            *cardinality, options, ctx.get(),
+                                            &state->last_shard_stats);
   state->last_context = std::move(ctx);
   if (!result.ok()) return result.status();
   std::shared_ptr<const PrecisAnswer> answer = std::move(*result);
@@ -531,7 +508,7 @@ Status CmdStats(ShellState* state) {
                   g.sequential_scans.load(std::memory_order_relaxed)),
               static_cast<unsigned long long>(
                   g.statements.load(std::memory_order_relaxed)));
-  if (state->caches_enabled && state->HasEngine()) {
+  if (state->caches_enabled && state->engine != nullptr) {
     auto print_cache = [](const char* level, const LruCacheStats& s) {
       std::printf("cache %-7s hits=%llu misses=%llu evictions=%llu "
                   "entries=%llu bytes=%llu hit-rate=%.2f\n",
@@ -542,35 +519,27 @@ Status CmdStats(ShellState* state) {
                   static_cast<unsigned long long>(s.charge_bytes),
                   s.hit_rate());
     };
-    if (state->sharded_engine != nullptr) {
-      LruCacheStats partial_total;
-      for (size_t s = 0; s < state->sharded_engine->num_shards(); ++s) {
-        partial_total += state->sharded_engine->shard_partial_cache_stats(s);
-      }
-      print_cache("partial:", partial_total);
-      print_cache("schema:", state->sharded_engine->schema_cache_stats());
-      print_cache("answer:", state->sharded_engine->answer_cache_stats());
-      print_cache("body:", state->sharded_engine->body_cache_stats());
-    } else {
-      print_cache("token:", state->engine->token_cache_stats());
-      print_cache("schema:", state->engine->schema_cache_stats());
-      print_cache("answer:", state->engine->answer_cache_stats());
-      print_cache("body:", state->engine->body_cache_stats());
-    }
+    print_cache("token:", state->engine->token_cache_stats());
+    print_cache("schema:", state->engine->schema_cache_stats());
+    print_cache("answer:", state->engine->answer_cache_stats());
+    print_cache("body:", state->engine->body_cache_stats());
   }
-  if (state->sharded_engine != nullptr) {
-    // Per-shard residency plus what the last query scattered to each shard
-    // (subqueries, physical charges, peak prefetch scratch — the sharded
-    // analog of the arena peak) and the shard's partial-cache hits.
+  const ShardHealthTracker* health =
+      state->engine != nullptr ? state->engine->health() : nullptr;
+  if (health != nullptr) {
+    // Per-partition residency plus what the last query scattered to each
+    // partition (subqueries, physical charges, peak prefetch scratch — the
+    // partitioned analog of the arena peak) and its token-cache hits.
+    const PrecisEngine& engine = *state->engine;
     const ShardQueryStats& sq = state->last_shard_stats;
-    for (size_t s = 0; s < state->sharded_engine->num_shards(); ++s) {
-      LruCacheStats pc = state->sharded_engine->shard_partial_cache_stats(s);
+    for (size_t s = 0; s < engine.num_partitions(); ++s) {
+      LruCacheStats pc = engine.index(s).lookup_cache_stats();
       std::printf(
           "shard %zu:    tuples=%llu subqueries=%llu charges=%llu "
           "scratch-peak=%llu cache-hits=%llu\n",
           s,
           static_cast<unsigned long long>(
-              state->sharded_engine->shard_tuples(s)),
+              engine.partitions()->shard(s).TotalTuples()),
           static_cast<unsigned long long>(
               s < sq.subqueries.size() ? sq.subqueries[s] : 0),
           static_cast<unsigned long long>(
@@ -586,8 +555,8 @@ Status CmdStats(ShellState* state) {
     }
     // Fault-domain health (DESIGN.md §17): per-shard breaker snapshot and
     // the engine-lifetime hedge/skip ledger.
-    for (size_t s = 0; s < state->sharded_engine->num_shards(); ++s) {
-      CircuitBreakerStats b = state->sharded_engine->breaker_stats(s);
+    for (size_t s = 0; s < engine.num_partitions(); ++s) {
+      CircuitBreakerStats b = health->breaker(s).stats();
       std::printf(
           "breaker %zu:  state=%s failures=%llu opened=%llu rejected=%llu "
           "half-open-probes=%llu\n",
@@ -597,15 +566,14 @@ Status CmdStats(ShellState* state) {
           static_cast<unsigned long long>(b.rejected_total),
           static_cast<unsigned long long>(b.half_open_probes));
     }
-    const ShardHealthTracker& health = state->sharded_engine->health();
     std::printf(
         "health:     hedged=%llu hedge-wins=%llu shard-skips=%llu\n",
         static_cast<unsigned long long>(
-            health.hedged_subqueries.load(std::memory_order_relaxed)),
+            health->hedged_subqueries.load(std::memory_order_relaxed)),
         static_cast<unsigned long long>(
-            health.hedge_wins.load(std::memory_order_relaxed)),
+            health->hedge_wins.load(std::memory_order_relaxed)),
         static_cast<unsigned long long>(
-            health.shard_skips.load(std::memory_order_relaxed)));
+            health->shard_skips.load(std::memory_order_relaxed)));
     if (!sq.shards_skipped.empty()) {
       std::printf("last query: skipped shards");
       for (uint32_t s : sq.shards_skipped) std::printf(" %u", s);
