@@ -64,7 +64,7 @@ double MeanMovieWeight(const Database& result, const Database& source) {
   size_t n = (*out_movie)->num_tuples();
   if (n == 0) return 0.0;
   for (Tid tid = 0; tid < n; ++tid) {
-    const Value& mid = (*out_movie)->tuple(tid)[*out_mid];
+    const Value mid = (*out_movie)->ColumnValue(tid, *out_mid);
     auto src_tids = (*src_movie)->LookupEquals("mid", mid);
     if (src_tids.ok() && !src_tids->empty()) {
       total += RecencyWeights().Weight("MOVIE", (*src_tids)[0]);

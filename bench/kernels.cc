@@ -2,10 +2,11 @@
 //
 //   * index_probe     — ColumnIndex equality probes (LookupEquals through
 //                       the open-addressing table) on a join attribute.
-//   * fetch_project   — materializing projected tuples for a tid list, row
-//                       path (tuple heap walk + per-cell copy) vs the
-//                       columnar ProjectRows kernel, identical output
-//                       required cell-for-cell.
+//   * fetch_project   — materializing projected tuples for a tid list:
+//                       the columnar ProjectRows kernel vs a row path over
+//                       a bench-local row-major copy of the relation
+//                       (per-tuple charge + per-cell copy), identical
+//                       output required cell-for-cell.
 //   * token_lookup    — InvertedIndex::Lookup over words drawn from the
 //                       indexed text (symbol-id postings path).
 //   * scan_equals     — Column::ScanEquals (SIMD-dispatched) vs the scalar
@@ -21,7 +22,7 @@
 // columnar cells vs row cells, SIMD tids vs scalar tids, batched postings
 // vs sequential, every known word and phrase found); full mode
 // additionally gates on the columnar fetch+project kernel not being slower
-// than the row path it replaced. ci.sh runs the smoke form:
+// than the row copy. ci.sh runs the smoke form:
 //
 //   PRECIS_BENCH_MOVIES=300 PRECIS_BENCH_SMOKE=1 ./kernels_bench
 //
@@ -116,7 +117,7 @@ int Main() {
       auto probed = cast.LookupEquals("mid", key);
       std::vector<Tid> scanned;
       for (Tid t = 0; t < cast.num_tuples(); ++t) {
-        if (cast.tuple(t)[attr_mid] == key) scanned.push_back(t);
+        if (cast.ColumnValue(t, attr_mid) == key) scanned.push_back(t);
       }
       if (!probed.ok() || *probed != scanned) {
         std::fprintf(stderr, "index_probe mismatch for key %s\n",
@@ -127,13 +128,16 @@ int Main() {
     rows.push_back({"index_probe", ms, keys->size(), double(hits)});
   }
 
-  // --- fetch_project: the dbgen chunk-materialization kernel, before vs
-  // after. Before: one charged FetchPrevalidated per tuple plus per-cell
-  // copies out of the row heap (what the chunk tasks used to run). After:
-  // one bulk ProjectRows call over the columnar mirror. Both charge the
+  // --- fetch_project: the dbgen chunk-materialization kernel, one bulk
+  // ProjectRows call over the columns, against a row path over a
+  // row-major copy of MOVIE built here before timing: one charged fetch
+  // per tuple plus per-cell copies out of the row vector. Both charge the
   // same tuple-fetch totals.
   {
     std::vector<Tid> tids = movie.AllTids();
+    std::vector<Tuple> row_copy;
+    row_copy.reserve(tids.size());
+    for (Tid t : tids) row_copy.push_back(movie.tuple(t));
     const std::vector<size_t> projection = {1, 2};  // title, year
     const size_t width = projection.size();
     std::vector<Value> row_out(tids.size() * width);
@@ -143,7 +147,8 @@ int Main() {
 
     double row_ms = BestOf(reps, [&] {
       for (size_t i = 0; i < tids.size(); ++i) {
-        const Tuple& t = *movie.FetchPrevalidated(tids[i], &row_ctx);
+        row_ctx.ChargeTupleFetch();
+        const Tuple& t = row_copy[tids[i]];
         for (size_t j = 0; j < width; ++j) {
           row_out[i * width + j] = t[projection[j]];
         }
@@ -284,7 +289,7 @@ int Main() {
     ColumnIndex index(DataType::kInt64);
     const size_t attr_mid = 1;
     for (Tid t = 0; t < cast.num_tuples(); ++t) {
-      index.Insert(cast.tuple(t)[attr_mid], t);
+      index.Insert(cast.ColumnValue(t, attr_mid), t);
     }
     std::vector<const std::vector<Tid>*> batched(keys->size());
     std::vector<const std::vector<Tid>*> sequential(keys->size());
@@ -331,13 +336,13 @@ int Main() {
   out << "  ]\n}\n";
   out.close();
 
-  // Full-mode perf gate: the columnar kernel must not lose to the row path
-  // it replaced (smoke datasets are too small to time meaningfully).
+  // Full-mode perf gate: the columnar kernel must not lose to the row copy
+  // (smoke datasets are too small to time meaningfully).
   if (!smoke) {
     for (const KernelRow& r : rows) {
       if (r.name == "fetch_project_columnar" && r.aux < 1.0) {
         std::fprintf(stderr,
-                     "GATE FAILED: columnar fetch+project %.2fx of row path "
+                     "GATE FAILED: columnar fetch+project %.2fx of row copy "
                      "(need >= 1.0x)\n",
                      r.aux);
         return 1;

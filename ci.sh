@@ -14,7 +14,8 @@
 #                         throughput or any query fails under injected
 #                         faults — robustness gates, DESIGN.md §12),
 #                         bench/kernels in smoke mode (fails when a columnar
-#                         kernel disagrees with the row path, when the SIMD
+#                         kernel disagrees with a row-major copy of the
+#                         relation it read, when the SIMD
 #                         ScanEquals emits different tids than the scalar
 #                         reference, or when a batched index probe differs
 #                         from sequential lookups — data-layout equivalence

@@ -180,7 +180,7 @@ Status KeywordSearchBaseline::ExecuteNetwork(
         auto t = relations[i]->Get(tid);
         if (!t.ok()) return t.status();
         assignment[i] = tid;
-        tuples[i] = **t;
+        tuples[i] = std::move(*t);
         PRECIS_RETURN_NOT_OK(fill(i + 1));
         if (results->size() >= options.max_results) return Status::OK();
       }
@@ -208,7 +208,7 @@ Status KeywordSearchBaseline::ExecuteNetwork(
       auto t = relations[i]->Get(tid);
       if (!t.ok()) return t.status();
       assignment[i] = tid;
-      tuples[i] = **t;
+      tuples[i] = std::move(*t);
       PRECIS_RETURN_NOT_OK(fill(i + 1));
       if (results->size() >= options.max_results) return Status::OK();
     }

@@ -107,8 +107,7 @@ Result<std::string> RandomToken(const Database& db,
   if (!idx.ok()) return idx.status();
   size_t n = (*rel)->num_tuples();
   if (n == 0) return Status::NotFound("relation '" + relation + "' is empty");
-  const Value& v = (*rel)->tuple(rng->Index(n))[*idx];
-  return v.ToString();
+  return (*rel)->ColumnValue(rng->Index(n), *idx).ToString();
 }
 
 }  // namespace precis

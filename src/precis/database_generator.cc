@@ -65,7 +65,6 @@ namespace precis {
 using dbgen_internal::DegradationFor;
 using dbgen_internal::EmittedAttributeIndices;
 using dbgen_internal::FaultsArmed;
-using dbgen_internal::ForeignKeyHolds;
 using dbgen_internal::IsToOne;
 using dbgen_internal::RenderSeedSql;
 
@@ -122,7 +121,6 @@ struct MaterializedChunk {
 struct PlannedRelation {
   std::unique_ptr<SourceRelation> source;
   std::vector<size_t> emitted;  // emitted attribute indices (sorted)
-  bool identity = false;        // emitted == full schema order
 
   std::vector<Tid> accepted;  // Fig. 5 collection order
   std::unordered_set<Tid> seen;
@@ -292,10 +290,6 @@ class DatabaseRelation final : public SourceRelation {
                    ExecutionContext* ctx) const override {
     relation_->ProjectRows(tids, n, projection, out, ctx);
   }
-  void ProjectRowsAll(const Tid* tids, size_t n, Value* out,
-                      ExecutionContext* ctx) const override {
-    relation_->ProjectRowsAll(tids, n, out, ctx);
-  }
   std::unique_ptr<KeyLookup> LookupKeys(const std::string& attribute,
                                         const std::vector<Value>& keys,
                                         TaskPool* /*pool*/) const override;
@@ -399,8 +393,6 @@ Result<Database> ResultDatabaseGenerator::Plan(
     p.source = std::move(*opened);
     p.emitted =
         EmittedAttributeIndices(schema, rel, options.include_join_attributes);
-    p.identity = IsIdentityProjection(p.emitted,
-                                      p.source->schema().num_attributes());
     p.track_arrivals = options.path_aware_propagation;
   }
   size_t total = 0;
@@ -522,8 +514,7 @@ Result<Database> ResultDatabaseGenerator::Plan(
                                          alignof(MaterializedChunk)))
           MaterializedChunk();
       chunk->count = count;
-      chunk->width = p.identity ? p.source->schema().num_attributes()
-                                : p.emitted.size();
+      chunk->width = p.emitted.size();
       Tid* tids = arena->AllocateArray<Tid>(count);
       std::copy(p.accepted.begin() + begin, p.accepted.begin() + begin + count,
                 tids);
@@ -531,9 +522,8 @@ Result<Database> ResultDatabaseGenerator::Plan(
       chunk->cells = arena->AllocateArray<Value>(count * chunk->width);
       const SourceRelation* src = p.source.get();
       const std::vector<size_t>* emitted = &p.emitted;  // stable (node map)
-      const bool identity = p.identity;
       p.chunks.push_back(chunk);
-      group.Run([chunk, src, emitted, identity, latency_ns, ctx] {
+      group.Run([chunk, src, emitted, latency_ns, ctx] {
         if (latency_ns != 0) {
           // The chunk's whole simulated I/O wait in one sleep: the same
           // total per accepted tuple whether chunks run inline or overlap.
@@ -544,12 +534,8 @@ Result<Database> ResultDatabaseGenerator::Plan(
         // never consults the fault injector — fault decisions live on the
         // planner thread only, which keeps fault sequences deterministic
         // (DESIGN.md §12).
-        if (identity) {
-          src->ProjectRowsAll(chunk->tids, chunk->count, chunk->cells, ctx);
-        } else {
-          src->ProjectRows(chunk->tids, chunk->count, *emitted, chunk->cells,
-                           ctx);
-        }
+        src->ProjectRows(chunk->tids, chunk->count, *emitted, chunk->cells,
+                         ctx);
       });
     }
   };
@@ -931,10 +917,12 @@ Result<Database> ResultDatabaseGenerator::Plan(
     Relation* out = out_relations[i];
     Status* slot = &insert_status[i];
     group.Run([p, out, slot] {
+      Tuple tuple;  // Insert copies into the columns: one buffer serves all
       for (const MaterializedChunk* chunk : p->chunks) {
         for (size_t r = 0; r < chunk->count; ++r) {
           const Value* row = chunk->cells + r * chunk->width;
-          auto tid = out->Insert(Tuple(row, row + chunk->width));
+          tuple.assign(row, row + chunk->width);
+          auto tid = out->Insert(tuple);
           if (!tid.ok()) {
             *slot = tid.status();
             return;
@@ -973,7 +961,8 @@ Result<Database> ResultDatabaseGenerator::Plan(
   for (FkCheck& check : checks) {  // `checks` is fully built: stable refs
     FkCheck* slot = &check;
     const Database* res = &result;
-    group.Run([res, slot] { slot->holds = ForeignKeyHolds(*res, *slot->fk); });
+    group.Run(
+        [res, slot] { slot->holds = res->CheckForeignKey(*slot->fk).ok(); });
   }
   group.Wait();
   for (const FkCheck& check : checks) {

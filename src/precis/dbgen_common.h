@@ -3,8 +3,9 @@
 //
 // The planner's determinism guarantee ("byte-identical output to the
 // classic walk") rests on the two computing the same emitted attribute
-// sets, the same SQL trace text, the same FK-holds verdicts and the same
-// degradation-report order from the same inputs, so both use these.
+// sets, the same SQL trace text and the same degradation-report order from
+// the same inputs, so both use these. (Both take their FK-holds verdicts
+// from Database::CheckForeignKey.)
 
 #ifndef PRECIS_PRECIS_DBGEN_COMMON_H_
 #define PRECIS_PRECIS_DBGEN_COMMON_H_
@@ -12,7 +13,6 @@
 #include <cstdint>
 #include <set>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "precis/database_generator.h"
@@ -83,53 +83,6 @@ inline std::string RenderSeedSql(const RelationSchema& schema,
   }
   sql += ")";
   return sql;
-}
-
-/// True if `fk` holds on the (already emitted) data of `db`: every non-NULL
-/// child value appears among the parent values.
-inline bool ForeignKeyHolds(const Database& db, const ForeignKey& fk) {
-  auto child = db.GetRelation(fk.child_relation);
-  auto parent = db.GetRelation(fk.parent_relation);
-  if (!child.ok() || !parent.ok()) return false;
-  auto child_idx = (*child)->schema().AttributeIndex(fk.child_attribute);
-  auto parent_idx = (*parent)->schema().AttributeIndex(fk.parent_attribute);
-  if (!child_idx.ok() || !parent_idx.ok()) return false;
-  const Column& child_col = (*child)->column(*child_idx);
-  const Column& parent_col = (*parent)->column(*parent_idx);
-  if (child_col.type() == parent_col.type()) {
-    // Same-type columns: compare canonical 64-bit key bits straight off the
-    // columnar payload instead of hashing 40-byte Values. Semantics match
-    // Value equality exactly: NULLs are skipped on the child side and
-    // contribute nothing on the parent side; a NaN child value equals
-    // nothing (CanonicalBits -> nullopt, like NaN self-inequality under
-    // Value::operator==); a NaN parent value can never be matched, so
-    // skipping its insert is unobservable; -0.0 canonicalizes to +0.0 on
-    // both sides.
-    const DataType type = child_col.type();
-    std::unordered_set<uint64_t> parent_bits;
-    parent_bits.reserve(parent_col.size());
-    for (Tid tid = 0; tid < parent_col.size(); ++tid) {
-      if (parent_col.IsNull(tid)) continue;
-      auto bits = Column::CanonicalBits(parent_col.raw_bits(tid), type);
-      if (bits) parent_bits.insert(*bits);
-    }
-    for (Tid tid = 0; tid < child_col.size(); ++tid) {
-      if (child_col.IsNull(tid)) continue;
-      auto bits = Column::CanonicalBits(child_col.raw_bits(tid), type);
-      if (!bits || parent_bits.count(*bits) == 0) return false;
-    }
-    return true;
-  }
-  std::unordered_set<Value, ValueHash> parent_values;
-  for (Tid tid = 0; tid < (*parent)->num_tuples(); ++tid) {
-    parent_values.insert((*parent)->tuple(tid)[*parent_idx]);
-  }
-  for (Tid tid = 0; tid < (*child)->num_tuples(); ++tid) {
-    const Value& v = (*child)->tuple(tid)[*child_idx];
-    if (v.is_null()) continue;
-    if (parent_values.count(v) == 0) return false;
-  }
-  return true;
 }
 
 /// True if the join edge is to-1: its destination attribute is the

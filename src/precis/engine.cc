@@ -31,8 +31,11 @@ size_t EstimateAnswerCharge(const PrecisAnswer& answer) {
     charge += m.token.capacity() + m.resolved_token.capacity() +
               EstimateOccurrencesCharge(m.occurrences());
   }
-  // Result databases dominate: charge a rough per-tuple footprint (a Tuple
-  // is a vector of tagged values, typically a few short strings).
+  // Result databases dominate: charge a flat 96 bytes per tuple. A stored
+  // tuple is one 8-byte payload per attribute in its relation's columns
+  // (plus a primary-key set entry), so this overestimates narrow result
+  // relations; the constant stays because it sets how many answers the
+  // answer cache holds.
   charge += answer.database.TotalTuples() * 96;
   charge += EstimateSchemaCharge(answer.schema);
   return charge;

@@ -81,10 +81,9 @@ void AppendRelation(std::string* out, const Relation& relation) {
   for (Tid tid = 0; tid < relation.num_tuples(); ++tid) {
     if (tid > 0) *out += ",";
     *out += "[";
-    const Tuple& tuple = relation.tuple(tid);
-    for (size_t i = 0; i < tuple.size(); ++i) {
+    for (size_t i = 0; i < schema.num_attributes(); ++i) {
       if (i > 0) *out += ",";
-      AppendValueJson(out, tuple[i]);
+      AppendValueJson(out, relation.ColumnValue(tid, i));
     }
     *out += "]";
   }

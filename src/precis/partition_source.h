@@ -80,9 +80,6 @@ class SourceRelation {
   virtual void ProjectRows(const Tid* tids, size_t n,
                            const std::vector<size_t>& projection, Value* out,
                            ExecutionContext* ctx) const = 0;
-  /// Identity-projection variant (all attributes in schema order).
-  virtual void ProjectRowsAll(const Tid* tids, size_t n, Value* out,
-                              ExecutionContext* ctx) const = 0;
 
   /// The lookups of one join edge over `keys` (which must outlive the
   /// result). `pool` is where the source may scatter work; null means the

@@ -64,7 +64,7 @@ Status WeightsFromNumericAttribute(const Database& db,
   double max = 0.0;
   bool any = false;
   for (Tid tid = 0; tid < (*rel)->num_tuples(); ++tid) {
-    const Value& v = (*rel)->tuple(tid)[*idx];
+    const Value v = (*rel)->ColumnValue(tid, *idx);
     if (v.is_null()) continue;
     double x = numeric(v);
     if (!any || x < min) min = x;
@@ -76,7 +76,7 @@ Status WeightsFromNumericAttribute(const Database& db,
   if (any) {
     double span = max - min;
     for (Tid tid = 0; tid < (*rel)->num_tuples(); ++tid) {
-      const Value& v = (*rel)->tuple(tid)[*idx];
+      const Value v = (*rel)->ColumnValue(tid, *idx);
       if (v.is_null()) continue;
       double frac = span > 0.0 ? (numeric(v) - min) / span : 1.0;
       weights[tid] = lo + (hi - lo) * frac;

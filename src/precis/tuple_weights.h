@@ -8,7 +8,7 @@
 // cardinality constraint, ranked selection keeps the heaviest tuples
 // instead of an arbitrary prefix (NaiveQ) or a uniform spread (RoundRobin):
 // the précis of a prolific director then shows their *important* movies,
-// not whichever ones the heap order surfaced first.
+// not whichever ones the storage order surfaced first.
 
 #ifndef PRECIS_PRECIS_TUPLE_WEIGHTS_H_
 #define PRECIS_PRECIS_TUPLE_WEIGHTS_H_

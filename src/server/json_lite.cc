@@ -159,7 +159,7 @@ class Parser {
         case 'r': out->push_back('\r'); break;
         case 't': out->push_back('\t'); break;
         case 'u': {
-          uint32_t cp;
+          uint32_t cp = 0;
           PRECIS_RETURN_NOT_OK(ParseHex4(&cp));
           // Surrogate pair: a high surrogate must be followed by \uDC00-
           // \uDFFF; combine into one code point.
@@ -167,7 +167,7 @@ class Parser {
             if (pos_ + 1 < text_.size() && text_[pos_] == '\\' &&
                 text_[pos_ + 1] == 'u') {
               pos_ += 2;
-              uint32_t lo;
+              uint32_t lo = 0;
               PRECIS_RETURN_NOT_OK(ParseHex4(&lo));
               if (lo < 0xDC00 || lo > 0xDFFF) {
                 return Error("invalid low surrogate");

@@ -73,12 +73,11 @@ Result<std::vector<Tid>> ShardedRelation::ShardLookupGlobal(
 }
 
 void ShardedRelation::ProjectRowsScatter(
-    const Tid* tids, size_t n, const std::vector<size_t>* projection,
+    const Tid* tids, size_t n, const std::vector<size_t>& projection,
     Value* out, ExecutionContext* ctx,
     std::vector<uint64_t>* shard_fetches) const {
   const size_t shards = shard_rel_.size();
-  const size_t width =
-      projection != nullptr ? projection->size() : schema_.num_attributes();
+  const size_t width = projection.size();
   // Group the chunk's global tids by owning shard, preserving each tid's
   // output row so the scatter-back lands cells exactly where the
   // single-engine kernel would.
@@ -93,13 +92,8 @@ void ShardedRelation::ProjectRowsScatter(
   for (size_t s = 0; s < shards; ++s) {
     if (locals[s].empty()) continue;
     tmp.resize(locals[s].size() * width);
-    if (projection != nullptr) {
-      shard_rel_[s]->ProjectRows(locals[s].data(), locals[s].size(),
-                                 *projection, tmp.data(), ctx);
-    } else {
-      shard_rel_[s]->ProjectRowsAll(locals[s].data(), locals[s].size(),
-                                    tmp.data(), ctx);
-    }
+    shard_rel_[s]->ProjectRows(locals[s].data(), locals[s].size(),
+                               projection, tmp.data(), ctx);
     for (size_t j = 0; j < locals[s].size(); ++j) {
       std::copy(tmp.begin() + j * width, tmp.begin() + (j + 1) * width,
                 out + rows[s][j] * width);
@@ -179,12 +173,13 @@ Result<ShardedDatabase> ShardedDatabase::Partition(const Database& source,
     // strictly increasing, the property every deterministic merge uses.
     for (Tid g = 0; g < n; ++g) {
       size_t s = sharded.router_.ShardOf(view->seed_, g);
-      auto local = view->shard_rel_[s]->Insert(rel.tuple(g));
+      const Tuple tuple = rel.tuple(g);
+      auto local = view->shard_rel_[s]->Insert(tuple);
       if (!local.ok()) return local.status();
       if (with_replicas) {
         // Same tuple, same routed order: the replica's local tids line up
         // with the primary's, so local_to_global_ serves both copies.
-        auto replica_local = view->replica_rel_[s]->Insert(rel.tuple(g));
+        auto replica_local = view->replica_rel_[s]->Insert(tuple);
         if (!replica_local.ok()) return replica_local.status();
       }
       view->owner_.push_back(static_cast<uint32_t>(s));

@@ -66,8 +66,8 @@ class ShardedRelation {
     return local_to_global_[shard][local_tid];
   }
 
-  /// Uncharged single-attribute read, routed to the owning shard's columnar
-  /// mirror — the planner's join-key extraction path.
+  /// Uncharged single-attribute read, routed to the owning shard's columns
+  /// — the planner's join-key extraction path.
   Value ColumnValue(Tid global_tid, size_t attribute) const {
     return shard_rel_[owner_[global_tid]]->ColumnValue(local_of_[global_tid],
                                                        attribute);
@@ -112,13 +112,12 @@ class ShardedRelation {
   bool has_replicas() const { return !replica_rel_.empty(); }
 
   /// Bulk fetch+project of global tids: groups by owning shard, runs each
-  /// shard's columnar kernel (ProjectRows, or ProjectRowsAll when
-  /// `projection` is null), charging `ctx` the same n tuple fetches the
-  /// single-engine kernel pays, and scatters rows back into
+  /// shard's Relation::ProjectRows, charging `ctx` the same n tuple fetches
+  /// the single-engine kernel pays, and scatters rows back into
   /// `out[i * width + j]` aligned with `tids`. `shard_fetches` receives the
   /// per-shard fetch counts (the budget-ledger telemetry).
   void ProjectRowsScatter(const Tid* tids, size_t n,
-                          const std::vector<size_t>* projection, Value* out,
+                          const std::vector<size_t>& projection, Value* out,
                           ExecutionContext* ctx,
                           std::vector<uint64_t>* shard_fetches) const;
 

@@ -272,11 +272,13 @@ class ShardedSourceRelation final : public SourceRelation {
   void ProjectRows(const Tid* tids, size_t n,
                    const std::vector<size_t>& projection, Value* out,
                    ExecutionContext* ctx) const override {
-    Project(tids, n, &projection, out, ctx);
-  }
-  void ProjectRowsAll(const Tid* tids, size_t n, Value* out,
-                      ExecutionContext* ctx) const override {
-    Project(tids, n, nullptr, out, ctx);
+    std::vector<uint64_t> fetches(view_->num_shards(), 0);
+    view_->ProjectRowsScatter(tids, n, projection, out, ctx, &fetches);
+    for (size_t s = 0; s < fetches.size(); ++s) {
+      if (fetches[s] == 0) continue;
+      ledger_->fetches[s].fetch_add(fetches[s], std::memory_order_relaxed);
+      ledger_->chunks[s].fetch_add(1, std::memory_order_relaxed);
+    }
   }
   std::unique_ptr<KeyLookup> LookupKeys(const std::string& attribute,
                                         const std::vector<Value>& keys,
@@ -293,18 +295,6 @@ class ShardedSourceRelation final : public SourceRelation {
   }
 
  private:
-  void Project(const Tid* tids, size_t n,
-               const std::vector<size_t>* projection, Value* out,
-               ExecutionContext* ctx) const {
-    std::vector<uint64_t> fetches(view_->num_shards(), 0);
-    view_->ProjectRowsScatter(tids, n, projection, out, ctx, &fetches);
-    for (size_t s = 0; s < fetches.size(); ++s) {
-      if (fetches[s] == 0) continue;
-      ledger_->fetches[s].fetch_add(fetches[s], std::memory_order_relaxed);
-      ledger_->chunks[s].fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-
   const ShardedRelation* view_;
   const ShardQueryFaultPlan* plan_;
   ShardedSource::Ledger* ledger_;

@@ -45,8 +45,8 @@ Result<std::vector<Row>> FetchByTids(const Relation& relation,
   std::vector<Row> rows;
   size_t max_rows = limit.value_or(tids.size());
   rows.reserve(std::min(max_rows, tids.size()));
-  // Identity projections (every attribute, schema order) copy the whole
-  // tuple in one go instead of rebuilding it value by value.
+  // Identity projections (every attribute, schema order) keep the tuple Get
+  // materialized instead of rebuilding it value by value.
   const bool identity =
       IsIdentityProjection(projection, relation.schema().num_attributes());
   const bool faults = FaultsArmed(ctx);
@@ -58,8 +58,8 @@ Result<std::vector<Row>> FetchByTids(const Relation& relation,
                                            [&] { return relation.Get(tid, ctx); })
                         : relation.Get(tid, ctx);
     if (!tuple.ok()) return tuple.status();
-    rows.push_back(
-        Row{tid, identity ? **tuple : ProjectTuple(**tuple, projection)});
+    rows.push_back(Row{tid, identity ? std::move(*tuple)
+                                     : ProjectTuple(*tuple, projection)});
   }
   return rows;
 }
@@ -108,8 +108,8 @@ Result<std::vector<Row>> FetchByJoinValues(
                                     [&] { return relation.Get(tid, ctx); })
                  : relation.Get(tid, ctx);
       if (!tuple.ok()) return tuple.status();
-      rows.push_back(
-          Row{tid, identity ? **tuple : ProjectTuple(**tuple, projection)});
+      rows.push_back(Row{tid, identity ? std::move(*tuple)
+                                       : ProjectTuple(*tuple, projection)});
     }
   }
   return rows;
@@ -191,7 +191,7 @@ std::optional<Row> PerValueScanSet::Next(size_t i) {
     if (tuple.status().IsUnavailable()) ++dropped_fetches_;
     return std::nullopt;
   }
-  return Row{tid, ProjectTuple(**tuple, projection_)};
+  return Row{tid, ProjectTuple(*tuple, projection_)};
 }
 
 std::string PerValueScanSet::ToSql(const Relation& relation) const {

@@ -37,8 +37,8 @@ Tuple ProjectTuple(const Tuple& tuple, const std::vector<size_t>& projection);
 
 /// \brief True if `projection` selects all `num_attributes` attributes in
 /// schema order — i.e. projecting is the identity. The fetch paths detect
-/// this once per statement and copy whole tuples (one vector copy) instead
-/// of rebuilding them value by value per row.
+/// this once per statement and keep the tuple Relation::Get materialized
+/// instead of rebuilding it value by value per row.
 inline bool IsIdentityProjection(const std::vector<size_t>& projection,
                                  size_t num_attributes) {
   if (projection.size() != num_attributes) return false;

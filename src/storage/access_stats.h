@@ -23,7 +23,7 @@ namespace precis {
 struct AccessStats {
   /// Number of index lookups (one per probed key value).
   std::atomic<uint64_t> index_probes{0};
-  /// Number of tuples materialized from the heap by rowid.
+  /// Number of tuples fetched by rowid.
   std::atomic<uint64_t> tuple_fetches{0};
   /// Number of full-relation scans that had to fall back to sequential
   /// access because no index existed on the probed attribute.

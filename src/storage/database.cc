@@ -82,30 +82,47 @@ size_t Database::TotalTuples() const {
   return n;
 }
 
+Status Database::CheckForeignKey(const ForeignKey& fk) const {
+  auto child = GetRelation(fk.child_relation);
+  if (!child.ok()) return child.status();
+  auto parent = GetRelation(fk.parent_relation);
+  if (!parent.ok()) return parent.status();
+  auto child_idx = (*child)->schema().AttributeIndex(fk.child_attribute);
+  if (!child_idx.ok()) return child_idx.status();
+  auto parent_idx = (*parent)->schema().AttributeIndex(fk.parent_attribute);
+  if (!parent_idx.ok()) return parent_idx.status();
+  const Column& child_col = (*child)->column(*child_idx);
+  const Column& parent_col = (*parent)->column(*parent_idx);
+  const DataType type = child_col.type();
+  if (parent_col.type() != type) {
+    return Status::InvalidArgument("foreign key type mismatch: " +
+                                   fk.ToString());
+  }
+
+  // NULL parents contribute nothing and NaN parents can never be matched,
+  // so neither enters the set.
+  std::unordered_set<uint64_t> parent_bits;
+  parent_bits.reserve(parent_col.size());
+  for (Tid tid = 0; tid < parent_col.size(); ++tid) {
+    if (parent_col.IsNull(tid)) continue;
+    auto bits = Column::CanonicalBits(parent_col.raw_bits(tid), type);
+    if (bits) parent_bits.insert(*bits);
+  }
+  for (Tid tid = 0; tid < child_col.size(); ++tid) {
+    if (child_col.IsNull(tid)) continue;
+    auto bits = Column::CanonicalBits(child_col.raw_bits(tid), type);
+    if (!bits || parent_bits.count(*bits) == 0) {
+      return Status::ConstraintViolation(
+          "dangling foreign key " + fk.ToString() + ": value " +
+          child_col.GetValue(tid).ToString() + " has no parent");
+    }
+  }
+  return Status::OK();
+}
+
 Status Database::ValidateForeignKeys() const {
   for (const ForeignKey& fk : foreign_keys_) {
-    auto child = GetRelation(fk.child_relation);
-    if (!child.ok()) return child.status();
-    auto parent = GetRelation(fk.parent_relation);
-    if (!parent.ok()) return parent.status();
-    auto child_idx = (*child)->schema().AttributeIndex(fk.child_attribute);
-    if (!child_idx.ok()) return child_idx.status();
-    auto parent_idx = (*parent)->schema().AttributeIndex(fk.parent_attribute);
-    if (!parent_idx.ok()) return parent_idx.status();
-
-    std::unordered_set<Value, ValueHash> parent_values;
-    for (Tid tid = 0; tid < (*parent)->num_tuples(); ++tid) {
-      parent_values.insert((*parent)->tuple(tid)[*parent_idx]);
-    }
-    for (Tid tid = 0; tid < (*child)->num_tuples(); ++tid) {
-      const Value& v = (*child)->tuple(tid)[*child_idx];
-      if (v.is_null()) continue;
-      if (parent_values.count(v) == 0) {
-        return Status::ConstraintViolation(
-            "dangling foreign key " + fk.ToString() + ": value " +
-            v.ToString() + " has no parent");
-      }
-    }
+    PRECIS_RETURN_NOT_OK(CheckForeignKey(fk));
   }
   return Status::OK();
 }

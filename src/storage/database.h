@@ -61,8 +61,17 @@ class Database {
   /// Total tuples across all relations — the paper's card(D).
   size_t TotalTuples() const;
 
-  /// Checks every foreign key: each non-NULL child value must appear in the
-  /// parent attribute. Returns the first violation found, or OK.
+  /// Checks `fk` against this database's data, whether or not it is
+  /// declared here: every non-NULL child value must equal some parent value
+  /// under Value equality (-0.0 equals +0.0; NaN equals nothing, so a NaN
+  /// child dangles). Compares canonical column bits (Column::CanonicalBits)
+  /// instead of hashing Values. Returns the ConstraintViolation naming the
+  /// first dangling value, NotFound for a missing relation or attribute,
+  /// InvalidArgument for end points of different types, or OK.
+  Status CheckForeignKey(const ForeignKey& fk) const;
+
+  /// CheckForeignKey over every declared foreign key, in declaration order.
+  /// Returns the first violation found, or OK.
   Status ValidateForeignKeys() const;
 
   /// Cumulative access counters across all relations of this database.

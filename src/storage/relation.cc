@@ -1,7 +1,6 @@
 #include "storage/relation.h"
 
 #include <algorithm>
-#include <new>
 #include <numeric>
 #include <unordered_set>
 
@@ -9,7 +8,7 @@ namespace precis {
 
 const std::vector<Tid> ColumnIndex::kEmpty;
 
-Result<Tid> Relation::Insert(Tuple tuple) {
+Result<Tid> Relation::Insert(const Tuple& tuple) {
   if (tuple.size() != schema_.num_attributes()) {
     return Status::InvalidArgument(
         "tuple arity " + std::to_string(tuple.size()) + " != schema arity " +
@@ -30,7 +29,7 @@ Result<Tid> Relation::Insert(Tuple tuple) {
       return Status::ConstraintViolation("NULL primary key in relation '" +
                                          name() + "'");
     }
-    // pk_values_ mirrors the heap's key column, so uniqueness is O(1)
+    // pk_values_ holds the key column's values, so uniqueness is O(1)
     // whether or not an index exists on the key attribute.
     if (pk_values_.count(key) > 0) {
       return Status::ConstraintViolation(
@@ -39,23 +38,22 @@ Result<Tid> Relation::Insert(Tuple tuple) {
     }
     pk_values_.insert(key);
   }
-  Tid tid = heap_.size();
+  Tid tid = num_tuples_++;
   for (size_t pos = 0; pos < indexes_.size(); ++pos) {
     if (indexes_[pos] != nullptr) indexes_[pos]->Insert(tuple[pos], tid);
   }
   for (size_t pos = 0; pos < tuple.size(); ++pos) {
     columns_[pos].Append(tuple[pos]);
   }
-  heap_.push_back(std::move(tuple));
   BumpEpoch();
   return tid;
 }
 
-Result<const Tuple*> Relation::Get(Tid tid, ExecutionContext* ctx) const {
-  if (tid >= heap_.size()) {
+Result<Tuple> Relation::Get(Tid tid, ExecutionContext* ctx) const {
+  if (tid >= num_tuples_) {
     return Status::OutOfRange("tid " + std::to_string(tid) +
                               " out of range for relation '" + name() +
-                              "' with " + std::to_string(heap_.size()) +
+                              "' with " + std::to_string(num_tuples_) +
                               " tuples");
   }
   // The fault check sits after the bounds check (a bad tid is a caller bug,
@@ -65,12 +63,14 @@ Result<const Tuple*> Relation::Get(Tid tid, ExecutionContext* ctx) const {
     PRECIS_RETURN_NOT_OK(ctx->CheckFault(FaultSite::kTupleFetch));
   }
   CountTupleFetch(ctx);
-  return &heap_[tid];
+  return tuple(tid);
 }
 
-const Tuple* Relation::FetchPrevalidated(Tid tid, ExecutionContext* ctx) const {
-  CountTupleFetch(ctx);
-  return &heap_[tid];
+Tuple Relation::tuple(Tid tid) const {
+  Tuple out;
+  out.reserve(columns_.size());
+  for (const Column& col : columns_) out.push_back(col.GetValue(tid));
+  return out;
 }
 
 void Relation::ProjectRows(const Tid* tids, size_t n,
@@ -79,24 +79,7 @@ void Relation::ProjectRows(const Tid* tids, size_t n,
   CountTupleFetches(n, ctx);
   const size_t width = projection.size();
   for (size_t j = 0; j < width; ++j) {
-    const Column& col = columns_[projection[j]];
-    Value* cell = out + j;
-    for (size_t i = 0; i < n; ++i, cell += width) {
-      new (cell) Value(col.GetValue(tids[i]));
-    }
-  }
-}
-
-void Relation::ProjectRowsAll(const Tid* tids, size_t n, Value* out,
-                              ExecutionContext* ctx) const {
-  CountTupleFetches(n, ctx);
-  const size_t width = columns_.size();
-  for (size_t j = 0; j < width; ++j) {
-    const Column& col = columns_[j];
-    Value* cell = out + j;
-    for (size_t i = 0; i < n; ++i, cell += width) {
-      new (cell) Value(col.GetValue(tids[i]));
-    }
+    columns_[projection[j]].Gather(tids, n, out + j, width);
   }
 }
 
@@ -107,8 +90,9 @@ Status Relation::CreateIndex(const std::string& attribute_name) {
     indexes_.resize(schema_.num_attributes());
   }
   auto index = std::make_unique<ColumnIndex>(schema_.attribute(*idx).type);
-  for (Tid tid = 0; tid < heap_.size(); ++tid) {
-    index->Insert(heap_[tid][*idx], tid);
+  const Column& col = columns_[*idx];
+  for (Tid tid = 0; tid < num_tuples_; ++tid) {
+    index->Insert(col.GetValue(tid), tid);
   }
   indexes_[*idx] = std::move(index);
   // An index changes the access path (probe vs scan counts), so cached
@@ -147,10 +131,9 @@ Result<std::vector<Tid>> Relation::LookupEquals(
     PRECIS_RETURN_NOT_OK(ctx->CheckFault(FaultSite::kRelationScan));
   }
   CountSequentialScan(ctx);
-  // Column scan instead of row-heap scan: one contiguous pass over the
-  // attribute's bit vector, with the same match semantics as
-  // `heap_[tid][*idx] == key` (NULL matches NULL, NaN matches nothing,
-  // cross-type matches nothing).
+  // Column scan: one contiguous pass over the attribute's bit vector, with
+  // the match semantics of `ColumnValue(tid, *idx) == key` (NULL matches
+  // NULL, NaN matches nothing, cross-type matches nothing).
   std::vector<Tid> out;
   const Column& col = columns_[*idx];
   if (key.is_null()) {
@@ -174,7 +157,7 @@ void Relation::PrefetchEquals(const std::string& attribute_name,
 
 std::vector<Tid> Relation::AllTids() const {
   // Exact-size allocation up front; iota instead of an indexed loop.
-  std::vector<Tid> out(heap_.size());
+  std::vector<Tid> out(num_tuples_);
   std::iota(out.begin(), out.end(), Tid{0});
   return out;
 }
@@ -186,9 +169,9 @@ Result<std::vector<Value>> Relation::DistinctValues(
   std::unordered_set<Value, ValueHash> seen;
   // Reserve for the worst case (all values distinct) so neither the hash
   // set rehashes nor the output vector reallocates mid-scan.
-  seen.reserve(heap_.size());
+  seen.reserve(num_tuples_);
   std::vector<Value> out;
-  out.reserve(heap_.size());
+  out.reserve(num_tuples_);
   const Column& col = columns_[*idx];
   for (Tid tid = 0; tid < col.size(); ++tid) {
     Value v = col.GetValue(tid);

@@ -1,4 +1,4 @@
-// Relation: a rowid-stable in-memory heap of tuples plus hash indexes.
+// Relation: rowid-addressed in-memory columns of tuples plus hash indexes.
 
 #ifndef PRECIS_STORAGE_RELATION_H_
 #define PRECIS_STORAGE_RELATION_H_
@@ -21,7 +21,7 @@
 
 namespace precis {
 
-/// Tuple identifier: the position of a tuple in its relation's heap.
+/// Tuple identifier: the row position of a tuple in its relation's columns.
 /// Tids are stable — the engine is append-only (the précis workload never
 /// deletes from the source database; result databases are built fresh).
 using Tid = uint64_t;
@@ -30,13 +30,12 @@ using Tid = uint64_t;
 /// relation schema's attributes.
 using Tuple = std::vector<Value>;
 
-/// \brief A populated relation: schema + heap + indexes.
+/// \brief A populated relation: schema + columns + indexes.
 ///
-/// Storage is dual-layout (DESIGN.md §13): the row heap remains the
-/// authoritative store behind the pointer-returning Get/FetchPrevalidated
-/// API, while per-attribute Columns mirror it and serve the bulk kernels
-/// (ProjectRows, column scans) and the open-addressing equality indexes.
-/// Insert appends to both, so the mirrors can never diverge.
+/// Storage is columnar (DESIGN.md §13): one Column per attribute is the
+/// only copy of each tuple. Get and tuple() materialize a row from the
+/// columns on demand; the bulk kernels (ProjectRows, column scans) and the
+/// open-addressing equality indexes read the columns directly.
 ///
 /// All reads that the précis generators perform are instrumented through the
 /// AccessStats of the owning Database (see access_stats.h). Instrumented
@@ -57,51 +56,43 @@ class Relation {
 
   const RelationSchema& schema() const { return schema_; }
   const std::string& name() const { return schema_.name(); }
-  size_t num_tuples() const { return heap_.size(); }
+  size_t num_tuples() const { return num_tuples_; }
 
   /// Appends a tuple; validates arity and types, enforces primary-key
   /// uniqueness if a key is declared, and maintains all indexes.
   /// Returns the new tuple's tid.
-  Result<Tid> Insert(Tuple tuple);
+  Result<Tid> Insert(const Tuple& tuple);
 
-  /// Fetches a tuple by rowid (counted as one tuple fetch, attributed to
-  /// `ctx` when given).
-  Result<const Tuple*> Get(Tid tid, ExecutionContext* ctx = nullptr) const;
+  /// Fetches a tuple by rowid, materialized from the columns: bounds check,
+  /// then the kTupleFetch fault check, then one tuple-fetch charge
+  /// (attributed to `ctx` when given).
+  Result<Tuple> Get(Tid tid, ExecutionContext* ctx = nullptr) const;
 
-  /// Unchecked positional access for iteration in tests/tools; does not
-  /// count as an instrumented fetch.
-  const Tuple& tuple(Tid tid) const { return heap_[tid]; }
+  /// The whole row at `tid`, materialized from the columns; unchecked, and
+  /// not counted as an instrumented fetch. Readers that want one cell use
+  /// ColumnValue instead.
+  Tuple tuple(Tid tid) const;
 
-  /// Uncharged single-attribute read off the columnar mirror; the planner
-  /// uses this to extract join values without materializing the row.
+  /// Uncharged single-attribute read: join-value extraction, text
+  /// indexing and rendering read cells without materializing the row.
   Value ColumnValue(Tid tid, size_t attribute) const {
     return columns_[attribute].GetValue(tid);
   }
 
-  /// The columnar mirror of attribute `pos` (for kernels and benchmarks).
+  /// The column of attribute `pos` (for kernels and benchmarks).
   const Column& column(size_t pos) const { return columns_[pos]; }
 
-  /// Charged fetch of a tid the caller already validated — no bounds check
-  /// and, critically, no fault-injection check: fault decisions stay on the
-  /// planner thread, which replays them (database_generator.cc, DESIGN.md
-  /// §12). The row-at-a-time reference for the ProjectRows kernel below.
-  const Tuple* FetchPrevalidated(Tid tid, ExecutionContext* ctx) const;
-
-  /// Bulk prevalidated fetch+project off the columnar mirror: fills
+  /// Bulk fetch+project of tids the caller already validated: fills
   /// `out[i * width + j]` with attribute `projection[j]` of tuple
   /// `tids[i]`, where `width = projection.size()`, iterating column-major
   /// so each attribute is one contiguous pass over its column. Charges
-  /// `n` tuple fetches (identical totals to n FetchPrevalidated calls; no
-  /// bounds or fault checks, same contract). `out` may be raw arena
+  /// `n` tuple fetches. No bounds check and, critically, no fault-injection
+  /// check: fault decisions stay on the planner thread, which replays them
+  /// (database_generator.cc, DESIGN.md §12). `out` may be raw arena
   /// memory — cells are placement-new'd (Value is trivially destructible).
   void ProjectRows(const Tid* tids, size_t n,
                    const std::vector<size_t>& projection, Value* out,
                    ExecutionContext* ctx = nullptr) const;
-
-  /// Identity-projection variant of ProjectRows: all attributes in schema
-  /// order, `width = schema().num_attributes()`.
-  void ProjectRowsAll(const Tid* tids, size_t n, Value* out,
-                      ExecutionContext* ctx = nullptr) const;
 
   /// Builds (or rebuilds) a hash index on the named attribute.
   Status CreateIndex(const std::string& attribute_name);
@@ -126,7 +117,7 @@ class Relation {
   void PrefetchEquals(const std::string& attribute_name,
                       const Value& key) const;
 
-  /// All tids, in heap order.
+  /// All tids, in insertion order.
   std::vector<Tid> AllTids() const;
 
   /// Distinct values of the attribute (used by the data generator and tests).
@@ -194,13 +185,14 @@ class Relation {
   }
 
   RelationSchema schema_;
-  std::vector<Tuple> heap_;
-  std::vector<Column> columns_;  // SoA mirror of heap_, per attribute
+  size_t num_tuples_ = 0;
+  std::vector<Column> columns_;  // the tuples, one column per attribute
   std::vector<std::unique_ptr<ColumnIndex>> indexes_;
-  /// Every primary-key value in the heap, for O(1) uniqueness checks on
-  /// Insert even when no index exists on the key attribute (the emit phase
-  /// of result-database generation inserts into fresh unindexed relations;
-  /// the old fallback was a full heap scan per insert — O(n^2) total).
+  /// Every primary-key value in the relation, for O(1) uniqueness checks
+  /// on Insert even when no index exists on the key attribute (the emit
+  /// phase of result-database generation inserts into fresh unindexed
+  /// relations; the old fallback was a full scan per insert — O(n^2)
+  /// total).
   std::unordered_set<Value, ValueHash> pk_values_;
   AccessStats* stats_;
   // Owning database's mutation epoch (see Database::epoch()); may be null.

@@ -172,10 +172,9 @@ Status SaveDatabase(const Database& db, std::ostream* out) {
     auto rel = db.GetRelation(name);
     *out << "DATA " << name << " " << (*rel)->num_tuples() << "\n";
     for (Tid tid = 0; tid < (*rel)->num_tuples(); ++tid) {
-      const Tuple& tuple = (*rel)->tuple(tid);
-      for (size_t i = 0; i < tuple.size(); ++i) {
+      for (size_t i = 0; i < (*rel)->schema().num_attributes(); ++i) {
         if (i > 0) *out << '\t';
-        *out << FieldOf(tuple[i]);
+        *out << FieldOf((*rel)->ColumnValue(tid, i));
       }
       *out << "\n";
     }

@@ -39,7 +39,7 @@ Result<InvertedIndex> InvertedIndex::Build(const Database& db) {
     for (uint32_t a = 0; a < schema.num_attributes(); ++a) {
       if (schema.attribute(a).type != DataType::kString) continue;
       for (Tid tid = 0; tid < (*rel)->num_tuples(); ++tid) {
-        const Value& v = (*rel)->tuple(tid)[a];
+        const Value v = (*rel)->ColumnValue(tid, a);
         if (v.is_null()) continue;
         std::vector<SymbolId> words = TokenizeWordSymbols(v.AsString());
         // De-duplicate words within one value so each location appears at
@@ -68,7 +68,7 @@ bool InvertedIndex::ContainsPhrase(const Location& loc,
                                    const std::vector<SymbolId>& words) const {
   auto rel = db_->GetRelation(relation_names_[loc.relation]);
   if (!rel.ok()) return false;
-  const Value& v = (*rel)->tuple(loc.tid)[loc.attribute];
+  const Value v = (*rel)->ColumnValue(loc.tid, loc.attribute);
   if (!v.is_string()) return false;
   return precis::ContainsPhraseSymbols(v.AsString(), words);
 }

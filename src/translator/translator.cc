@@ -288,7 +288,7 @@ Result<std::vector<std::string>> Translator::RenderOccurrence(
   const RelationSchema& schema = (*rel)->schema();
   for (Tid tid = 0; tid < (*rel)->num_tuples(); ++tid) {
     if (ctx != nullptr && ctx->ShouldStop()) break;  // partial rendering
-    const Tuple& tuple = (*rel)->tuple(tid);
+    const Tuple tuple = (*rel)->tuple(tid);
     bool contains = false;
     for (size_t i = 0; i < schema.num_attributes() && !contains; ++i) {
       if (schema.attribute(i).type == DataType::kString &&

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/execution_context.h"
@@ -139,69 +143,113 @@ TEST(ColumnIndexTest, CrossTypeLookupIsEmpty) {
   EXPECT_TRUE(index.Lookup(Value("7")).empty());
 }
 
-// --- Relation kernels vs the row path ---
+// --- Relation reads vs the inserted rows ---
+//
+// The columns are a relation's only copy of its tuples, so every read
+// (ProjectRows, ColumnValue, Get, tuple) is checked against the rows the
+// fixture inserted, not against another read of the same columns.
 
-Relation TestRelation() {
+struct KernelFixture {
+  Relation rel;
+  std::vector<Tuple> rows;  // as inserted, in tid order
+};
+
+KernelFixture MakeFixture() {
   RelationSchema schema("T", {{"id", DataType::kInt64},
                               {"name", DataType::kString},
                               {"score", DataType::kDouble}});
   EXPECT_TRUE(schema.SetPrimaryKey("id").ok());
-  Relation rel(schema);
+  KernelFixture f{Relation(schema), {}};
   for (int64_t i = 0; i < 97; ++i) {
     Tuple t;
     t.push_back(Value(i));
     t.push_back(i % 7 == 0 ? Value() : Value("name" + std::to_string(i % 13)));
     t.push_back(i % 5 == 0 ? Value(-0.0) : Value(i * 0.25));
-    EXPECT_TRUE(rel.Insert(std::move(t)).ok());
+    EXPECT_TRUE(f.rel.Insert(t).ok());
+    f.rows.push_back(std::move(t));
   }
-  return rel;
+  return f;
+}
+
+/// Value equality, except that doubles compare bit for bit: a -0.0 read
+/// back as +0.0 fails.
+bool SameBits(const Value& a, const Value& b) {
+  if (a.is_double() && b.is_double()) {
+    return std::bit_cast<uint64_t>(a.AsDouble()) ==
+           std::bit_cast<uint64_t>(b.AsDouble());
+  }
+  return a == b;
 }
 
 TEST(RelationKernelTest, ProjectRowsMatchesRowPathAndChargesBulk) {
-  Relation rel = TestRelation();
+  KernelFixture f = MakeFixture();
   std::vector<Tid> tids;
-  for (Tid t = 0; t < rel.num_tuples(); t += 3) tids.push_back(t);
+  for (Tid t = 0; t < f.rel.num_tuples(); t += 3) tids.push_back(t);
   const std::vector<size_t> projection = {2, 0};  // out of order on purpose
 
   ExecutionContext ctx;
   std::vector<Value> out(tids.size() * projection.size());
-  rel.ProjectRows(tids.data(), tids.size(), projection, out.data(), &ctx);
+  f.rel.ProjectRows(tids.data(), tids.size(), projection, out.data(), &ctx);
 
   for (size_t i = 0; i < tids.size(); ++i) {
-    const Tuple& row = rel.tuple(tids[i]);
-    EXPECT_EQ(out[i * 2 + 0], row[2]) << tids[i];
-    EXPECT_EQ(out[i * 2 + 1], row[0]) << tids[i];
+    const Tuple& row = f.rows[tids[i]];
+    EXPECT_TRUE(SameBits(out[i * 2 + 0], row[2])) << tids[i];
+    EXPECT_TRUE(SameBits(out[i * 2 + 1], row[0])) << tids[i];
   }
   // Bulk charge equivalence: exactly one fetch per projected row.
   EXPECT_EQ(ctx.stats().tuple_fetches.load(), tids.size());
 }
 
-TEST(RelationKernelTest, ProjectRowsAllMatchesTuples) {
-  Relation rel = TestRelation();
-  std::vector<Tid> tids = rel.AllTids();
-  const size_t width = rel.schema().num_attributes();
+TEST(RelationKernelTest, ProjectRowsIdentityMatchesInsertedRows) {
+  KernelFixture f = MakeFixture();
+  std::vector<Tid> tids = f.rel.AllTids();
+  const std::vector<size_t> identity = {0, 1, 2};
+  const size_t width = identity.size();
   std::vector<Value> out(tids.size() * width);
-  rel.ProjectRowsAll(tids.data(), tids.size(), out.data());
+  f.rel.ProjectRows(tids.data(), tids.size(), identity, out.data());
   for (size_t i = 0; i < tids.size(); ++i) {
-    const Tuple& row = rel.tuple(tids[i]);
     for (size_t j = 0; j < width; ++j) {
-      EXPECT_EQ(out[i * width + j], row[j]) << "tid=" << i << " attr=" << j;
+      EXPECT_TRUE(SameBits(out[i * width + j], f.rows[i][j]))
+          << "tid=" << i << " attr=" << j;
     }
   }
 }
 
 TEST(RelationKernelTest, ColumnValueMatchesTupleCells) {
-  Relation rel = TestRelation();
-  for (Tid t = 0; t < rel.num_tuples(); ++t) {
-    const Tuple& row = rel.tuple(t);
-    for (size_t a = 0; a < row.size(); ++a) {
-      EXPECT_EQ(rel.ColumnValue(t, a), row[a]);
+  KernelFixture f = MakeFixture();
+  for (Tid t = 0; t < f.rel.num_tuples(); ++t) {
+    for (size_t a = 0; a < f.rows[t].size(); ++a) {
+      EXPECT_TRUE(SameBits(f.rel.ColumnValue(t, a), f.rows[t][a]))
+          << "tid=" << t << " attr=" << a;
     }
   }
 }
 
+TEST(RelationKernelTest, GetAndTupleMaterializeInsertedRows) {
+  KernelFixture f = MakeFixture();
+  ExecutionContext ctx;
+  for (Tid t = 0; t < f.rel.num_tuples(); ++t) {
+    auto got = f.rel.Get(t, &ctx);
+    ASSERT_TRUE(got.ok());
+    const Tuple row = f.rel.tuple(t);
+    ASSERT_EQ(got->size(), f.rows[t].size());
+    ASSERT_EQ(row.size(), f.rows[t].size());
+    for (size_t a = 0; a < f.rows[t].size(); ++a) {
+      EXPECT_TRUE(SameBits((*got)[a], f.rows[t][a]))
+          << "tid=" << t << " attr=" << a;
+      EXPECT_TRUE(SameBits(row[a], f.rows[t][a]))
+          << "tid=" << t << " attr=" << a;
+    }
+  }
+  EXPECT_TRUE(std::signbit(f.rel.tuple(0)[2].AsDouble()));  // -0.0 kept
+  // One charged fetch per Get; tuple() is uncharged.
+  EXPECT_EQ(ctx.stats().tuple_fetches.load(), f.rel.num_tuples());
+  EXPECT_TRUE(f.rel.Get(f.rel.num_tuples(), &ctx).status().IsOutOfRange());
+  EXPECT_EQ(ctx.stats().tuple_fetches.load(), f.rel.num_tuples());
+}
+
 TEST(RelationKernelTest, LookupEqualsIndexedAndScanAgree) {
-  Relation rel = TestRelation();
+  Relation rel = MakeFixture().rel;
   // Scan path first (no index), then indexed path; results must agree.
   auto scan = rel.LookupEquals("name", Value("name3"));
   ASSERT_TRUE(scan.ok());

@@ -16,7 +16,6 @@ namespace precis {
 using dbgen_internal::DegradationFor;
 using dbgen_internal::EmittedAttributeIndices;
 using dbgen_internal::FaultsArmed;
-using dbgen_internal::ForeignKeyHolds;
 using dbgen_internal::IsToOne;
 using dbgen_internal::RenderSeedSql;
 
@@ -116,7 +115,7 @@ Result<Database> SequentialWalk(const Database& db,
   // One counted tuple fetch, retried under faults (retries are accounted
   // before the caller sees the outcome).
   auto fetch = [&](RelationNodeId rel, const Relation& relation,
-                   Tid tid) -> Result<const Tuple*> {
+                   Tid tid) -> Result<Tuple> {
     if (!faults) return relation.Get(tid, ctx);
     uint64_t r = 0;
     auto t = RetryWithBackoff(ctx->retry_policy(), ctx, FaultSite::kTupleFetch,
@@ -196,7 +195,7 @@ Result<Database> SequentialWalk(const Database& db,
         return tuple.status();
       }
       col.seen.insert(tid);
-      col.rows.push_back(Row{tid, **tuple});
+      col.rows.push_back(Row{tid, std::move(*tuple)});
       col.Tag(tid, nullptr);
       ++total;
     }
@@ -370,7 +369,7 @@ Result<Database> SequentialWalk(const Database& db,
           }
           return tuple.status();
         }
-        if (!try_add(Row{tid, **tuple})) break;
+        if (!try_add(Row{tid, std::move(*tuple)})) break;
       }
     } else if (strategy == SubsetStrategy::kNaiveQ) {
       // One IN-list query, kept up to the budget in retrieval order.
@@ -395,7 +394,7 @@ Result<Database> SequentialWalk(const Database& db,
             }
             return tuple.status();
           }
-          if (!try_add(Row{tid, **tuple})) {
+          if (!try_add(Row{tid, std::move(*tuple)})) {
             budget_open = false;
             break;
           }
@@ -484,7 +483,7 @@ Result<Database> SequentialWalk(const Database& db,
         !(*parent)->schema().HasAttribute(fk.parent_attribute)) {
       continue;
     }
-    if (ForeignKeyHolds(result, fk)) {
+    if (result.CheckForeignKey(fk).ok()) {
       PRECIS_RETURN_NOT_OK(result.AddForeignKey(fk));
     } else {
       report->dropped_foreign_keys.push_back(fk.ToString());

@@ -127,7 +127,7 @@ TEST(SerializationTest, MoviesDatasetRoundTrip) {
 }
 
 TEST(SerializationLoadErrorTest, RejectsGarbage) {
-  for (const std::string text :
+  for (const std::string& text :
        {std::string(""), std::string("WRONG 1\n"),
         std::string("PRECISDB 99\nDATABASE x\n"),
         std::string("PRECISDB 1\nNODATABASE\n"),

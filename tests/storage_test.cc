@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 #include "storage/database.h"
 #include "storage/relation.h"
 #include "storage/schema.h"
@@ -100,7 +103,7 @@ TEST(RelationTest, InsertAndGet) {
   EXPECT_EQ(*tid, 0u);
   auto t = r.Get(0);
   ASSERT_TRUE(t.ok());
-  EXPECT_EQ((**t)[1].AsString(), "Match Point");
+  EXPECT_EQ((*t)[1].AsString(), "Match Point");
   EXPECT_EQ(r.num_tuples(), 1u);
 }
 
@@ -326,6 +329,57 @@ TEST(DatabaseTest, ValidateForeignKeysIgnoresNullChildren) {
   auto movie = db.GetRelation("MOVIE");
   ASSERT_TRUE((*movie)->Insert({int64_t{1}, "A", Value::Null()}).ok());
   EXPECT_TRUE(db.ValidateForeignKeys().ok());
+}
+
+TEST(DatabaseTest, CheckForeignKeyNamesTheDanglingValue) {
+  Database db = MakeMoviesDb();
+  auto director = db.GetRelation("DIRECTOR");
+  auto movie = db.GetRelation("MOVIE");
+  ASSERT_TRUE((*director)->Insert({int64_t{1}, "Allen"}).ok());
+  ASSERT_TRUE((*movie)->Insert({int64_t{1}, "A", int64_t{2000}}).ok());
+  ASSERT_TRUE((*movie)->Insert({int64_t{9}, "B", int64_t{2001}}).ok());
+  // The check runs whether or not the key is declared.
+  const ForeignKey fk{"MOVIE", "mid", "DIRECTOR", "did"};
+  Status s = db.CheckForeignKey(fk);
+  EXPECT_TRUE(s.IsConstraintViolation());
+  EXPECT_NE(s.message().find("value 9 has no parent"), std::string::npos)
+      << s.ToString();
+  EXPECT_TRUE(db.ValidateForeignKeys().ok());  // nothing declared yet
+  EXPECT_TRUE(db.CheckForeignKey({"MOVIE", "mid", "NOPE", "did"}).IsNotFound());
+  EXPECT_TRUE(db.CheckForeignKey({"MOVIE", "title", "DIRECTOR", "did"})
+                  .IsInvalidArgument());
+}
+
+// READING.sensor -> SENSOR.key, both DOUBLE: the edges of Value equality.
+Database MakeDoubleKeyDb() {
+  Database db("doubles");
+  EXPECT_TRUE(
+      db.CreateRelation(RelationSchema("SENSOR", {{"key", DataType::kDouble}}))
+          .ok());
+  EXPECT_TRUE(db.CreateRelation(
+                    RelationSchema("READING", {{"sensor", DataType::kDouble}}))
+                  .ok());
+  EXPECT_TRUE(db.AddForeignKey({"READING", "sensor", "SENSOR", "key"}).ok());
+  return db;
+}
+
+TEST(DatabaseTest, ForeignKeyNegativeZeroChildMatchesPositiveZeroParent) {
+  Database db = MakeDoubleKeyDb();
+  ASSERT_TRUE((*db.GetRelation("SENSOR"))->Insert({Value(0.0)}).ok());
+  ASSERT_TRUE((*db.GetRelation("READING"))->Insert({Value(-0.0)}).ok());
+  EXPECT_TRUE(db.ValidateForeignKeys().ok());
+}
+
+TEST(DatabaseTest, ForeignKeyNaNChildDangles) {
+  Database db = MakeDoubleKeyDb();
+  const Value nan(std::numeric_limits<double>::quiet_NaN());
+  // Even a NaN parent: NaN equals nothing, itself included.
+  ASSERT_TRUE((*db.GetRelation("SENSOR"))->Insert({nan}).ok());
+  ASSERT_TRUE((*db.GetRelation("SENSOR"))->Insert({Value(1.0)}).ok());
+  ASSERT_TRUE((*db.GetRelation("READING"))->Insert({Value(1.0)}).ok());
+  EXPECT_TRUE(db.ValidateForeignKeys().ok());
+  ASSERT_TRUE((*db.GetRelation("READING"))->Insert({nan}).ok());
+  EXPECT_TRUE(db.ValidateForeignKeys().IsConstraintViolation());
 }
 
 TEST(DatabaseTest, StatsAggregateAcrossRelations) {

@@ -97,7 +97,7 @@ TEST(WeightsFromNumericAttributeTest, Validation) {
 // --- Ranked selection in the Result Database Generator ---
 
 /// D(did) 1..2; M(mid, did, year): director 1 has movies with years
-/// 1950..1954 (mids 1..5) in heap order oldest-first, so the paper's NaiveQ
+/// 1950..1954 (mids 1..5) in tid order oldest-first, so the paper's NaiveQ
 /// prefix picks the *oldest* — ranked selection by year must invert that.
 class RankedSelectionTest : public ::testing::Test {
  protected:
