@@ -11,8 +11,10 @@
 #                         gate, DESIGN.md §11), and bench/fault_tolerance in
 #                         smoke mode
 #                         (fails when disarmed fault machinery costs > 5%
-#                         throughput or any query fails under injected
-#                         faults — robustness gates, DESIGN.md §12),
+#                         more CPU per query — the median ratio of 80
+#                         interleaved one-worker trial pairs — or any query
+#                         fails under injected faults — robustness gates,
+#                         DESIGN.md §12),
 #                         bench/kernels in smoke mode (fails when a columnar
 #                         kernel disagrees with a row-major copy of the
 #                         relation it read, when the SIMD

@@ -1,6 +1,7 @@
 #include "common/symbol_table.h"
 
-#include <cassert>
+#include <cstdio>
+#include <cstdlib>
 #include <functional>
 
 namespace precis {
@@ -47,7 +48,12 @@ SymbolId SymbolTable::Intern(std::string_view s) {
   }
   const uint32_t local = shard.size;
   const uint32_t block_idx = local / kBlockSize;
-  assert(block_idx < kMaxBlocks && "symbol table shard full");
+  if (block_idx >= kMaxBlocks) {
+    // Every id of a full shard is live, so there is nothing to hand out.
+    std::fprintf(stderr, "SymbolTable: shard full (%u symbols)\n",
+                 kMaxBlocks * kBlockSize);
+    std::abort();
+  }
   Block* block = shard.blocks[block_idx].load(std::memory_order_relaxed);
   if (block == nullptr) {
     block = new Block();
@@ -63,6 +69,15 @@ SymbolId SymbolTable::Intern(std::string_view s) {
   shard.size = local + 1;
   shard.bytes += s.size();
   return SymbolId{local * kNumShards + uint32_t(h & (kNumShards - 1))};
+}
+
+std::optional<SymbolId> SymbolTable::Find(std::string_view s) const {
+  const size_t h = std::hash<std::string_view>{}(s);
+  Shard& shard = shards_[h & (kNumShards - 1)];
+  std::lock_guard<std::mutex> lock(shard.mu);
+  auto it = shard.map.find(s);
+  if (it == shard.map.end()) return std::nullopt;
+  return SymbolId{it->second * kNumShards + uint32_t(h & (kNumShards - 1))};
 }
 
 const std::string& SymbolTable::str(SymbolId id) const {

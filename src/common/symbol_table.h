@@ -24,8 +24,8 @@
 // deletes strings, and an interner that frees would invalidate ids held
 // by live Values.
 //
-// Thread-safety: Intern is sharded-locked (16 shards); str(), hash()
-// and stats() are lock-free. An id obtained from any synchronized
+// Thread-safety: Intern and Find are sharded-locked (16 shards); str()
+// and hash() are lock-free. An id obtained from any synchronized
 // channel may be resolved from any thread.
 
 #ifndef PRECIS_COMMON_SYMBOL_TABLE_H_
@@ -35,6 +35,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -67,6 +68,9 @@ class SymbolTable {
 
   /// Returns the id of `s`, interning it first if unseen.
   SymbolId Intern(std::string_view s);
+
+  /// The id of `s` if it has been interned; never inserts.
+  std::optional<SymbolId> Find(std::string_view s) const;
 
   /// The interned bytes of `id`. The reference is stable for the table's
   /// lifetime. Wait-free.

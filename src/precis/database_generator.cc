@@ -48,6 +48,7 @@
 #include <mutex>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -570,15 +571,17 @@ Result<Database> ResultDatabaseGenerator::Plan(
       last_report_.sql_trace.push_back(
           RenderSeedSql(src.schema(), p.emitted, tids));
     }
-    ArenaVector<Tid> ordered_tids{ArenaAllocator<Tid>(arena)};
-    ordered_tids.assign(tids.begin(), tids.end());
+    // Seeds are read in place; only a tuple-weight order needs a copy.
+    std::span<const Tid> ordered_tids = tids;
+    ArenaVector<Tid> weighted{ArenaAllocator<Tid>(arena)};
     if (options.tuple_weights != nullptr) {
       const std::string& rel_name = graph.relation_name(rel);
-      std::stable_sort(ordered_tids.begin(), ordered_tids.end(),
-                       [&](Tid a, Tid b) {
-                         return options.tuple_weights->Weight(rel_name, a) >
-                                options.tuple_weights->Weight(rel_name, b);
-                       });
+      weighted.assign(tids.begin(), tids.end());
+      std::stable_sort(weighted.begin(), weighted.end(), [&](Tid a, Tid b) {
+        return options.tuple_weights->Weight(rel_name, a) >
+               options.tuple_weights->Weight(rel_name, b);
+      });
+      ordered_tids = weighted;
     }
     for (Tid tid : ordered_tids) {
       if (p.seen.count(tid) > 0) continue;

@@ -1,6 +1,7 @@
 #include "precis/engine.h"
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <unordered_map>
 #include <unordered_set>
@@ -178,8 +179,12 @@ Result<ResultSchema> AssembleSeedsAndSchema(
     const DegreeConstraint& degree, SchemaCache* schema_cache,
     ExecutionContext* ctx, SeedTids* seeds) {
   // Input relations (deduplicated, in match order) and seed tuple ids.
-  // Relation dedup stays a linear std::find (a handful of entries); tid
-  // dedup uses a hash-set membership check per relation — a GENRE token
+  // Relation dedup stays a linear std::find (a handful of entries). A
+  // relation's first occurrence is copied in bulk as far as its tids
+  // strictly ascend (index lookups and partition merges always do), since
+  // such a run holds no repeats. Only what follows — a second occurrence
+  // reaching the same relation, or an unsorted tail — goes through a
+  // per-relation hash set, built then from the seeds so far: a GENRE token
   // seeds tens of thousands of tuples, and a std::find over the growing
   // list would be quadratic in them. Insertion order is match order.
   std::vector<RelationNodeId> token_relations;
@@ -193,9 +198,19 @@ Result<ResultSchema> AssembleSeedsAndSchema(
         token_relations.push_back(*rel);
       }
       std::vector<Tid>& tids = (*seeds)[*rel];
-      std::unordered_set<Tid>& seen = seen_tids[*rel];
-      for (Tid tid : occ.tids) {
-        if (seen.insert(tid).second) tids.push_back(tid);
+      auto rest = occ.tids.begin();
+      if (tids.empty()) {
+        rest = std::adjacent_find(occ.tids.begin(), occ.tids.end(),
+                                  std::greater_equal<Tid>());
+        if (rest != occ.tids.end()) ++rest;
+        tids.assign(occ.tids.begin(), rest);
+        if (rest == occ.tids.end()) continue;
+      }
+      auto [it, fresh] = seen_tids.try_emplace(*rel);
+      std::unordered_set<Tid>& seen = it->second;
+      if (fresh) seen.insert(tids.begin(), tids.end());
+      for (; rest != occ.tids.end(); ++rest) {
+        if (seen.insert(*rest).second) tids.push_back(*rest);
       }
     }
   }

@@ -1,6 +1,7 @@
 #include "precis/json_export.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 
 namespace precis {
@@ -12,9 +13,19 @@ namespace {
 // is what the body cache memoizes, DESIGN.md §16), and streaming through
 // ostringstream costs a locale-aware formatting layer plus a final copy
 // out of the stream. Byte-for-byte output is unchanged — integers format
-// identically via std::to_string, doubles keep their snprintf patterns.
+// through std::to_chars into a stack buffer (the same digits std::to_string
+// gives, without a temporary string per number), doubles keep their
+// snprintf patterns.
 
-void AppendUint(std::string* out, uint64_t v) { *out += std::to_string(v); }
+// Appends the decimal digits of `v`; 24 bytes hold any 64-bit integer.
+template <typename Int>
+void AppendInt(std::string* out, Int v) {
+  char buf[24];
+  const std::to_chars_result r = std::to_chars(buf, buf + sizeof(buf), v);
+  out->append(buf, r.ptr);
+}
+
+void AppendUint(std::string* out, uint64_t v) { AppendInt(out, v); }
 
 /// Appends a JSON array of strings.
 void AppendStringArray(std::string* out,
@@ -35,7 +46,7 @@ void AppendValueJson(std::string* out, const Value& v) {
     return;
   }
   if (v.is_int64()) {
-    *out += std::to_string(v.AsInt64());
+    AppendInt(out, v.AsInt64());
     return;
   }
   if (v.is_double()) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <optional>
 
 #include "common/gallop.h"
 
@@ -30,47 +31,59 @@ std::string CacheKey(const std::vector<SymbolId>& words) {
 
 Result<InvertedIndex> InvertedIndex::Build(const Database& db) {
   InvertedIndex index;
-  index.db_ = &db;
-  index.relation_names_ = db.RelationNames();
-  for (uint32_t r = 0; r < index.relation_names_.size(); ++r) {
-    auto rel = db.GetRelation(index.relation_names_[r]);
+  // Each word's groups as the scan builds them, published as shared lists
+  // once the scan is done.
+  struct WordBuild {
+    std::vector<TokenOccurrence> occurrences;
+    std::vector<WordPostings::Run> runs;
+  };
+  std::unordered_map<SymbolId, WordBuild> building;
+  // Tid runs opened during the current attribute's scan.
+  std::vector<std::vector<Tid>*> open_runs;
+  const std::vector<std::string> names = db.RelationNames();
+  for (uint32_t r = 0; r < names.size(); ++r) {
+    auto rel = db.GetRelation(names[r]);
     if (!rel.ok()) return rel.status();
+    index.relations_.push_back(*rel);
     const RelationSchema& schema = (*rel)->schema();
     for (uint32_t a = 0; a < schema.num_attributes(); ++a) {
       if (schema.attribute(a).type != DataType::kString) continue;
+      // The scan runs in (relation name, attribute, tid) order, so every
+      // word's groups come out in lookup order with ascending tids.
       for (Tid tid = 0; tid < (*rel)->num_tuples(); ++tid) {
         const Value v = (*rel)->ColumnValue(tid, a);
         if (v.is_null()) continue;
-        std::vector<SymbolId> words = TokenizeWordSymbols(v.AsString());
-        // De-duplicate words within one value so each location appears at
-        // most once in a word's posting list.
-        std::sort(words.begin(), words.end());
-        words.erase(std::unique(words.begin(), words.end()), words.end());
-        for (SymbolId w : words) {
-          index.postings_[w].push_back(Location{r, a, tid});
+        for (SymbolId w : TokenizeWordSymbols(v.AsString())) {
+          WordBuild& word = building[w];
+          if (word.runs.empty() || word.runs.back().relation != r ||
+              word.runs.back().attribute != a) {
+            word.runs.push_back({r, a});
+            word.occurrences.push_back(
+                TokenOccurrence{names[r], schema.attribute(a).name, {}});
+            open_runs.push_back(&word.occurrences.back().tids);
+          }
+          std::vector<Tid>& tids = word.occurrences.back().tids;
+          // A word repeated within one value is posted once.
+          if (!tids.empty() && tids.back() == tid) continue;
+          tids.push_back(tid);
+          ++index.num_postings_;
         }
       }
+      // A word gains at most one run per attribute, so these pointers are
+      // still valid; trimming here bounds the growth slack to one
+      // attribute's postings.
+      for (std::vector<Tid>* tids : open_runs) tids->shrink_to_fit();
+      open_runs.clear();
     }
   }
-  for (auto& [word, locs] : index.postings_) {
-    std::sort(locs.begin(), locs.end());
+  index.postings_.reserve(building.size());
+  for (auto& [w, word] : building) {
+    index.postings_.emplace(
+        w, WordPostings{std::make_shared<const std::vector<TokenOccurrence>>(
+                            std::move(word.occurrences)),
+                        std::move(word.runs)});
   }
   return index;
-}
-
-size_t InvertedIndex::num_postings() const {
-  size_t n = 0;
-  for (const auto& [word, locs] : postings_) n += locs.size();
-  return n;
-}
-
-bool InvertedIndex::ContainsPhrase(const Location& loc,
-                                   const std::vector<SymbolId>& words) const {
-  auto rel = db_->GetRelation(relation_names_[loc.relation]);
-  if (!rel.ok()) return false;
-  const Value v = (*rel)->ColumnValue(loc.tid, loc.attribute);
-  if (!v.is_string()) return false;
-  return precis::ContainsPhraseSymbols(v.AsString(), words);
 }
 
 size_t EstimateOccurrencesCharge(const std::vector<TokenOccurrence>& occs) {
@@ -83,77 +96,103 @@ size_t EstimateOccurrencesCharge(const std::vector<TokenOccurrence>& occs) {
 }
 
 OccurrenceList InvertedIndex::Lookup(const std::string& token) const {
-  std::vector<SymbolId> words = TokenizeWordSymbols(token);
-  if (words.empty()) return EmptyOccurrences();
-  // Multi-word phrases go through the token-occurrence cache when enabled:
-  // they pay posting-list intersection plus per-candidate phrase
-  // verification (a re-scan of the stored string), which repeated popular
-  // queries should not redo. The postings are immutable after Build, so a
-  // cached result can never be stale with respect to this index.
-  if (words.size() >= 2 &&
-      cache_->enabled.load(std::memory_order_relaxed)) {
-    std::string key = CacheKey(words);
-    if (OccurrenceList hit = cache_->lru.Get(key)) {
-      return hit;  // shared, immutable — no deep copy on the hit path
-    }
-    auto value = std::make_shared<const std::vector<TokenOccurrence>>(
-        LookupUncached(words));
-    cache_->lru.Put(key, value, EstimateOccurrencesCharge(*value));
-    return value;
+  // Resolve the words without interning: a word the SymbolTable has never
+  // seen occurs in no indexed value, and interning it would grow the
+  // process-wide table with every novel query.
+  std::vector<SymbolId> words;
+  for (const std::string& word : TokenizeWords(token)) {
+    std::optional<SymbolId> id = SymbolTable::Global()->Find(word);
+    if (!id) return EmptyOccurrences();
+    words.push_back(*id);
   }
-  return std::make_shared<const std::vector<TokenOccurrence>>(
-      LookupUncached(words));
+  if (words.empty()) return EmptyOccurrences();
+  if (words.size() == 1) {
+    auto it = postings_.find(words[0]);
+    return it == postings_.end() ? EmptyOccurrences() : it->second.occurrences;
+  }
+  // Phrases go through the token-occurrence cache when enabled: they pay
+  // run intersection plus per-candidate phrase verification (a re-scan of
+  // the stored string), which repeated popular queries should not redo.
+  // The postings are immutable after Build, so a cached result can never
+  // be stale with respect to this index.
+  if (!cache_->enabled.load(std::memory_order_relaxed)) {
+    return std::make_shared<const std::vector<TokenOccurrence>>(
+        LookupPhrase(words));
+  }
+  std::string key = CacheKey(words);
+  if (OccurrenceList hit = cache_->lru.Get(key)) {
+    return hit;  // shared, immutable — no deep copy on the hit path
+  }
+  auto value =
+      std::make_shared<const std::vector<TokenOccurrence>>(LookupPhrase(words));
+  cache_->lru.Put(key, value, EstimateOccurrencesCharge(*value));
+  return value;
 }
 
-std::vector<TokenOccurrence> InvertedIndex::LookupUncached(
+std::vector<TokenOccurrence> InvertedIndex::LookupPhrase(
     const std::vector<SymbolId>& words) const {
   std::vector<TokenOccurrence> out;
-
-  // Intersect the word posting lists; start from the rarest word.
-  if (words.empty()) return out;
-  const std::vector<Location>* smallest = nullptr;
+  std::vector<const WordPostings*> postings;
+  postings.reserve(words.size());
   for (SymbolId w : words) {
     auto it = postings_.find(w);
     if (it == postings_.end()) return out;  // some word absent: no matches
-    if (smallest == nullptr || it->second.size() < smallest->size()) {
-      smallest = &it->second;
-    }
+    postings.push_back(&it->second);
   }
 
-  // One galloping cursor per word. The driver list (`smallest`) is sorted,
-  // so probe values ascend and each cursor sweeps its posting list at most
-  // once for the whole intersection instead of binary-searching from
-  // scratch per candidate (common/gallop.h). Duplicate query words get
-  // independent cursors over the same list, which is harmless.
-  std::vector<GallopCursor<Location>> cursors;
-  cursors.reserve(words.size());
-  for (SymbolId w : words) cursors.emplace_back(&postings_.at(w));
+  // Drive the intersection from the rarest word's runs.
+  auto count = [](const WordPostings* word) {
+    size_t n = 0;
+    for (const TokenOccurrence& occ : *word->occurrences) n += occ.tids.size();
+    return n;
+  };
+  const WordPostings* driver = *std::min_element(
+      postings.begin(), postings.end(),
+      [&](const WordPostings* a, const WordPostings* b) {
+        return count(a) < count(b);
+      });
 
-  std::vector<Location> candidates;
-  for (const Location& loc : *smallest) {
+  // Every word's runs ascend in (relation, attribute) order, so one
+  // forward cursor per word finds each of the driver's runs in it.
+  std::vector<size_t> run_at(postings.size(), 0);
+  std::vector<GallopCursor<Tid>> cursors;
+  for (size_t d = 0; d < driver->runs.size(); ++d) {
+    const WordPostings::Run run = driver->runs[d];
+    cursors.clear();
     bool in_all = true;
-    for (GallopCursor<Location>& cursor : cursors) {
-      if (!cursor.Contains(loc)) {
-        in_all = false;
-        break;
+    for (size_t i = 0; i < postings.size() && in_all; ++i) {
+      if (postings[i] == driver) continue;
+      const std::vector<WordPostings::Run>& runs = postings[i]->runs;
+      size_t& at = run_at[i];
+      while (at < runs.size() && runs[at] < run) ++at;
+      in_all = at < runs.size() && runs[at] == run;
+      if (in_all) cursors.emplace_back(&(*postings[i]->occurrences)[at].tids);
+    }
+    if (!in_all) continue;
+
+    // Gallop-intersect the runs — the driver's tids ascend, so each cursor
+    // sweeps its run at most once (common/gallop.h) — and verify the
+    // survivors as a contiguous phrase in the stored value.
+    const TokenOccurrence& driven = (*driver->occurrences)[d];
+    const Relation* rel = relations_[run.relation];
+    std::vector<Tid> tids;
+    for (Tid tid : driven.tids) {
+      bool everywhere = true;
+      for (GallopCursor<Tid>& cursor : cursors) {
+        if (!cursor.Contains(tid)) {
+          everywhere = false;
+          break;
+        }
+      }
+      if (!everywhere) continue;
+      const Value v = rel->ColumnValue(tid, run.attribute);
+      if (v.is_string() && ContainsPhraseSymbols(v.AsString(), words)) {
+        tids.push_back(tid);
       }
     }
-    if (in_all && (words.size() == 1 || ContainsPhrase(loc, words))) {
-      candidates.push_back(loc);
-    }
-  }
-
-  // Group by (relation, attribute); candidates are already sorted.
-  for (const Location& loc : candidates) {
-    auto rel = db_->GetRelation(relation_names_[loc.relation]);
-    const std::string& attr =
-        (*rel)->schema().attribute(loc.attribute).name;
-    if (!out.empty() && out.back().relation == relation_names_[loc.relation] &&
-        out.back().attribute == attr) {
-      out.back().tids.push_back(loc.tid);
-    } else {
-      out.push_back(TokenOccurrence{relation_names_[loc.relation], attr,
-                                    {loc.tid}});
+    if (!tids.empty()) {
+      out.push_back(
+          TokenOccurrence{driven.relation, driven.attribute, std::move(tids)});
     }
   }
   return out;

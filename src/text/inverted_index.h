@@ -9,7 +9,7 @@
 #define PRECIS_TEXT_INVERTED_INDEX_H_
 
 #include <atomic>
-#include <map>
+#include <compare>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -42,8 +42,11 @@ using OccurrenceList = std::shared_ptr<const std::vector<TokenOccurrence>>;
 /// stored value, so "Woody Allen" matches the value "Woody Allen" but not a
 /// value containing only "Allen" or the words in the wrong order.
 ///
-/// Postings are keyed on interned word ids (SymbolTable), so a lookup
-/// hashes 4-byte ids rather than strings (DESIGN.md §13).
+/// Postings are keyed on interned word ids (SymbolTable) and stored in the
+/// form a lookup returns: each word's occurrence list — one run of
+/// ascending tids per (relation, attribute) — is built once by Build and
+/// shared by every lookup of that word (DESIGN.md §13). A lookup never
+/// interns: a query word the SymbolTable has never seen is indexed nowhere.
 class InvertedIndex {
  public:
   /// Indexes every string attribute of every relation in `db`. The Database
@@ -52,9 +55,10 @@ class InvertedIndex {
   static Result<InvertedIndex> Build(const Database& db);
 
   /// Occurrences of a (possibly multi-word) token, grouped by
-  /// relation-attribute pair. Never null; points at an empty vector if the
-  /// token appears nowhere. The result is shared and immutable — hot
-  /// multi-word queries no longer deep-copy the postings out of the cache.
+  /// relation-attribute pair in (relation name, attribute index) order with
+  /// ascending tids. Never null; points at an empty vector if the token
+  /// appears nowhere. The result is shared and immutable: a single word
+  /// returns its prebuilt list, and a cached phrase its stored result.
   OccurrenceList Lookup(const std::string& token) const;
 
   /// Occurrences for each token of a query, in query order.
@@ -65,16 +69,16 @@ class InvertedIndex {
   size_t num_words() const { return postings_.size(); }
 
   /// Number of posting entries across all words.
-  size_t num_postings() const;
+  size_t num_postings() const { return num_postings_; }
 
   /// Token-occurrence cache (DESIGN.md §10, level 1): memoizes the result
-  /// of multi-word Lookup calls. Intersecting posting lists and re-scanning
+  /// of multi-word Lookup calls. Intersecting tid runs and re-scanning
   /// stored strings for contiguous-phrase verification is the most
   /// expensive part of token matching, and the postings are immutable after
   /// Build (the source database is append-only and later inserts are not
   /// indexed), so a memoized lookup can never be stale with respect to this
-  /// index. Single-word lookups are not cached: they do no phrase
-  /// verification and would only thrash the cache. Off by default.
+  /// index. Single-word lookups are not cached: they already return the
+  /// word's prebuilt list and would only thrash the cache. Off by default.
   ///
   /// Thread-safety: Lookup may run from many threads; the cache is
   /// internally locked (sharded LRU). Enabling/disabling must not race
@@ -90,37 +94,32 @@ class InvertedIndex {
   void ClearLookupCache() { cache_->lru.Clear(); }
 
  private:
-  struct Location {
-    uint32_t relation;   // index into relation_names_
-    uint32_t attribute;  // attribute index within the relation
-    Tid tid;
-
-    bool operator==(const Location& o) const {
-      return relation == o.relation && attribute == o.attribute &&
-             o.tid == tid;
-    }
-    bool operator<(const Location& o) const {
-      if (relation != o.relation) return relation < o.relation;
-      if (attribute != o.attribute) return attribute < o.attribute;
-      return tid < o.tid;
-    }
+  /// One indexed word: its prebuilt lookup result, plus where each of its
+  /// occurrence groups lives (indexes into relations_ and the relation's
+  /// attributes), in the same order as the groups.
+  struct WordPostings {
+    struct Run {
+      uint32_t relation;
+      uint32_t attribute;
+      auto operator<=>(const Run&) const = default;
+    };
+    OccurrenceList occurrences;
+    std::vector<Run> runs;
   };
 
   InvertedIndex() = default;
 
-  /// True if `words` occurs as a contiguous word sequence in the value at
-  /// `loc`.
-  bool ContainsPhrase(const Location& loc,
-                      const std::vector<SymbolId>& words) const;
-
-  /// Uncached lookup path shared by Lookup and the cache-miss fill.
-  std::vector<TokenOccurrence> LookupUncached(
+  /// Phrase lookup: intersects the words' runs (relation, attribute) by
+  /// (relation, attribute) and keeps the tids whose value contains `words`
+  /// as a contiguous word sequence.
+  std::vector<TokenOccurrence> LookupPhrase(
       const std::vector<SymbolId>& words) const;
 
-  const Database* db_ = nullptr;
-  std::vector<std::string> relation_names_;
-  // interned word id -> sorted locations containing the word
-  std::unordered_map<SymbolId, std::vector<Location>> postings_;
+  // Relations in Database::RelationNames() order; WordPostings::Run
+  // indexes into it.
+  std::vector<const Relation*> relations_;
+  std::unordered_map<SymbolId, WordPostings> postings_;
+  size_t num_postings_ = 0;
 
   // Token-occurrence cache, keyed by the normalized phrase's word-id
   // sequence (4 raw bytes per word — unambiguous, cheaper than re-joining

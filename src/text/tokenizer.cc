@@ -4,6 +4,24 @@
 
 namespace precis {
 
+namespace {
+
+// True if the `n` words `word(0..n)` occur as a contiguous run of
+// `text_words`.
+template <typename WordAt>
+bool ContainsWordRun(const std::vector<std::string>& text_words, size_t n,
+                     WordAt word) {
+  if (n > text_words.size()) return false;
+  for (size_t start = 0; start + n <= text_words.size(); ++start) {
+    size_t i = 0;
+    while (i < n && text_words[start + i] == word(i)) ++i;
+    if (i == n) return true;
+  }
+  return false;
+}
+
+}  // namespace
+
 std::vector<std::string> TokenizeWords(std::string_view text) {
   std::vector<std::string> words;
   std::string current;
@@ -42,37 +60,22 @@ std::vector<SymbolId> TokenizeWordSymbols(std::string_view text) {
 bool ContainsPhraseSymbols(std::string_view text,
                            const std::vector<SymbolId>& words) {
   if (words.empty()) return false;
-  std::vector<SymbolId> text_words = TokenizeWordSymbols(text);
-  if (words.size() > text_words.size()) return false;
-  for (size_t start = 0; start + words.size() <= text_words.size(); ++start) {
-    bool match = true;
-    for (size_t i = 0; i < words.size(); ++i) {
-      if (text_words[start + i] != words[i]) {
-        match = false;
-        break;
-      }
-    }
-    if (match) return true;
-  }
-  return false;
+  // Equal ids are equal bytes, so comparing the value's words with each
+  // id's interned string is the id comparison — without interning the
+  // value's words, which would take a SymbolTable shard lock per word.
+  const SymbolTable* symbols = SymbolTable::Global();
+  return ContainsWordRun(TokenizeWords(text), words.size(),
+                         [&](size_t i) -> const std::string& {
+                           return symbols->str(words[i]);
+                         });
 }
 
 bool ContainsPhrase(std::string_view text,
                     const std::vector<std::string>& words) {
   if (words.empty()) return false;
-  std::vector<std::string> text_words = TokenizeWords(text);
-  if (words.size() > text_words.size()) return false;
-  for (size_t start = 0; start + words.size() <= text_words.size(); ++start) {
-    bool match = true;
-    for (size_t i = 0; i < words.size(); ++i) {
-      if (text_words[start + i] != words[i]) {
-        match = false;
-        break;
-      }
-    }
-    if (match) return true;
-  }
-  return false;
+  return ContainsWordRun(
+      TokenizeWords(text), words.size(),
+      [&](size_t i) -> const std::string& { return words[i]; });
 }
 
 }  // namespace precis

@@ -32,8 +32,9 @@ bool ContainsPhrase(std::string_view text,
 std::vector<SymbolId> TokenizeWordSymbols(std::string_view text);
 
 /// \brief ContainsPhrase over interned words: true if `words` occurs as a
-/// contiguous word-id sequence in the tokenization of `text`. Matches
-/// ContainsPhrase exactly (interned-id equality <=> word equality).
+/// contiguous word sequence in the tokenization of `text`. Matches
+/// ContainsPhrase exactly (interned-id equality <=> word equality). The
+/// words of `text` are compared as bytes and never interned.
 bool ContainsPhraseSymbols(std::string_view text,
                            const std::vector<SymbolId>& words);
 

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <set>
+#include <unordered_map>
+#include <unordered_set>
 
+#include "common/symbol_table.h"
 #include "datagen/movies_dataset.h"
 #include "datagen/workload.h"
 #include "graph/weight_profile.h"
@@ -125,6 +129,101 @@ TEST_F(EngineTest, AnswerIsDeterministic) {
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(a->database.DescribeSchema(), b->database.DescribeSchema());
   EXPECT_EQ(a->schema.ToString(), b->schema.ToString());
+}
+
+TEST_F(EngineTest, UnseenWordQueriesNeverGrowTheSymbolTable) {
+  engine_->set_caches_enabled(true);
+  auto d = MinPathWeight(0.9);
+  auto c = MaxTuplesPerRelation(3);
+  ASSERT_TRUE(engine_
+                  ->AnswerSharedRendered(
+                      PrecisQuery{{"Woody Allen", "warmup qzvx"}}, *d, *c)
+                  .ok());
+  const uint64_t before = SymbolTable::Global()->stats().symbols;
+  for (int i = 0; i < 1000; ++i) {
+    const std::string n = std::to_string(i);
+    // A phrase of two unseen words (the level-1 cache path) and a single
+    // unseen word.
+    PrecisQuery query{{"zqxw" + n + " vwkq" + n, "unseenword" + n}};
+    auto rendered = engine_->AnswerSharedRendered(query, *d, *c);
+    ASSERT_TRUE(rendered.ok());
+    EXPECT_TRUE(rendered->answer->empty());
+  }
+  EXPECT_EQ(SymbolTable::Global()->stats().symbols, before);
+}
+
+// The seed-assembly loop AssembleSeedsAndSchema replaced, kept as its
+// reference: every tid of every occurrence goes through a per-relation
+// hash set, in match order.
+void ReferenceSeeds(const SchemaGraph& graph,
+                    const std::vector<TokenMatch>& matches,
+                    std::vector<RelationNodeId>* token_relations,
+                    SeedTids* seeds) {
+  std::unordered_map<RelationNodeId, std::unordered_set<Tid>> seen_tids;
+  for (const TokenMatch& match : matches) {
+    for (const TokenOccurrence& occ : match.occurrences()) {
+      const RelationNodeId rel = *graph.RelationId(occ.relation);
+      if (std::find(token_relations->begin(), token_relations->end(), rel) ==
+          token_relations->end()) {
+        token_relations->push_back(rel);
+      }
+      std::vector<Tid>& tids = (*seeds)[rel];
+      std::unordered_set<Tid>& seen = seen_tids[rel];
+      for (Tid tid : occ.tids) {
+        if (seen.insert(tid).second) tids.push_back(tid);
+      }
+    }
+  }
+}
+
+TokenMatch HandMatch(const std::string& token,
+                     std::vector<TokenOccurrence> occurrences) {
+  return TokenMatch{token, token,
+                    std::make_shared<const std::vector<TokenOccurrence>>(
+                        std::move(occurrences))};
+}
+
+TEST_F(EngineTest, SeedAssemblyMatchesHashSetReference) {
+  std::vector<std::vector<TokenMatch>> inputs = {
+      // A homonym in two attributes of one relation.
+      {HandMatch("allen", {{"ACTOR", "aname", {1, 4, 9}},
+                           {"ACTOR", "blocation", {0, 4, 7, 9}}})},
+      // Two tokens with overlapping tids in one relation.
+      {HandMatch("comedy", {{"GENRE", "genre", {2, 5, 8, 11}}}),
+       HandMatch("drama", {{"GENRE", "genre", {1, 5, 11, 12}},
+                           {"MOVIE", "title", {3}}})},
+      // An empty occurrence, then the same relation again.
+      {HandMatch("x", {{"DIRECTOR", "dname", {}}}),
+       HandMatch("y", {{"DIRECTOR", "dname", {6, 2}}})},
+      // Unsorted tids with repeats, whole and after an ascending prefix.
+      {HandMatch("u", {{"MOVIE", "title", {9, 3, 3, 7, 9, 1}},
+                       {"GENRE", "genre", {5, 5}}})},
+      {HandMatch("v", {{"MOVIE", "title", {1, 4, 8, 2, 8, 9, 1, 3}}}),
+       HandMatch("w", {{"MOVIE", "title", {3, 10}}})},
+  };
+  // And matches straight from the index.
+  for (const std::vector<std::string>& tokens :
+       std::vector<std::vector<std::string>>{
+           {"Woody Allen"}, {"Comedy", "Drama"}, {"Allen", "Woody Allen"}}) {
+    std::vector<TokenMatch> matches;
+    for (const std::string& token : tokens) {
+      matches.push_back(TokenMatch{token, token, engine_->index().Lookup(token)});
+    }
+    inputs.push_back(std::move(matches));
+  }
+
+  auto degree = MinPathWeight(0.9);
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    SeedTids seeds;
+    auto schema = AssembleSeedsAndSchema(&dataset_->graph(), inputs[i],
+                                         *degree, nullptr, nullptr, &seeds);
+    ASSERT_TRUE(schema.ok()) << "input " << i;
+    std::vector<RelationNodeId> want_relations;
+    SeedTids want_seeds;
+    ReferenceSeeds(dataset_->graph(), inputs[i], &want_relations, &want_seeds);
+    EXPECT_EQ(seeds, want_seeds) << "input " << i;
+    EXPECT_EQ(schema->token_relations(), want_relations) << "input " << i;
+  }
 }
 
 // ===== Query-model properties (§3.3, conditions 1-4) under random weights =====

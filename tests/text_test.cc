@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <memory>
 #include <set>
 
+#include "common/random.h"
+#include "datagen/movies_dataset.h"
 #include "storage/database.h"
 #include "text/inverted_index.h"
 #include "text/tokenizer.h"
@@ -45,6 +48,39 @@ TEST(TokenizerTest, ContainsPhraseEmptyNeverMatches) {
 
 TEST(TokenizerTest, ContainsPhraseCaseAndPunctuationInsensitive) {
   EXPECT_TRUE(ContainsPhrase("WOODY ALLEN!", {"woody", "allen"}));
+}
+
+TEST(TokenizerTest, ContainsPhraseSymbolsAgreesWithContainsPhrase) {
+  struct Case {
+    std::string text;
+    std::string phrase;
+    bool expected;
+  };
+  const std::vector<Case> cases = {
+      {"Woody Allen", "woody allen", true},
+      {"wOoDy ALLEN", "Woody Allen", true},            // mixed case
+      {"Allen, Woody (1935-)", "allen woody", true},    // punctuation
+      {"--Woody...Allen!!", "WOODY, allen", true},
+      {"Allen Woody", "woody allen", false},           // reordered
+      {"Woody x Allen", "woody allen", false},         // not contiguous
+      {"New York, New York", "new york new york", true},  // repeated words
+      {"New York, New York", "york york", false},
+      {"New York, New York", "new new", false},
+      {"Tora! Tora! Tora!", "tora tora", true},
+      {"Tora! Tora! Tora!", "tora tora tora tora", false},
+      {"Match Point (2005)", "point 2005", true},
+      {"Match Point (2005)", "match point 2005 match", false},
+      {"", "woody", false},
+      {"Woody", "woody allen", false},
+  };
+  for (const Case& c : cases) {
+    const bool by_string = ContainsPhrase(c.text, TokenizeWords(c.phrase));
+    EXPECT_EQ(by_string, c.expected) << c.text << " / " << c.phrase;
+    EXPECT_EQ(ContainsPhraseSymbols(c.text, TokenizeWordSymbols(c.phrase)),
+              by_string)
+        << c.text << " / " << c.phrase;
+  }
+  EXPECT_FALSE(ContainsPhraseSymbols("anything", {}));
 }
 
 // --- InvertedIndex ---
@@ -157,6 +193,121 @@ TEST(InvertedIndexEdgeTest, NonStringAttributesIgnored) {
   ASSERT_TRUE(index.ok());
   EXPECT_EQ(index->num_words(), 0u);
   EXPECT_TRUE(index->Lookup("1")->empty());
+}
+
+// --- Lookup against a brute-force reference ---
+
+// Every non-null string cell whose value contains the token's words as a
+// contiguous phrase, grouped in RelationNames() order, then attribute
+// order, then tid order — what Lookup promises, computed without the
+// index.
+std::vector<TokenOccurrence> ReferenceLookup(const Database& db,
+                                             const std::string& token) {
+  std::vector<TokenOccurrence> out;
+  const std::vector<std::string> words = TokenizeWords(token);
+  for (const std::string& name : db.RelationNames()) {
+    const Relation* rel = *db.GetRelation(name);
+    const RelationSchema& schema = rel->schema();
+    for (size_t a = 0; a < schema.num_attributes(); ++a) {
+      if (schema.attribute(a).type != DataType::kString) continue;
+      TokenOccurrence occ{name, schema.attribute(a).name, {}};
+      for (Tid tid = 0; tid < rel->num_tuples(); ++tid) {
+        const Value v = rel->ColumnValue(tid, a);
+        if (!v.is_null() && ContainsPhrase(v.AsString(), words)) {
+          occ.tids.push_back(tid);
+        }
+      }
+      if (!occ.tids.empty()) out.push_back(std::move(occ));
+    }
+  }
+  return out;
+}
+
+// Tokens drawn from every string attribute: whole values, single words, 2-
+// and 3-word sub-phrases, reversed phrases, a repeated word, upper-case
+// and punctuated spellings; plus every genre and some unknown words.
+std::vector<std::string> SampleTokens(const Database& db, Rng* rng) {
+  std::vector<std::string> tokens;
+  for (const std::string& name : db.RelationNames()) {
+    const Relation* rel = *db.GetRelation(name);
+    const RelationSchema& schema = rel->schema();
+    for (size_t a = 0; a < schema.num_attributes(); ++a) {
+      if (schema.attribute(a).type != DataType::kString) continue;
+      for (int draw = 0; draw < 3 && rel->num_tuples() > 0; ++draw) {
+        const Value v = rel->ColumnValue(rng->Index(rel->num_tuples()), a);
+        if (v.is_null()) continue;
+        const std::string& text = v.AsString();
+        const std::vector<std::string> words = TokenizeWords(text);
+        if (words.empty()) continue;
+        tokens.push_back(text);
+        const size_t i = rng->Index(words.size());
+        tokens.push_back(words[i]);
+        tokens.push_back(words[i] + " " + words[i]);
+        if (i + 1 < words.size()) {
+          tokens.push_back(words[i] + " " + words[i + 1]);
+          tokens.push_back(words[i + 1] + " " + words[i]);
+        }
+        if (i + 2 < words.size()) {
+          tokens.push_back(words[i] + " " + words[i + 1] + " " +
+                           words[i + 2]);
+        }
+        std::string upper = text;
+        for (char& c : upper) {
+          c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
+        }
+        tokens.push_back(upper);
+        std::string punctuated = "(";
+        for (const std::string& word : words) punctuated += word + ", ";
+        tokens.push_back(punctuated + "!)");
+      }
+    }
+  }
+  const Relation* genre = *db.GetRelation("GENRE");
+  const size_t genre_attr = *genre->schema().AttributeIndex("genre");
+  std::set<std::string> genres;
+  for (Tid tid = 0; tid < genre->num_tuples(); ++tid) {
+    genres.insert(genre->ColumnValue(tid, genre_attr).AsString());
+  }
+  tokens.insert(tokens.end(), genres.begin(), genres.end());
+  tokens.push_back("qzxvkw");
+  tokens.push_back("qzxvkw wvkxzq");
+  tokens.push_back(*genres.begin() + " qzxvkw");
+  return tokens;
+}
+
+TEST(InvertedIndexReferenceTest, LookupMatchesBruteForceScan) {
+  MoviesConfig config;
+  config.num_movies = 2000;
+  auto dataset = MoviesDataset::Create(config);
+  ASSERT_TRUE(dataset.ok());
+  const Database& db = dataset->db();
+  auto index = InvertedIndex::Build(db);
+  ASSERT_TRUE(index.ok());
+  Rng rng(20060403);
+  const std::vector<std::string> tokens = SampleTokens(db, &rng);
+  ASSERT_GE(tokens.size(), 200u);
+
+  size_t matched = 0;
+  for (const std::string& token : tokens) {
+    const std::vector<TokenOccurrence> expected = ReferenceLookup(db, token);
+    if (!expected.empty()) ++matched;
+    // Cache off, then on: a miss that fills it, then a hit.
+    for (int pass = 0; pass < 3; ++pass) {
+      index->set_lookup_cache_enabled(pass > 0);
+      const OccurrenceList list = index->Lookup(token);
+      const std::vector<TokenOccurrence>& got = *list;
+      ASSERT_EQ(got.size(), expected.size()) << token << " pass " << pass;
+      for (size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].relation, expected[i].relation) << token;
+        EXPECT_EQ(got[i].attribute, expected[i].attribute) << token;
+        EXPECT_EQ(got[i].tids, expected[i].tids) << token;
+      }
+    }
+  }
+  EXPECT_GT(index->lookup_cache_stats().hits, 0u);
+  // Most sampled tokens occur somewhere; the reversed and unknown ones
+  // mostly do not.
+  EXPECT_GT(matched, tokens.size() / 2);
 }
 
 TEST(InvertedIndexEdgeTest, EmptyDatabase) {
