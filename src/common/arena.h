@@ -51,10 +51,11 @@ class Arena {
   Arena(const Arena&) = delete;
   Arena& operator=(const Arena&) = delete;
 
-  /// Returns `bytes` of storage aligned to `align` (a power of two).
-  /// Never returns nullptr (allocation failure throws std::bad_alloc,
-  /// like the global allocator it replaces). Zero-byte requests return a
-  /// unique non-null pointer, matching operator new semantics.
+  /// Returns `bytes` of uninitialized storage aligned to `align` (a power
+  /// of two): the caller writes before it reads. Never returns nullptr
+  /// (allocation failure throws std::bad_alloc, like the global allocator
+  /// it replaces). Zero-byte requests return a unique non-null pointer,
+  /// matching operator new semantics.
   void* Allocate(size_t bytes, size_t align = alignof(std::max_align_t)) {
     std::lock_guard<std::mutex> lock(mu_);
     return AllocateLocked(bytes == 0 ? 1 : bytes, align);
@@ -100,10 +101,13 @@ class Arena {
     uintptr_t aligned = (p + (align - 1)) & ~uintptr_t(align - 1);
     if (current_ == nullptr || aligned + bytes > reinterpret_cast<uintptr_t>(current_end_)) {
       // New slab: doubled beyond the default for oversize requests so a
-      // single big projection buffer does not strand a whole slab.
+      // single big projection buffer does not strand a whole slab. Left
+      // uninitialized — zero-filling 64 KiB per slab per query would cost
+      // more than the bump allocation it serves.
       size_t want = bytes + align;
       size_t slab_size = want > slab_bytes_ ? want : slab_bytes_;
-      slabs_.push_back(std::make_unique<unsigned char[]>(slab_size));
+      slabs_.push_back(
+          std::make_unique_for_overwrite<unsigned char[]>(slab_size));
       current_ = slabs_.back().get();
       current_end_ = current_ + slab_size;
       reserved_ += slab_size;

@@ -42,6 +42,7 @@
 #include <chrono>
 #include <cstdint>
 #include <deque>
+#include <forward_list>
 #include <functional>
 #include <map>
 #include <memory>
@@ -56,6 +57,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/flat_key_set.h"
 #include "common/retry.h"
 #include "common/task_pool.h"
 #include "precis/dbgen_common.h"
@@ -124,7 +126,7 @@ struct PlannedRelation {
   std::vector<size_t> emitted;  // emitted attribute indices (sorted)
 
   std::vector<Tid> accepted;  // Fig. 5 collection order
-  std::unordered_set<Tid> seen;
+  FlatKeySet seen;            // the accepted tids, for the duplicate check
   bool track_arrivals = false;
   std::unordered_map<Tid, std::vector<const JoinEdge*>> arrivals;
 
@@ -221,16 +223,19 @@ class ThrottledGroup {
 /// `attribute` over the accepted tuples (restricted to those whose arrival
 /// tags may drive the edge, under path-aware propagation). The order
 /// follows collection order, which is what gives NaiveQ its "prefix of the
-/// source tuples" behaviour on truncation. Above kParallelKeyExtraction
-/// accepted tids a pooled run reads the (uncharged, read-only) column
-/// values across the pool first; the order-defining dedup stays on this
-/// thread, so the key list is the same either way.
+/// source tuples" behaviour on truncation. Distinctness is Value equality,
+/// decided on canonical key bits: -0.0 repeats +0.0, and a NaN (no bits,
+/// equal to nothing) is kept every time it occurs. Above
+/// kParallelKeyExtraction accepted tids a pooled run reads the (uncharged,
+/// read-only) column values across the pool first; the order-defining
+/// dedup stays on this thread, so the key list is the same either way.
 Result<std::vector<Value>> PlanJoinKeys(
     const PlannedRelation& p, const RelationSchema& schema,
     const std::string& attribute,
     const std::set<const JoinEdge*>* allowed_arrivals, TaskPool* pool) {
   auto idx = schema.AttributeIndex(attribute);
   if (!idx.ok()) return idx.status();
+  const DataType type = schema.attribute(*idx).type;
   const size_t n = p.accepted.size();
 
   std::vector<Value> vals;
@@ -250,7 +255,7 @@ Result<std::vector<Value>> PlanJoinKeys(
   }
 
   std::vector<Value> keys;
-  std::unordered_set<Value, ValueHash> dedup;
+  FlatKeySet dedup;
   for (size_t i = 0; i < n; ++i) {
     const Tid tid = p.accepted[i];
     if (allowed_arrivals != nullptr) {
@@ -268,7 +273,8 @@ Result<std::vector<Value>> PlanJoinKeys(
     }
     const Value v = vals.empty() ? p.source->ColumnValue(tid, *idx) : vals[i];
     if (v.is_null()) continue;
-    if (dedup.insert(v).second) keys.push_back(v);
+    auto bits = Column::KeyBits(v, type);
+    if (!bits || dedup.Insert(*bits)) keys.push_back(v);
   }
   return keys;
 }
@@ -300,25 +306,34 @@ class DatabaseRelation final : public SourceRelation {
 };
 
 /// On-demand lookups: key k is probed only when the planner reaches it —
-/// literally Relation::LookupEquals, preceded by a charge-free prefetch of
-/// the index slot a few keys ahead.
+/// literally Relation::LookupEqualsView, preceded by a charge-free prefetch
+/// of the index slot a few keys ahead. An indexed probe returns the index
+/// posting in place; a scan (unindexed attribute) lands in a buffer of its
+/// own, so every view handed out stays valid while the lookup lives.
 class DatabaseKeyLookup final : public KeyLookup {
  public:
   DatabaseKeyLookup(const Relation* relation, const std::string& attribute,
                     const std::vector<Value>& keys)
-      : relation_(relation), attribute_(attribute), keys_(keys) {}
+      : relation_(relation),
+        attribute_(attribute),
+        keys_(keys),
+        indexed_(relation->HasIndex(attribute)) {}
 
-  Result<std::vector<Tid>> Lookup(size_t k, ExecutionContext* ctx) override {
+  Result<std::span<const Tid>> Lookup(size_t k,
+                                      ExecutionContext* ctx) override {
     if (k + 4 < keys_.size()) {
       relation_->PrefetchEquals(attribute_, keys_[k + 4]);
     }
-    return relation_->LookupEquals(attribute_, keys_[k], ctx);
+    std::vector<Tid>* scan = indexed_ ? nullptr : &scans_.emplace_front();
+    return relation_->LookupEqualsView(attribute_, keys_[k], scan, ctx);
   }
 
  private:
   const Relation* relation_;
   const std::string& attribute_;
   const std::vector<Value>& keys_;
+  const bool indexed_;
+  std::forward_list<std::vector<Tid>> scans_;  // one per scan, never moved
 };
 
 std::unique_ptr<KeyLookup> DatabaseRelation::LookupKeys(
@@ -545,7 +560,7 @@ Result<Database> ResultDatabaseGenerator::Plan(
   // to a chunk task). Caller has already done the dup/stop/budget checks.
   auto accept = [&](PlannedRelation& p, Tid tid, const JoinEdge* arrival) {
     p.Tag(tid, arrival);
-    p.seen.insert(tid);
+    p.seen.Insert(tid);
     p.accepted.push_back(tid);
     ++total;
     spawn_chunks(p, /*flush=*/false);
@@ -584,7 +599,7 @@ Result<Database> ResultDatabaseGenerator::Plan(
       ordered_tids = weighted;
     }
     for (Tid tid : ordered_tids) {
-      if (p.seen.count(tid) > 0) continue;
+      if (p.seen.Contains(tid)) continue;
       if (plan_stopped()) {
         mark_truncated(rel);
         break;
@@ -677,11 +692,11 @@ Result<Database> ResultDatabaseGenerator::Plan(
     std::unique_ptr<KeyLookup> lookup =
         to_relation.LookupKeys(edge.to_attribute, *keys, pool);
     auto lookup_key = [&](size_t k,
-                          uint64_t* retries) -> Result<std::vector<Tid>> {
+                          uint64_t* retries) -> Result<std::span<const Tid>> {
       if (!faults) return lookup->Lookup(k, ctx);
       return RetryWithBackoff(
           ctx->retry_policy(), ctx, FaultSite::kJoinValueLookup,
-          [&]() -> Result<std::vector<Tid>> {
+          [&]() -> Result<std::span<const Tid>> {
             PRECIS_RETURN_NOT_OK(ctx->CheckFault(FaultSite::kJoinValueLookup));
             return lookup->Lookup(k, ctx);
           },
@@ -714,7 +729,7 @@ Result<Database> ResultDatabaseGenerator::Plan(
     // without consuming budget (but still gain this edge's arrival tag);
     // the stop and budget checks sit at exactly the walk's points.
     auto plan_try_add = [&](Tid tid) -> bool {
-      if (col.seen.count(tid) > 0) {
+      if (col.seen.Contains(tid)) {
         col.Tag(tid, &edge);
         return true;
       }
@@ -740,7 +755,7 @@ Result<Database> ResultDatabaseGenerator::Plan(
       to_relation.CountStatement(ctx);
       SimulateStatementOverhead(options.statement_overhead_ns);
       ArenaVector<Tid> candidates{ArenaAllocator<Tid>(arena)};
-      std::unordered_set<Tid> candidate_seen;
+      FlatKeySet candidate_seen;
       for (size_t k = 0; k < keys->size(); ++k) {
         if (plan_stopped()) break;
         uint64_t r = 0;
@@ -756,8 +771,8 @@ Result<Database> ResultDatabaseGenerator::Plan(
         }
         sim_charges += 1;  // the probe (or fallback scan)
         for (Tid tid : *tids) {
-          if (col.seen.count(tid) > 0) continue;
-          if (candidate_seen.insert(tid).second) candidates.push_back(tid);
+          if (col.seen.Contains(tid)) continue;
+          if (candidate_seen.Insert(tid)) candidates.push_back(tid);
         }
       }
       std::stable_sort(candidates.begin(), candidates.end(),
@@ -803,8 +818,9 @@ Result<Database> ResultDatabaseGenerator::Plan(
     } else {
       // RoundRobin: one scan per key (PerValueScanSet::Open parity: scans
       // opened after a stop are empty and uncharged), then one tuple per
-      // open scan per round while the cardinality constraint holds.
-      std::vector<std::vector<Tid>> scans;
+      // open scan per round while the cardinality constraint holds. Scans
+      // are views the lookup keeps valid until the edge is done.
+      std::vector<std::span<const Tid>> scans;
       scans.reserve(keys->size());
       // Mirror of PerValueScanSet's degradation counters, folded into the
       // report once after the edge drains, exactly where the walk folds
@@ -829,7 +845,7 @@ Result<Database> ResultDatabaseGenerator::Plan(
           return tids.status();
         }
         sim_charges += 1;  // the probe (or fallback scan)
-        scans.push_back(std::move(*tids));
+        scans.push_back(*tids);
       }
       SimulateStatementOverhead(options.statement_overhead_ns *
                                 static_cast<uint64_t>(keys->size()));
@@ -920,6 +936,7 @@ Result<Database> ResultDatabaseGenerator::Plan(
     Relation* out = out_relations[i];
     Status* slot = &insert_status[i];
     group.Run([p, out, slot] {
+      out->Reserve(p->accepted.size());  // every chunk row, sized once
       Tuple tuple;  // Insert copies into the columns: one buffer serves all
       for (const MaterializedChunk* chunk : p->chunks) {
         for (size_t r = 0; r < chunk->count; ++r) {

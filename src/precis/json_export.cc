@@ -34,7 +34,7 @@ void AppendStringArray(std::string* out,
   for (size_t i = 0; i < items.size(); ++i) {
     if (i > 0) *out += ",";
     *out += "\"";
-    *out += JsonEscape(items[i]);
+    AppendJsonEscaped(out, items[i]);
     *out += "\"";
   }
   *out += "]";
@@ -56,7 +56,7 @@ void AppendValueJson(std::string* out, const Value& v) {
     return;
   }
   *out += "\"";
-  *out += JsonEscape(v.AsString());
+  AppendJsonEscaped(out, v.AsString());
   *out += "\"";
 }
 
@@ -74,13 +74,13 @@ size_t EstimateRelationJsonBytes(const Relation& relation) {
 void AppendRelation(std::string* out, const Relation& relation) {
   const RelationSchema& schema = relation.schema();
   *out += "{\"name\":\"";
-  *out += JsonEscape(schema.name());
+  AppendJsonEscaped(out, schema.name());
   *out += "\",\"attributes\":[";
   for (size_t i = 0; i < schema.num_attributes(); ++i) {
     if (i > 0) *out += ",";
     const AttributeSchema& attr = schema.attribute(i);
     *out += "{\"name\":\"";
-    *out += JsonEscape(attr.name);
+    AppendJsonEscaped(out, attr.name);
     *out += "\",\"type\":\"";
     *out += DataTypeToString(attr.type);
     *out += "\",\"primary_key\":";
@@ -103,7 +103,7 @@ void AppendRelation(std::string* out, const Relation& relation) {
 
 void AppendDatabaseJson(std::string* out, const Database& db) {
   *out += "{\"name\":\"";
-  *out += JsonEscape(db.name());
+  AppendJsonEscaped(out, db.name());
   *out += "\",\"relations\":[";
   bool first = true;
   for (const std::string& name : db.RelationNames()) {
@@ -118,13 +118,13 @@ void AppendDatabaseJson(std::string* out, const Database& db) {
     if (i > 0) *out += ",";
     const ForeignKey& fk = db.foreign_keys()[i];
     *out += "{\"child\":\"";
-    *out += JsonEscape(fk.child_relation);
+    AppendJsonEscaped(out, fk.child_relation);
     *out += "\",\"child_attribute\":\"";
-    *out += JsonEscape(fk.child_attribute);
+    AppendJsonEscaped(out, fk.child_attribute);
     *out += "\",\"parent\":\"";
-    *out += JsonEscape(fk.parent_relation);
+    AppendJsonEscaped(out, fk.parent_relation);
     *out += "\",\"parent_attribute\":\"";
-    *out += JsonEscape(fk.parent_attribute);
+    AppendJsonEscaped(out, fk.parent_attribute);
     *out += "\"}";
   }
   *out += "]}";
@@ -141,36 +141,48 @@ size_t EstimateDatabaseJsonBytes(const Database& db) {
 
 }  // namespace
 
-std::string JsonEscape(const std::string& raw) {
-  std::string out;
-  out.reserve(raw.size());
-  for (unsigned char c : raw) {
+void AppendJsonEscaped(std::string* out, std::string_view raw) {
+  // Bytes that need no escape are copied a run at a time.
+  size_t run = 0;
+  for (size_t i = 0; i < raw.size(); ++i) {
+    const unsigned char c = static_cast<unsigned char>(raw[i]);
+    const char* escaped;
     switch (c) {
       case '"':
-        out += "\\\"";
+        escaped = "\\\"";
         break;
       case '\\':
-        out += "\\\\";
+        escaped = "\\\\";
         break;
       case '\n':
-        out += "\\n";
+        escaped = "\\n";
         break;
       case '\r':
-        out += "\\r";
+        escaped = "\\r";
         break;
       case '\t':
-        out += "\\t";
+        escaped = "\\t";
         break;
       default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(static_cast<char>(c));
-        }
+        if (c >= 0x20) continue;
+        escaped = nullptr;
+    }
+    out->append(raw.data() + run, i - run);
+    run = i + 1;
+    if (escaped != nullptr) {
+      out->append(escaped);
+    } else {
+      char buf[8];
+      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+      out->append(buf);
     }
   }
+  out->append(raw.data() + run, raw.size() - run);
+}
+
+std::string JsonEscape(const std::string& raw) {
+  std::string out;
+  AppendJsonEscaped(&out, raw);
   return out;
 }
 
@@ -213,17 +225,17 @@ std::string AnswerToJson(const PrecisAnswer& answer) {
     if (m > 0) out += ",";
     const TokenMatch& match = answer.matches[m];
     out += "{\"token\":\"";
-    out += JsonEscape(match.token);
+    AppendJsonEscaped(&out, match.token);
     out += "\",\"resolved_token\":\"";
-    out += JsonEscape(match.resolved_token);
+    AppendJsonEscaped(&out, match.resolved_token);
     out += "\",\"occurrences\":[";
     for (size_t o = 0; o < match.occurrences().size(); ++o) {
       if (o > 0) out += ",";
       const TokenOccurrence& occ = match.occurrences()[o];
       out += "{\"relation\":\"";
-      out += JsonEscape(occ.relation);
+      AppendJsonEscaped(&out, occ.relation);
       out += "\",\"attribute\":\"";
-      out += JsonEscape(occ.attribute);
+      AppendJsonEscaped(&out, occ.attribute);
       out += "\",\"tids\":[";
       for (size_t t = 0; t < occ.tids.size(); ++t) {
         if (t > 0) out += ",";
@@ -245,7 +257,7 @@ std::string AnswerToJson(const PrecisAnswer& answer) {
                   answer.schema.token_relations().end(),
                   rel) != answer.schema.token_relations().end();
     out += "{\"name\":\"";
-    out += JsonEscape(rel_schema.name());
+    AppendJsonEscaped(&out, rel_schema.name());
     out += "\",\"token_relation\":";
     out += is_token ? "true" : "false";
     out += ",\"in_degree\":";
@@ -263,13 +275,13 @@ std::string AnswerToJson(const PrecisAnswer& answer) {
     if (i > 0) out += ",";
     const JoinEdge* e = answer.schema.join_edges()[i];
     out += "{\"from\":\"";
-    out += JsonEscape(graph.relation_name(e->from));
+    AppendJsonEscaped(&out, graph.relation_name(e->from));
     out += "\",\"to\":\"";
-    out += JsonEscape(graph.relation_name(e->to));
+    AppendJsonEscaped(&out, graph.relation_name(e->to));
     out += "\",\"from_attribute\":\"";
-    out += JsonEscape(e->from_attribute);
+    AppendJsonEscaped(&out, e->from_attribute);
     out += "\",\"to_attribute\":\"";
-    out += JsonEscape(e->to_attribute);
+    AppendJsonEscaped(&out, e->to_attribute);
     out += "\",\"weight\":";
     char buf[32];
     std::snprintf(buf, sizeof(buf), "%g", e->weight);
@@ -299,7 +311,7 @@ std::string AnswerToJson(const PrecisAnswer& answer) {
     if (!first_entry) out += ",";
     first_entry = false;
     out += "{\"relation\":\"";
-    out += JsonEscape(d.relation);
+    AppendJsonEscaped(&out, d.relation);
     out += "\",\"dropped_tuples\":";
     AppendUint(&out, d.dropped_tuples);
     out += ",\"failed_lookups\":";

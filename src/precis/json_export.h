@@ -10,14 +10,19 @@
 #define PRECIS_PRECIS_JSON_EXPORT_H_
 
 #include <string>
+#include <string_view>
 
 #include "precis/engine.h"
 #include "storage/database.h"
 
 namespace precis {
 
-/// \brief Escapes a string for inclusion in a JSON string literal
-/// (quotes, backslashes, control characters).
+/// \brief Appends `raw` to `*out`, escaped for inclusion in a JSON string
+/// literal (quotes, backslashes, control characters). Runs of bytes that
+/// need no escape are copied with one append each.
+void AppendJsonEscaped(std::string* out, std::string_view raw);
+
+/// \brief AppendJsonEscaped into a fresh string.
 std::string JsonEscape(const std::string& raw);
 
 /// \brief One value as a JSON scalar: null, number, or string.

@@ -24,6 +24,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -48,9 +49,12 @@ class KeyLookup {
   /// the charge and fault-check sequence Relation::LookupEquals produces on
   /// `ctx` (attribute-missing error first; kIndexProbe check and one probe
   /// charge when indexed, kRelationScan check and one scan charge
-  /// otherwise). A failed attempt may be retried; a successful one hands
-  /// its tids over, so each key is consumed at most once.
-  virtual Result<std::vector<Tid>> Lookup(size_t k, ExecutionContext* ctx) = 0;
+  /// otherwise). A failed attempt may be retried. The view is read in place
+  /// — an index posting or a buffer the lookup owns — and stays valid for
+  /// the lookup object's lifetime, provided nothing inserts into the source
+  /// relation meanwhile.
+  virtual Result<std::span<const Tid>> Lookup(size_t k,
+                                              ExecutionContext* ctx) = 0;
 };
 
 /// \brief The planner's view of one source relation, addressed by global

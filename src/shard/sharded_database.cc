@@ -63,7 +63,8 @@ Result<std::vector<Tid>> ShardedRelation::ShardLookupGlobal(
     bool replica) const {
   const Relation* relation =
       replica ? replica_rel_[shard] : shard_rel_[shard];
-  auto locals = relation->LookupEquals(attribute_name, key, nullptr);
+  std::vector<Tid> scan;
+  auto locals = relation->LookupEqualsView(attribute_name, key, &scan);
   if (!locals.ok()) return locals.status();
   std::vector<Tid> out;
   out.reserve(locals->size());

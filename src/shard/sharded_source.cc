@@ -55,12 +55,13 @@ class ShardedKeyLookup final : public KeyLookup {
     Prefetch(keys, plan, ledger, pool);
   }
 
-  // The merged list is only consumed on the successful attempt, so a
-  // retried lookup re-delivers it intact.
-  Result<std::vector<Tid>> Lookup(size_t k, ExecutionContext* ctx) override {
+  // A view of the merged list, which stays put: a retried lookup gets the
+  // same view back.
+  Result<std::span<const Tid>> Lookup(size_t k,
+                                      ExecutionContext* ctx) override {
     PRECIS_RETURN_NOT_OK(view_.MirrorLookupCharges(attribute_, ctx));
     PRECIS_RETURN_NOT_OK(status_);
-    return std::move(merged_[k]);
+    return std::span<const Tid>(merged_[k]);
   }
 
  private:

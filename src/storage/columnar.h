@@ -38,6 +38,7 @@
 #include <immintrin.h>
 #endif
 
+#include "common/flat_key_set.h"
 #include "storage/value.h"
 
 namespace precis {
@@ -63,6 +64,12 @@ class Column {
       return;
     }
     bits_.push_back(RawBits(v));
+  }
+
+  /// Room for `rows` rows in all, so appends up to that never reallocate.
+  void Reserve(size_t rows) {
+    bits_.reserve(rows);
+    nulls_.reserve((rows + 63) / 64);
   }
 
   bool IsNull(size_t row) const {
@@ -295,7 +302,7 @@ class ColumnIndex {
     if (slots_.empty() || key.is_null()) return;
     auto bits = Column::KeyBits(key, type_);
     if (!bits) return;
-    __builtin_prefetch(&slots_[Mix(*bits) & (slots_.size() - 1)]);
+    __builtin_prefetch(&slots_[MixKeyBits(*bits) & (slots_.size() - 1)]);
   }
 
   /// Batched probe: fills out[i] with &Lookup(keys[i]), running a
@@ -321,17 +328,9 @@ class ColumnIndex {
     uint32_t posting = 0;  // 1-based index into postings_; 0 = empty
   };
 
-  // splitmix64 finalizer: full-avalanche mix of the canonical key bits.
-  static uint64_t Mix(uint64_t x) {
-    x += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
-  }
-
   Slot& Probe(uint64_t bits) {
     const size_t mask = slots_.size() - 1;
-    size_t i = Mix(bits) & mask;
+    size_t i = MixKeyBits(bits) & mask;
     while (slots_[i].posting != 0 && slots_[i].key != bits) {
       i = (i + 1) & mask;
     }

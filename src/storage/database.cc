@@ -99,19 +99,28 @@ Status Database::CheckForeignKey(const ForeignKey& fk) const {
                                    fk.ToString());
   }
 
+  // A parent primary key is already a set of canonical bits: the
+  // relation's PK set. Any other parent attribute gets one built here.
   // NULL parents contribute nothing and NaN parents can never be matched,
-  // so neither enters the set.
-  std::unordered_set<uint64_t> parent_bits;
-  parent_bits.reserve(parent_col.size());
-  for (Tid tid = 0; tid < parent_col.size(); ++tid) {
-    if (parent_col.IsNull(tid)) continue;
-    auto bits = Column::CanonicalBits(parent_col.raw_bits(tid), type);
-    if (bits) parent_bits.insert(*bits);
+  // so neither is in either set.
+  const Relation& parent_rel = **parent;
+  const bool parent_is_key = parent_rel.schema().primary_key() == *parent_idx;
+  FlatKeySet parent_bits;
+  if (!parent_is_key) {
+    parent_bits.Reserve(parent_col.size());
+    for (Tid tid = 0; tid < parent_col.size(); ++tid) {
+      if (parent_col.IsNull(tid)) continue;
+      auto bits = Column::CanonicalBits(parent_col.raw_bits(tid), type);
+      if (bits) parent_bits.Insert(*bits);
+    }
   }
   for (Tid tid = 0; tid < child_col.size(); ++tid) {
     if (child_col.IsNull(tid)) continue;
     auto bits = Column::CanonicalBits(child_col.raw_bits(tid), type);
-    if (!bits || parent_bits.count(*bits) == 0) {
+    const bool found = bits && (parent_is_key
+                                    ? parent_rel.HasPrimaryKeyBits(*bits)
+                                    : parent_bits.Contains(*bits));
+    if (!found) {
       return Status::ConstraintViolation(
           "dangling foreign key " + fk.ToString() + ": value " +
           child_col.GetValue(tid).ToString() + " has no parent");

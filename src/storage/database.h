@@ -65,7 +65,9 @@ class Database {
   /// declared here: every non-NULL child value must equal some parent value
   /// under Value equality (-0.0 equals +0.0; NaN equals nothing, so a NaN
   /// child dangles). Compares canonical column bits (Column::CanonicalBits)
-  /// instead of hashing Values. Returns the ConstraintViolation naming the
+  /// instead of hashing Values: a parent primary key is probed in the
+  /// parent relation's PK set, any other parent attribute gets a FlatKeySet
+  /// built from its column. Returns the ConstraintViolation naming the
   /// first dangling value, NotFound for a missing relation or attribute,
   /// InvalidArgument for end points of different types, or OK.
   Status CheckForeignKey(const ForeignKey& fk) const;

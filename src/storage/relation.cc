@@ -29,14 +29,14 @@ Result<Tid> Relation::Insert(const Tuple& tuple) {
       return Status::ConstraintViolation("NULL primary key in relation '" +
                                          name() + "'");
     }
-    // pk_values_ holds the key column's values, so uniqueness is O(1)
-    // whether or not an index exists on the key attribute.
-    if (pk_values_.count(key) > 0) {
+    // pk_bits_ holds the key column's canonical bits, so uniqueness is
+    // O(1) whether or not an index exists on the key attribute.
+    auto bits = Column::KeyBits(key, schema_.attribute(pk).type);
+    if (bits && !pk_bits_.Insert(*bits)) {
       return Status::ConstraintViolation(
           "duplicate primary key " + key.ToString() + " in relation '" +
           name() + "'");
     }
-    pk_values_.insert(key);
   }
   Tid tid = num_tuples_++;
   for (size_t pos = 0; pos < indexes_.size(); ++pos) {
@@ -47,6 +47,11 @@ Result<Tid> Relation::Insert(const Tuple& tuple) {
   }
   BumpEpoch();
   return tid;
+}
+
+void Relation::Reserve(size_t n) {
+  for (Column& col : columns_) col.Reserve(n);
+  if (schema_.primary_key()) pk_bits_.Reserve(n);
 }
 
 Result<Tuple> Relation::Get(Tid tid, ExecutionContext* ctx) const {
@@ -115,9 +120,9 @@ bool Relation::HasIndex(const std::string& attribute_name) const {
   return IndexAt(*idx) != nullptr;
 }
 
-Result<std::vector<Tid>> Relation::LookupEquals(
+Result<std::span<const Tid>> Relation::LookupEqualsView(
     const std::string& attribute_name, const Value& key,
-    ExecutionContext* ctx) const {
+    std::vector<Tid>* scan_out, ExecutionContext* ctx) const {
   auto idx = schema_.AttributeIndex(attribute_name);
   if (!idx.ok()) return idx.status();
   if (const ColumnIndex* index = IndexAt(*idx)) {
@@ -125,7 +130,7 @@ Result<std::vector<Tid>> Relation::LookupEquals(
       PRECIS_RETURN_NOT_OK(ctx->CheckFault(FaultSite::kIndexProbe));
     }
     CountIndexProbe(ctx);
-    return index->Lookup(key);
+    return std::span<const Tid>(index->Lookup(key));
   }
   if (ctx != nullptr) {
     PRECIS_RETURN_NOT_OK(ctx->CheckFault(FaultSite::kRelationScan));
@@ -134,18 +139,26 @@ Result<std::vector<Tid>> Relation::LookupEquals(
   // Column scan: one contiguous pass over the attribute's bit vector, with
   // the match semantics of `ColumnValue(tid, *idx) == key` (NULL matches
   // NULL, NaN matches nothing, cross-type matches nothing).
-  std::vector<Tid> out;
+  std::vector<Tid>& out = *scan_out;
+  out.clear();
   const Column& col = columns_[*idx];
   if (key.is_null()) {
     for (Tid tid = 0; tid < col.size(); ++tid) {
       if (col.IsNull(tid)) out.push_back(tid);
     }
-    return out;
-  }
-  auto key_bits = Column::KeyBits(key, col.type());
-  if (!key_bits) return out;  // cross-type or NaN key: nothing can match
-  col.ScanEquals(*key_bits, &out);  // SIMD-dispatched, scalar-identical
-  return out;
+  } else if (auto key_bits = Column::KeyBits(key, col.type())) {
+    col.ScanEquals(*key_bits, &out);  // SIMD-dispatched, scalar-identical
+  }  // else a cross-type or NaN key: nothing can match
+  return std::span<const Tid>(out);
+}
+
+Result<std::vector<Tid>> Relation::LookupEquals(
+    const std::string& attribute_name, const Value& key,
+    ExecutionContext* ctx) const {
+  std::vector<Tid> scan;
+  auto tids = LookupEqualsView(attribute_name, key, &scan, ctx);
+  if (!tids.ok()) return tids.status();
+  return std::vector<Tid>(tids->begin(), tids->end());
 }
 
 void Relation::PrefetchEquals(const std::string& attribute_name,

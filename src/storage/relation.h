@@ -6,12 +6,12 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/execution_context.h"
+#include "common/flat_key_set.h"
 #include "common/result.h"
 #include "common/status.h"
 #include "storage/access_stats.h"
@@ -63,6 +63,18 @@ class Relation {
   /// Returns the new tuple's tid.
   Result<Tid> Insert(const Tuple& tuple);
 
+  /// Room for `n` tuples in all: the columns and the primary-key set take
+  /// them without reallocating (the emit phase sizes each result relation
+  /// once).
+  void Reserve(size_t n);
+
+  /// True when the primary-key set holds canonical key bits `bits` (as
+  /// Column::KeyBits makes them). The set holds every non-NaN key of a
+  /// relation with a declared primary key, and nothing otherwise.
+  bool HasPrimaryKeyBits(uint64_t bits) const {
+    return pk_bits_.Contains(bits);
+  }
+
   /// Fetches a tuple by rowid, materialized from the columns: bounds check,
   /// then the kTupleFetch fault check, then one tuple-fetch charge
   /// (attributed to `ctx` when given).
@@ -103,9 +115,21 @@ class Relation {
   /// Names of all indexed attributes, in attribute order.
   std::vector<std::string> IndexedAttributes() const;
 
-  /// Tids whose `attribute_name` equals `key`. Uses the index when present
-  /// (one index probe); otherwise falls back to a sequential scan (counted,
-  /// attributed to `ctx` when given).
+  /// Tids whose `attribute_name` equals `key`, ascending. Uses the index
+  /// when present (one index probe); otherwise falls back to a sequential
+  /// scan (counted, attributed to `ctx` when given). Order of checks:
+  /// attribute lookup, then the kIndexProbe / kRelationScan fault check,
+  /// then the charge.
+  ///
+  /// Non-owning form: an index posting is returned in place, valid until
+  /// the next Insert or CreateIndex. A scan writes its tids to
+  /// `*scan_out`, which must be non-null when the attribute has no index,
+  /// and returns a view of it.
+  Result<std::span<const Tid>> LookupEqualsView(
+      const std::string& attribute_name, const Value& key,
+      std::vector<Tid>* scan_out, ExecutionContext* ctx = nullptr) const;
+
+  /// Owning form: a copy of LookupEqualsView's tids.
   Result<std::vector<Tid>> LookupEquals(const std::string& attribute_name,
                                         const Value& key,
                                         ExecutionContext* ctx = nullptr) const;
@@ -188,12 +212,13 @@ class Relation {
   size_t num_tuples_ = 0;
   std::vector<Column> columns_;  // the tuples, one column per attribute
   std::vector<std::unique_ptr<ColumnIndex>> indexes_;
-  /// Every primary-key value in the relation, for O(1) uniqueness checks
-  /// on Insert even when no index exists on the key attribute (the emit
-  /// phase of result-database generation inserts into fresh unindexed
-  /// relations; the old fallback was a full scan per insert — O(n^2)
-  /// total).
-  std::unordered_set<Value, ValueHash> pk_values_;
+  /// Canonical bits (Column::KeyBits) of every primary key in the
+  /// relation, for O(1) uniqueness checks on Insert even when no index
+  /// exists on the key attribute (the emit phase of result-database
+  /// generation inserts into fresh unindexed relations), and for the FK
+  /// check's parent probe. NaN keys have no bits and never enter: under
+  /// Value equality they duplicate nothing.
+  FlatKeySet pk_bits_;
   AccessStats* stats_;
   // Owning database's mutation epoch (see Database::epoch()); may be null.
   std::atomic<uint64_t>* epoch_ = nullptr;

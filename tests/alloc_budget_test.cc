@@ -1,0 +1,111 @@
+// Allocation budget of a cold result-database generation (DESIGN.md §13):
+// the Fig. 5 planner, its emit phase and the FK check allocate per query,
+// relation and edge — never per accepted tuple.
+//
+// This executable replaces global operator new with one that counts the
+// calling thread's allocations. An inline Generate (parallelism 1, no
+// pool) runs every task on the calling thread, so the count covers the
+// whole generation. It is not built under PRECIS_SANITIZE, whose runtimes
+// bring their own allocator.
+
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <cstdlib>
+#include <memory>
+#include <new>
+#include <string>
+
+#include "common/execution_context.h"
+#include "datagen/movies_dataset.h"
+#include "precis/constraints.h"
+#include "precis/database_generator.h"
+#include "precis/schema_generator.h"
+
+namespace {
+thread_local uint64_t t_allocations = 0;
+}  // namespace
+
+void* operator new(std::size_t n) {
+  ++t_allocations;
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t n) { return ::operator new(n); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+
+namespace precis {
+namespace {
+
+struct Census {
+  uint64_t allocations = 0;
+  size_t tuples = 0;
+};
+
+class AllocBudgetTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    MoviesConfig config;
+    config.num_movies = 6000;
+    auto ds = MoviesDataset::Create(config);
+    ASSERT_TRUE(ds.ok());
+    dataset_ = std::make_unique<MoviesDataset>(std::move(*ds));
+
+    // A GENRE token: the heavy tail of the cold serving mix.
+    auto genre = dataset_->db().GetRelation("GENRE");
+    ASSERT_TRUE(genre.ok());
+    auto comedy = (*genre)->LookupEquals("genre", Value("Comedy"));
+    ASSERT_TRUE(comedy.ok());
+    seeds_[*dataset_->graph().RelationId("GENRE")] = *comedy;
+
+    ResultSchemaGenerator schema_gen(&dataset_->graph());
+    auto schema =
+        schema_gen.Generate({std::string("GENRE")}, *MinPathWeight(0.5));
+    ASSERT_TRUE(schema.ok());
+    schema_ = std::make_unique<ResultSchema>(std::move(*schema));
+  }
+
+  /// Allocations made by one inline Generate at `c` tuples per relation.
+  Census Run(size_t c) {
+    ResultDatabaseGenerator gen(&dataset_->db());
+    auto cardinality = MaxTuplesPerRelation(c);
+    ExecutionContext ctx;
+    const DbGenOptions options;  // parallelism 1: every task inline
+    const uint64_t before = t_allocations;
+    auto result = gen.Generate(*schema_, seeds_, *cardinality, options, &ctx);
+    Census census;
+    census.allocations = t_allocations - before;
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    if (result.ok()) census.tuples = result->TotalTuples();
+    return census;
+  }
+
+  std::unique_ptr<MoviesDataset> dataset_;
+  SeedTids seeds_;
+  std::unique_ptr<ResultSchema> schema_;
+};
+
+TEST_F(AllocBudgetTest, ColdGenerationAllocatesPerQueryNotPerTuple) {
+  Run(50);  // warm-up: one-time allocations stay out of the census
+  const Census small = Run(50);
+  const Census large = Run(1000);
+  ASSERT_GT(large.tuples, small.tuples + 500)
+      << "the token must accept many more tuples at the larger c";
+  const uint64_t extra_allocations =
+      large.allocations > small.allocations
+          ? large.allocations - small.allocations
+          : 0;
+  const size_t extra_tuples = large.tuples - small.tuples;
+  // Fewer than one allocation per ten extra accepted tuples. A node per
+  // accepted tid, primary key or FK parent key would cost three per tuple.
+  EXPECT_LT(10 * extra_allocations, extra_tuples)
+      << "c=50: " << small.allocations << " allocations for " << small.tuples
+      << " tuples; c=1000: " << large.allocations << " allocations for "
+      << large.tuples << " tuples";
+}
+
+}  // namespace
+}  // namespace precis

@@ -6,11 +6,14 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <random>
 #include <string>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "common/execution_context.h"
+#include "common/flat_key_set.h"
 #include "storage/relation.h"
 #include "storage/schema.h"
 #include "storage/value.h"
@@ -141,6 +144,92 @@ TEST(ColumnIndexTest, CrossTypeLookupIsEmpty) {
   index.Insert(Value(int64_t{7}), 0);
   EXPECT_TRUE(index.Lookup(Value(7.0)).empty());
   EXPECT_TRUE(index.Lookup(Value("7")).empty());
+}
+
+// --- FlatKeySet ---
+
+TEST(FlatKeySetTest, InsertReportsNewKeysAndContainsFindsThem) {
+  FlatKeySet set;
+  EXPECT_EQ(set.size(), 0u);
+  EXPECT_FALSE(set.Contains(0));
+  EXPECT_TRUE(set.Insert(0));
+  EXPECT_TRUE(set.Insert(42));
+  EXPECT_FALSE(set.Insert(0));
+  EXPECT_FALSE(set.Insert(42));
+  EXPECT_TRUE(set.Contains(0));
+  EXPECT_TRUE(set.Contains(42));
+  EXPECT_FALSE(set.Contains(7));
+  EXPECT_EQ(set.size(), 2u);
+}
+
+TEST(FlatKeySetTest, EmptySlotKeyIsAnOrdinaryKey) {
+  // ~0 marks empty slots inside the table; as a key it lives in a flag.
+  constexpr uint64_t kAllOnes = ~uint64_t{0};
+  FlatKeySet set;
+  EXPECT_FALSE(set.Contains(kAllOnes));
+  EXPECT_TRUE(set.Insert(kAllOnes));
+  EXPECT_FALSE(set.Insert(kAllOnes));
+  EXPECT_TRUE(set.Contains(kAllOnes));
+  EXPECT_EQ(set.size(), 1u);
+  // Neighbours of the sentinel are stored in the table, not the flag.
+  EXPECT_FALSE(set.Contains(kAllOnes - 1));
+  EXPECT_TRUE(set.Insert(kAllOnes - 1));
+  EXPECT_TRUE(set.Insert(0));
+  EXPECT_EQ(set.size(), 3u);
+  for (uint64_t k = 1; k < 1000; ++k) set.Insert(k);  // rehashes
+  EXPECT_TRUE(set.Contains(kAllOnes));
+  EXPECT_TRUE(set.Contains(kAllOnes - 1));
+  EXPECT_EQ(set.size(), 1002u);
+}
+
+TEST(FlatKeySetTest, KeysSurviveSeveralRehashes) {
+  FlatKeySet set;
+  // From the 16-slot minimum at load 1/2, 5000 keys take ~9 doublings.
+  for (uint64_t k = 0; k < 5000; ++k) {
+    ASSERT_TRUE(set.Insert(k * 0x10001)) << k;
+    ASSERT_EQ(set.size(), k + 1);
+  }
+  for (uint64_t k = 0; k < 5000; ++k) {
+    EXPECT_TRUE(set.Contains(k * 0x10001)) << k;
+    EXPECT_FALSE(set.Insert(k * 0x10001)) << k;
+    EXPECT_FALSE(set.Contains(k * 0x10001 + 1)) << k;
+  }
+  EXPECT_EQ(set.size(), 5000u);
+}
+
+TEST(FlatKeySetTest, ReserveKeepsKeysAndMembership) {
+  FlatKeySet set;
+  set.Reserve(0);
+  EXPECT_FALSE(set.Contains(3));
+  for (uint64_t k = 0; k < 10; ++k) set.Insert(k);
+  set.Reserve(3000);  // grows a populated table
+  set.Reserve(5);     // never shrinks
+  for (uint64_t k = 0; k < 10; ++k) EXPECT_TRUE(set.Contains(k)) << k;
+  for (uint64_t k = 10; k < 3000; ++k) EXPECT_TRUE(set.Insert(k)) << k;
+  EXPECT_EQ(set.size(), 3000u);
+  EXPECT_FALSE(set.Contains(3000));
+}
+
+TEST(FlatKeySetTest, MatchesUnorderedSetOnSeededRandomKeys) {
+  for (uint32_t seed : {1u, 7u, 42u}) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    std::mt19937_64 rng(seed);
+    // Keys from a small range collide often; full-width keys (the sentinel
+    // included) exercise the whole bit range.
+    std::uniform_int_distribution<uint64_t> narrow(0, 4095);
+    FlatKeySet set;
+    std::unordered_set<uint64_t> expect;
+    for (int op = 0; op < 20000; ++op) {
+      uint64_t key = (op % 3 == 0) ? rng() : narrow(rng);
+      if (op % 997 == 0) key = ~uint64_t{0};
+      if (rng() % 2 == 0) {
+        ASSERT_EQ(set.Insert(key), expect.insert(key).second) << key;
+      } else {
+        ASSERT_EQ(set.Contains(key), expect.count(key) > 0) << key;
+      }
+      ASSERT_EQ(set.size(), expect.size());
+    }
+  }
 }
 
 // --- Relation reads vs the inserted rows ---

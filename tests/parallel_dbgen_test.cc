@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -331,6 +332,119 @@ TEST_F(ParallelDbGenSmallTest, TinyAccessBudgetStopsIdentically) {
                           ctx.SetAccessBudget(budget);
                         });
   }
+}
+
+// ===== Double join attribute: the edges of Value equality =================
+//
+// P(pid*, w DOUBLE, label) seeds the walk and the edge P.w -> C.w drives C
+// by double join keys holding +0.0, -0.0 and NaN. The planner decides key
+// distinctness on canonical key bits, the oracle on Value equality: -0.0
+// repeats +0.0 (the first one seen stays on the IN-list), and every NaN
+// stays on it and matches nothing. C.pid -> P.pid carries over through the
+// result's primary-key set when P keeps its key.
+
+class ParallelDbGenDoubleKeyTest : public ::testing::Test {
+ protected:
+  /// Builds the fixture; `indexed` puts an index on C.w (postings read in
+  /// place) or leaves its lookups to scans (buffers the lookup owns).
+  void Build(bool indexed) {
+    db_ = Database();
+    RelationSchema p("P", {{"pid", DataType::kInt64},
+                           {"w", DataType::kDouble},
+                           {"label", DataType::kString}});
+    ASSERT_TRUE(p.SetPrimaryKey("pid").ok());
+    ASSERT_TRUE(db_.CreateRelation(std::move(p)).ok());
+    RelationSchema c("C", {{"cid", DataType::kInt64},
+                           {"pid", DataType::kInt64},
+                           {"w", DataType::kDouble},
+                           {"name", DataType::kString}});
+    ASSERT_TRUE(c.SetPrimaryKey("cid").ok());
+    ASSERT_TRUE(db_.CreateRelation(std::move(c)).ok());
+    ASSERT_TRUE(db_.AddForeignKey({"C", "pid", "P", "pid"}).ok());
+
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    auto pr = db_.GetRelation("P");
+    const double p_keys[] = {0.0, nan, -0.0, 1.5, nan, 2.5};
+    for (int64_t pid = 1; pid <= 6; ++pid) {
+      ASSERT_TRUE((*pr)->Insert({pid, Value(p_keys[pid - 1]),
+                                 "p" + std::to_string(pid)})
+                      .ok());
+    }
+    auto cr = db_.GetRelation("C");
+    const double c_keys[] = {-0.0, 0.0, nan, 1.5, 2.5, 3.5};
+    for (int64_t cid = 1; cid <= 18; ++cid) {
+      ASSERT_TRUE((*cr)->Insert({cid, (cid * 5) % 6 + 1,
+                                 Value(c_keys[cid % 6]),
+                                 "c" + std::to_string(cid)})
+                      .ok());
+    }
+    if (indexed) {
+      ASSERT_TRUE((*cr)->CreateIndex("w").ok());
+    }
+
+    auto g = SchemaGraph::FromDatabase(db_);
+    ASSERT_TRUE(g.ok());
+    graph_ = std::make_unique<SchemaGraph>(std::move(*g));
+    ASSERT_TRUE(graph_->AddProjectionEdge("P", "pid", 1.0).ok());
+    ASSERT_TRUE(graph_->AddProjectionEdge("P", "label", 1.0).ok());
+    ASSERT_TRUE(graph_->AddProjectionEdge("C", "pid", 1.0).ok());
+    ASSERT_TRUE(graph_->AddProjectionEdge("C", "name", 1.0).ok());
+    ASSERT_TRUE(graph_->AddJoinEdge("P", "w", "C", "w", 1.0).ok());
+    ResultSchemaGenerator schema_gen(graph_.get());
+    auto schema =
+        schema_gen.Generate({std::string("P")}, *MinPathWeight(0.9));
+    ASSERT_TRUE(schema.ok());
+    schema_ = std::make_unique<ResultSchema>(std::move(*schema));
+    p_id_ = *graph_->RelationId("P");
+  }
+
+  SeedTids AllSeeds() { return {{p_id_, {0, 1, 2, 3, 4, 5}}}; }
+
+  Database db_;
+  std::unique_ptr<SchemaGraph> graph_;
+  std::unique_ptr<ResultSchema> schema_;
+  RelationNodeId p_id_ = 0;
+};
+
+TEST_F(ParallelDbGenDoubleKeyTest, SignedZeroAndNaNKeysAreByteIdentical) {
+  for (bool indexed : {true, false}) {
+    for (SubsetStrategy strategy :
+         {SubsetStrategy::kNaiveQ, SubsetStrategy::kRoundRobin}) {
+      SCOPED_TRACE(std::string(indexed ? "indexed " : "scanned ") +
+                   SubsetStrategyToString(strategy));
+      Build(indexed);
+      DbGenOptions options;
+      options.strategy = strategy;
+      options.trace_sql = true;
+      ExpectDeterministic(db_, *schema_, AllSeeds(), *UnlimitedCardinality(),
+                          options);
+      // Truncating P to four tuples leaves C rows whose parent is cut,
+      // so the carried-over FK is checked and dropped.
+      ExpectDeterministic(db_, *schema_, AllSeeds(),
+                          *MaxTuplesPerRelation(4), options);
+    }
+  }
+}
+
+TEST_F(ParallelDbGenDoubleKeyTest, SignedZerosJoinAndNaNsMatchNothing) {
+  Build(/*indexed=*/true);
+  const DatabaseSource source(&db_);
+  ResultDatabaseGenerator gen(&source);
+  DbGenOptions options;
+  options.strategy = SubsetStrategy::kNaiveQ;  // one IN-list for the edge
+  options.trace_sql = true;
+  auto result = gen.Generate(*schema_, AllSeeds(), *UnlimitedCardinality(),
+                             options, nullptr);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  // C rows keyed +-0.0 (6), 1.5 (3) and 2.5 (3) join; NaN and 3.5 do not.
+  EXPECT_EQ((*result->GetRelation("C"))->num_tuples(), 12u);
+  // The IN-list: +0.0 first seen (the later -0.0 repeats it), both NaNs.
+  ASSERT_EQ(gen.last_report().sql_trace.size(), 2u);
+  EXPECT_NE(gen.last_report().sql_trace[1].find("IN (0, nan, 1.5, nan, 2.5)"),
+            std::string::npos)
+      << gen.last_report().sql_trace[1];
+  EXPECT_TRUE(gen.last_report().dropped_foreign_keys.empty());
+  ASSERT_EQ(result->foreign_keys().size(), 1u);
 }
 
 // ===== Movies dataset: multi-relation schema, deeper walk ================

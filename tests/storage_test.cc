@@ -154,6 +154,63 @@ TEST(RelationTest, NullPrimaryKeyRejected) {
                   .IsConstraintViolation());
 }
 
+// SENSOR(key* DOUBLE, label): primary-key uniqueness under Value equality.
+RelationSchema DoubleKeySchema() {
+  RelationSchema s("SENSOR", {{"key", DataType::kDouble},
+                              {"label", DataType::kString}});
+  EXPECT_TRUE(s.SetPrimaryKey("key").ok());
+  return s;
+}
+
+TEST(RelationTest, DoublePrimaryKeyNegativeZeroDuplicatesPositiveZero) {
+  Relation r(DoubleKeySchema());
+  ASSERT_TRUE(r.Insert({Value(0.0), "a"}).ok());
+  Status dup = r.Insert({Value(-0.0), "b"}).status();
+  EXPECT_TRUE(dup.IsConstraintViolation());
+  EXPECT_NE(dup.message().find("duplicate primary key -0 in relation 'SENSOR'"),
+            std::string::npos)
+      << dup.ToString();
+  EXPECT_EQ(r.num_tuples(), 1u);
+}
+
+TEST(RelationTest, DoublePrimaryKeyNaNKeysBothInsert) {
+  Relation r(DoubleKeySchema());
+  const Value nan(std::numeric_limits<double>::quiet_NaN());
+  // NaN equals nothing, itself included: never a duplicate.
+  ASSERT_TRUE(r.Insert({nan, "a"}).ok());
+  ASSERT_TRUE(r.Insert({nan, "b"}).ok());
+  EXPECT_EQ(r.num_tuples(), 2u);
+  ASSERT_TRUE(r.Insert({Value(1.5), "c"}).ok());
+  EXPECT_TRUE(r.Insert({Value(1.5), "d"}).status().IsConstraintViolation());
+}
+
+TEST(RelationTest, PrimaryKeyWithAllBitsSetIsAnOrdinaryKey) {
+  // int64 -1 is the all-ones bit pattern the flat key set reserves for
+  // empty slots; it must still be a key like any other.
+  Relation r(MovieSchema());
+  ASSERT_TRUE(r.Insert({int64_t{-1}, "A", int64_t{2000}}).ok());
+  ASSERT_TRUE(r.Insert({int64_t{0}, "B", int64_t{2000}}).ok());
+  EXPECT_TRUE(r.Insert({int64_t{-1}, "C", int64_t{2001}})
+                  .status()
+                  .IsConstraintViolation());
+  EXPECT_EQ(r.num_tuples(), 2u);
+}
+
+TEST(RelationTest, ReserveKeepsTuplesAndKeyChecks) {
+  Relation r(MovieSchema());
+  ASSERT_TRUE(r.Insert({int64_t{1}, "A", int64_t{2000}}).ok());
+  r.Reserve(200);
+  for (int64_t mid = 2; mid <= 200; ++mid) {
+    ASSERT_TRUE(r.Insert({mid, Value::Null(), mid}).ok());
+  }
+  EXPECT_TRUE(r.Insert({int64_t{1}, "dup", int64_t{1}})
+                  .status()
+                  .IsConstraintViolation());
+  EXPECT_EQ(r.num_tuples(), 200u);
+  EXPECT_EQ(r.tuple(0), (Tuple{int64_t{1}, "A", int64_t{2000}}));
+  EXPECT_EQ(r.tuple(199), (Tuple{int64_t{200}, Value::Null(), int64_t{200}}));
+}
+
 TEST(RelationTest, GetOutOfRange) {
   Relation r(MovieSchema());
   EXPECT_TRUE(r.Get(0).status().IsOutOfRange());
@@ -380,6 +437,87 @@ TEST(DatabaseTest, ForeignKeyNaNChildDangles) {
   EXPECT_TRUE(db.ValidateForeignKeys().ok());
   ASSERT_TRUE((*db.GetRelation("READING"))->Insert({nan}).ok());
   EXPECT_TRUE(db.ValidateForeignKeys().IsConstraintViolation());
+}
+
+// The same FK checked against a keyed parent (probed in its primary-key
+// set) and against a keyless copy of it (a key set built from the column):
+// the verdicts and the named dangling value must agree.
+void ExpectKeyedAndKeylessParentsAgree(const Database& db,
+                                       const std::string& child,
+                                       const std::string& child_attr,
+                                       const std::string& parent_attr,
+                                       const std::string& dangling) {
+  const Status keyed =
+      db.CheckForeignKey({child, child_attr, "KEYED", parent_attr});
+  const Status keyless =
+      db.CheckForeignKey({child, child_attr, "KEYLESS", parent_attr});
+  EXPECT_EQ(keyed.ok(), keyless.ok()) << keyed.ToString() << " vs "
+                                      << keyless.ToString();
+  if (dangling.empty()) {
+    EXPECT_TRUE(keyed.ok()) << keyed.ToString();
+    return;
+  }
+  for (const Status& s : {keyed, keyless}) {
+    EXPECT_TRUE(s.IsConstraintViolation());
+    EXPECT_NE(s.message().find("value " + dangling + " has no parent"),
+              std::string::npos)
+        << s.ToString();
+  }
+}
+
+TEST(DatabaseTest, ForeignKeyOnParentKeyAndNonKeyAttributeAgree) {
+  Database db("fk");
+  RelationSchema keyed("KEYED", {{"did", DataType::kInt64},
+                                 {"dname", DataType::kString}});
+  ASSERT_TRUE(keyed.SetPrimaryKey("did").ok());
+  ASSERT_TRUE(db.CreateRelation(std::move(keyed)).ok());
+  ASSERT_TRUE(db.CreateRelation(RelationSchema(
+                    "KEYLESS", {{"did", DataType::kInt64},
+                                {"dname", DataType::kString}}))
+                  .ok());
+  ASSERT_TRUE(db.CreateRelation(MovieSchema()).ok());
+  for (const char* parent : {"KEYED", "KEYLESS"}) {
+    auto rel = db.GetRelation(parent);
+    for (int64_t did : {int64_t{-1}, int64_t{1}, int64_t{2}}) {
+      ASSERT_TRUE((*rel)->Insert({did, "d" + std::to_string(did)}).ok());
+    }
+  }
+  auto movie = db.GetRelation("MOVIE");
+  ASSERT_TRUE((*movie)->Insert({int64_t{1}, "A", Value::Null()}).ok());
+  ASSERT_TRUE((*movie)->Insert({int64_t{-1}, "B", int64_t{2}}).ok());
+  ExpectKeyedAndKeylessParentsAgree(db, "MOVIE", "mid", "did", "");
+  ExpectKeyedAndKeylessParentsAgree(db, "MOVIE", "year", "did", "");
+  ASSERT_TRUE((*movie)->Insert({int64_t{7}, "C", int64_t{2001}}).ok());
+  ExpectKeyedAndKeylessParentsAgree(db, "MOVIE", "mid", "did", "7");
+  ExpectKeyedAndKeylessParentsAgree(db, "MOVIE", "year", "did", "2001");
+}
+
+TEST(DatabaseTest, DoubleForeignKeyOnParentKeyAndNonKeyAttributeAgree) {
+  Database db("fk_doubles");
+  RelationSchema keyed("KEYED", {{"key", DataType::kDouble}});
+  ASSERT_TRUE(keyed.SetPrimaryKey("key").ok());
+  ASSERT_TRUE(db.CreateRelation(std::move(keyed)).ok());
+  ASSERT_TRUE(
+      db.CreateRelation(RelationSchema("KEYLESS", {{"key", DataType::kDouble}}))
+          .ok());
+  ASSERT_TRUE(db.CreateRelation(
+                    RelationSchema("READING", {{"sensor", DataType::kDouble}}))
+                  .ok());
+  const Value nan(std::numeric_limits<double>::quiet_NaN());
+  for (const char* parent : {"KEYED", "KEYLESS"}) {
+    auto rel = db.GetRelation(parent);
+    for (const Value& key : {Value(0.0), nan, Value(2.5)}) {
+      ASSERT_TRUE((*rel)->Insert({key}).ok());
+    }
+  }
+  auto reading = db.GetRelation("READING");
+  ASSERT_TRUE((*reading)->Insert({Value(-0.0)}).ok());
+  ASSERT_TRUE((*reading)->Insert({Value::Null()}).ok());
+  ASSERT_TRUE((*reading)->Insert({Value(2.5)}).ok());
+  ExpectKeyedAndKeylessParentsAgree(db, "READING", "sensor", "key", "");
+  // A NaN child dangles even though a NaN parent exists.
+  ASSERT_TRUE((*reading)->Insert({nan}).ok());
+  ExpectKeyedAndKeylessParentsAgree(db, "READING", "sensor", "key", "nan");
 }
 
 TEST(DatabaseTest, StatsAggregateAcrossRelations) {
