@@ -19,7 +19,7 @@
 //                       indexed titles; every phrase must hit.
 //
 // Each kernel gates on correctness (probe results vs a sequential scan,
-// columnar cells vs row cells, SIMD tids vs scalar tids, batched postings
+// columnar cells vs row cells, SIMD tids vs scalar tids, batched runs
 // vs sequential, every known word and phrase found); full mode
 // additionally gates on the columnar fetch+project kernel not being slower
 // than the row copy. ci.sh runs the smoke form:
@@ -34,6 +34,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -281,30 +282,34 @@ int Main() {
   }
 
   // --- batch_probe: ColumnIndex::LookupBatch's prefetch pipeline vs n
-  // sequential Lookup calls on a freshly built CAST.mid index. Posting
-  // lists must be pointer-identical per key (same table, same probes).
+  // sequential Lookup calls on a CAST.mid index built in bulk from its
+  // column. Runs must be the same spans per key (same table, same probes):
+  // equal data pointers and sizes.
   {
     auto keys = movie.DistinctValues("mid");
     if (!keys.ok() || keys->empty()) return 1;
-    ColumnIndex index(DataType::kInt64);
     const size_t attr_mid = 1;
-    for (Tid t = 0; t < cast.num_tuples(); ++t) {
-      index.Insert(cast.ColumnValue(t, attr_mid), t);
+    auto index = ColumnIndex::Build(cast.column(attr_mid));
+    if (!index.ok()) {
+      std::fprintf(stderr, "batch_probe index build: %s\n",
+                   index.status().ToString().c_str());
+      return 1;
     }
-    std::vector<const std::vector<Tid>*> batched(keys->size());
-    std::vector<const std::vector<Tid>*> sequential(keys->size());
+    std::vector<std::span<const Tid>> batched(keys->size());
+    std::vector<std::span<const Tid>> sequential(keys->size());
     double batch_ms = BestOf(reps, [&] {
-      index.LookupBatch(keys->data(), keys->size(), batched.data());
+      index->LookupBatch(keys->data(), keys->size(), batched.data());
     });
     double seq_ms = BestOf(reps, [&] {
       for (size_t i = 0; i < keys->size(); ++i) {
-        sequential[i] = &index.Lookup((*keys)[i]);
+        sequential[i] = index->Lookup((*keys)[i]);
       }
     });
     for (size_t i = 0; i < keys->size(); ++i) {
-      if (batched[i] != sequential[i]) {
+      if (batched[i].data() != sequential[i].data() ||
+          batched[i].size() != sequential[i].size()) {
         std::fprintf(stderr,
-                     "GATE FAILED: batch_probe postings != sequential\n");
+                     "GATE FAILED: batch_probe runs != sequential\n");
         return 1;
       }
     }

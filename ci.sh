@@ -83,10 +83,13 @@
 #                         merges — all matched by 'Shard'), the HTTP server
 #                         suite (slowloris timeouts, drain, socket chaos),
 #                         the planner determinism suite, the TaskPool
-#                         suite, the FlatKeySet open-addressing set and the
+#                         suite, the FlatKeySet open-addressing set, the
 #                         Relation/Database storage suites (primary-key set
-#                         and FK checks over it, in-place index postings)
-#                         rebuilt under address+undefined sanitizers.
+#                         and FK checks over it, in-place index runs), the
+#                         flat-run ColumnIndex against a scan, and the
+#                         serialization suite (LoadDatabase builds each
+#                         index in bulk after the rows are in) rebuilt
+#                         under address+undefined sanitizers.
 #                         Every answer's rows pass through the planner's
 #                         arena chunk buffers, inline or pooled.
 #                         Injected faults exercise every degradation path
@@ -273,9 +276,10 @@ cmake -B "$ROOT/build-asan-ubsan" -S "$ROOT" \
 cmake --build "$ROOT/build-asan-ubsan" -j "$JOBS" \
   --target fault_injection_test fuzz_lite_test service_test \
            arena_test columnar_test server_test shard_test \
-           answer_cache_test parallel_dbgen_test task_pool_test storage_test
+           answer_cache_test parallel_dbgen_test task_pool_test storage_test \
+           serialization_test
 PRECIS_TASK_POOL_THREADS=4 \
   ctest --test-dir "$ROOT/build-asan-ubsan" --output-on-failure -j "$JOBS" \
-  -R 'FaultInjector|Retry|FaultChaos|CacheTaint|Service|FuzzLite|Arena|Column|FlatKeySet|Relation|Database|JsonLite|HttpParser|RequestParse|HttpServer|Shard|MergeAscendingTids|AnswerCache|CircuitBreaker|ServerChaosConfig|ParallelDbGen|TaskPool'
+  -R 'FaultInjector|Retry|FaultChaos|CacheTaint|Service|FuzzLite|Arena|Column|FlatKeySet|Relation|Database|Serialization|JsonLite|HttpParser|RequestParse|HttpServer|Shard|MergeAscendingTids|AnswerCache|CircuitBreaker|ServerChaosConfig|ParallelDbGen|TaskPool'
 
 echo "=== CI passed (Release + bench smokes + server smoke + chaos drill + $SANITIZER + asan,ubsan chaos) ==="

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <utility>
 
+#include "storage/columnar.h"
+
 namespace precis {
 
 std::vector<Tid> MergeAscendingTids(std::vector<std::vector<Tid>> lists) {
@@ -237,19 +239,21 @@ Result<Tid> ShardedDatabase::Insert(const std::string& relation, Tuple tuple) {
   const size_t owner = router_.ShardOf(view.seed_, global);
 
   // Cross-shard primary-key uniqueness: the owning shard's Insert checks
-  // only its own tuples, so probe the others for the key value first.
+  // only its own tuples, so probe the others' primary-key sets first (no
+  // access is charged), failing as the owner's Insert would: after its
+  // arity and type checks, with its duplicate-key status. A NULL or NaN
+  // key has no bits and is left to the owner's Insert.
+  PRECIS_RETURN_NOT_OK(view.shard_rel_[owner]->Validate(tuple));
   if (view.schema_.primary_key()) {
     const size_t pk = *view.schema_.primary_key();
-    if (pk < tuple.size() && !tuple[pk].is_null()) {
-      const std::string& pk_name = view.schema_.attribute(pk).name;
+    const Value& key = tuple[pk];
+    if (auto bits = Column::KeyBits(key, view.schema_.attribute(pk).type)) {
       for (size_t s = 0; s < shards_.size(); ++s) {
         if (s == owner) continue;  // the owner's Insert enforces its own
-        auto hits = view.shard_rel_[s]->LookupEquals(pk_name, tuple[pk]);
-        if (!hits.ok()) return hits.status();
-        if (!hits->empty()) {
-          return Status::InvalidArgument(
-              "duplicate primary key value for attribute '" + pk_name +
-              "' in relation '" + relation + "'");
+        if (view.shard_rel_[s]->HasPrimaryKeyBits(*bits)) {
+          return Status::ConstraintViolation(
+              "duplicate primary key " + key.ToString() + " in relation '" +
+              relation + "'");
         }
       }
     }

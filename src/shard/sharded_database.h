@@ -193,9 +193,10 @@ class ShardedDatabase {
   /// Routed insert: assigns the next global tid of `relation`, routes the
   /// tuple to its owner shard (bumping only that shard's epoch), and
   /// maintains the tid maps. Cross-shard primary-key uniqueness is enforced
-  /// by probing the non-owning shards before the owner's own checked
-  /// Insert. Not thread-safe against concurrent queries (same single-writer
-  /// contract as Database mutation).
+  /// by probing the non-owning shards' primary-key sets before the owner's
+  /// own checked Insert; a duplicate on any shard fails with the owner's
+  /// ConstraintViolation text. Not thread-safe against concurrent queries
+  /// (same single-writer contract as Database mutation).
   Result<Tid> Insert(const std::string& relation, Tuple tuple);
 
   /// The shard this relation's global tid `tid` routes to.

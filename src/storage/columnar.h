@@ -9,19 +9,20 @@
 // per-attribute reads (256-tid chunks walk one cache-friendly array per
 // emitted attribute) instead of pointer-chasing row vectors.
 //
-// A ColumnIndex replaces the old unordered_map<Value, vector<Tid>> hash
-// index with a flat open-addressing table keyed on canonical 64-bit key
-// bits. Canonicalization preserves the old Value-equality semantics
-// exactly:
+// A ColumnIndex maps canonical 64-bit key bits to ascending tid runs: a
+// flat open-addressing table whose slots point into one tid array that
+// Build lays out in bulk (keys written after the build own their run).
+// Canonicalization preserves Value equality exactly:
 //   * strings: equal bytes <=> equal SymbolId (global interner);
-//   * doubles: -0.0 and +0.0 compared (and hashed) equal before, so -0.0
-//     normalizes to +0.0;
-//   * NaN never compared equal to anything — including itself — so NaN
+//   * doubles: -0.0 and +0.0 compare (and hash) equal, so -0.0 normalizes
+//     to +0.0;
+//   * NaN never compares equal to anything — including itself — so NaN
 //     keys are unmatchable: never indexed, lookups return empty;
-//   * NULL keys compared equal to each other (variant monostate ==), so
-//     nulls live in a dedicated bucket;
+//   * NULL keys compare equal to each other (variant monostate ==), so
+//     nulls get their own run;
 //   * cross-type lookups (e.g. a string key against an int64 column) can
-//     never match, exactly as variant equality across alternatives.
+//     never match, exactly as variant equality across alternatives, and
+//     return an empty run.
 
 #ifndef PRECIS_STORAGE_COLUMNAR_H_
 #define PRECIS_STORAGE_COLUMNAR_H_
@@ -30,8 +31,11 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <new>
 #include <optional>
+#include <span>
+#include <string>
 #include <vector>
 
 #if defined(__AVX2__) || defined(__SSE4_2__) || defined(__SSE4_1__)
@@ -39,6 +43,8 @@
 #endif
 
 #include "common/flat_key_set.h"
+#include "common/result.h"
+#include "common/status.h"
 #include "storage/value.h"
 
 namespace precis {
@@ -256,14 +262,33 @@ inline void Column::ScanEquals(uint64_t key_bits, std::vector<Tid>* out) const {
 #endif
 }
 
-/// \brief Equality index from canonical key bits to posting lists of tids,
-/// as a flat open-addressing table (linear probing, power-of-two capacity,
-/// ~0.7 load factor). NULL keys get a dedicated bucket; NaN keys are
-/// dropped (unmatchable under Value equality).
+/// \brief Equality index from canonical key bits to ascending tid runs, as a
+/// flat open-addressing table (linear probing, power-of-two capacity,
+/// ~0.7 load factor) over one tid array. NULL keys get a dedicated run; NaN
+/// keys are dropped (unmatchable under Value equality).
+///
+/// Build lays every run out in one `std::vector<Tid>`: a counting pass
+/// sizes each key's run, then a fill pass writes the rows in ascending
+/// order. A slot holds the key bits plus its run's 32-bit start and length,
+/// so an index costs its slot table plus 8 bytes per indexed row. The array
+/// is never reallocated: an Insert moves only the touched key's run (or a
+/// new key's) into a vector the index owns, and appends there.
 class ColumnIndex {
  public:
+  /// Most rows Build indexes: run starts and lengths are 32-bit, and a
+  /// length of 2^32 - 1 marks an owned run.
+  static constexpr size_t kMaxRows = std::numeric_limits<uint32_t>::max() - 1;
+
   explicit ColumnIndex(DataType type) : type_(type) {}
 
+  /// Indexes every row of `column` in bulk. Fails when the column has more
+  /// than kMaxRows rows.
+  static Result<ColumnIndex> Build(const Column& column);
+
+  /// Appends `tid` to the run of `key`; tids must come in ascending order.
+  /// The first write to a key moves its run into a vector of its own.
+  /// Owned runs are numbered in 32 bits, so at most kMaxRows keys may own
+  /// one (Relation::Insert keeps an indexed relation within kMaxRows rows).
   void Insert(const Value& key, Tid tid) {
     if (key.is_null()) {
       null_tids_.push_back(tid);
@@ -271,25 +296,24 @@ class ColumnIndex {
     }
     auto bits = Column::KeyBits(key, type_);
     if (!bits) return;  // NaN: unreachable by equality lookup
-    if ((used_ + 1) * 10 > slots_.size() * 7) Grow();
-    Slot& slot = Probe(*bits);
-    if (slot.posting == 0) {
-      postings_.emplace_back();
-      slot.key = *bits;
-      slot.posting = static_cast<uint32_t>(postings_.size());
-      ++used_;
+    Slot& slot = Claim(*bits);
+    if (slot.length != kOwned) {
+      // A new key, or a built run written for the first time.
+      const std::span<const Tid> run = Run(slot);
+      owned_.emplace_back(run.begin(), run.end());
+      slot.start = static_cast<uint32_t>(owned_.size() - 1);
+      slot.length = kOwned;
     }
-    postings_[slot.posting - 1].push_back(tid);
+    owned_[slot.start].push_back(tid);
   }
 
-  /// Tids whose indexed attribute equals `key` (empty if none). The
-  /// reference is valid until the next Insert.
-  const std::vector<Tid>& Lookup(const Value& key) const {
+  /// Tids whose indexed attribute equals `key`, ascending (empty if none).
+  /// The span is valid until the next Insert.
+  std::span<const Tid> Lookup(const Value& key) const {
     if (key.is_null()) return null_tids_;
     auto bits = Column::KeyBits(key, type_);
-    if (!bits || slots_.empty()) return kEmpty;
-    const Slot& slot = const_cast<ColumnIndex*>(this)->Probe(*bits);
-    return slot.posting == 0 ? kEmpty : postings_[slot.posting - 1];
+    if (!bits || slots_.empty()) return {};
+    return Run(slots_[Find(*bits)]);
   }
 
   size_t num_keys() const { return used_ + (null_tids_.empty() ? 0 : 1); }
@@ -305,55 +329,116 @@ class ColumnIndex {
     __builtin_prefetch(&slots_[MixKeyBits(*bits) & (slots_.size() - 1)]);
   }
 
-  /// Batched probe: fills out[i] with &Lookup(keys[i]), running a
+  /// Batched probe: fills out[i] with Lookup(keys[i]), running a
   /// software-prefetch pipeline kPrefetchDistance keys ahead of the probe
   /// cursor so slot cache lines are in flight before they are needed.
   /// Result-equivalent to n sequential Lookup calls (bench/kernels gates
   /// the equivalence, DESIGN.md §16).
   void LookupBatch(const Value* keys, size_t n,
-                   const std::vector<Tid>** out) const {
+                   std::span<const Tid>* out) const {
     const size_t warm = std::min(n, kPrefetchDistance);
     for (size_t i = 0; i < warm; ++i) Prefetch(keys[i]);
     for (size_t i = 0; i < n; ++i) {
       if (i + kPrefetchDistance < n) Prefetch(keys[i + kPrefetchDistance]);
-      out[i] = &Lookup(keys[i]);
+      out[i] = Lookup(keys[i]);
     }
   }
 
   static constexpr size_t kPrefetchDistance = 8;
 
  private:
+  static constexpr uint32_t kOwned = std::numeric_limits<uint32_t>::max();
+
   struct Slot {
     uint64_t key = 0;
-    uint32_t posting = 0;  // 1-based index into postings_; 0 = empty
+    uint32_t start = 0;   // into tids_, or into owned_ when length == kOwned
+    uint32_t length = 0;  // run length; 0 = empty slot
   };
 
-  Slot& Probe(uint64_t bits) {
+  std::span<const Tid> Run(const Slot& slot) const {
+    if (slot.length == kOwned) return owned_[slot.start];
+    return {tids_.data() + slot.start, slot.length};
+  }
+
+  /// The slot holding `bits`, or the empty slot where it would go.
+  size_t Find(uint64_t bits) const {
     const size_t mask = slots_.size() - 1;
     size_t i = MixKeyBits(bits) & mask;
-    while (slots_[i].posting != 0 && slots_[i].key != bits) {
+    while (slots_[i].length != 0 && slots_[i].key != bits) {
       i = (i + 1) & mask;
     }
-    return slots_[i];
+    return i;
+  }
+
+  /// The slot of `bits`, taken for the key if it is new (its length is
+  /// then still 0: the caller makes it nonzero).
+  Slot& Claim(uint64_t bits) {
+    if ((used_ + 1) * 10 > slots_.size() * 7) Grow();
+    Slot& slot = slots_[Find(bits)];
+    if (slot.length == 0) {
+      slot.key = bits;
+      ++used_;
+    }
+    return slot;
   }
 
   void Grow() {
     std::vector<Slot> old = std::move(slots_);
     slots_.assign(old.empty() ? 16 : old.size() * 2, Slot{});
     for (const Slot& s : old) {
-      if (s.posting == 0) continue;
-      Slot& dst = Probe(s.key);
-      dst = s;
+      if (s.length != 0) slots_[Find(s.key)] = s;
     }
   }
 
   DataType type_;
   std::vector<Slot> slots_;
-  std::vector<std::vector<Tid>> postings_;
+  std::vector<Tid> tids_;                 // every built run, back to back
+  std::vector<std::vector<Tid>> owned_;   // runs of keys written after Build
   std::vector<Tid> null_tids_;
   size_t used_ = 0;
-  static const std::vector<Tid> kEmpty;
 };
+
+inline Result<ColumnIndex> ColumnIndex::Build(const Column& column) {
+  const size_t rows = column.size();
+  if (rows > kMaxRows) {
+    return Status::OutOfRange("cannot index " + std::to_string(rows) +
+                              " rows: an index holds at most " +
+                              std::to_string(kMaxRows));
+  }
+  const DataType type = column.type();
+  ColumnIndex index(type);
+  // Counting pass: each key's length is its row count so far.
+  size_t nulls = 0;
+  for (size_t row = 0; row < rows; ++row) {
+    if (column.IsNull(row)) {
+      ++nulls;
+      continue;
+    }
+    auto bits = Column::CanonicalBits(column.raw_bits(row), type);
+    if (bits) ++index.Claim(*bits).length;
+  }
+  // Each run starts where the previous one ends. The fill pass advances a
+  // run's start past each row it writes; the lengths stay, so Find still
+  // tells used slots from empty ones.
+  uint32_t next = 0;
+  for (Slot& slot : index.slots_) {
+    slot.start = next;
+    next += slot.length;
+  }
+  index.tids_.resize(next);
+  index.null_tids_.reserve(nulls);
+  // Fill pass in row order, so every run comes out ascending.
+  for (size_t row = 0; row < rows; ++row) {
+    if (column.IsNull(row)) {
+      index.null_tids_.push_back(row);
+      continue;
+    }
+    auto bits = Column::CanonicalBits(column.raw_bits(row), type);
+    if (bits) index.tids_[index.slots_[index.Find(*bits)].start++] = row;
+  }
+  for (Slot& slot : index.slots_) slot.start -= slot.length;
+  return index;
+}
 
 }  // namespace precis
 

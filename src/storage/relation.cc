@@ -6,9 +6,7 @@
 
 namespace precis {
 
-const std::vector<Tid> ColumnIndex::kEmpty;
-
-Result<Tid> Relation::Insert(const Tuple& tuple) {
+Status Relation::Validate(const Tuple& tuple) const {
   if (tuple.size() != schema_.num_attributes()) {
     return Status::InvalidArgument(
         "tuple arity " + std::to_string(tuple.size()) + " != schema arity " +
@@ -21,6 +19,18 @@ Result<Tid> Relation::Insert(const Tuple& tuple) {
           "type mismatch for attribute '" + schema_.attribute(i).name +
           "' of relation '" + name() + "'");
     }
+  }
+  return Status::OK();
+}
+
+Result<Tid> Relation::Insert(const Tuple& tuple) {
+  PRECIS_RETURN_NOT_OK(Validate(tuple));
+  // An index numbers its owned runs in 32 bits (columnar.h), so an indexed
+  // relation stops at the most rows an index build takes.
+  if (!indexes_.empty() && num_tuples_ >= ColumnIndex::kMaxRows) {
+    return Status::OutOfRange("relation '" + name() + "' is indexed and " +
+                              "full: an index holds at most " +
+                              std::to_string(ColumnIndex::kMaxRows) + " rows");
   }
   if (schema_.primary_key()) {
     size_t pk = *schema_.primary_key();
@@ -91,15 +101,12 @@ void Relation::ProjectRows(const Tid* tids, size_t n,
 Status Relation::CreateIndex(const std::string& attribute_name) {
   auto idx = schema_.AttributeIndex(attribute_name);
   if (!idx.ok()) return idx.status();
+  auto index = ColumnIndex::Build(columns_[*idx]);
+  if (!index.ok()) return index.status();
   if (indexes_.size() < schema_.num_attributes()) {
     indexes_.resize(schema_.num_attributes());
   }
-  auto index = std::make_unique<ColumnIndex>(schema_.attribute(*idx).type);
-  const Column& col = columns_[*idx];
-  for (Tid tid = 0; tid < num_tuples_; ++tid) {
-    index->Insert(col.GetValue(tid), tid);
-  }
-  indexes_[*idx] = std::move(index);
+  indexes_[*idx] = std::make_unique<ColumnIndex>(std::move(*index));
   // An index changes the access path (probe vs scan counts), so cached
   // answers fingerprinted on the epoch must not survive it.
   BumpEpoch();
@@ -130,7 +137,7 @@ Result<std::span<const Tid>> Relation::LookupEqualsView(
       PRECIS_RETURN_NOT_OK(ctx->CheckFault(FaultSite::kIndexProbe));
     }
     CountIndexProbe(ctx);
-    return std::span<const Tid>(index->Lookup(key));
+    return index->Lookup(key);
   }
   if (ctx != nullptr) {
     PRECIS_RETURN_NOT_OK(ctx->CheckFault(FaultSite::kRelationScan));

@@ -58,8 +58,13 @@ class Relation {
   const std::string& name() const { return schema_.name(); }
   size_t num_tuples() const { return num_tuples_; }
 
+  /// Checks `tuple`'s arity, then each value's type (NULL fits any), as
+  /// Insert does first.
+  Status Validate(const Tuple& tuple) const;
+
   /// Appends a tuple; validates arity and types, enforces primary-key
-  /// uniqueness if a key is declared, and maintains all indexes.
+  /// uniqueness if a key is declared, and maintains all indexes (a key's
+  /// run moves out of the bulk-built array into a vector its index owns).
   /// Returns the new tuple's tid.
   Result<Tid> Insert(const Tuple& tuple);
 
@@ -106,7 +111,9 @@ class Relation {
                    const std::vector<size_t>& projection, Value* out,
                    ExecutionContext* ctx = nullptr) const;
 
-  /// Builds (or rebuilds) a hash index on the named attribute.
+  /// Builds (or rebuilds) a hash index on the named attribute, in bulk:
+  /// every run laid out in one tid array (ColumnIndex::Build). Fails when
+  /// the relation has more than ColumnIndex::kMaxRows tuples.
   Status CreateIndex(const std::string& attribute_name);
 
   /// True if an index exists on the attribute.
@@ -121,10 +128,11 @@ class Relation {
   /// attribute lookup, then the kIndexProbe / kRelationScan fault check,
   /// then the charge.
   ///
-  /// Non-owning form: an index posting is returned in place, valid until
-  /// the next Insert or CreateIndex. A scan writes its tids to
-  /// `*scan_out`, which must be non-null when the attribute has no index,
-  /// and returns a view of it.
+  /// Non-owning form: an index run is returned in place — a span of the
+  /// index's tid array, or of the vector that owns a key written after
+  /// the build — valid until the next Insert or CreateIndex. A scan writes
+  /// its tids to `*scan_out`, which must be non-null when the attribute
+  /// has no index, and returns a view of it.
   Result<std::span<const Tid>> LookupEqualsView(
       const std::string& attribute_name, const Value& key,
       std::vector<Tid>* scan_out, ExecutionContext* ctx = nullptr) const;

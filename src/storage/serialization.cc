@@ -4,6 +4,9 @@
 #include <istream>
 #include <ostream>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/string_util.h"
 
@@ -240,6 +243,10 @@ Result<Database> LoadDatabase(std::istream* in) {
     return Status::OK();
   };
 
+  // SaveDatabase writes every INDEX line before any DATA section; the
+  // indexes are built once the rows are in.
+  std::vector<std::pair<Relation*, std::string>> deferred_indexes;
+
   while (NextLine(in, &line)) {
     if (line.empty()) continue;
     std::vector<std::string> parts = Split(line, ' ');
@@ -272,7 +279,9 @@ Result<Database> LoadDatabase(std::istream* in) {
       }
       auto rel = db.GetRelation(parts[1]);
       if (!rel.ok()) return rel.status();
-      PRECIS_RETURN_NOT_OK((*rel)->CreateIndex(parts[2]));
+      auto attr = (*rel)->schema().AttributeIndex(parts[2]);
+      if (!attr.ok()) return attr.status();
+      deferred_indexes.emplace_back(*rel, parts[2]);
     } else if (kind == "FK") {
       PRECIS_RETURN_NOT_OK(flush_relation());
       if (parts.size() != 5) {
@@ -316,6 +325,9 @@ Result<Database> LoadDatabase(std::istream* in) {
     }
   }
   PRECIS_RETURN_NOT_OK(flush_relation());
+  for (const auto& [rel, attr] : deferred_indexes) {
+    PRECIS_RETURN_NOT_OK(rel->CreateIndex(attr));
+  }
   return db;
 }
 

@@ -16,7 +16,8 @@
 //
 // Values are TSV-escaped (\t, \n, \r, \\); NULL is the unescaped token \N.
 // Loading re-validates everything the way live inserts do (types, arity,
-// primary-key uniqueness) and rebuilds the declared indexes.
+// primary-key uniqueness) and rebuilds the declared indexes once the data
+// is in, each in bulk.
 
 #ifndef PRECIS_STORAGE_SERIALIZATION_H_
 #define PRECIS_STORAGE_SERIALIZATION_H_

@@ -1,6 +1,7 @@
-// Allocation budget of a cold result-database generation (DESIGN.md §13):
-// the Fig. 5 planner, its emit phase and the FK check allocate per query,
-// relation and edge — never per accepted tuple.
+// Allocation budgets (DESIGN.md §13): a cold result-database generation —
+// the Fig. 5 planner, its emit phase and the FK check — allocates per
+// query, relation and edge, never per accepted tuple; and an index build
+// allocates per index, never per distinct key.
 //
 // This executable replaces global operator new with one that counts the
 // calling thread's allocations. An inline Generate (parallelism 1, no
@@ -21,6 +22,7 @@
 #include "precis/constraints.h"
 #include "precis/database_generator.h"
 #include "precis/schema_generator.h"
+#include "storage/relation.h"
 
 namespace {
 thread_local uint64_t t_allocations = 0;
@@ -105,6 +107,21 @@ TEST_F(AllocBudgetTest, ColdGenerationAllocatesPerQueryNotPerTuple) {
       << "c=50: " << small.allocations << " allocations for " << small.tuples
       << " tuples; c=1000: " << large.allocations << " allocations for "
       << large.tuples << " tuples";
+}
+
+TEST_F(AllocBudgetTest, IndexBuildAllocatesPerIndexNotPerKey) {
+  auto movie = dataset_->db().GetRelation("MOVIE");
+  ASSERT_TRUE(movie.ok());
+  auto keys = (*movie)->DistinctValues("mid");
+  ASSERT_TRUE(keys.ok());
+  ASSERT_GE(keys->size(), 6000u);
+  const uint64_t before = t_allocations;
+  const Status rebuilt = (*movie)->CreateIndex("mid");
+  const uint64_t allocations = t_allocations - before;
+  ASSERT_TRUE(rebuilt.ok()) << rebuilt.ToString();
+  // The slot table's doublings, one tid array and the index object: a
+  // vector per distinct key would cost one allocation per key.
+  EXPECT_LT(allocations, 64u) << keys->size() << " keys";
 }
 
 }  // namespace

@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <random>
+#include <span>
 #include <string>
 #include <unordered_set>
 #include <utility>
@@ -95,6 +98,10 @@ TEST(ColumnTest, KeyBitsRejectsNullCrossTypeAndNaN) {
 
 // --- ColumnIndex ---
 
+std::vector<Tid> ToVector(std::span<const Tid> tids) {
+  return std::vector<Tid>(tids.begin(), tids.end());
+}
+
 TEST(ColumnIndexTest, InsertAndLookupWithGrowth) {
   ColumnIndex index(DataType::kInt64);
   // Enough keys to force several Grow() rehashes from the initial 16.
@@ -102,7 +109,7 @@ TEST(ColumnIndexTest, InsertAndLookupWithGrowth) {
     index.Insert(Value(k % 100), static_cast<Tid>(k));
   }
   for (int64_t k = 0; k < 100; ++k) {
-    const std::vector<Tid>& tids = index.Lookup(Value(k));
+    const std::vector<Tid> tids = ToVector(index.Lookup(Value(k)));
     ASSERT_EQ(tids.size(), 5u) << k;
     for (size_t i = 0; i < tids.size(); ++i) {
       EXPECT_EQ(tids[i], static_cast<Tid>(k + 100 * static_cast<int64_t>(i)));
@@ -117,8 +124,8 @@ TEST(ColumnIndexTest, NullKeysGetTheirOwnBucket) {
   index.Insert(Value("a"), 0);
   index.Insert(Value(), 1);
   index.Insert(Value(), 2);
-  EXPECT_EQ(index.Lookup(Value()), (std::vector<Tid>{1, 2}));
-  EXPECT_EQ(index.Lookup(Value("a")), (std::vector<Tid>{0}));
+  EXPECT_EQ(ToVector(index.Lookup(Value())), (std::vector<Tid>{1, 2}));
+  EXPECT_EQ(ToVector(index.Lookup(Value("a"))), (std::vector<Tid>{0}));
   EXPECT_EQ(index.num_keys(), 2u);
 }
 
@@ -128,15 +135,15 @@ TEST(ColumnIndexTest, NaNIsUnmatchable) {
   index.Insert(Value(nan), 0);
   index.Insert(Value(1.0), 1);
   EXPECT_TRUE(index.Lookup(Value(nan)).empty());
-  EXPECT_EQ(index.Lookup(Value(1.0)), (std::vector<Tid>{1}));
+  EXPECT_EQ(ToVector(index.Lookup(Value(1.0))), (std::vector<Tid>{1}));
 }
 
 TEST(ColumnIndexTest, SignedZerosShareAPosting) {
   ColumnIndex index(DataType::kDouble);
   index.Insert(Value(0.0), 0);
   index.Insert(Value(-0.0), 1);
-  EXPECT_EQ(index.Lookup(Value(0.0)), (std::vector<Tid>{0, 1}));
-  EXPECT_EQ(index.Lookup(Value(-0.0)), (std::vector<Tid>{0, 1}));
+  EXPECT_EQ(ToVector(index.Lookup(Value(0.0))), (std::vector<Tid>{0, 1}));
+  EXPECT_EQ(ToVector(index.Lookup(Value(-0.0))), (std::vector<Tid>{0, 1}));
 }
 
 TEST(ColumnIndexTest, CrossTypeLookupIsEmpty) {
@@ -144,6 +151,113 @@ TEST(ColumnIndexTest, CrossTypeLookupIsEmpty) {
   index.Insert(Value(int64_t{7}), 0);
   EXPECT_TRUE(index.Lookup(Value(7.0)).empty());
   EXPECT_TRUE(index.Lookup(Value("7")).empty());
+}
+
+// --- ColumnIndex against a scan ---
+//
+// Relation::LookupEquals through an index must return what a scan of an
+// unindexed copy of the same rows returns, for every distinct value and
+// for an absent value, NULL, NaN, both zeros and cross-type keys: first
+// over the bulk-built index, then every 50 inserts of a seeded
+// interleaving that adds new keys, grows built runs, NULLs and NaNs.
+
+RelationSchema DifferentialSchema() {
+  return RelationSchema("D", {{"count", DataType::kInt64},
+                              {"score", DataType::kDouble},
+                              {"label", DataType::kString}});
+}
+
+/// A seeded row: ints from a small range (heavy repeats), doubles with
+/// signed zeros, NaN and NULL, strings with NULL. Every `fresh_every`-th
+/// cell of a column draws a value no earlier row can hold (`fresh`).
+Tuple DifferentialRow(std::mt19937_64* rng, int64_t fresh,
+                      uint64_t fresh_every) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  auto pick = [&] { return (*rng)() % 8; };
+  Tuple row;
+  if ((*rng)() % fresh_every == 0) {
+    row.push_back(Value(1000 + fresh));
+  } else {
+    row.push_back(pick() == 0 ? Value() : Value(int64_t((*rng)() % 40)));
+  }
+  if ((*rng)() % fresh_every == 0) {
+    row.push_back(Value(1000.5 + double(fresh)));
+  } else {
+    static const double kScores[] = {0.0, -0.0, 1.5, -2.25, 1e300};
+    const uint64_t p = pick();
+    row.push_back(p == 0   ? Value()
+                  : p == 1 ? Value(nan)
+                           : Value(kScores[(*rng)() % 5]));
+  }
+  if ((*rng)() % fresh_every == 0) {
+    row.push_back(Value("fresh" + std::to_string(fresh)));
+  } else {
+    row.push_back(pick() == 0 ? Value()
+                              : Value("s" + std::to_string((*rng)() % 30)));
+  }
+  return row;
+}
+
+/// Checks every probe key of every attribute: the indexed relation's
+/// tids equal the scan's and ascend strictly.
+void ExpectIndexMatchesScan(const Relation& indexed, const Relation& scanned) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  // NULL, NaN, both zeros, absent values of each type, and keys that are
+  // cross-type for two of the three columns.
+  const std::vector<Value> extra = {
+      Value(),      Value(nan),          Value(0.0),
+      Value(-0.0),  Value(int64_t{-7}),  Value(int64_t{0}),
+      Value(-99.5), Value("absent"),     Value("s3"),
+      Value(7.0),   Value(int64_t{1000})};
+  for (size_t a = 0; a < indexed.schema().num_attributes(); ++a) {
+    const std::string& attr = indexed.schema().attribute(a).name;
+    ASSERT_TRUE(indexed.HasIndex(attr));
+    ASSERT_FALSE(scanned.HasIndex(attr));
+    auto keys = scanned.DistinctValues(attr);
+    ASSERT_TRUE(keys.ok());
+    keys->insert(keys->end(), extra.begin(), extra.end());
+    for (const Value& key : *keys) {
+      auto probe = indexed.LookupEquals(attr, key);
+      auto scan = scanned.LookupEquals(attr, key);
+      ASSERT_TRUE(probe.ok());
+      ASSERT_TRUE(scan.ok());
+      ASSERT_EQ(*probe, *scan) << attr << " = " << key.ToString();
+      EXPECT_TRUE(std::adjacent_find(probe->begin(), probe->end(),
+                                     std::greater_equal<Tid>()) ==
+                  probe->end())
+          << attr << " = " << key.ToString();
+    }
+  }
+}
+
+TEST(ColumnIndexDifferentialTest, BuiltIndexAndLaterInsertsMatchAScan) {
+  for (uint32_t seed : {1u, 7u}) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    std::mt19937_64 rng(seed);
+    Relation indexed(DifferentialSchema());
+    Relation scanned(DifferentialSchema());
+    int64_t fresh = 0;
+    for (int i = 0; i < 600; ++i) {
+      const Tuple row = DifferentialRow(&rng, fresh++, 25);
+      ASSERT_TRUE(indexed.Insert(row).ok());
+      ASSERT_TRUE(scanned.Insert(row).ok());
+    }
+    for (size_t a = 0; a < indexed.schema().num_attributes(); ++a) {
+      ASSERT_TRUE(indexed.CreateIndex(indexed.schema().attribute(a).name).ok());
+    }
+    ExpectIndexMatchesScan(indexed, scanned);
+    if (HasFatalFailure()) return;
+    for (int i = 1; i <= 1000; ++i) {
+      const Tuple row = DifferentialRow(&rng, fresh++, 5);
+      ASSERT_TRUE(indexed.Insert(row).ok());
+      ASSERT_TRUE(scanned.Insert(row).ok());
+      if (i % 50 == 0) {
+        SCOPED_TRACE("after " + std::to_string(i) + " inserts");
+        ExpectIndexMatchesScan(indexed, scanned);
+        if (HasFatalFailure()) return;
+      }
+    }
+  }
 }
 
 // --- FlatKeySet ---

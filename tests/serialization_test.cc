@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "datagen/movies_dataset.h"
 #include "storage/serialization.h"
@@ -31,6 +35,19 @@ Database SmallDb() {
   EXPECT_TRUE((*mr)->Insert({int64_t{2}, Value::Null(), int64_t{2}}).ok());
   EXPECT_TRUE((*mr)->CreateIndex("did").ok());
   return db;
+}
+
+/// A value of `type` that `values` does not hold.
+Value AbsentValue(DataType type, const std::vector<Value>& values) {
+  for (int64_t k = 1;; ++k) {
+    const Value candidate =
+        type == DataType::kString   ? Value("absent" + std::to_string(k))
+        : type == DataType::kDouble ? Value(-0.5 * double(k))
+                                    : Value(-k);
+    if (std::find(values.begin(), values.end(), candidate) == values.end()) {
+      return candidate;
+    }
+  }
 }
 
 Database RoundTrip(const Database& db) {
@@ -124,6 +141,43 @@ TEST(SerializationTest, MoviesDatasetRoundTrip) {
   EXPECT_EQ(loaded.TotalTuples(), ds->db().TotalTuples());
   EXPECT_EQ(loaded.num_relations(), ds->db().num_relations());
   EXPECT_TRUE(loaded.ValidateForeignKeys().ok());
+  // The same indexes, answering every lookup as the source's do.
+  for (const std::string& name : ds->db().RelationNames()) {
+    auto source = ds->db().GetRelation(name);
+    auto copy = loaded.GetRelation(name);
+    ASSERT_TRUE(source.ok());
+    ASSERT_TRUE(copy.ok()) << name;
+    const std::vector<std::string> indexed = (*source)->IndexedAttributes();
+    EXPECT_EQ((*copy)->IndexedAttributes(), indexed) << name;
+    for (const std::string& attr : indexed) {
+      auto keys = (*source)->DistinctValues(attr);
+      ASSERT_TRUE(keys.ok());
+      auto pos = (*source)->schema().AttributeIndex(attr);
+      ASSERT_TRUE(pos.ok());
+      const Value absent =
+          AbsentValue((*source)->schema().attribute(*pos).type, *keys);
+      keys->push_back(absent);
+      keys->push_back(Value());
+      for (const Value& key : *keys) {
+        auto want = (*source)->LookupEquals(attr, key);
+        auto got = (*copy)->LookupEquals(attr, key);
+        ASSERT_TRUE(want.ok());
+        ASSERT_TRUE(got.ok());
+        EXPECT_EQ(*got, *want) << name << "." << attr << " = "
+                               << key.ToString();
+      }
+    }
+  }
+}
+
+TEST(SerializationLoadErrorTest, RejectsIndexOnUnknownRelationOrAttribute) {
+  const std::string schema =
+      "PRECISDB 1\nDATABASE x\nRELATION R 1\nATTR a INT64 PK\n";
+  for (const std::string& index : {std::string("INDEX S a\n"),
+                                   std::string("INDEX R b\n")}) {
+    std::istringstream in(schema + index + "DATA R 1\n1\n");
+    EXPECT_TRUE(LoadDatabase(&in).status().IsNotFound()) << index;
+  }
 }
 
 TEST(SerializationLoadErrorTest, RejectsGarbage) {

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -203,15 +204,56 @@ TEST_F(ShardedDatabaseTest, InsertRoutesToOwnerAndBumpsOnlyItsEpoch) {
 TEST_F(ShardedDatabaseTest, InsertRejectsCrossShardPrimaryKeyDuplicate) {
   auto sharded = ShardedDatabase::Partition(dataset_->db(), 4);
   ASSERT_TRUE(sharded.ok());
+  auto view = sharded->GetView("GENRE");
+  ASSERT_TRUE(view.ok());
+  const Tid next = (*view)->num_tuples();
+  const size_t owner = sharded->ShardOf("GENRE", next);
+  // One stored key held by the shard the new tid routes to, and one held
+  // by another shard: uniqueness holds across shards, and both duplicates
+  // fail as the owner's own Insert fails.
+  std::optional<Tid> held_by_owner;
+  std::optional<Tid> held_elsewhere;
+  for (Tid g = 0; g < next; ++g) {
+    auto& slot = (*view)->OwnerOf(g) == owner ? held_by_owner : held_elsewhere;
+    if (!slot) slot = g;
+  }
+  ASSERT_TRUE(held_by_owner && held_elsewhere);
+
+  auto counters = [&] {
+    std::vector<uint64_t> out;
+    for (size_t s = 0; s < sharded->num_shards(); ++s) {
+      out.push_back(sharded->shard(s).stats().sequential_scans.load());
+      out.push_back(sharded->shard(s).stats().index_probes.load());
+    }
+    return out;
+  };
+  const std::vector<uint64_t> before = counters();
+  for (Tid held : {*held_by_owner, *held_elsewhere}) {
+    SCOPED_TRACE("duplicate of tid " + std::to_string(held));
+    Tuple dup = FreshGenreTuple(0);
+    dup[0] = (*view)->ColumnValue(held, 0);
+    const std::string expected =
+        "duplicate primary key " + dup[0].ToString() + " in relation 'GENRE'";
+    auto inserted = sharded->Insert("GENRE", std::move(dup));
+    ASSERT_FALSE(inserted.ok());
+    EXPECT_EQ(inserted.status().code(), StatusCode::kConstraintViolation);
+    EXPECT_EQ(inserted.status().message(), expected);
+  }
+  // A mistyped tuple fails on its type, as the unpartitioned Insert does,
+  // even when another shard holds its key.
+  Tuple mistyped = FreshGenreTuple(0);
+  mistyped[0] = (*view)->ColumnValue(*held_elsewhere, 0);
+  mistyped[1] = Value("not a mid");
   auto source = dataset_->db().GetRelation("GENRE");
   ASSERT_TRUE(source.ok());
-  // Re-insert an existing primary key: the owner of the NEW tid is very
-  // likely a different shard than the original row's, so uniqueness must
-  // be enforced across shards, not per shard.
-  Tuple dup = FreshGenreTuple(0);
-  dup[0] = (*source)->ColumnValue(0, 0);
-  auto inserted = sharded->Insert("GENRE", std::move(dup));
-  EXPECT_FALSE(inserted.ok());
+  const Status unpartitioned = (*source)->Insert(mistyped).status();
+  ASSERT_TRUE(unpartitioned.IsInvalidArgument()) << unpartitioned.ToString();
+  auto rejected = sharded->Insert("GENRE", std::move(mistyped));
+  EXPECT_EQ(rejected.status().code(), unpartitioned.code());
+  EXPECT_EQ(rejected.status().message(), unpartitioned.message());
+  EXPECT_EQ((*view)->num_tuples(), next);
+  // The check reads primary-key sets: no shard scanned or probed.
+  EXPECT_EQ(counters(), before);
 }
 
 // ---------------------------------------------------------------------------
