@@ -140,11 +140,11 @@ inline std::vector<DbGenCase> MakeDbGenCases(const MoviesDataset& dataset,
   return cases;
 }
 
-/// The case the generation scaling benches (parallel_dbgen, shard_scaling)
-/// share: one wide result schema rooted at DIRECTOR — the paper's "précis
-/// of a director" shape, deep enough (w >= 0.5) that the walk crosses
-/// several to-N joins and the result database carries real volume —
-/// seeded with the first 16 (smoke) or 1024 directors.
+/// The case the generation scaling bench (dbgen_scaling) times: one wide
+/// result schema rooted at DIRECTOR — the paper's "précis of a director"
+/// shape, deep enough (w >= 0.5) that the walk crosses several to-N joins
+/// and the result database carries real volume — seeded with the first 16
+/// (smoke) or 1024 directors.
 inline DbGenCase DirectorCase(const MoviesDataset& dataset, bool smoke) {
   ResultSchemaGenerator schema_gen(&dataset.graph());
   auto schema =

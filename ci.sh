@@ -5,11 +5,13 @@
 #   2. Bench smokes     — bench/cache_effectiveness on a tiny dataset (fails
 #                         on a zero answer-cache hit rate or any stale
 #                         answer served after an insert — epoch invalidation
-#                         gate), bench/parallel_dbgen in smoke mode (fails
-#                         if any pooled run emits bytes different from the
-#                         inline run of the one Fig. 5 planner — determinism
-#                         gate, DESIGN.md §11), and bench/fault_tolerance in
-#                         smoke mode
+#                         gate), bench/dbgen_scaling in smoke mode (fails
+#                         if any run of the one Fig. 5 planner with its
+#                         chunk tasks spread over a pool — one partition,
+#                         or 2/4/8 hash partitions — emits a different
+#                         database or report than the inline run —
+#                         determinism gate, DESIGN.md §11 + §15), and
+#                         bench/fault_tolerance in smoke mode
 #                         (fails when disarmed fault machinery costs > 5%
 #                         more CPU per query — the median ratio of 80
 #                         interleaved one-worker trial pairs — or any query
@@ -21,12 +23,8 @@
 #                         ScanEquals emits different tids than the scalar
 #                         reference, or when a batched index probe differs
 #                         from sequential lookups — data-layout equivalence
-#                         gates, DESIGN.md §13 + §16), and
-#                         bench/shard_scaling in smoke mode (fails when any
-#                         sharded run emits a different database or report
-#                         than the unsharded single-engine run — shard
-#                         determinism gate, DESIGN.md §15). Both gates
-#                         compare planner runs; the planner itself is
+#                         gates, DESIGN.md §13 + §16). The determinism gate
+#                         compares planner runs; the planner itself is
 #                         checked against the sequential walk oracle by the
 #                         test suite in step 1.
 #   3. Server smoke     — tools/precis_serve started on an ephemeral port
@@ -45,7 +43,8 @@
 #                         and requires a graceful zero exit.
 #   4. Chaos smoke      — tools/precis_serve restarted with --shards 4,
 #                         --kill-shard 1 (a fault-scheduled permanently dead
-#                         shard), --replicas on (hedged sub-queries) and a
+#                         shard), --replicas on (hedged sub-queries: a slow
+#                         lookup is re-issued against its partition) and a
 #                         seeded socket-chaos spec, then driven by
 #                         bench/load_gen --chaos. The chaos pass gates on
 #                         what outage handling promises (DESIGN.md §17):
@@ -71,8 +70,9 @@
 #                         parallelism really interleaves under the
 #                         sanitizer. The partition fault-domain suite
 #                         (circuit breakers, hedged sub-queries, degraded
-#                         merges) runs here too: hedging races a replica
-#                         against a stalled primary by design.
+#                         merges) runs here too: hedging races a second
+#                         read of a partition against a stalled primary by
+#                         design.
 #   6. ASan + UBSan     — the chaos sanitizer gate: the fault-injection
 #                         suite, the fuzz-lite chaos sweep (including its
 #                         partitioned arm and the body-cache insert/query
@@ -116,11 +116,12 @@ echo "=== [2/6] Bench smokes (cache + parallel determinism + faults) ==="
 PRECIS_BENCH_MOVIES=300 PRECIS_BENCH_SMOKE=1 \
   PRECIS_BENCH_OUT="$ROOT/build-release/BENCH_cache.json" \
   "$ROOT/build-release/bench/cache_effectiveness"
-# Inline-vs-pooled byte-identity across cardinalities and thread counts; a
-# mismatch exits non-zero and fails CI.
+# Inline vs pooled and partitioned generation across cardinalities and
+# widths {2,4,8}: every run must emit the inline run's database and report
+# (DESIGN.md §11 + §15); a mismatch exits non-zero and fails CI.
 PRECIS_BENCH_MOVIES=300 PRECIS_BENCH_SMOKE=1 \
-  PRECIS_BENCH_OUT="$ROOT/build-release/BENCH_parallel_dbgen.json" \
-  "$ROOT/build-release/bench/parallel_dbgen_bench"
+  PRECIS_BENCH_OUT="$ROOT/build-release/BENCH_dbgen_scaling.json" \
+  "$ROOT/build-release/bench/dbgen_scaling"
 # Zero-fault overhead (< 5%) + graceful degradation under injected faults.
 PRECIS_BENCH_MOVIES=300 PRECIS_BENCH_SMOKE=1 \
   PRECIS_BENCH_OUT="$ROOT/build-release/BENCH_fault_tolerance.json" \
@@ -131,12 +132,6 @@ PRECIS_BENCH_MOVIES=300 PRECIS_BENCH_SMOKE=1 \
 PRECIS_BENCH_MOVIES=300 PRECIS_BENCH_SMOKE=1 \
   PRECIS_BENCH_OUT="$ROOT/build-release/BENCH_kernels.json" \
   "$ROOT/build-release/bench/kernels_bench"
-# Sharded scatter-gather byte-identity: every sharded run across shard
-# counts {2,4,8} must emit the same database and report as the unsharded
-# single-engine run (DESIGN.md §15).
-PRECIS_BENCH_MOVIES=300 PRECIS_BENCH_SMOKE=1 \
-  PRECIS_BENCH_OUT="$ROOT/build-release/BENCH_shard.json" \
-  "$ROOT/build-release/bench/shard_scaling"
 
 echo "=== [3/6] Server smoke (precis_serve + load_gen over real sockets) ==="
 SERVE_LOG="$ROOT/build-release/precis_serve_smoke.log"
@@ -197,8 +192,8 @@ BASELINE_P99="$(grep -o '"p99_ms": [0-9.][0-9.]*' "$ROOT/build-release/BENCH_ser
 BASELINE_P99="$(awk "BEGIN { b = $BASELINE_P99 + 0; print (b < 2.0) ? 2.0 : b }")"
 echo "healthy baseline p99: ${BASELINE_P99} ms"
 # Two full drills against freshly started servers. Each run kills shard 1
-# of 4 permanently (breaker opens, merges skip it), hedges against read
-# replicas, and injects seeded short writes at the socket layer; load_gen
+# of 4 permanently (breaker opens, merges skip it), hedges slow partition
+# lookups, and injects seeded short writes at the socket layer; load_gen
 # gates availability/honesty/latency/determinism. The probe fingerprint
 # must match across the two processes: same seed, same degraded bytes.
 CHAOS_FP=""

@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <functional>
-#include <map>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
-#include "common/task_pool.h"
 #include "precis/json_export.h"
 
 namespace precis {
@@ -52,25 +50,17 @@ Result<PrecisEngine> PrecisEngine::Create(const Database* db,
   }
   if (with_replicas && partitions < 2) {
     return Status::InvalidArgument(
-        "read replicas need at least 2 partitions");
+        "hedged sub-queries (replicas) need at least 2 partitions");
   }
-  PrecisEngine engine(graph);
-  if (partitions <= 1) {
-    engine.db_ = db;
-    auto index = InvertedIndex::Build(*db);
-    if (!index.ok()) return index.status();
-    engine.indexes_.push_back(std::move(*index));
-    return engine;
-  }
-  auto sharded = ShardedDatabase::Partition(*db, partitions, with_replicas);
+  auto index = InvertedIndex::Build(*db);
+  if (!index.ok()) return index.status();
+  PrecisEngine engine(db, graph, std::move(*index));
+  if (partitions <= 1) return engine;
+  auto sharded = ShardedDatabase::Partition(*db, partitions);
   if (!sharded.ok()) return sharded.status();
   engine.partitions_ = std::make_unique<ShardedDatabase>(std::move(*sharded));
-  for (size_t p = 0; p < partitions; ++p) {
-    auto index = InvertedIndex::Build(engine.partitions_->shard(p));
-    if (!index.ok()) return index.status();
-    engine.indexes_.push_back(std::move(*index));
-  }
   engine.health_ = std::make_unique<ShardHealthTracker>(partitions);
+  engine.hedging_ = with_replicas;
   return engine;
 }
 
@@ -87,90 +77,36 @@ std::optional<ShardQueryFaultPlan> PrecisEngine::DecidePlan(
     ExecutionContext* ctx) const {
   if (partitions_ == nullptr) return std::nullopt;
   return DecideShardFaultPlan(num_partitions(), health_.get(), ctx,
-                              partitions_->has_replicas());
+                              hedging_);
 }
 
 std::vector<TokenMatch> PrecisEngine::MatchTokens(
     const PrecisQuery& query, const ShardQueryFaultPlan* plan) const {
   // Step 1: inverted index — k_i -> {(R_j, A_lj, Tids_lj)} — after synonym
   // canonicalization where a table is installed.
-  const size_t num_tokens = query.tokens.size();
-  std::vector<std::string> resolved(num_tokens);
-  for (size_t t = 0; t < num_tokens; ++t) {
-    resolved[t] = synonyms_ != nullptr
-                      ? synonyms_->Canonicalize(query.tokens[t])
-                      : query.tokens[t];
-  }
   std::vector<TokenMatch> matches;
-  matches.reserve(num_tokens);
-  if (partitions_ == nullptr) {
-    for (size_t t = 0; t < num_tokens; ++t) {
-      matches.push_back(TokenMatch{query.tokens[t], resolved[t],
-                                   indexes_[0].Lookup(resolved[t])});
-    }
-    return matches;
-  }
-
-  // Scatter: one task per live partition looks every token up in that
-  // partition's index and translates its local tids to global ones.
-  // Partitions the fault plan skipped contribute no occurrences — their
-  // seed tuples are part of what the outage costs the answer (DESIGN.md
-  // §17).
-  const size_t parts = num_partitions();
-  std::vector<std::vector<std::vector<TokenOccurrence>>> found(
-      parts, std::vector<std::vector<TokenOccurrence>>(num_tokens));
-  TaskPool::Group scatter(TaskPool::Shared());
-  for (size_t p = 0; p < parts; ++p) {
-    if (plan != nullptr && plan->live[p] == 0) continue;
-    scatter.Run([&, p] {
-      for (size_t t = 0; t < num_tokens; ++t) {
-        const OccurrenceList local = indexes_[p].Lookup(resolved[t]);
-        for (const TokenOccurrence& occ : *local) {
-          auto view = partitions_->GetView(occ.relation);
-          if (!view.ok()) continue;  // every partition relation has a view
-          TokenOccurrence global{occ.relation, occ.attribute, {}};
-          global.tids.reserve(occ.tids.size());
-          for (Tid tid : occ.tids) {
-            global.tids.push_back((*view)->GlobalOf(p, tid));
-          }
-          found[p][t].push_back(std::move(global));
-        }
-      }
-    });
-  }
-  scatter.Wait();
-
-  // Gather: an index emits occurrence groups in (sorted relation name,
-  // attribute index) order with ascending tids. Every partition holds every
-  // relation, so keying the merge the same way reproduces the one-partition
-  // grouping and order, and the ascending k-way tid merge restores the
-  // global posting order (each local->global map is increasing).
-  for (size_t t = 0; t < num_tokens; ++t) {
-    struct Group {
-      const TokenOccurrence* proto = nullptr;
-      std::vector<std::vector<Tid>> lists;
-    };
-    std::map<std::pair<std::string, size_t>, Group> groups;
-    for (size_t p = 0; p < parts; ++p) {
-      for (TokenOccurrence& occ : found[p][t]) {
+  matches.reserve(query.tokens.size());
+  for (const std::string& token : query.tokens) {
+    std::string resolved =
+        synonyms_ != nullptr ? synonyms_->Canonicalize(token) : token;
+    OccurrenceList found = index_.Lookup(resolved);
+    if (plan != nullptr && plan->any_skipped()) {
+      // Partitions the fault plan skipped contribute no seed tuples: what
+      // they own is part of what the outage costs the answer (DESIGN.md
+      // §17).
+      auto kept = std::make_shared<std::vector<TokenOccurrence>>();
+      for (const TokenOccurrence& occ : *found) {
         auto view = partitions_->GetView(occ.relation);
-        if (!view.ok()) continue;
-        auto attr = (*view)->schema().AttributeIndex(occ.attribute);
-        if (!attr.ok()) continue;
-        Group& group = groups[{occ.relation, *attr}];
-        if (group.proto == nullptr) group.proto = &occ;
-        group.lists.push_back(std::move(occ.tids));
+        if (!view.ok()) continue;  // the index and the copy share relations
+        TokenOccurrence live{occ.relation, occ.attribute, {}};
+        for (Tid tid : occ.tids) {
+          if (plan->live[(*view)->OwnerOf(tid)] != 0) live.tids.push_back(tid);
+        }
+        if (!live.tids.empty()) kept->push_back(std::move(live));
       }
+      found = std::move(kept);
     }
-    auto merged = std::make_shared<std::vector<TokenOccurrence>>();
-    merged->reserve(groups.size());
-    for (auto& [key, group] : groups) {
-      merged->push_back(TokenOccurrence{
-          group.proto->relation, group.proto->attribute,
-          MergeAscendingTids(std::move(group.lists))});
-    }
-    matches.push_back(
-        TokenMatch{query.tokens[t], resolved[t], std::move(merged)});
+    matches.push_back(TokenMatch{token, std::move(resolved), std::move(found)});
   }
   return matches;
 }
@@ -260,9 +196,7 @@ Result<PrecisAnswer> PrecisEngine::AnswerFromMatches(
   SeedTids seeds;
   auto schema = AssembleSeedsAndSchema(
       graph_, matches, degree,
-      caches_->schema_enabled.load(std::memory_order_relaxed)
-          ? &caches_->schema
-          : nullptr,
+      caches_enabled() ? &caches_->schema : nullptr,
       ctx, &seeds);
   if (!schema.ok()) return schema.status();
 
@@ -381,15 +315,12 @@ Result<std::shared_ptr<const PrecisAnswer>> PrecisEngine::AnswerSharedImpl(
   // weight stores can change between calls without an epoch to observe.
   const bool reusable =
       options.tuple_weights == nullptr && !options.trace_sql;
-  const bool cacheable =
-      caches_->answer_enabled.load(std::memory_order_relaxed) && reusable;
-  const bool body_cacheable =
-      body_out != nullptr &&
-      caches_->body_enabled.load(std::memory_order_relaxed) && reusable;
+  const bool cacheable = caches_enabled() && reusable;
+  const bool body_cacheable = body_out != nullptr && cacheable;
 
   std::string epochs;
   std::string key;
-  if (cacheable || body_cacheable) {
+  if (cacheable) {
     // Epochs are read BEFORE the lookup/build. If a mutation lands during
     // the build, the re-read below differs and the answer is not inserted.
     epochs = EpochKey();
@@ -435,8 +366,7 @@ Result<std::shared_ptr<const PrecisAnswer>> PrecisEngine::AnswerSharedImpl(
                      !shared->report.degraded();
   // Epochs unchanged across the build: the answer saw one consistent
   // database + weight state.
-  const bool epochs_stable =
-      (cacheable || body_cacheable) && EpochKey() == epochs;
+  const bool epochs_stable = cacheable && EpochKey() == epochs;
   if (cacheable && clean && epochs_stable) {
     caches_->answer->Put(key, shared, EstimateAnswerCharge(*shared));
   }

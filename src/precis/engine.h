@@ -126,24 +126,24 @@ Result<ResultSchema> AssembleSeedsAndSchema(
 /// graph (DESIGN.md §15).
 ///
 /// One partition is the database read in place. At N >= 2 the engine owns a
-/// hash-partitioned copy with one inverted index per partition: token
-/// lookups scatter across the partitions the query's fault plan keeps
-/// (DESIGN.md §17) and merge into the one-partition occurrence order, and
-/// generation runs the Fig. 5 planner over a per-query ShardedSource.
-/// Answers are byte-identical at every partition count, and one cache
-/// stack serves them all.
+/// hash-partitioned copy of the source's tuples and runs the Fig. 5 planner
+/// over a per-query ShardedSource. At every N one inverted index over the
+/// source matches tokens; when the query's fault plan skipped partitions
+/// (DESIGN.md §17) their tids are dropped from the matches. Answers are
+/// byte-identical at every partition count, and one cache stack serves them
+/// all.
 class PrecisEngine {
  public:
-  /// Builds the engine over `db` and `graph`. `graph` must outlive the
-  /// engine and any PrecisAnswer it returns.
+  /// Builds the engine over `db` and `graph`, both of which must outlive
+  /// the engine and any PrecisAnswer it returns: the token index reads
+  /// `db` at every partition count.
   ///
-  /// With `partitions <= 1` the engine is a view over `db` (which must
-  /// outlive it too) with one inverted index; nothing is copied. With
-  /// `partitions >= 2` it partitions a copy of `db`
-  /// (ShardedDatabase::Partition), indexes every partition and tracks
-  /// per-partition health; `db` is not referenced afterwards.
-  /// `with_replicas` gives every partition a read replica that slow
-  /// sub-queries hedge against (DESIGN.md §17); it needs `partitions >= 2`.
+  /// With `partitions <= 1` the engine is a view over `db`; nothing is
+  /// copied. With `partitions >= 2` it also partitions a copy of `db`'s
+  /// tuples (ShardedDatabase::Partition) and tracks per-partition health.
+  /// `with_replicas` turns on hedged sub-queries: a slow partition lookup is
+  /// re-issued against the same read-only partition from a second pool task,
+  /// first response wins (DESIGN.md §17); it needs `partitions >= 2`.
   static Result<PrecisEngine> Create(const Database* db,
                                      const SchemaGraph* graph,
                                      size_t partitions = 1,
@@ -234,108 +234,72 @@ class PrecisEngine {
   /// table must outlive the engine while installed.
   void set_synonyms(const SynonymTable* synonyms) { synonyms_ = synonyms; }
 
-  /// Result-schema caching (§7's "further optimization of the whole
-  /// process", DESIGN.md §10 level 2): the result schema depends only on
-  /// the set of token relations, the degree constraint, and the graph's
-  /// edge weights — not on the matched tuples — so repeated queries about
-  /// tokens living in the same relations can reuse it. Off by default.
-  /// Backed by the shared byte-bounded LRU; the cache key carries the
-  /// graph's weight epoch, so re-weighting an edge invalidates implicitly
-  /// (ClearSchemaCache() remains for explicit flushes).
+  /// The four cache levels (DESIGN.md §10), switched together. Off by
+  /// default; switching them off also empties them.
+  ///
+  /// Level 1 memoizes multi-word token lookups in the inverted index. Level
+  /// 2 (§7's "further optimization of the whole process") reuses result
+  /// schemas: a schema depends only on the set of token relations, the
+  /// degree constraint and the graph's edge weights, and its key carries the
+  /// graph's weight epoch, so re-weighting an edge invalidates implicitly.
+  /// Level 3 is the full-answer cache (see AnswerShared), level 4 the
+  /// rendered-body cache (see AnswerSharedRendered).
   ///
   /// Thread-safety: Answer/AnswerPerOccurrence/AnswerShared may be called
   /// from several threads concurrently against one engine (all caches are
   /// internally locked; access counters are atomic); set_* configuration
   /// calls must not race with queries.
-  void set_schema_cache_enabled(bool enabled) {
+  void set_caches_enabled(bool enabled) {
     // Atomic: the header allows concurrent Answer calls, which read this
     // flag; a plain bool here would be a data race under TSan.
-    caches_->schema_enabled.store(enabled, std::memory_order_relaxed);
-    if (!enabled) ClearSchemaCache();
+    caches_->enabled.store(enabled, std::memory_order_relaxed);
+    index_.set_lookup_cache_enabled(enabled);
+    if (!enabled) {
+      caches_->schema.Clear();
+      caches_->answer->Clear();
+      caches_->body->Clear();
+    }
   }
-  void ClearSchemaCache() { caches_->schema.Clear(); }
-  size_t schema_cache_hits() const { return caches_->schema.stats().hits; }
-  size_t schema_cache_misses() const {
-    return caches_->schema.stats().misses;
+  bool answer_cache_enabled() const { return caches_enabled(); }
+  bool body_cache_enabled() const { return caches_enabled(); }
+
+  LruCacheStats token_cache_stats() const {
+    return index_.lookup_cache_stats();
   }
   LruCacheStats schema_cache_stats() const {
     return caches_->schema.stats();
   }
-
-  /// Full-answer caching (level 3; see AnswerShared). Off by default.
-  void set_answer_cache_enabled(bool enabled) {
-    caches_->answer_enabled.store(enabled, std::memory_order_relaxed);
-    if (!enabled) ClearAnswerCache();
-  }
-  bool answer_cache_enabled() const {
-    return caches_->answer_enabled.load(std::memory_order_relaxed);
-  }
-  void ClearAnswerCache() { caches_->answer->Clear(); }
   LruCacheStats answer_cache_stats() const {
     return caches_->answer->stats();
   }
+  LruCacheStats body_cache_stats() const { return caches_->body->stats(); }
   /// Replaces the answer cache with an empty one of `bytes` capacity
   /// (counters reset). Must not race with in-flight queries.
   void set_answer_cache_capacity(size_t bytes) {
     caches_->answer = std::make_unique<AnswerCache>(bytes);
   }
 
-  /// Rendered-body caching (level 4; see AnswerSharedRendered). Off by
-  /// default.
-  void set_body_cache_enabled(bool enabled) {
-    caches_->body_enabled.store(enabled, std::memory_order_relaxed);
-    if (!enabled) ClearBodyCache();
+  size_t num_partitions() const {
+    return partitions_ != nullptr ? partitions_->num_shards() : 1;
   }
-  bool body_cache_enabled() const {
-    return caches_->body_enabled.load(std::memory_order_relaxed);
-  }
-  void ClearBodyCache() { caches_->body->Clear(); }
-  LruCacheStats body_cache_stats() const { return caches_->body->stats(); }
-  /// Replaces the body cache with an empty one of `bytes` capacity
-  /// (counters reset). Must not race with in-flight queries.
-  void set_body_cache_capacity(size_t bytes) {
-    caches_->body = std::make_unique<BodyCache>(bytes);
-  }
-
-  /// Token-occurrence caching (level 1): each partition's InvertedIndex
-  /// memoizes its own multi-word lookups. Off by default.
-  void set_token_cache_enabled(bool enabled) {
-    for (InvertedIndex& index : indexes_) {
-      index.set_lookup_cache_enabled(enabled);
-    }
-  }
-  /// Level-1 counters summed over the partitions.
-  LruCacheStats token_cache_stats() const {
-    LruCacheStats total;
-    for (const InvertedIndex& index : indexes_) {
-      total += index.lookup_cache_stats();
-    }
-    return total;
-  }
-
-  /// Convenience: flips all four cache levels at once.
-  void set_caches_enabled(bool enabled) {
-    set_token_cache_enabled(enabled);
-    set_schema_cache_enabled(enabled);
-    set_answer_cache_enabled(enabled);
-    set_body_cache_enabled(enabled);
-  }
-
-  size_t num_partitions() const { return indexes_.size(); }
   /// The owned partitioned copy; null at one partition.
   const ShardedDatabase* partitions() const { return partitions_.get(); }
   /// Per-partition fault-domain health: circuit breakers, hedge-delay
   /// windows, hedge and skip counters (DESIGN.md §17). Fault domains are
   /// partitions, so this is null at one partition.
   const ShardHealthTracker* health() const { return health_.get(); }
-  /// Partition `partition`'s inverted index. Its tids are partition-local
-  /// when the engine is partitioned.
-  const InvertedIndex& index(size_t partition = 0) const {
-    return indexes_[partition];
-  }
+  /// The inverted index over the source database; its tids are the global
+  /// tids at every partition count.
+  const InvertedIndex& index() const { return index_; }
 
  private:
-  explicit PrecisEngine(const SchemaGraph* graph) : graph_(graph) {}
+  PrecisEngine(const Database* db, const SchemaGraph* graph,
+               InvertedIndex index)
+      : db_(db), graph_(graph), index_(std::move(index)) {}
+
+  bool caches_enabled() const {
+    return caches_->enabled.load(std::memory_order_relaxed);
+  }
 
   /// The query's fault-domain decision, made once up front on the calling
   /// thread: which partitions take part, which stall, whether hedging can
@@ -343,8 +307,8 @@ class PrecisEngine {
   std::optional<ShardQueryFaultPlan> DecidePlan(ExecutionContext* ctx) const;
 
   /// Synonym canonicalization + lookup, shared by Answer and
-  /// AnswerPerOccurrence. At N >= 2 partitions the lookups scatter over the
-  /// partitions `plan` keeps, translate to global tids and merge.
+  /// AnswerPerOccurrence. When `plan` skipped partitions, the tids they own
+  /// are dropped, and so is any occurrence group left empty.
   std::vector<TokenMatch> MatchTokens(const PrecisQuery& query,
                                       const ShardQueryFaultPlan* plan) const;
 
@@ -372,16 +336,18 @@ class PrecisEngine {
       ExecutionContext* ctx, ShardQueryStats* shard_stats,
       std::shared_ptr<const std::string>* body_out) const;
 
-  /// The one partition, read in place; null when partitioned.
-  const Database* db_ = nullptr;
+  /// The source database: the one partition, read in place, and what the
+  /// token index reads at every N.
+  const Database* db_;
   const SchemaGraph* graph_;
+  InvertedIndex index_;
   /// The partitioned copy; null at one partition.
   std::unique_ptr<ShardedDatabase> partitions_;
-  /// One per partition, each over that partition's tuples.
-  std::vector<InvertedIndex> indexes_;
   /// Internally synchronized, so const query paths share it; null at one
   /// partition.
   std::unique_ptr<ShardHealthTracker> health_;
+  /// Whether slow partition lookups hedge (Create's `with_replicas`).
+  bool hedging_ = false;
   const SynonymTable* synonyms_ = nullptr;
 
   using AnswerCache = ShardedLruCache<std::string, PrecisAnswer>;
@@ -394,9 +360,7 @@ class PrecisEngine {
   // MiB of rendered JSON bodies (cheaper per entry than answers; sized to
   // hold the rendered form of a realistic hot set).
   struct Caches {
-    std::atomic<bool> schema_enabled{false};
-    std::atomic<bool> answer_enabled{false};
-    std::atomic<bool> body_enabled{false};
+    std::atomic<bool> enabled{false};
     SchemaCache schema{8 << 20};
     std::unique_ptr<AnswerCache> answer =
         std::make_unique<AnswerCache>(64 << 20);

@@ -946,9 +946,7 @@ std::string HttpServer::MetricsJson() const {
            << "\",\"opened\":" << shard.breaker_opened
            << ",\"rejected\":" << shard.breaker_rejected
            << ",\"half_open_probes\":" << shard.breaker_half_open_probes
-           << ",\"failures\":" << shard.breaker_failures << "},";
-        AppendCacheStats(&os, "partial_cache", shard.token_cache);
-        os << "}";
+           << ",\"failures\":" << shard.breaker_failures << "}}";
       }
       os << "]}";
     }

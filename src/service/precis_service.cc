@@ -25,8 +25,10 @@ Result<std::unique_ptr<PrecisService>> PrecisService::Create(
 
 PrecisService::PrecisService(const PrecisEngine* engine, Options options)
     : engine_(engine), options_(std::move(options)) {
+  latencies_.samples.reserve(kLatencyWindow);
   if (engine_->num_partitions() >= 2) {
     metrics_.shards.resize(engine_->num_partitions());
+    merge_times_.samples.reserve(kLatencyWindow);
   }
   workers_.reserve(options_.num_workers);
   for (size_t i = 0; i < options_.num_workers; ++i) {
@@ -259,6 +261,15 @@ ServiceResponse PrecisService::RunOne(const ServiceRequest& request,
   return response;
 }
 
+void PrecisService::SampleRing::Add(double sample) {
+  if (samples.size() < kLatencyWindow) {
+    samples.push_back(sample);
+  } else {
+    samples[next] = sample;
+  }
+  next = (next + 1) % kLatencyWindow;
+}
+
 void PrecisService::RecordOutcome(const ServiceResponse& response,
                                   const ShardQueryStats& shard_stats) {
   std::lock_guard<std::mutex> lock(metrics_mutex_);
@@ -289,11 +300,11 @@ void PrecisService::RecordOutcome(const ServiceResponse& response,
   for (const TraceSpan& span : response.spans) {
     metrics_.span_seconds[span.name] += span.seconds;
   }
-  latencies_.push_back(response.latency_seconds);
+  latencies_.Add(response.latency_seconds);
   if (metrics_.shards.empty()) return;
   // Cache hits contribute a zero-work sample, so merge percentiles honestly
   // reflect what served queries cost.
-  merge_times_.push_back(shard_stats.merge_seconds);
+  merge_times_.Add(shard_stats.merge_seconds);
   for (size_t s = 0;
        s < shard_stats.subqueries.size() && s < metrics_.shards.size(); ++s) {
     ShardMetricsEntry& shard = metrics_.shards[s];
@@ -332,13 +343,13 @@ PrecisService::Metrics PrecisService::metrics() const {
   std::vector<double> latencies;
   std::vector<double> merges;
   {
-    // Only the copy-out holds the lock. The percentile sort used to run in
-    // here too — O(n log n) over the full latency history on every scrape,
-    // stalling RecordOutcome (and through it the workers) under load.
+    // Only the copy-out holds the lock; the percentile sorts run on the
+    // copies, so a scrape never stalls RecordOutcome (and through it the
+    // workers).
     std::lock_guard<std::mutex> lock(metrics_mutex_);
     snapshot = metrics_;
-    latencies = latencies_;
-    merges = merge_times_;
+    latencies = latencies_.samples;
+    merges = merge_times_.samples;
   }
   snapshot.p50_latency_seconds = Percentile(&latencies, 0.50);
   snapshot.p99_latency_seconds = Percentile(&latencies, 0.99);
@@ -359,7 +370,6 @@ PrecisService::Metrics PrecisService::metrics() const {
     for (size_t s = 0; s < snapshot.shards.size(); ++s) {
       ShardMetricsEntry& shard = snapshot.shards[s];
       shard.tuples = engine_->partitions()->shard(s).TotalTuples();
-      shard.token_cache = engine_->index(s).lookup_cache_stats();
       CircuitBreakerStats breaker = health->breaker(s).stats();
       shard.breaker_state = BreakerStateToString(breaker.state);
       shard.breaker_opened = breaker.opened_total;

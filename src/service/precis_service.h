@@ -152,9 +152,6 @@ class PrecisService {
     /// Largest single-edge prefetch scratch buffer held for the shard
     /// across all served queries (the sharded analog of the arena peak).
     uint64_t scratch_peak_bytes = 0;
-    /// The partition's level-1 token cache counters (its InvertedIndex
-    /// lookup cache).
-    LruCacheStats token_cache;
     /// The shard's circuit-breaker snapshot (DESIGN.md §17): state string
     /// ("closed"/"open"/"half_open") plus lifetime transition counters.
     std::string breaker_state = "closed";
@@ -163,6 +160,11 @@ class PrecisService {
     uint64_t breaker_half_open_probes = 0;
     uint64_t breaker_failures = 0;
   };
+
+  /// Latency samples kept for the percentiles: a ring of the most recent
+  /// queries, allocated once, so neither memory nor a metrics() scrape
+  /// grows with uptime.
+  static constexpr size_t kLatencyWindow = 4096;
 
   /// Aggregate counters across every query the service has finished.
   struct Metrics {
@@ -180,6 +182,8 @@ class PrecisService {
     uint64_t retries_total = 0;
     /// Tuples lost to exhausted retries across all queries.
     uint64_t dropped_tuples_total = 0;
+    /// Latency percentiles over the last kLatencyWindow queries (all time
+    /// when fewer have finished); the total covers every query.
     double p50_latency_seconds = 0.0;
     double p99_latency_seconds = 0.0;
     double total_latency_seconds = 0.0;
@@ -204,7 +208,8 @@ class PrecisService {
     /// Partitioned serving (DESIGN.md §15): one entry per partition; empty
     /// at one partition.
     std::vector<ShardMetricsEntry> shards;
-    /// Percentiles of the per-query scatter-gather merge wall time.
+    /// Percentiles of the per-query scatter-gather merge wall time, over
+    /// the same window of recent queries.
     double shard_merge_p50_seconds = 0.0;
     double shard_merge_p99_seconds = 0.0;
     /// Total charges that exceeded the even per-shard budget slice —
@@ -214,7 +219,7 @@ class PrecisService {
     /// queries whose merge completed without at least one shard, individual
     /// shard exclusions, kShardSubquery probe retries, breaker fast-fails
     /// (skips without probing), hedged sub-queries launched, and hedges
-    /// whose replica beat the primary.
+    /// that beat the primary.
     uint64_t shard_degraded_queries = 0;
     uint64_t shard_skips_total = 0;
     uint64_t shard_probe_retries_total = 0;
@@ -263,10 +268,10 @@ class PrecisService {
   /// destructor.
   void Shutdown();
 
-  /// Snapshot of the aggregate metrics. The copy-out happens under the
-  /// stats mutex but the percentile sort runs on the copy *outside* it, so
-  /// a metrics scrape over a long latency history cannot stall admission
-  /// or workers recording outcomes. Cache counters and, at N >= 2
+  /// Snapshot of the aggregate metrics. The copy-out of the (bounded)
+  /// latency windows happens under the stats mutex but the percentile sort
+  /// runs on the copy *outside* it, so a scrape cannot stall admission or
+  /// workers recording outcomes. Cache counters and, at N >= 2
   /// partitions, per-partition residency and health come from the engine.
   Metrics metrics() const;
 
@@ -300,11 +305,18 @@ class PrecisService {
   std::deque<Job> queue_;
   bool shutting_down_ = false;
 
+  /// The last kLatencyWindow samples, oldest overwritten first.
+  struct SampleRing {
+    std::vector<double> samples;
+    size_t next = 0;
+    void Add(double sample);
+  };
+
   mutable std::mutex metrics_mutex_;
   Metrics metrics_;
-  std::vector<double> latencies_;
+  SampleRing latencies_;
   /// Per-query scatter-gather merge seconds (N >= 2 partitions only).
-  std::vector<double> merge_times_;
+  SampleRing merge_times_;
 
   std::vector<std::thread> workers_;
 };

@@ -80,9 +80,9 @@ class ShardHealthTracker {
     ++ring.next;
   }
 
-  /// The delay after which a sub-query to `shard` should hedge to the
-  /// replica: ~p99 of the recent latency window, clamped into the policy
-  /// bounds (the default before any sample lands).
+  /// The delay after which a sub-query to `shard` should be hedged (issued
+  /// a second time): ~p99 of the recent latency window, clamped into the
+  /// policy bounds (the default before any sample lands).
   uint64_t HedgeDelayNs(size_t shard) const {
     uint64_t p99 = 0;
     {
@@ -100,8 +100,8 @@ class ShardHealthTracker {
   }
 
   /// Lifetime counters (exported via /metrics and shell `stats`).
-  std::atomic<uint64_t> hedged_subqueries{0};  ///< replica hedges launched
-  std::atomic<uint64_t> hedge_wins{0};         ///< hedges that beat primary
+  std::atomic<uint64_t> hedged_subqueries{0};  ///< hedged sub-queries launched
+  std::atomic<uint64_t> hedge_wins{0};         ///< hedges that beat the primary
   std::atomic<uint64_t> shard_skips{0};        ///< per-query shard exclusions
 
  private:
@@ -125,7 +125,7 @@ struct ShardQueryFaultPlan {
   uint64_t probe_retries = 0;      ///< kShardSubquery probe retries performed
   uint64_t breaker_rejects = 0;    ///< shards skipped without probing
   ShardHealthTracker* health = nullptr;
-  bool use_replicas = false;       ///< hedging possible (replicas exist)
+  bool hedging = false;            ///< slow sub-queries may be hedged
 
   bool any_skipped() const { return !skipped.empty(); }
 };
@@ -140,12 +140,12 @@ struct ShardQueryFaultPlan {
 inline ShardQueryFaultPlan DecideShardFaultPlan(size_t num_shards,
                                                 ShardHealthTracker* health,
                                                 ExecutionContext* ctx,
-                                                bool has_replicas) {
+                                                bool hedging) {
   ShardQueryFaultPlan plan;
   plan.live.assign(num_shards, 1);
   plan.stall_ns.assign(num_shards, 0);
   plan.health = health;
-  plan.use_replicas = has_replicas;
+  plan.hedging = hedging;
   FaultInjector* injector = ctx != nullptr ? ctx->fault_injector() : nullptr;
   const bool armed = injector != nullptr && injector->armed();
   for (uint32_t s = 0; s < num_shards; ++s) {

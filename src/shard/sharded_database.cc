@@ -61,12 +61,10 @@ Status ShardedRelation::MirrorLookupCharges(const std::string& attribute_name,
 }
 
 Result<std::vector<Tid>> ShardedRelation::ShardLookupGlobal(
-    size_t shard, const std::string& attribute_name, const Value& key,
-    bool replica) const {
-  const Relation* relation =
-      replica ? replica_rel_[shard] : shard_rel_[shard];
+    size_t shard, const std::string& attribute_name, const Value& key) const {
   std::vector<Tid> scan;
-  auto locals = relation->LookupEqualsView(attribute_name, key, &scan);
+  auto locals =
+      shard_rel_[shard]->LookupEqualsView(attribute_name, key, &scan);
   if (!locals.ok()) return locals.status();
   std::vector<Tid> out;
   out.reserve(locals->size());
@@ -87,7 +85,7 @@ void ShardedRelation::ProjectRowsScatter(
   std::vector<std::vector<Tid>> locals(shards);
   std::vector<std::vector<size_t>> rows(shards);
   for (size_t i = 0; i < n; ++i) {
-    size_t s = owner_[tids[i]];
+    size_t s = OwnerOf(tids[i]);
     locals[s].push_back(local_of_[tids[i]]);
     rows[s].push_back(i);
   }
@@ -113,8 +111,7 @@ void ShardedRelation::CountStatement(ExecutionContext* ctx) const {
 }
 
 Result<ShardedDatabase> ShardedDatabase::Partition(const Database& source,
-                                                   size_t num_shards,
-                                                   bool with_replicas) {
+                                                   size_t num_shards) {
   if (num_shards < 2) {
     return Status::InvalidArgument("num_shards must be >= 2");
   }
@@ -125,14 +122,6 @@ Result<ShardedDatabase> ShardedDatabase::Partition(const Database& source,
         std::make_unique<Database>(source.name() + "_shard" +
                                    std::to_string(s)));
   }
-  if (with_replicas) {
-    sharded.replicas_.reserve(num_shards);
-    for (size_t s = 0; s < num_shards; ++s) {
-      sharded.replicas_.push_back(
-          std::make_unique<Database>(source.name() + "_shard" +
-                                     std::to_string(s) + "_replica"));
-    }
-  }
 
   for (const std::string& name : source.RelationNames()) {
     auto src = source.GetRelation(name);
@@ -140,52 +129,31 @@ Result<ShardedDatabase> ShardedDatabase::Partition(const Database& source,
     const Relation& rel = **src;
 
     // Every shard gets the relation — schema, primary key and all — even
-    // when no tuple routes to it: identical relation catalogs keep the
-    // per-shard inverted indexes enumerating relations in the same order,
-    // which the deterministic occurrence merge depends on.
+    // when no tuple routes to it, so the coordinator can open any relation
+    // on any shard.
     for (size_t s = 0; s < num_shards; ++s) {
       PRECIS_RETURN_NOT_OK(
           sharded.shards_[s]->CreateRelation(rel.schema()));
-      if (with_replicas) {
-        PRECIS_RETURN_NOT_OK(
-            sharded.replicas_[s]->CreateRelation(rel.schema()));
-      }
     }
 
     auto view = std::unique_ptr<ShardedRelation>(new ShardedRelation(
-        rel.schema(), ShardRouter::RelationSeed(name),
-        sharded.stats_.get()));
+        rel.schema(), sharded.router_, sharded.stats_.get()));
     view->shard_rel_.resize(num_shards, nullptr);
-    if (with_replicas) view->replica_rel_.resize(num_shards, nullptr);
     for (size_t s = 0; s < num_shards; ++s) {
       auto shard_rel = sharded.shards_[s]->GetRelation(name);
       if (!shard_rel.ok()) return shard_rel.status();
       view->shard_rel_[s] = *shard_rel;
-      if (with_replicas) {
-        auto replica_rel = sharded.replicas_[s]->GetRelation(name);
-        if (!replica_rel.ok()) return replica_rel.status();
-        view->replica_rel_[s] = *replica_rel;
-      }
     }
     view->local_to_global_.resize(num_shards);
 
     const size_t n = rel.num_tuples();
-    view->owner_.reserve(n);
     view->local_of_.reserve(n);
     // Ascending global-tid order: each shard's local->global map comes out
     // strictly increasing, the property every deterministic merge uses.
     for (Tid g = 0; g < n; ++g) {
-      size_t s = sharded.router_.ShardOf(view->seed_, g);
-      const Tuple tuple = rel.tuple(g);
-      auto local = view->shard_rel_[s]->Insert(tuple);
+      const size_t s = view->OwnerOf(g);
+      auto local = view->shard_rel_[s]->Insert(rel.tuple(g));
       if (!local.ok()) return local.status();
-      if (with_replicas) {
-        // Same tuple, same routed order: the replica's local tids line up
-        // with the primary's, so local_to_global_ serves both copies.
-        auto replica_local = view->replica_rel_[s]->Insert(tuple);
-        if (!replica_local.ok()) return replica_local.status();
-      }
-      view->owner_.push_back(static_cast<uint32_t>(s));
       view->local_of_.push_back(*local);
       view->local_to_global_[s].push_back(g);
     }
@@ -195,9 +163,6 @@ Result<ShardedDatabase> ShardedDatabase::Partition(const Database& source,
     for (const std::string& attr : rel.IndexedAttributes()) {
       for (size_t s = 0; s < num_shards; ++s) {
         PRECIS_RETURN_NOT_OK(view->shard_rel_[s]->CreateIndex(attr));
-        if (with_replicas) {
-          PRECIS_RETURN_NOT_OK(view->replica_rel_[s]->CreateIndex(attr));
-        }
       }
     }
     sharded.views_.emplace(name, std::move(view));
@@ -236,7 +201,7 @@ Result<Tid> ShardedDatabase::Insert(const std::string& relation, Tuple tuple) {
   }
   ShardedRelation& view = *it->second;
   const Tid global = view.num_tuples();
-  const size_t owner = router_.ShardOf(view.seed_, global);
+  const size_t owner = view.OwnerOf(global);
 
   // Cross-shard primary-key uniqueness: the owning shard's Insert checks
   // only its own tuples, so probe the others' primary-key sets first (no
@@ -259,18 +224,8 @@ Result<Tid> ShardedDatabase::Insert(const std::string& relation, Tuple tuple) {
     }
   }
 
-  auto local = view.has_replicas()
-                   ? view.shard_rel_[owner]->Insert(tuple)
-                   : view.shard_rel_[owner]->Insert(std::move(tuple));
+  auto local = view.shard_rel_[owner]->Insert(std::move(tuple));
   if (!local.ok()) return local.status();
-  if (view.has_replicas()) {
-    // Primary accepted (all constraint checks passed on identical data), so
-    // the replica insert cannot fail differently; applying it keeps the two
-    // copies in lockstep — same tuple, same local tid.
-    auto replica_local = view.replica_rel_[owner]->Insert(std::move(tuple));
-    if (!replica_local.ok()) return replica_local.status();
-  }
-  view.owner_.push_back(static_cast<uint32_t>(owner));
   view.local_of_.push_back(*local);
   view.local_to_global_[owner].push_back(global);
   return global;

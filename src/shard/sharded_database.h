@@ -3,14 +3,14 @@
 //
 // Every shard holds every relation (possibly empty) with the full source
 // schema and the same replicated indexes, so structural properties — which
-// attributes exist, which are indexed, in which order the inverted index
-// enumerates relations — are global, not per-shard. Only the *tuples* are
-// partitioned: global tid g of relation R lives on shard
+// attributes exist, which are indexed — are global, not per-shard. Only the
+// *tuples* are partitioned: global tid g of relation R lives on shard
 // ShardRouter::ShardOf(seed(R), g), at a shard-local tid recorded in the
-// global<->local maps. Shards are populated in ascending global-tid order,
-// so each per-shard local->global map is strictly increasing — the property
-// the deterministic merges lean on (an ascending shard-local tid list
-// translates to an ascending global list).
+// global<->local maps. Global tids are the source's tids, so one inverted
+// index over the source serves every partition count. Shards are populated
+// in ascending global-tid order, so each per-shard local->global map is
+// strictly increasing — the property the deterministic merges lean on (an
+// ascending shard-local tid list translates to an ascending global list).
 //
 // The coordinator-facing read surface is ShardedRelation: a view that
 // mirrors Relation's instrumented API (LookupEquals charge/fault order,
@@ -53,14 +53,18 @@ class ShardedRelation {
   const RelationSchema& schema() const { return schema_; }
 
   /// Global tuple count (the sum of the shard counts).
-  size_t num_tuples() const { return owner_.size(); }
+  size_t num_tuples() const { return local_of_.size(); }
 
   size_t num_shards() const { return shard_rel_.size(); }
   size_t shard_tuples(size_t shard) const {
     return local_to_global_[shard].size();
   }
 
-  size_t OwnerOf(Tid global_tid) const { return owner_[global_tid]; }
+  /// The shard global tid `global_tid` routes to, recomputed by the router
+  /// rather than stored per tuple.
+  size_t OwnerOf(Tid global_tid) const {
+    return router_.ShardOf(seed_, global_tid);
+  }
   Tid LocalOf(Tid global_tid) const { return local_of_[global_tid]; }
   Tid GlobalOf(size_t shard, Tid local_tid) const {
     return local_to_global_[shard][local_tid];
@@ -69,8 +73,8 @@ class ShardedRelation {
   /// Uncharged single-attribute read, routed to the owning shard's columns
   /// — the planner's join-key extraction path.
   Value ColumnValue(Tid global_tid, size_t attribute) const {
-    return shard_rel_[owner_[global_tid]]->ColumnValue(local_of_[global_tid],
-                                                       attribute);
+    return shard_rel_[OwnerOf(global_tid)]->ColumnValue(local_of_[global_tid],
+                                                         attribute);
   }
 
   /// True when the attribute is indexed. Indexes are replicated onto every
@@ -94,22 +98,12 @@ class ShardedRelation {
   /// Shard-local equality lookup, translated to ascending *global* tids.
   /// Runs with a null context: no fault checks, no coordinator charges (the
   /// shard relation's own stats still count the probe). Safe to call from
-  /// pool threads — this is the scatter half of the per-edge prefetch.
-  ///
-  /// With `replica`, the lookup runs against the shard's read replica
-  /// (only valid when has_replicas()). Replicas hold byte-identical tuples
-  /// at identical local tids, so the result is the same tid list the
-  /// primary would return — which is what lets hedged sub-queries pick
-  /// whichever copy answers first without changing the answer (DESIGN.md
+  /// pool threads — this is the scatter half of the per-edge prefetch, and
+  /// a hedged sub-query is the same call from a second task (DESIGN.md
   /// §17).
   Result<std::vector<Tid>> ShardLookupGlobal(size_t shard,
                                              const std::string& attribute_name,
-                                             const Value& key,
-                                             bool replica = false) const;
-
-  /// True when this relation carries a read replica for every shard
-  /// (ShardedDatabase::Partition with replicas, DESIGN.md §17).
-  bool has_replicas() const { return !replica_rel_.empty(); }
+                                             const Value& key) const;
 
   /// Bulk fetch+project of global tids: groups by owning shard, runs each
   /// shard's Relation::ProjectRows, charging `ctx` the same n tuple fetches
@@ -128,15 +122,18 @@ class ShardedRelation {
  private:
   friend class ShardedDatabase;
 
-  ShardedRelation(RelationSchema schema, uint64_t seed, AccessStats* stats)
-      : schema_(std::move(schema)), seed_(seed), stats_(stats) {}
+  ShardedRelation(RelationSchema schema, ShardRouter router,
+                  AccessStats* stats)
+      : schema_(std::move(schema)),
+        seed_(ShardRouter::RelationSeed(schema_.name())),
+        router_(router),
+        stats_(stats) {}
 
   RelationSchema schema_;
   uint64_t seed_;              // ShardRouter::RelationSeed(name())
+  ShardRouter router_;
   AccessStats* stats_;         // the owning ShardedDatabase's counters
   std::vector<Relation*> shard_rel_;            // [num_shards]
-  std::vector<Relation*> replica_rel_;          // [num_shards] or empty
-  std::vector<uint32_t> owner_;                 // global tid -> shard
   std::vector<Tid> local_of_;                   // global tid -> local tid
   std::vector<std::vector<Tid>> local_to_global_;  // per shard, ascending
 };
@@ -148,20 +145,12 @@ class ShardedDatabase {
   /// Partitions `source` across `num_shards >= 2` shards (one partition is
   /// the source itself, read in place). Every relation is created on every
   /// shard (schema + primary key + replicated indexes); tuples are routed by
-  /// ShardRouter in ascending global-tid order. The source is copied — it is
-  /// not referenced afterwards. Foreign keys are kept in the global catalog
-  /// only: a shard cannot declare them, since a child tuple and its parent
-  /// may live on different shards.
-  ///
-  /// With `with_replicas` every shard additionally gets a read replica — a
-  /// second Database holding byte-identical tuples at identical local tids
-  /// (populated by the same routed insert loop and kept in lockstep by
-  /// Insert). Replicas are the hedged-sub-query target (DESIGN.md §17):
-  /// because they are exact copies, serving a sub-query from the replica
-  /// instead of the primary can never change the merged answer.
+  /// ShardRouter in ascending global-tid order. The tuples are copied — the
+  /// source is not referenced afterwards. Foreign keys are kept in the
+  /// global catalog only: a shard cannot declare them, since a child tuple
+  /// and its parent may live on different shards.
   static Result<ShardedDatabase> Partition(const Database& source,
-                                           size_t num_shards,
-                                           bool with_replicas = false);
+                                           size_t num_shards);
 
   ShardedDatabase(ShardedDatabase&&) = default;
   ShardedDatabase& operator=(ShardedDatabase&&) = default;
@@ -170,9 +159,6 @@ class ShardedDatabase {
 
   size_t num_shards() const { return shards_.size(); }
   const Database& shard(size_t i) const { return *shards_[i]; }
-
-  /// True when Partition was asked for read replicas.
-  bool has_replicas() const { return !replicas_.empty(); }
 
   /// The shard's mutation epoch — the shard-aware cache key component: an
   /// insert routed to shard i moves only epoch i (DESIGN.md §15).
@@ -214,7 +200,6 @@ class ShardedDatabase {
 
   ShardRouter router_;
   std::vector<std::unique_ptr<Database>> shards_;
-  std::vector<std::unique_ptr<Database>> replicas_;  // empty or [num_shards]
   std::map<std::string, std::unique_ptr<ShardedRelation>> views_;
   std::vector<ForeignKey> foreign_keys_;
   std::unique_ptr<AccessStats> stats_ = std::make_unique<AccessStats>();

@@ -77,8 +77,7 @@ class ShardedKeyLookup final : public KeyLookup {
     const auto merge_start = std::chrono::steady_clock::now();
     ShardHealthTracker* health = plan != nullptr ? plan->health : nullptr;
     const bool hedging = pool != nullptr && plan != nullptr &&
-                         plan->use_replicas && health != nullptr &&
-                         view_.has_replicas();
+                         plan->hedging && health != nullptr;
     auto elapsed_ns = [&] {
       return static_cast<uint64_t>(
           std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -87,15 +86,15 @@ class ShardedKeyLookup final : public KeyLookup {
     };
 
     // Per-shard hedged fetch state: the primary and the (optional) hedged
-    // replica sub-query race for the winner CAS; the loser's buffers are
-    // never read. A stalled primary sleeps in ~1ms slices and checks
-    // cancel_primary so a replica win unblocks the pool thread quickly.
+    // sub-query race for the winner CAS; the loser's buffers are never
+    // read. A stalled primary sleeps in ~1ms slices and checks
+    // cancel_primary so a hedge win unblocks the pool thread quickly.
     struct ShardFetch {
       std::vector<std::vector<Tid>> primary;
-      std::vector<std::vector<Tid>> replica;
+      std::vector<std::vector<Tid>> hedge;
       Status primary_status;
-      Status replica_status;
-      std::atomic<int> winner{-1};  // -1 pending, 0 primary, 1 replica
+      Status hedge_status;
+      std::atomic<int> winner{-1};  // -1 pending, 0 primary, 1 hedge
       std::atomic<bool> cancel_primary{false};
     };
     std::unique_ptr<ShardFetch[]> fetches(new ShardFetch[num_shards]);
@@ -157,8 +156,8 @@ class ShardedKeyLookup final : public KeyLookup {
     }
 
     // Gather, shard by shard: a live shard that outlives its hedging delay
-    // gets the identical sub-query re-issued against its replica (exact
-    // copy: same bytes either way), first response wins.
+    // gets the identical sub-query re-issued from a second task against the
+    // same read-only shard (same bytes either way), first response wins.
     for (size_t s = 0; s < num_shards; ++s) {
       if (!Live(plan, s)) continue;
       ShardFetch* fetch = &fetches[s];
@@ -173,15 +172,14 @@ class ShardedKeyLookup final : public KeyLookup {
           ++ledger->stats.hedged_subqueries;
           health->hedged_subqueries.fetch_add(1, std::memory_order_relaxed);
           spawn([&, s, fetch] {
-            fetch->replica.resize(keys.size());
+            fetch->hedge.resize(keys.size());
             for (size_t k = 0; k < keys.size(); ++k) {
-              auto r = view_.ShardLookupGlobal(s, attribute_, keys[k],
-                                               /*replica=*/true);
+              auto r = view_.ShardLookupGlobal(s, attribute_, keys[k]);
               if (!r.ok()) {
-                fetch->replica_status = r.status();
+                fetch->hedge_status = r.status();
                 break;
               }
-              fetch->replica[k] = std::move(*r);
+              fetch->hedge[k] = std::move(*r);
             }
             int expected = -1;
             if (fetch->winner.compare_exchange_strong(
@@ -199,8 +197,8 @@ class ShardedKeyLookup final : public KeyLookup {
       if (fetch->winner.load(std::memory_order_acquire) == 1) {
         ++ledger->stats.hedge_wins;
         health->hedge_wins.fetch_add(1, std::memory_order_relaxed);
-        per_shard[s] = std::move(fetch->replica);
-        shard_status[s] = fetch->replica_status;
+        per_shard[s] = std::move(fetch->hedge);
+        shard_status[s] = fetch->hedge_status;
       } else {
         per_shard[s] = std::move(fetch->primary);
         shard_status[s] = fetch->primary_status;

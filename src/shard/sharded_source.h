@@ -16,8 +16,9 @@
 //     run each shard's columnar kernel, scattering rows back into
 //     acceptance order; the context is charged the same fetch total.
 //   * Fault domains: the query's ShardQueryFaultPlan decides which shards
-//     take part, which stall, and whether a slow shard's lookups are hedged
-//     against its replica (an exact copy, so the answer cannot change).
+//     take part, which stall, and whether a slow shard's lookups are hedged:
+//     re-issued against the same read-only shard from a second task, so the
+//     answer cannot change.
 //
 // Each source also keeps the query's ShardQueryStats ledger — telemetry
 // only: budget authority stays with the planner's simulated charge replay,
@@ -89,9 +90,9 @@ class ShardedSource final : public PartitionSource {
   /// it skipped contribute nothing to any lookup (their tuples are
   /// reported per relation as unavailable_tuples), live shards serve their
   /// injected stall inside their lookup task, and — when the plan allows
-  /// replicas — a sub-query that outlives the shard's hedging delay is
-  /// re-issued against the shard's replica, first response wins. Both
-  /// `sharded` and `plan` must outlive the source.
+  /// hedging — a sub-query that outlives the shard's hedging delay is
+  /// re-issued from a second task against the same shard, first response
+  /// wins. Both `sharded` and `plan` must outlive the source.
   explicit ShardedSource(const ShardedDatabase* sharded,
                          const ShardQueryFaultPlan* plan = nullptr);
   ~ShardedSource() override;

@@ -87,11 +87,7 @@ class InvertedIndex {
     cache_->enabled.store(enabled, std::memory_order_relaxed);
     if (!enabled) cache_->lru.Clear();
   }
-  bool lookup_cache_enabled() const {
-    return cache_->enabled.load(std::memory_order_relaxed);
-  }
   LruCacheStats lookup_cache_stats() const { return cache_->lru.stats(); }
-  void ClearLookupCache() { cache_->lru.Clear(); }
 
  private:
   /// One indexed word: its prebuilt lookup result, plus where each of its

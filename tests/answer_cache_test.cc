@@ -78,7 +78,7 @@ class AnswerCacheTest : public ::testing::Test {
 };
 
 TEST_F(AnswerCacheTest, HitReturnsTheSameSharedAnswer) {
-  engine_->set_answer_cache_enabled(true);
+  engine_->set_caches_enabled(true);
   auto first = Shared("Woody Allen");
   auto second = Shared("Woody Allen");
   ASSERT_NE(first, nullptr);
@@ -103,7 +103,7 @@ TEST_F(AnswerCacheTest, DisabledCacheBuildsFreshAnswersWithoutCounting) {
 }
 
 TEST_F(AnswerCacheTest, InsertInvalidatesCachedAnswers) {
-  engine_->set_answer_cache_enabled(true);
+  engine_->set_caches_enabled(true);
   auto warm = Shared("Comedy");
   ASSERT_NE(warm, nullptr);
   InsertGenre(1);
@@ -118,7 +118,7 @@ TEST_F(AnswerCacheTest, InsertInvalidatesCachedAnswers) {
 }
 
 TEST_F(AnswerCacheTest, EdgeWeightChangeInvalidatesCachedAnswers) {
-  engine_->set_answer_cache_enabled(true);
+  engine_->set_caches_enabled(true);
   auto warm = Shared("Woody Allen");
   ASSERT_NE(warm, nullptr);
   ASSERT_TRUE(dataset_->graph().SetJoinWeight("MOVIE", "GENRE", 0.05).ok());
@@ -129,7 +129,7 @@ TEST_F(AnswerCacheTest, EdgeWeightChangeInvalidatesCachedAnswers) {
 }
 
 TEST_F(AnswerCacheTest, PartialAnswersAreNeverCached) {
-  engine_->set_answer_cache_enabled(true);
+  engine_->set_caches_enabled(true);
   {
     ExecutionContext ctx;
     ctx.SetDeadlineAfter(1e-9);  // expired before the pipeline starts
@@ -147,7 +147,7 @@ TEST_F(AnswerCacheTest, PartialAnswersAreNeverCached) {
 }
 
 TEST_F(AnswerCacheTest, TinyCapacityEvictsInsteadOfGrowing) {
-  engine_->set_answer_cache_enabled(true);
+  engine_->set_caches_enabled(true);
   // A budget far below one answer's charge: every insert evicts itself.
   engine_->set_answer_cache_capacity(64);
   ASSERT_NE(Shared("Woody Allen"), nullptr);
@@ -160,7 +160,7 @@ TEST_F(AnswerCacheTest, TinyCapacityEvictsInsteadOfGrowing) {
 }
 
 TEST_F(AnswerCacheTest, TraceRunsBypassTheCache) {
-  engine_->set_answer_cache_enabled(true);
+  engine_->set_caches_enabled(true);
   auto d = MinPathWeight(0.9);
   auto c = MaxTuplesPerRelation(5);
   DbGenOptions options;
@@ -181,7 +181,7 @@ TEST_F(AnswerCacheTest, TraceRunsBypassTheCache) {
 }
 
 TEST_F(AnswerCacheTest, TokenCacheCountsPhraseLookups) {
-  engine_->set_token_cache_enabled(true);
+  engine_->set_caches_enabled(true);
   auto d = MinPathWeight(0.9);
   auto c = MaxTuplesPerRelation(5);
   // "Woody Allen" is a two-word phrase: the token cache memoizes the

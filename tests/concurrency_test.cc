@@ -93,7 +93,7 @@ TEST_F(ConcurrencyTest, AtomicCountersAccountForEveryQuery) {
 }
 
 TEST_F(ConcurrencyTest, SchemaCacheUnderContention) {
-  engine_->set_schema_cache_enabled(true);
+  engine_->set_caches_enabled(true);
   auto d = MinPathWeight(0.9);
   auto c = MaxTuplesPerRelation(3);
   constexpr int kThreads = 8;
@@ -110,10 +110,11 @@ TEST_F(ConcurrencyTest, SchemaCacheUnderContention) {
   for (std::thread& t : threads) t.join();
   // Every query either hit or missed; the sum is exact. (Several threads
   // may race to fill the same key, so misses can exceed 1 but stay small.)
-  EXPECT_EQ(engine_->schema_cache_hits() + engine_->schema_cache_misses(),
+  const LruCacheStats schema = engine_->schema_cache_stats();
+  EXPECT_EQ(schema.hits + schema.misses,
             static_cast<size_t>(kThreads * kQueriesPerThread));
-  EXPECT_LE(engine_->schema_cache_misses(), static_cast<size_t>(kThreads));
-  EXPECT_GE(engine_->schema_cache_hits(),
+  EXPECT_LE(schema.misses, static_cast<size_t>(kThreads));
+  EXPECT_GE(schema.hits,
             static_cast<size_t>(kThreads * kQueriesPerThread - kThreads));
 }
 

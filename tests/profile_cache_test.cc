@@ -81,25 +81,25 @@ TEST_F(SchemaCacheTest, DisabledByDefault) {
                   ->Answer(PrecisQuery{{"Woody Allen"}}, *MinPathWeight(0.9),
                            *MaxTuplesPerRelation(3))
                   .ok());
-  EXPECT_EQ(engine_->schema_cache_hits(), 0u);
-  EXPECT_EQ(engine_->schema_cache_misses(), 0u);
+  EXPECT_EQ(engine_->schema_cache_stats().hits, 0u);
+  EXPECT_EQ(engine_->schema_cache_stats().misses, 0u);
 }
 
 TEST_F(SchemaCacheTest, SecondIdenticalQueryHits) {
-  engine_->set_schema_cache_enabled(true);
+  engine_->set_caches_enabled(true);
   auto d = MinPathWeight(0.9);
   auto c = MaxTuplesPerRelation(3);
   auto a = engine_->Answer(PrecisQuery{{"Woody Allen"}}, *d, *c);
   auto b = engine_->Answer(PrecisQuery{{"Woody Allen"}}, *d, *c);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
-  EXPECT_EQ(engine_->schema_cache_misses(), 1u);
-  EXPECT_EQ(engine_->schema_cache_hits(), 1u);
+  EXPECT_EQ(engine_->schema_cache_stats().misses, 1u);
+  EXPECT_EQ(engine_->schema_cache_stats().hits, 1u);
   EXPECT_EQ(a->database.DescribeSchema(), b->database.DescribeSchema());
 }
 
 TEST_F(SchemaCacheTest, DifferentTokensSameRelationsShareEntry) {
-  engine_->set_schema_cache_enabled(true);
+  engine_->set_caches_enabled(true);
   auto d = MinPathWeight(0.9);
   auto c = MaxTuplesPerRelation(3);
   // Two different director names: both live only in DIRECTOR (and
@@ -108,12 +108,12 @@ TEST_F(SchemaCacheTest, DifferentTokensSameRelationsShareEntry) {
       engine_->Answer(PrecisQuery{{"Match Point"}}, *d, *c).ok());
   ASSERT_TRUE(
       engine_->Answer(PrecisQuery{{"Anything Else"}}, *d, *c).ok());
-  EXPECT_EQ(engine_->schema_cache_misses(), 1u);
-  EXPECT_EQ(engine_->schema_cache_hits(), 1u);
+  EXPECT_EQ(engine_->schema_cache_stats().misses, 1u);
+  EXPECT_EQ(engine_->schema_cache_stats().hits, 1u);
 }
 
 TEST_F(SchemaCacheTest, DifferentConstraintsMiss) {
-  engine_->set_schema_cache_enabled(true);
+  engine_->set_caches_enabled(true);
   auto c = MaxTuplesPerRelation(3);
   ASSERT_TRUE(engine_
                   ->Answer(PrecisQuery{{"Match Point"}}, *MinPathWeight(0.9),
@@ -123,15 +123,15 @@ TEST_F(SchemaCacheTest, DifferentConstraintsMiss) {
                   ->Answer(PrecisQuery{{"Match Point"}}, *MinPathWeight(0.5),
                            *c)
                   .ok());
-  EXPECT_EQ(engine_->schema_cache_misses(), 2u);
-  EXPECT_EQ(engine_->schema_cache_hits(), 0u);
+  EXPECT_EQ(engine_->schema_cache_stats().misses, 2u);
+  EXPECT_EQ(engine_->schema_cache_stats().hits, 0u);
 }
 
 TEST_F(SchemaCacheTest, CachedAnswerMatchesUncached) {
   auto d = MinPathWeight(0.8);
   auto c = MaxTuplesPerRelation(5);
   auto cold = engine_->Answer(PrecisQuery{{"Woody Allen"}}, *d, *c);
-  engine_->set_schema_cache_enabled(true);
+  engine_->set_caches_enabled(true);
   ASSERT_TRUE(engine_->Answer(PrecisQuery{{"Woody Allen"}}, *d, *c).ok());
   auto warm = engine_->Answer(PrecisQuery{{"Woody Allen"}}, *d, *c);
   ASSERT_TRUE(cold.ok());
@@ -141,13 +141,14 @@ TEST_F(SchemaCacheTest, CachedAnswerMatchesUncached) {
 }
 
 TEST_F(SchemaCacheTest, ClearResetsEntriesButKeepsCounters) {
-  engine_->set_schema_cache_enabled(true);
+  engine_->set_caches_enabled(true);
   auto d = MinPathWeight(0.9);
   auto c = MaxTuplesPerRelation(3);
   ASSERT_TRUE(engine_->Answer(PrecisQuery{{"Match Point"}}, *d, *c).ok());
-  engine_->ClearSchemaCache();
+  engine_->set_caches_enabled(false);  // switching off empties the caches
+  engine_->set_caches_enabled(true);
   ASSERT_TRUE(engine_->Answer(PrecisQuery{{"Match Point"}}, *d, *c).ok());
-  EXPECT_EQ(engine_->schema_cache_misses(), 2u);
+  EXPECT_EQ(engine_->schema_cache_stats().misses, 2u);
 }
 
 }  // namespace

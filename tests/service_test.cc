@@ -281,5 +281,33 @@ TEST_F(ServiceTest, MetricsPercentilesAreOrdered) {
   EXPECT_GT(metrics.span_seconds.count("db_gen"), 0u);
 }
 
+TEST_F(ServiceTest, LatencyPercentilesCoverARecentWindowOnly) {
+  auto service = PrecisService::Create(engine_.get());
+  ASSERT_TRUE(service.ok());
+  // 50 queries slowed by simulated storage latency: each pays well over
+  // 10 ms, and together they are over 1% of all the queries below.
+  std::vector<ServiceRequest> slow(50, MakeRequest("Woody Allen"));
+  for (ServiceRequest& request : slow) {
+    request.options.simulated_access_latency_ns = 1'000'000;
+  }
+  for (auto& future : (*service)->SubmitBatch(std::move(slow))) {
+    ASSERT_TRUE(future.get().status.ok());
+  }
+  EXPECT_GT((*service)->metrics().p50_latency_seconds, 0.010);
+
+  // A full window of plain queries pushes every slow sample out: p99
+  // describes recent traffic, not the whole uptime.
+  std::vector<ServiceRequest> plain(PrecisService::kLatencyWindow,
+                                    MakeRequest("Woody Allen"));
+  for (auto& future : (*service)->SubmitBatch(std::move(plain))) {
+    ASSERT_TRUE(future.get().status.ok());
+  }
+  PrecisService::Metrics metrics = (*service)->metrics();
+  EXPECT_EQ(metrics.queries_served, 50u + PrecisService::kLatencyWindow);
+  EXPECT_LT(metrics.p99_latency_seconds, 0.010);
+  // The total still covers every query, the slow ones included.
+  EXPECT_GT(metrics.total_latency_seconds, 50 * 0.010);
+}
+
 }  // namespace
 }  // namespace precis

@@ -596,10 +596,9 @@ TEST_F(ShardedCacheTest, SingleShardInsertRebuildsAnswerWhileTokenLookupsHit) {
   Tid next = (*view)->num_tuples();
   size_t owner = partitions.ShardOf("GENRE", next);
   std::vector<uint64_t> epochs;
-  std::vector<LruCacheStats> before;
+  const LruCacheStats before = engine_->token_cache_stats();
   for (size_t s = 0; s < engine_->num_partitions(); ++s) {
     epochs.push_back(partitions.shard_epoch(s));
-    before.push_back(engine_->index(s).lookup_cache_stats());
   }
   ASSERT_TRUE(engine_->Insert("GENRE", FreshGenreTuple(2000000)).ok());
   for (size_t s = 0; s < engine_->num_partitions(); ++s) {
@@ -616,14 +615,11 @@ TEST_F(ShardedCacheTest, SingleShardInsertRebuildsAnswerWhileTokenLookupsHit) {
   ASSERT_NE(Ask("Woody Allen"), nullptr);
   EXPECT_EQ(engine_->answer_cache_stats().hits, full_hits);
 
-  // ...while every partition's token lookup, the owner's included, hits
-  // its level-1 cache: postings are never re-indexed, so an insert cannot
-  // make a cached lookup stale.
-  for (size_t s = 0; s < engine_->num_partitions(); ++s) {
-    LruCacheStats after = engine_->index(s).lookup_cache_stats();
-    EXPECT_GT(after.hits, before[s].hits) << "partition " << s;
-    EXPECT_EQ(after.misses, before[s].misses) << "partition " << s;
-  }
+  // ...while the token lookup hits the level-1 cache: postings are never
+  // re-indexed, so an insert cannot make a cached lookup stale.
+  const LruCacheStats after = engine_->token_cache_stats();
+  EXPECT_GT(after.hits, before.hits);
+  EXPECT_EQ(after.misses, before.misses);
 }
 
 TEST_F(ShardedCacheTest, InsertKeepsAnswersIdenticalToSingleEngine) {
@@ -957,6 +953,66 @@ TEST_F(ShardFaultDomainTest, DegradedAnswersByteIdenticalAcrossReruns) {
       }
     }
   }
+}
+
+TEST_F(ShardFaultDomainTest, DeadPartitionDropsExactlyItsOwnSeedTuples) {
+  // Reference: the one-partition engine's matches, minus the tids the dead
+  // partition owns, with groups left empty dropped.
+  auto single = MakeEngine(1);
+  ASSERT_NE(single, nullptr);
+  const std::vector<std::string> tokens = {"Comedy", "Drama", "Woody Allen"};
+  size_t dropped_total = 0;
+  for (size_t shards : {2u, 4u}) {
+    for (uint32_t dead = 0; dead < shards; ++dead) {
+      // A fresh engine per dead partition: breakers persist across queries.
+      auto engine = MakeEngine(shards);
+      ASSERT_NE(engine, nullptr);
+      const ShardedDatabase& partitions = *engine->partitions();
+      for (const std::string& token : tokens) {
+        const std::string label = "shards=" + std::to_string(shards) +
+                                  " dead=" + std::to_string(dead) + " " +
+                                  token;
+        auto full = single->Answer(PrecisQuery{{token}}, *MinPathWeight(0.8),
+                                   *MaxTuplesPerRelation(4));
+        ASSERT_TRUE(full.ok()) << label;
+        ASSERT_EQ(full->matches.size(), 1u) << label;
+        std::vector<TokenOccurrence> expect;
+        for (const TokenOccurrence& occ : full->matches[0].occurrences()) {
+          TokenOccurrence live{occ.relation, occ.attribute, {}};
+          for (Tid tid : occ.tids) {
+            if (partitions.ShardOf(occ.relation, tid) == dead) {
+              ++dropped_total;
+            } else {
+              live.tids.push_back(tid);
+            }
+          }
+          if (!live.tids.empty()) expect.push_back(std::move(live));
+        }
+
+        FaultInjector injector(7);
+        ScheduleDeadShard(&injector, dead);
+        ExecutionContext ctx;
+        AttachInjector(&ctx, &injector);
+        auto degraded =
+            engine->Answer(PrecisQuery{{token}}, *MinPathWeight(0.8),
+                           *MaxTuplesPerRelation(4), DbGenOptions(), &ctx);
+        ASSERT_TRUE(degraded.ok()) << label;
+        EXPECT_EQ(degraded->report.degradation.shards_skipped,
+                  (std::vector<uint32_t>{dead}))
+            << label;
+        ASSERT_EQ(degraded->matches.size(), 1u) << label;
+        const std::vector<TokenOccurrence>& got =
+            degraded->matches[0].occurrences();
+        ASSERT_EQ(got.size(), expect.size()) << label;
+        for (size_t i = 0; i < got.size(); ++i) {
+          EXPECT_EQ(got[i].relation, expect[i].relation) << label;
+          EXPECT_EQ(got[i].attribute, expect[i].attribute) << label;
+          EXPECT_EQ(got[i].tids, expect[i].tids) << label;
+        }
+      }
+    }
+  }
+  EXPECT_GT(dropped_total, 0u) << "some dead partition must own a seed";
 }
 
 TEST_F(ShardFaultDomainTest, TranslatorLeadsWithThePartitionNotice) {

@@ -42,8 +42,8 @@ struct ServeFlags {
   /// dataset in place; N >= 2 serves a hash-partitioned copy through
   /// scatter-gather. Answers are byte-identical either way.
   size_t shards = 0;
-  /// Give every partition a read replica (hedged sub-queries, DESIGN.md
-  /// §17); needs shards >= 2.
+  /// Hedge slow partition lookups: re-issue them against the same
+  /// partition from a second task (DESIGN.md §17); needs shards >= 2.
   bool replicas = false;
   /// >= 0: that shard is fault-scheduled permanently dead (latched
   /// kShardSubquery fault) — the chaos-drill shape ci.sh gates on.
@@ -69,8 +69,9 @@ void Usage(const char* argv0) {
       "--shards N >= 2 serves a copy of the dataset hash-partitioned N ways\n"
       "  (scatter-gather execution; answers stay byte-identical). 0 or 1\n"
       "  reads the dataset in place.\n"
-      "--replicas on gives each partition a read replica (hedged\n"
-      "  sub-queries; needs --shards >= 2).\n"
+      "--replicas on hedges slow partition sub-queries: a hedge re-reads\n"
+      "  its partition from a second task, first answer wins (no copy is\n"
+      "  made; needs --shards >= 2).\n"
       "--kill-shard N fault-schedules shard N permanently dead: queries\n"
       "  answer degraded from the surviving shards (needs --shards >= 2).\n"
       "--chaos 'seed=7,read=0.01,write=0.01,short=0.2' injects seeded\n"
@@ -201,7 +202,7 @@ int ServeMain(int argc, char** argv) {
   if (engine->num_partitions() >= 2) {
     std::fprintf(stderr, "partitioned execution: %zu partitions%s\n",
                  engine->num_partitions(),
-                 flags.replicas ? " (with read replicas)" : "");
+                 flags.replicas ? " (hedged sub-queries)" : "");
   }
   auto service = PrecisService::Create(&*engine, service_options);
   if (!service.ok()) {

@@ -62,7 +62,7 @@ constexpr const char* kHelp = R"(commands:
   set join FROM TO W       override a join-edge weight
   set proj REL ATTR W      override a projection-edge weight
   set trace on|off         record the SQL statements of each query
-  set cache on|off         enable the token / schema / answer caches
+  set cache on|off         enable the token / schema / answer / body caches
   set faults SITE MODE P   arm deterministic fault injection at SITE
                            (probe|fetch|join|scan|catalog). MODE P is one of:
                            prob P | every N | steps I,J,K; an optional
@@ -112,7 +112,7 @@ struct ShellState {
   size_t parallelism = 1;  // >= 2: parallel db generation (DESIGN.md §11)
   size_t shards = 1;       // >= 2: partitioned engine (DESIGN.md §15)
   bool trace_sql = false;
-  bool caches_enabled = false;  // token + schema + answer caches
+  bool caches_enabled = false;  // token + schema + answer + body caches
   double deadline_ms = 0.0;     // 0 = no deadline
   uint64_t access_budget = 0;   // 0 = unbounded
 
@@ -353,16 +353,16 @@ Status CmdSet(ShellState* state, const std::vector<std::string>& args) {
     if (state->graph == nullptr) {
       return Status::InvalidArgument("no dataset loaded");
     }
+    // Cached schemas and answers carry the graph's weight epoch, which the
+    // re-weighting bumps: nothing cached under the old weight is reachable.
     PRECIS_RETURN_NOT_OK(state->graph->SetJoinWeight(
         args[1], args[2], std::atof(args[3].c_str())));
-    if (state->engine != nullptr) state->engine->ClearSchemaCache();
   } else if (key == "proj" && args.size() == 4) {
     if (state->graph == nullptr) {
       return Status::InvalidArgument("no dataset loaded");
     }
     PRECIS_RETURN_NOT_OK(state->graph->SetProjectionWeight(
         args[1], args[2], std::atof(args[3].c_str())));
-    if (state->engine != nullptr) state->engine->ClearSchemaCache();
   } else {
     return Status::InvalidArgument("unknown setting; see help");
   }
@@ -529,14 +529,13 @@ Status CmdStats(ShellState* state) {
   if (health != nullptr) {
     // Per-partition residency plus what the last query scattered to each
     // partition (subqueries, physical charges, peak prefetch scratch — the
-    // partitioned analog of the arena peak) and its token-cache hits.
+    // partitioned analog of the arena peak).
     const PrecisEngine& engine = *state->engine;
     const ShardQueryStats& sq = state->last_shard_stats;
     for (size_t s = 0; s < engine.num_partitions(); ++s) {
-      LruCacheStats pc = engine.index(s).lookup_cache_stats();
       std::printf(
           "shard %zu:    tuples=%llu subqueries=%llu charges=%llu "
-          "scratch-peak=%llu cache-hits=%llu\n",
+          "scratch-peak=%llu\n",
           s,
           static_cast<unsigned long long>(
               engine.partitions()->shard(s).TotalTuples()),
@@ -545,8 +544,7 @@ Status CmdStats(ShellState* state) {
           static_cast<unsigned long long>(
               s < sq.charges.size() ? sq.charges[s] : 0),
           static_cast<unsigned long long>(
-              s < sq.scratch_bytes.size() ? sq.scratch_bytes[s] : 0),
-          static_cast<unsigned long long>(pc.hits));
+              s < sq.scratch_bytes.size() ? sq.scratch_bytes[s] : 0));
     }
     if (sq.merge_events > 0) {
       std::printf("shard merge: events=%llu total=%.3f ms\n",
