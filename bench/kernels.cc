@@ -14,13 +14,19 @@
 //                       (DESIGN.md §16).
 //   * batch_probe     — ColumnIndex::LookupBatch (software-prefetch
 //                       pipeline) vs sequential Lookup, result-equivalent.
+//   * layout_probe    — the same equivalence, plus a column scan, on two
+//                       columns built here so that both key-table layouts
+//                       are gated at any dataset size: dense keys (direct
+//                       entries) and the same keys times a large stride
+//                       (the slot table).
 //   * phrase_lookup   — multi-word InvertedIndex::Lookup (galloping
 //                       postings intersection) over phrases drawn from the
 //                       indexed titles; every phrase must hit.
 //
 // Each kernel gates on correctness (probe results vs a sequential scan,
 // columnar cells vs row cells, SIMD tids vs scalar tids, batched runs
-// vs sequential, every known word and phrase found); full mode
+// vs sequential on both index layouts, every known word and phrase
+// found); full mode
 // additionally gates on the columnar fetch+project kernel not being slower
 // than the row copy. ci.sh runs the smoke form:
 //
@@ -316,6 +322,69 @@ int Main() {
     rows.push_back({"index_probe_sequential", seq_ms, keys->size(), 0.0});
     rows.push_back(
         {"index_probe_batched", batch_ms, keys->size(), seq_ms / batch_ms});
+  }
+
+  // --- layout_probe: CAST.mid at smoke size is hashed (the paper's five
+  // film ids sit 1,000 below the synthetic ones), so the gates above may
+  // see one layout only. Two columns of CAST's row count built here cover
+  // both: keys 0..d-1 (direct entries) and the same keys times 1,000,003
+  // (the slot table). On each, LookupBatch must return sequential
+  // Lookup's spans, and those the tids a column scan finds, for every key
+  // and the absent neighbours; aux reports the tids found.
+  {
+    const size_t n = cast.num_tuples();
+    const int64_t distinct = std::max<int64_t>(1, static_cast<int64_t>(n / 3));
+    for (const int64_t stride : {int64_t{1}, int64_t{1000003}}) {
+      const bool dense = stride == 1;
+      Column col(DataType::kInt64);
+      col.Reserve(n);
+      for (size_t r = 0; r < n; ++r) {
+        col.Append(Value(static_cast<int64_t>(r * 7919) % distinct * stride));
+      }
+      auto index = ColumnIndex::Build(col);
+      if (!index.ok() || index->direct() != dense) {
+        std::fprintf(stderr,
+                     "GATE FAILED: layout_probe %s keys did not build the "
+                     "%s layout\n",
+                     dense ? "dense" : "strided", dense ? "direct" : "hashed");
+        return 1;
+      }
+      std::vector<Value> keys;
+      for (int64_t k = -1; k <= distinct; ++k) {
+        keys.push_back(Value(k * stride));
+      }
+      std::vector<std::span<const Tid>> batched(keys.size());
+      double ms = BestOf(reps, [&] {
+        index->LookupBatch(keys.data(), keys.size(), batched.data());
+      });
+      uint64_t found = 0;
+      std::vector<Tid> scanned;
+      for (size_t i = 0; i < keys.size(); ++i) {
+        const std::span<const Tid> sequential = index->Lookup(keys[i]);
+        scanned.clear();
+        col.ScanEquals(*Column::KeyBits(keys[i], DataType::kInt64), &scanned);
+        if (batched[i].data() != sequential.data() ||
+            batched[i].size() != sequential.size() ||
+            !std::equal(sequential.begin(), sequential.end(),
+                        scanned.begin(), scanned.end())) {
+          std::fprintf(stderr,
+                       "GATE FAILED: layout_probe %s key %s: batched, "
+                       "sequential and scan disagree\n",
+                       dense ? "direct" : "hashed", keys[i].ToString().c_str());
+          return 1;
+        }
+        found += scanned.size();
+      }
+      if (found != n) {
+        std::fprintf(stderr, "GATE FAILED: layout_probe %s found %llu of %zu "
+                             "rows\n",
+                     dense ? "direct" : "hashed",
+                     static_cast<unsigned long long>(found), n);
+        return 1;
+      }
+      rows.push_back({dense ? "layout_probe_direct" : "layout_probe_hashed", ms,
+                      keys.size(), double(found)});
+    }
   }
 
   std::printf("%-24s %10s %10s %14s %10s\n", "kernel", "ms", "ops",

@@ -22,8 +22,11 @@
 #                         relation it read, when the SIMD
 #                         ScanEquals emits different tids than the scalar
 #                         reference, or when a batched index probe differs
-#                         from sequential lookups — data-layout equivalence
-#                         gates, DESIGN.md §13 + §16). The determinism gate
+#                         from sequential lookups or a column scan, on a
+#                         dense column built to take the direct key table
+#                         and a strided one built to take the slot table —
+#                         data-layout equivalence gates, DESIGN.md §13 +
+#                         §16). The determinism gate
 #                         compares planner runs; the planner itself is
 #                         checked against the sequential walk oracle by the
 #                         test suite in step 1.
@@ -83,10 +86,12 @@
 #                         merges — all matched by 'Shard'), the HTTP server
 #                         suite (slowloris timeouts, drain, socket chaos),
 #                         the planner determinism suite, the TaskPool
-#                         suite, the FlatKeySet open-addressing set, the
-#                         Relation/Database storage suites (primary-key set
-#                         and FK checks over it, in-place index runs), the
-#                         flat-run ColumnIndex against a scan, and the
+#                         suite, the FlatKeySet set in both layouts (hash
+#                         table and bitmap), the Relation/Database storage
+#                         suites (primary-key set and FK checks over it,
+#                         in-place index runs, the byte report), the
+#                         flat-run ColumnIndex against a scan in both key
+#                         tables (direct and hashed), and the
 #                         serialization suite (LoadDatabase builds each
 #                         index in bulk after the rows are in) rebuilt
 #                         under address+undefined sanitizers.

@@ -32,10 +32,12 @@ size_t EstimateAnswerCharge(const PrecisAnswer& answer) {
   }
   // Result databases dominate: charge a flat 96 bytes per tuple. A stored
   // tuple is one 8-byte payload per attribute in its relation's columns,
-  // plus 16-32 bytes of flat primary-key set (one 8-byte slot at a load of
-  // 1/4 to 1/2) when the relation keeps its key, so this overestimates
-  // narrow result relations; the constant stays because it sets how many
-  // answers the answer cache holds.
+  // plus 16-32 bytes of flat primary-key set when the relation keeps its
+  // key: one 8-byte slot at a load of 1/4 to 1/2, since the emit phase's
+  // Reserve sizes the set's hash layout (an unreserved set of dense keys,
+  // as in a source relation, becomes a bitmap of about a bit per key). So
+  // this overestimates narrow result relations; the constant stays
+  // because it sets how many answers the answer cache holds.
   charge += answer.database.TotalTuples() * 96;
   charge += EstimateSchemaCharge(answer.schema);
   return charge;

@@ -1,5 +1,4 @@
-// Columnar (SoA) attribute storage and open-addressing value indexes
-// (DESIGN.md §13).
+// Columnar (SoA) attribute storage and value indexes (DESIGN.md §13).
 //
 // A Column stores one attribute of a relation as a contiguous vector of
 // 64-bit payloads plus a null bitmap; a relation's columns are its only
@@ -9,9 +8,10 @@
 // per-attribute reads (256-tid chunks walk one cache-friendly array per
 // emitted attribute) instead of pointer-chasing row vectors.
 //
-// A ColumnIndex maps canonical 64-bit key bits to ascending tid runs: a
-// flat open-addressing table whose slots point into one tid array that
-// Build lays out in bulk (keys written after the build own their run).
+// A ColumnIndex maps canonical 64-bit key bits to ascending tid runs in one
+// tid array that Build lays out in bulk (keys written after the build own
+// their run), through a key table addressed by key offset when the keys
+// are dense and an open-addressing table otherwise, whichever is smaller.
 // Canonicalization preserves Value equality exactly:
 //   * strings: equal bytes <=> equal SymbolId (global interner);
 //   * doubles: -0.0 and +0.0 compare (and hash) equal, so -0.0 normalizes
@@ -123,6 +123,11 @@ class Column {
 
   /// Raw stored payload (undefined for NULL rows).
   uint64_t raw_bits(size_t row) const { return bits_[row]; }
+
+  /// Bytes held by the payloads and the null bitmap, from capacities.
+  size_t bytes() const {
+    return (bits_.capacity() + nulls_.capacity()) * sizeof(uint64_t);
+  }
 
   /// Appends, in ascending order, every non-null row whose stored value
   /// canonically equals the key with canonical bits `key_bits` (as produced
@@ -262,17 +267,28 @@ inline void Column::ScanEquals(uint64_t key_bits, std::vector<Tid>* out) const {
 #endif
 }
 
-/// \brief Equality index from canonical key bits to ascending tid runs, as a
-/// flat open-addressing table (linear probing, power-of-two capacity,
-/// ~0.7 load factor) over one tid array. NULL keys get a dedicated run; NaN
-/// keys are dropped (unmatchable under Value equality).
+/// \brief Equality index from canonical key bits to ascending tid runs over
+/// one tid array. NULL keys get a dedicated run; NaN keys are dropped
+/// (unmatchable under Value equality).
 ///
 /// Build lays every run out in one `std::vector<Tid>`: a counting pass
 /// sizes each key's run, then a fill pass writes the rows in ascending
-/// order. A slot holds the key bits plus its run's 32-bit start and length,
-/// so an index costs its slot table plus 8 bytes per indexed row. The array
-/// is never reallocated: an Insert moves only the touched key's run (or a
-/// new key's) into a vector the index owns, and appends there.
+/// order. A run is an 8-byte entry, a 32-bit start and length, found in
+/// one of two key tables:
+///   * direct: one entry per key value in a window from `base_`, addressed
+///     by the key's offset and storing no key;
+///   * hashed: flat open addressing (linear probing, power-of-two
+///     capacity, load at most 0.7) of 16-byte slots, the key bits and its
+///     entry.
+/// Build takes the direct table when its entries for the keys' range
+/// [lo, hi] (read as signed 64-bit numbers) take no more bytes than the
+/// slot table for their count would; dense surrogate keys pick it, sparse
+/// ones (strings, doubles, scattered ids) stay hashed. So an index costs
+/// its key table plus 8 bytes per indexed row. The array is never
+/// reallocated: an Insert moves only the touched key's run (or a new
+/// key's) into a vector the index owns, and appends there. An Insert that
+/// needs the table to grow — a key outside the direct window, or a slot
+/// table past its load — chooses the layout again by the same rule.
 class ColumnIndex {
  public:
   /// Most rows Build indexes: run starts and lengths are 32-bit, and a
@@ -296,15 +312,15 @@ class ColumnIndex {
     }
     auto bits = Column::KeyBits(key, type_);
     if (!bits) return;  // NaN: unreachable by equality lookup
-    Slot& slot = Claim(*bits);
-    if (slot.length != kOwned) {
+    Entry& entry = Claim(*bits);
+    if (entry.length != kOwned) {
       // A new key, or a built run written for the first time.
-      const std::span<const Tid> run = Run(slot);
+      const std::span<const Tid> run = Run(entry);
       owned_.emplace_back(run.begin(), run.end());
-      slot.start = static_cast<uint32_t>(owned_.size() - 1);
-      slot.length = kOwned;
+      entry.start = static_cast<uint32_t>(owned_.size() - 1);
+      entry.length = kOwned;
     }
-    owned_[slot.start].push_back(tid);
+    owned_[entry.start].push_back(tid);
   }
 
   /// Tids whose indexed attribute equals `key`, ascending (empty if none).
@@ -312,28 +328,64 @@ class ColumnIndex {
   std::span<const Tid> Lookup(const Value& key) const {
     if (key.is_null()) return null_tids_;
     auto bits = Column::KeyBits(key, type_);
-    if (!bits || slots_.empty()) return {};
-    return Run(slots_[Find(*bits)]);
+    if (!bits) return {};
+    const Entry* entry = Locate(*bits);
+    return entry == nullptr ? std::span<const Tid>() : Run(*entry);
   }
 
   size_t num_keys() const { return used_ + (null_tids_.empty() ? 0 : 1); }
 
-  /// Pure memory hint: prefetches the first probe slot Lookup(key) will
-  /// touch. No side effects and no access accounting, so it is safe to
-  /// issue speculatively ahead of a budgeted probe loop without changing
-  /// any observable behavior (truncation points, faults, stats).
+  /// True when runs are addressed by key offset, false for the slot table.
+  bool direct() const { return direct_; }
+
+  /// Bytes held, from capacities: the key table (direct entries or
+  /// hash slots), the built tid array with the NULL run, and the runs of
+  /// keys written after the build with their vector headers.
+  size_t entry_bytes() const {
+    return entries_.capacity() * sizeof(Entry) +
+           slots_.capacity() * sizeof(Slot);
+  }
+  size_t tid_bytes() const {
+    return (tids_.capacity() + null_tids_.capacity()) * sizeof(Tid);
+  }
+  size_t owned_bytes() const {
+    size_t bytes = owned_.capacity() * sizeof(std::vector<Tid>);
+    for (const std::vector<Tid>& run : owned_) {
+      bytes += run.capacity() * sizeof(Tid);
+    }
+    return bytes;
+  }
+
+  /// Slots of the hash table for `keys` keys: a power of two, at least 16,
+  /// at a load of at most 0.7.
+  static size_t SlotCapacity(size_t keys) {
+    size_t capacity = kMinSlots;
+    while (keys * 10 > capacity * 7) capacity *= 2;
+    return capacity;
+  }
+
+  /// Pure memory hint: prefetches the entry or first probe slot
+  /// Lookup(key) will touch. No side effects and no access accounting, so
+  /// it is safe to issue speculatively ahead of a budgeted probe loop
+  /// without changing any observable behavior (truncation points, faults,
+  /// stats).
   void Prefetch(const Value& key) const {
-    if (slots_.empty() || key.is_null()) return;
+    if (key.is_null()) return;
     auto bits = Column::KeyBits(key, type_);
     if (!bits) return;
-    __builtin_prefetch(&slots_[MixKeyBits(*bits) & (slots_.size() - 1)]);
+    if (direct_) {
+      const uint64_t off = *bits - base_;
+      if (off < entries_.size()) __builtin_prefetch(&entries_[off]);
+    } else if (!slots_.empty()) {
+      __builtin_prefetch(&slots_[MixKeyBits(*bits) & (slots_.size() - 1)]);
+    }
   }
 
   /// Batched probe: fills out[i] with Lookup(keys[i]), running a
   /// software-prefetch pipeline kPrefetchDistance keys ahead of the probe
-  /// cursor so slot cache lines are in flight before they are needed.
+  /// cursor so entry cache lines are in flight before they are needed.
   /// Result-equivalent to n sequential Lookup calls (bench/kernels gates
-  /// the equivalence, DESIGN.md §16).
+  /// the equivalence on both layouts, DESIGN.md §16).
   void LookupBatch(const Value* keys, size_t n,
                    std::span<const Tid>* out) const {
     const size_t warm = std::min(n, kPrefetchDistance);
@@ -348,54 +400,144 @@ class ColumnIndex {
 
  private:
   static constexpr uint32_t kOwned = std::numeric_limits<uint32_t>::max();
+  static constexpr size_t kMinSlots = 16;
 
+  struct Entry {
+    uint32_t start = 0;   // into tids_, or into owned_ when length == kOwned
+    uint32_t length = 0;  // run length; 0 = no such key
+  };
   struct Slot {
     uint64_t key = 0;
-    uint32_t start = 0;   // into tids_, or into owned_ when length == kOwned
-    uint32_t length = 0;  // run length; 0 = empty slot
+    Entry entry;
   };
 
-  std::span<const Tid> Run(const Slot& slot) const {
-    if (slot.length == kOwned) return owned_[slot.start];
-    return {tids_.data() + slot.start, slot.length};
+  std::span<const Tid> Run(const Entry& entry) const {
+    if (entry.length == kOwned) return owned_[entry.start];
+    return {tids_.data() + entry.start, entry.length};
   }
 
   /// The slot holding `bits`, or the empty slot where it would go.
   size_t Find(uint64_t bits) const {
     const size_t mask = slots_.size() - 1;
     size_t i = MixKeyBits(bits) & mask;
-    while (slots_[i].length != 0 && slots_[i].key != bits) {
+    while (slots_[i].entry.length != 0 && slots_[i].key != bits) {
       i = (i + 1) & mask;
     }
     return i;
   }
 
-  /// The slot of `bits`, taken for the key if it is new (its length is
-  /// then still 0: the caller makes it nonzero).
-  Slot& Claim(uint64_t bits) {
-    if ((used_ + 1) * 10 > slots_.size() * 7) Grow();
-    Slot& slot = slots_[Find(bits)];
-    if (slot.length == 0) {
-      slot.key = bits;
-      ++used_;
+  /// The entry of `bits` (an empty one when the key is absent), or null
+  /// when the table has no place for it.
+  const Entry* Locate(uint64_t bits) const {
+    if (direct_) {
+      const uint64_t off = bits - base_;
+      return off < entries_.size() ? &entries_[off] : nullptr;
     }
-    return slot;
+    return slots_.empty() ? nullptr : &slots_[Find(bits)].entry;
   }
 
-  void Grow() {
-    std::vector<Slot> old = std::move(slots_);
-    slots_.assign(old.empty() ? 16 : old.size() * 2, Slot{});
-    for (const Slot& s : old) {
-      if (s.length != 0) slots_[Find(s.key)] = s;
+  /// Calls fn(key bits, entry) for every key held.
+  template <typename Fn>
+  void ForEachKey(Fn&& fn) const {
+    for (size_t i = 0; i < entries_.size(); ++i) {
+      if (entries_[i].length != 0) fn(base_ + i, entries_[i]);
     }
+    for (const Slot& slot : slots_) {
+      if (slot.entry.length != 0) fn(slot.key, slot.entry);
+    }
+  }
+
+  /// The entry of `bits`, taken for the key if it is new (its length is
+  /// then still 0: the caller makes it nonzero). A key the table has no
+  /// room for re-lays it first.
+  Entry& Claim(uint64_t bits) {
+    if (direct_) {
+      const uint64_t off = bits - base_;
+      if (off < entries_.size()) {
+        Entry& entry = entries_[off];
+        if (entry.length == 0) ++used_;
+        return entry;
+      }
+    } else if (!slots_.empty()) {
+      Slot& slot = slots_[Find(bits)];
+      if (slot.entry.length != 0) return slot.entry;
+      if ((used_ + 1) * 10 <= slots_.size() * 7) {
+        slot.key = bits;
+        ++used_;
+        return slot.entry;
+      }
+    }
+    Grow(bits);
+    return Claim(bits);
+  }
+
+  /// Makes room for the new key `bits`, choosing the layout again: direct
+  /// when its entries for the keys' range are no more bytes than the slot
+  /// table for their count. An empty index starts hashed.
+  void Grow(uint64_t bits) {
+    const size_t capacity = SlotCapacity(used_ + 1);
+    bool direct = false;
+    size_t size = capacity;
+    uint64_t base = 0;
+    if (used_ > 0) {
+      int64_t lo = static_cast<int64_t>(bits);
+      int64_t hi = lo;
+      ForEachKey([&](uint64_t key, const Entry&) {
+        lo = std::min(lo, static_cast<int64_t>(key));
+        hi = std::max(hi, static_cast<int64_t>(key));
+      });
+      const uint64_t span =
+          static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo);
+      if (span < 2 * capacity) {  // span + 1 entries, 8 bytes to a slot's 16
+        // Direct windows double as they grow, never past the slot table's
+        // bytes; the spare entries go on the side the new key extended.
+        const uint64_t grown = direct_ ? 2 * entries_.size() : 0;
+        direct = true;
+        size = std::max<uint64_t>(span + 1,
+                                  std::min<uint64_t>(grown, 2 * capacity));
+        const bool downward = static_cast<int64_t>(bits) == lo;
+        base = downward ? static_cast<uint64_t>(hi) - (size - 1)
+                        : static_cast<uint64_t>(lo);
+      }
+    }
+    Relay(direct, size, base);
+  }
+
+  /// Lays the entries out again: direct over `size` key values from
+  /// `base` (a window covering every key), or hashed in `size` slots.
+  void Relay(bool direct, size_t size, uint64_t base) {
+    ColumnIndex old(type_);
+    old.direct_ = direct_;
+    old.base_ = base_;
+    old.entries_.swap(entries_);
+    old.slots_.swap(slots_);
+    direct_ = direct;
+    base_ = base;
+    if (direct) {
+      entries_.assign(size, Entry{});
+    } else {
+      slots_.assign(size, Slot{});
+    }
+    old.ForEachKey([this](uint64_t key, const Entry& entry) {
+      if (direct_) {
+        entries_[key - base_] = entry;
+      } else {
+        Slot& slot = slots_[Find(key)];
+        slot.key = key;
+        slot.entry = entry;
+      }
+    });
   }
 
   DataType type_;
-  std::vector<Slot> slots_;
+  bool direct_ = false;
+  uint64_t base_ = 0;                     // direct: the key of entries_[0]
+  std::vector<Entry> entries_;            // direct key table
+  std::vector<Slot> slots_;               // hashed key table
   std::vector<Tid> tids_;                 // every built run, back to back
   std::vector<std::vector<Tid>> owned_;   // runs of keys written after Build
   std::vector<Tid> null_tids_;
-  size_t used_ = 0;
+  size_t used_ = 0;                       // distinct non-null keys
 };
 
 inline Result<ColumnIndex> ColumnIndex::Build(const Column& column) {
@@ -407,24 +549,49 @@ inline Result<ColumnIndex> ColumnIndex::Build(const Column& column) {
   }
   const DataType type = column.type();
   ColumnIndex index(type);
-  // Counting pass: each key's length is its row count so far.
+  // Range pass: the keys' bounds and the rows that carry one.
   size_t nulls = 0;
+  size_t keyed = 0;
+  int64_t lo = std::numeric_limits<int64_t>::max();
+  int64_t hi = std::numeric_limits<int64_t>::min();
   for (size_t row = 0; row < rows; ++row) {
     if (column.IsNull(row)) {
       ++nulls;
       continue;
     }
     auto bits = Column::CanonicalBits(column.raw_bits(row), type);
+    if (!bits) continue;
+    ++keyed;
+    lo = std::min(lo, static_cast<int64_t>(*bits));
+    hi = std::max(hi, static_cast<int64_t>(*bits));
+  }
+  // Count into direct entries when they could be the smaller table: no
+  // larger than the slots for a distinct key per keyed row.
+  const uint64_t span = static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo);
+  if (keyed > 0 && span < 2 * SlotCapacity(keyed)) {
+    index.Relay(true, span + 1, static_cast<uint64_t>(lo));
+  }
+  // Counting pass: each key's length is its row count so far.
+  for (size_t row = 0; row < rows; ++row) {
+    if (column.IsNull(row)) continue;
+    auto bits = Column::CanonicalBits(column.raw_bits(row), type);
     if (bits) ++index.Claim(*bits).length;
+  }
+  // Repeated keys can leave the direct entries larger than the slot table
+  // for the distinct keys: then the counts move into one.
+  if (index.direct_ && span >= 2 * SlotCapacity(index.used_)) {
+    index.Relay(false, SlotCapacity(index.used_), 0);
   }
   // Each run starts where the previous one ends. The fill pass advances a
   // run's start past each row it writes; the lengths stay, so Find still
   // tells used slots from empty ones.
   uint32_t next = 0;
-  for (Slot& slot : index.slots_) {
-    slot.start = next;
-    next += slot.length;
-  }
+  auto assign_start = [&next](Entry& entry) {
+    entry.start = next;
+    next += entry.length;
+  };
+  for (Entry& entry : index.entries_) assign_start(entry);
+  for (Slot& slot : index.slots_) assign_start(slot.entry);
   index.tids_.resize(next);
   index.null_tids_.reserve(nulls);
   // Fill pass in row order, so every run comes out ascending.
@@ -434,9 +601,10 @@ inline Result<ColumnIndex> ColumnIndex::Build(const Column& column) {
       continue;
     }
     auto bits = Column::CanonicalBits(column.raw_bits(row), type);
-    if (bits) index.tids_[index.slots_[index.Find(*bits)].start++] = row;
+    if (bits) index.tids_[index.Claim(*bits).start++] = row;
   }
-  for (Slot& slot : index.slots_) slot.start -= slot.length;
+  for (Entry& entry : index.entries_) entry.start -= entry.length;
+  for (Slot& slot : index.slots_) slot.entry.start -= slot.entry.length;
   return index;
 }
 

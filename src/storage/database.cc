@@ -82,6 +82,12 @@ size_t Database::TotalTuples() const {
   return n;
 }
 
+StorageBytes Database::bytes() const {
+  StorageBytes out;
+  for (const auto& [name, rel] : relations_) out += rel->bytes();
+  return out;
+}
+
 Status Database::CheckForeignKey(const ForeignKey& fk) const {
   auto child = GetRelation(fk.child_relation);
   if (!child.ok()) return child.status();

@@ -61,6 +61,9 @@ class Database {
   /// Total tuples across all relations — the paper's card(D).
   size_t TotalTuples() const;
 
+  /// Bytes held by every relation's structures, summed by kind.
+  StorageBytes bytes() const;
+
   /// Checks `fk` against this database's data, whether or not it is
   /// declared here: every non-NULL child value must equal some parent value
   /// under Value equality (-0.0 equals +0.0; NaN equals nothing, so a NaN

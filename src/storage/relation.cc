@@ -122,9 +122,26 @@ std::vector<std::string> Relation::IndexedAttributes() const {
 }
 
 bool Relation::HasIndex(const std::string& attribute_name) const {
+  return GetIndex(attribute_name) != nullptr;
+}
+
+const ColumnIndex* Relation::GetIndex(const std::string& attribute_name) const {
   auto idx = schema_.AttributeIndex(attribute_name);
-  if (!idx.ok()) return false;
-  return IndexAt(*idx) != nullptr;
+  if (!idx.ok()) return nullptr;
+  return IndexAt(*idx);
+}
+
+StorageBytes Relation::bytes() const {
+  StorageBytes out;
+  for (const Column& col : columns_) out.columns += col.bytes();
+  out.primary_keys = pk_bits_.bytes();
+  for (const auto& index : indexes_) {
+    if (index == nullptr) continue;
+    out.index_entries += index->entry_bytes();
+    out.index_tids += index->tid_bytes();
+    out.owned_runs += index->owned_bytes();
+  }
+  return out;
 }
 
 Result<std::span<const Tid>> Relation::LookupEqualsView(

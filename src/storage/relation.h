@@ -30,12 +30,36 @@ using Tid = uint64_t;
 /// relation schema's attributes.
 using Tuple = std::vector<Value>;
 
+/// \brief Bytes held by stored structures by kind, computed from their
+/// capacities (DESIGN.md §13): a relation's, or summed over a database. An
+/// upper bound on what is resident: spare capacity a vector never wrote
+/// need not be.
+struct StorageBytes {
+  size_t columns = 0;        // payload words and null bitmaps
+  size_t primary_keys = 0;   // primary-key sets (bitmap words or slots)
+  size_t index_entries = 0;  // index key tables (direct entries or slots)
+  size_t index_tids = 0;     // built tid arrays and NULL runs
+  size_t owned_runs = 0;     // runs of keys written after an index build
+
+  size_t total() const {
+    return columns + primary_keys + index_entries + index_tids + owned_runs;
+  }
+  StorageBytes& operator+=(const StorageBytes& other) {
+    columns += other.columns;
+    primary_keys += other.primary_keys;
+    index_entries += other.index_entries;
+    index_tids += other.index_tids;
+    owned_runs += other.owned_runs;
+    return *this;
+  }
+};
+
 /// \brief A populated relation: schema + columns + indexes.
 ///
 /// Storage is columnar (DESIGN.md §13): one Column per attribute is the
 /// only copy of each tuple. Get and tuple() materialize a row from the
 /// columns on demand; the bulk kernels (ProjectRows, column scans) and the
-/// open-addressing equality indexes read the columns directly.
+/// equality indexes read the columns directly.
 ///
 /// All reads that the précis generators perform are instrumented through the
 /// AccessStats of the owning Database (see access_stats.h). Instrumented
@@ -68,9 +92,9 @@ class Relation {
   /// Returns the new tuple's tid.
   Result<Tid> Insert(const Tuple& tuple);
 
-  /// Room for `n` tuples in all: the columns and the primary-key set take
-  /// them without reallocating (the emit phase sizes each result relation
-  /// once).
+  /// Room for `n` tuples in all: the columns and a primary-key set still in
+  /// its hash layout take them without reallocating (the emit phase sizes
+  /// each fresh result relation once).
   void Reserve(size_t n);
 
   /// True when the primary-key set holds canonical key bits `bits` (as
@@ -79,6 +103,13 @@ class Relation {
   bool HasPrimaryKeyBits(uint64_t bits) const {
     return pk_bits_.Contains(bits);
   }
+
+  /// The primary-key set (empty without a declared key), for its layout
+  /// and size.
+  const FlatKeySet& primary_key_set() const { return pk_bits_; }
+
+  /// Bytes held by the columns, primary-key set and indexes.
+  StorageBytes bytes() const;
 
   /// Fetches a tuple by rowid, materialized from the columns: bounds check,
   /// then the kTupleFetch fault check, then one tuple-fetch charge
@@ -118,6 +149,9 @@ class Relation {
 
   /// True if an index exists on the attribute.
   bool HasIndex(const std::string& attribute_name) const;
+
+  /// The index on the attribute, or null (for its layout and size).
+  const ColumnIndex* GetIndex(const std::string& attribute_name) const;
 
   /// Names of all indexed attributes, in attribute order.
   std::vector<std::string> IndexedAttributes() const;
@@ -225,7 +259,7 @@ class Relation {
   /// exists on the key attribute (the emit phase of result-database
   /// generation inserts into fresh unindexed relations), and for the FK
   /// check's parent probe. NaN keys have no bits and never enter: under
-  /// Value equality they duplicate nothing.
+  /// Value equality they duplicate nothing. Dense keys make it a bitmap.
   FlatKeySet pk_bits_;
   AccessStats* stats_;
   // Owning database's mutation epoch (see Database::epoch()); may be null.

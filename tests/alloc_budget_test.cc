@@ -1,7 +1,8 @@
 // Allocation budgets (DESIGN.md §13): a cold result-database generation —
 // the Fig. 5 planner, its emit phase and the FK check — allocates per
-// query, relation and edge, never per accepted tuple; and an index build
-// allocates per index, never per distinct key.
+// query, relation and edge, never per accepted tuple; an index build
+// allocates per index, never per distinct key; and a primary-key set
+// allocates per doubling of its table, never per key.
 //
 // This executable replaces global operator new with one that counts the
 // calling thread's allocations. An inline Generate (parallelism 1, no
@@ -18,6 +19,7 @@
 #include <string>
 
 #include "common/execution_context.h"
+#include "common/flat_key_set.h"
 #include "datagen/movies_dataset.h"
 #include "precis/constraints.h"
 #include "precis/database_generator.h"
@@ -107,6 +109,10 @@ TEST_F(AllocBudgetTest, ColdGenerationAllocatesPerQueryNotPerTuple) {
       << "c=50: " << small.allocations << " allocations for " << small.tuples
       << " tuples; c=1000: " << large.allocations << " allocations for "
       << large.tuples << " tuples";
+  // The counts themselves, as measured (225 and 3,500 tuples): a change
+  // that allocates more per query shows here first.
+  EXPECT_LE(small.allocations, 254u);
+  EXPECT_LE(large.allocations, 320u);
 }
 
 TEST_F(AllocBudgetTest, IndexBuildAllocatesPerIndexNotPerKey) {
@@ -119,9 +125,37 @@ TEST_F(AllocBudgetTest, IndexBuildAllocatesPerIndexNotPerKey) {
   const Status rebuilt = (*movie)->CreateIndex("mid");
   const uint64_t allocations = t_allocations - before;
   ASSERT_TRUE(rebuilt.ok()) << rebuilt.ToString();
-  // The slot table's doublings, one tid array and the index object: a
-  // vector per distinct key would cost one allocation per key.
-  EXPECT_LT(allocations, 64u) << keys->size() << " keys";
+  // The dense keys take the direct table: its entries, the tid array and
+  // the index object, where the slot table took eleven doublings more and
+  // a vector per distinct key would cost one allocation per key.
+  EXPECT_LE(allocations, 3u) << keys->size() << " keys";
+}
+
+TEST_F(AllocBudgetTest, PrimaryKeySetsAllocatePerDoublingNotPerKey) {
+  // Replays what the dataset build does to each relation's primary-key
+  // set: every key's canonical bits, inserted in tid order.
+  const Database& db = dataset_->db();
+  uint64_t allocations = 0;
+  size_t keys = 0;
+  for (const std::string& name : db.RelationNames()) {
+    const Relation& rel = **db.GetRelation(name);
+    ASSERT_TRUE(rel.schema().primary_key().has_value()) << name;
+    const Column& column = rel.column(*rel.schema().primary_key());
+    FlatKeySet set;
+    const uint64_t before = t_allocations;
+    for (Tid tid = 0; tid < column.size(); ++tid) {
+      set.Insert(*Column::CanonicalBits(column.raw_bits(tid), column.type()));
+    }
+    allocations += t_allocations - before;
+    keys += set.size();
+    EXPECT_TRUE(set.bitmap()) << name;
+    EXPECT_EQ(set.bytes(), rel.primary_key_set().bytes()) << name;
+  }
+  ASSERT_GE(keys, 6000u * 8);
+  // Each set starts as a 16-slot table and turns into a bitmap whose
+  // window doubles as the keys climb: 62 allocations for the 11 sets, where
+  // hash tables doubling from 16 slots took 106.
+  EXPECT_LE(allocations, 62u) << keys << " keys";
 }
 
 }  // namespace

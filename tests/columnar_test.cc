@@ -346,6 +346,384 @@ TEST(FlatKeySetTest, MatchesUnorderedSetOnSeededRandomKeys) {
   }
 }
 
+// --- FlatKeySet layouts against std::unordered_set ---
+//
+// Each stream inserts its keys one by one, checking every Insert's answer
+// and the size against an unordered_set, then probes every key, its
+// neighbours and the extremes. The streams drive the set through both
+// layouts and the switches between them.
+
+constexpr uint64_t kAllOnes = ~uint64_t{0};
+
+uint64_t Bits(int64_t v) { return static_cast<uint64_t>(v); }
+
+void ExpectSameMembers(const FlatKeySet& set,
+                       const std::unordered_set<uint64_t>& expect,
+                       const std::vector<uint64_t>& keys) {
+  ASSERT_EQ(set.size(), expect.size());
+  std::vector<uint64_t> probes = {0,
+                                  1,
+                                  kAllOnes,
+                                  kAllOnes - 1,
+                                  Bits(std::numeric_limits<int64_t>::min()),
+                                  Bits(std::numeric_limits<int64_t>::max())};
+  for (uint64_t key : keys) {
+    probes.push_back(key);
+    probes.push_back(key - 1);
+    probes.push_back(key + 1);
+    probes.push_back(key + 64);
+    probes.push_back(key - 64);
+  }
+  for (uint64_t key : probes) {
+    ASSERT_EQ(set.Contains(key), expect.count(key) > 0)
+        << key << " (bitmap=" << set.bitmap() << ")";
+  }
+}
+
+/// Inserts `keys` into both sets, checking each answer as it goes.
+void InsertStream(FlatKeySet* set, std::unordered_set<uint64_t>* expect,
+                  const std::vector<uint64_t>& keys) {
+  for (uint64_t key : keys) {
+    ASSERT_EQ(set->Insert(key), expect->insert(key).second)
+        << key << " (bitmap=" << set->bitmap() << ")";
+    ASSERT_EQ(set->size(), expect->size());
+  }
+}
+
+std::vector<uint64_t> Range(int64_t from, int64_t count, int64_t stride = 1) {
+  std::vector<uint64_t> keys;
+  for (int64_t i = 0; i < count; ++i) keys.push_back(Bits(from + i * stride));
+  return keys;
+}
+
+TEST(FlatKeySetTest, DenseAscendingKeysBecomeABitmap) {
+  FlatKeySet set;
+  std::unordered_set<uint64_t> expect;
+  const std::vector<uint64_t> keys = Range(1000, 20000);
+  InsertStream(&set, &expect, keys);
+  ExpectSameMembers(set, expect, keys);
+  EXPECT_TRUE(set.bitmap());
+  // 20,000 keys in about a bit each, where the hash table takes 32,768
+  // 8-byte slots.
+  EXPECT_LE(set.bytes(), 2 * 20000 / 8 + 64);
+  InsertStream(&set, &expect, keys);  // every repeat is refused
+  ExpectSameMembers(set, expect, keys);
+}
+
+TEST(FlatKeySetTest, DenseShuffledAndDescendingKeysMatch) {
+  for (uint32_t seed : {1u, 7u}) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    std::vector<uint64_t> keys = Range(-5000, 12000);
+    std::shuffle(keys.begin(), keys.end(), std::mt19937_64(seed));
+    FlatKeySet set;
+    std::unordered_set<uint64_t> expect;
+    InsertStream(&set, &expect, keys);
+    ExpectSameMembers(set, expect, keys);
+    EXPECT_TRUE(set.bitmap());
+  }
+  // Descending keys grow the window downward.
+  std::vector<uint64_t> keys = Range(100000, 9000, -1);
+  FlatKeySet set;
+  std::unordered_set<uint64_t> expect;
+  InsertStream(&set, &expect, keys);
+  ExpectSameMembers(set, expect, keys);
+  EXPECT_TRUE(set.bitmap());
+  EXPECT_LE(set.bytes(), 2 * 9000 / 8 + 64);
+}
+
+TEST(FlatKeySetTest, SparseKeysStayHashed) {
+  FlatKeySet set;
+  std::unordered_set<uint64_t> expect;
+  const std::vector<uint64_t> keys = Range(7, 5000, 1000003);
+  InsertStream(&set, &expect, keys);
+  ExpectSameMembers(set, expect, keys);
+  EXPECT_FALSE(set.bitmap());
+  EXPECT_EQ(set.bytes(), FlatKeySet::HashSlots(5000) * sizeof(uint64_t));
+}
+
+TEST(FlatKeySetTest, DenseThenSparseThenDenseAgain) {
+  FlatKeySet set;
+  std::unordered_set<uint64_t> expect;
+  std::vector<uint64_t> all;
+  auto stream = [&](const std::vector<uint64_t>& keys) {
+    InsertStream(&set, &expect, keys);
+    all.insert(all.end(), keys.begin(), keys.end());
+    ExpectSameMembers(set, expect, all);
+  };
+  stream(Range(0, 3000));
+  if (HasFatalFailure()) return;
+  EXPECT_TRUE(set.bitmap());
+  // A few far keys do not outweigh 3,000 dense ones: the window stretches
+  // as long as it stays no larger than the hash table.
+  stream(Range(200000, 3, 100000));
+  if (HasFatalFailure()) return;
+  EXPECT_TRUE(set.bitmap());
+  // Scattered keys over the whole 64-bit range switch it to the hash table.
+  std::mt19937_64 rng(42);
+  std::vector<uint64_t> scattered;
+  for (int i = 0; i < 2000; ++i) scattered.push_back(rng());
+  stream(scattered);
+  if (HasFatalFailure()) return;
+  EXPECT_FALSE(set.bitmap());
+  // More dense keys never bring the bitmap back while the scattered ones
+  // span the range; they grow the hash table and stay members.
+  stream(Range(-40000, 40000));
+  if (HasFatalFailure()) return;
+  EXPECT_FALSE(set.bitmap());
+}
+
+TEST(FlatKeySetTest, HashedKeysTurnIntoABitmapWhenTheTableGrows) {
+  // Keys 0, 64, 128, ... take a word each: denser than the hash table's
+  // two to four slots a key, so its first growth picks the bitmap.
+  FlatKeySet set;
+  std::unordered_set<uint64_t> expect;
+  set.Reserve(100);  // a hash table for 100 keys, before any key
+  EXPECT_FALSE(set.bitmap());
+  std::vector<uint64_t> keys = Range(0, 100, 64);
+  InsertStream(&set, &expect, keys);
+  ExpectSameMembers(set, expect, keys);
+  EXPECT_FALSE(set.bitmap());  // within the reservation: no growth yet
+  const std::vector<uint64_t> more = Range(6400, 200, 64);
+  InsertStream(&set, &expect, more);
+  keys.insert(keys.end(), more.begin(), more.end());
+  ExpectSameMembers(set, expect, keys);
+  EXPECT_TRUE(set.bitmap());
+  // Reserve after the switch keeps the bitmap and every key.
+  const size_t bytes = set.bytes();
+  set.Reserve(100000);
+  EXPECT_TRUE(set.bitmap());
+  EXPECT_EQ(set.bytes(), bytes);
+  ExpectSameMembers(set, expect, keys);
+  // Keys inside the window still insert without growth.
+  const std::vector<uint64_t> inside = Range(1, 300, 64);
+  InsertStream(&set, &expect, inside);
+  keys.insert(keys.end(), inside.begin(), inside.end());
+  ExpectSameMembers(set, expect, keys);
+  EXPECT_EQ(set.bytes(), bytes);
+}
+
+TEST(FlatKeySetTest, KeysStraddlingZeroAreDense) {
+  // -3 .. 3 as signed numbers sit next to each other, though their bit
+  // patterns are the two ends of the unsigned range.
+  FlatKeySet set;
+  std::unordered_set<uint64_t> expect;
+  std::vector<uint64_t> keys;
+  for (int64_t i = 0; i < 4000; ++i) {
+    keys.push_back(Bits(i % 2 == 0 ? i / 2 : -(i / 2) - 1));
+  }
+  InsertStream(&set, &expect, keys);
+  ExpectSameMembers(set, expect, keys);
+  EXPECT_TRUE(set.bitmap());
+  EXPECT_TRUE(set.Contains(kAllOnes));  // -1 is a bit like any other
+}
+
+TEST(FlatKeySetTest, ExtremeKeysAndTheAllOnesKey) {
+  const uint64_t min = Bits(std::numeric_limits<int64_t>::min());
+  const uint64_t max = Bits(std::numeric_limits<int64_t>::max());
+  // The extremes next to dense keys: the range spans all 64 bits, so the
+  // set hashes, with the all-ones key in its flag.
+  FlatKeySet set;
+  std::unordered_set<uint64_t> expect;
+  std::vector<uint64_t> keys = Range(-20, 40);
+  keys.push_back(min);
+  keys.push_back(max);
+  keys.push_back(min + 1);
+  keys.push_back(max - 1);
+  InsertStream(&set, &expect, keys);
+  ExpectSameMembers(set, expect, keys);
+  EXPECT_FALSE(set.bitmap());
+  // Each extreme alone with its neighbours is dense: a bitmap at the
+  // bottom and at the top of the signed range, no overflow at either end.
+  for (uint64_t edge : {min, max}) {
+    SCOPED_TRACE("edge=" + std::to_string(edge));
+    FlatKeySet dense;
+    std::unordered_set<uint64_t> dense_expect;
+    std::vector<uint64_t> near;
+    for (uint64_t i = 0; i < 500; ++i) {
+      near.push_back(edge == min ? edge + i : edge - i);
+    }
+    InsertStream(&dense, &dense_expect, near);
+    ExpectSameMembers(dense, dense_expect, near);
+    EXPECT_TRUE(dense.bitmap());
+  }
+  // The all-ones key first, alone, then beside dense keys and far ones.
+  FlatKeySet ones;
+  std::unordered_set<uint64_t> ones_expect;
+  std::vector<uint64_t> stream = {kAllOnes, kAllOnes, 0, 5, kAllOnes - 1};
+  InsertStream(&ones, &ones_expect, stream);
+  ExpectSameMembers(ones, ones_expect, stream);
+  const std::vector<uint64_t> dense = Range(-500, 1000);
+  InsertStream(&ones, &ones_expect, dense);
+  stream.insert(stream.end(), dense.begin(), dense.end());
+  ExpectSameMembers(ones, ones_expect, stream);
+  EXPECT_TRUE(ones.bitmap());
+  const std::vector<uint64_t> far = Range(1LL << 40, 3000, 1LL << 20);
+  InsertStream(&ones, &ones_expect, far);
+  stream.insert(stream.end(), far.begin(), far.end());
+  ExpectSameMembers(ones, ones_expect, stream);
+  EXPECT_FALSE(ones.bitmap());
+  EXPECT_TRUE(ones.Contains(kAllOnes));
+}
+
+// --- ColumnIndex layouts against a column scan ---
+//
+// A ColumnIndex built from a column and then given the same appends as the
+// column must return, for every key, the tids a scan of the column
+// returns: through Lookup and through LookupBatch. A dense-key column
+// takes the direct layout and a sparse one the slot table; inserts inside
+// the range grow owned runs, and inserts outside it make the index choose
+// its layout again.
+
+/// What a scan of `column` returns for `key` (NULL matches NULL).
+std::vector<Tid> ScanColumn(const Column& column, const Value& key) {
+  std::vector<Tid> out;
+  if (key.is_null()) {
+    for (Tid t = 0; t < column.size(); ++t) {
+      if (column.IsNull(t)) out.push_back(t);
+    }
+  } else if (auto bits = Column::KeyBits(key, column.type())) {
+    column.ScanEqualsScalar(*bits, &out);
+  }
+  return out;
+}
+
+void ExpectIndexMatchesColumn(const ColumnIndex& index, const Column& column,
+                              std::vector<Value> keys) {
+  for (Tid t = 0; t < column.size(); ++t) keys.push_back(column.GetValue(t));
+  keys.push_back(Value());
+  keys.push_back(Value(std::numeric_limits<double>::quiet_NaN()));
+  keys.push_back(Value(0.0));
+  keys.push_back(Value(-0.0));
+  keys.push_back(Value("cross-type"));
+  std::vector<std::span<const Tid>> batched(keys.size());
+  index.LookupBatch(keys.data(), keys.size(), batched.data());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    const std::vector<Tid> scan = ScanColumn(column, keys[i]);
+    ASSERT_EQ(ToVector(index.Lookup(keys[i])), scan)
+        << keys[i].ToString() << " (direct=" << index.direct() << ")";
+    ASSERT_EQ(ToVector(batched[i]), scan) << keys[i].ToString();
+  }
+}
+
+/// Appends `key` to both the column and the index, as Relation::Insert does.
+void Append(Column* column, ColumnIndex* index, const Value& key) {
+  index->Insert(key, column->size());
+  column->Append(key);
+}
+
+TEST(ColumnIndexDifferentialTest, DenseKeysAreDirectAndChooseAgainOutside) {
+  // int64 keys 100..399, each twice or three times, with NULLs; doubles
+  // whose bit patterns are 1..300 (the subnormals next to +0.0), with
+  // signed zeros and NaN.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Column ints(DataType::kInt64);
+  Column doubles(DataType::kDouble);
+  for (int64_t i = 0; i < 900; ++i) {
+    ints.Append(i % 17 == 0 ? Value() : Value(int64_t{100 + i % 300}));
+    const uint64_t sub = static_cast<uint64_t>(1 + i % 300);
+    doubles.Append(i % 13 == 0   ? Value()
+                   : i % 11 == 0 ? Value(nan)
+                   : i % 7 == 0  ? Value(i % 2 == 0 ? 0.0 : -0.0)
+                                 : Value(std::bit_cast<double>(sub)));
+  }
+  auto int_index = ColumnIndex::Build(ints);
+  auto double_index = ColumnIndex::Build(doubles);
+  ASSERT_TRUE(int_index.ok());
+  ASSERT_TRUE(double_index.ok());
+  EXPECT_TRUE(int_index->direct());
+  EXPECT_TRUE(double_index->direct());
+  EXPECT_EQ(int_index->entry_bytes(), 300 * 8u);
+  const std::vector<Value> absent = {Value(int64_t{99}), Value(int64_t{400}),
+                                     Value(int64_t{-1}), Value(1e300)};
+  ExpectIndexMatchesColumn(*int_index, ints, absent);
+  ExpectIndexMatchesColumn(*double_index, doubles, absent);
+  if (HasFatalFailure()) return;
+
+  // Inside the range: built runs move out and grow, NULLs and NaN append.
+  for (int64_t i = 0; i < 200; ++i) {
+    Append(&ints, &*int_index, i % 9 == 0 ? Value() : Value(int64_t{150 + i}));
+    Append(&doubles, &*double_index,
+           i % 9 == 0   ? Value(nan)
+           : i % 5 == 0 ? Value(-0.0)
+                        : Value(std::bit_cast<double>(uint64_t{1} + i)));
+  }
+  EXPECT_TRUE(int_index->direct());
+  EXPECT_GT(int_index->owned_bytes(), 0u);
+  ExpectIndexMatchesColumn(*int_index, ints, absent);
+  ExpectIndexMatchesColumn(*double_index, doubles, absent);
+  if (HasFatalFailure()) return;
+
+  // Just outside: the window grows and stays direct, below and above.
+  for (int64_t k : {99, 98, 400, 401, 64, 700}) {
+    Append(&ints, &*int_index, Value(k));
+  }
+  EXPECT_TRUE(int_index->direct());
+  ExpectIndexMatchesColumn(*int_index, ints, absent);
+  if (HasFatalFailure()) return;
+
+  // Far outside: the range outgrows the slot table, so it hashes; a double
+  // far from the subnormals does the same.
+  Append(&ints, &*int_index, Value(int64_t{1} << 40));
+  Append(&ints, &*int_index, Value(std::numeric_limits<int64_t>::min()));
+  Append(&doubles, &*double_index, Value(1e300));
+  EXPECT_FALSE(int_index->direct());
+  EXPECT_FALSE(double_index->direct());
+  ExpectIndexMatchesColumn(*int_index, ints, absent);
+  ExpectIndexMatchesColumn(*double_index, doubles, absent);
+}
+
+TEST(ColumnIndexDifferentialTest, SparseKeysAreHashedAndChooseAgainOutside) {
+  // Keys 1,000,003 apart, and doubles spread over their bit range.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  constexpr int64_t kStride = 1000003;
+  Column ints(DataType::kInt64);
+  Column doubles(DataType::kDouble);
+  for (int64_t i = 0; i < 900; ++i) {
+    ints.Append(i % 17 == 0 ? Value() : Value((i % 300) * kStride - 5));
+    doubles.Append(i % 13 == 0   ? Value()
+                   : i % 11 == 0 ? Value(nan)
+                   : i % 7 == 0  ? Value(i % 2 == 0 ? 0.0 : -0.0)
+                                 : Value(1.5 * double(i % 300) - 200.25));
+  }
+  auto int_index = ColumnIndex::Build(ints);
+  auto double_index = ColumnIndex::Build(doubles);
+  ASSERT_TRUE(int_index.ok());
+  ASSERT_TRUE(double_index.ok());
+  EXPECT_FALSE(int_index->direct());
+  EXPECT_FALSE(double_index->direct());
+  EXPECT_EQ(int_index->entry_bytes(),
+            ColumnIndex::SlotCapacity(300) * 16u);
+  const std::vector<Value> absent = {Value(int64_t{0}), Value(kStride),
+                                     Value(-200.0), Value(1e300)};
+  ExpectIndexMatchesColumn(*int_index, ints, absent);
+  ExpectIndexMatchesColumn(*double_index, doubles, absent);
+  if (HasFatalFailure()) return;
+
+  // Inside the range: repeats own their runs, new keys between old ones.
+  for (int64_t i = 0; i < 200; ++i) {
+    Append(&ints, &*int_index,
+           i % 9 == 0   ? Value()
+           : i % 2 == 0 ? Value((i % 300) * kStride - 5)
+                        : Value((i % 299) * kStride + 7));
+    Append(&doubles, &*double_index,
+           i % 9 == 0   ? Value(nan)
+           : i % 5 == 0 ? Value(0.0)
+                        : Value(1.5 * double(i) - 200.25));
+  }
+  EXPECT_GT(int_index->owned_bytes(), 0u);
+  ExpectIndexMatchesColumn(*int_index, ints, absent);
+  ExpectIndexMatchesColumn(*double_index, doubles, absent);
+  if (HasFatalFailure()) return;
+
+  // Outside the range: the slot table grows and stays hashed.
+  for (int64_t i = 0; i < 300; ++i) {
+    Append(&ints, &*int_index, Value((1000 + i) * kStride));
+    Append(&ints, &*int_index, Value(-(1000 + i) * kStride));
+  }
+  EXPECT_FALSE(int_index->direct());
+  ExpectIndexMatchesColumn(*int_index, ints, absent);
+}
+
 // --- Relation reads vs the inserted rows ---
 //
 // The columns are a relation's only copy of its tuples, so every read

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <limits>
 #include <string>
+#include <unordered_set>
 
+#include "datagen/movies_dataset.h"
 #include "storage/database.h"
 #include "storage/relation.h"
 #include "storage/schema.h"
@@ -549,6 +553,122 @@ TEST(DatabaseTest, DescribeSchemaMentionsRelationsAndFks) {
   std::string desc = db.DescribeSchema();
   EXPECT_NE(desc.find("MOVIE(mid*, title, year)"), std::string::npos);
   EXPECT_NE(desc.find("FK MOVIE.mid -> DIRECTOR.did"), std::string::npos);
+}
+
+// --- Key-table layouts at 6,000 films ---
+//
+// Every primary-key set and every join index must hold the smaller of its
+// two layouts for its keys, both sized here from the column: a bitmap's
+// 64-bit words over the keys' range against the hash table's 8-byte slots
+// (a power of two, at least 16, load at most 1/2); a direct table's 8-byte
+// entries over the range against the 16-byte slot table (load at most
+// 0.7). The keys' range is read as signed 64-bit numbers. A key table that
+// hashed everything would fail here, not only in a memory benchmark.
+
+size_t PowerOfTwoSlots(size_t keys, size_t load_num, size_t load_den) {
+  size_t slots = 16;
+  while (keys * load_den > slots * load_num) slots *= 2;
+  return slots;
+}
+
+TEST(DatabaseBytesTest, KeyTablesHoldTheSmallerLayoutAtSixThousandFilms) {
+  MoviesConfig config;
+  config.num_movies = 6000;
+  auto ds = MoviesDataset::Create(config);
+  ASSERT_TRUE(ds.ok());
+  const Database& db = ds->db();
+  StorageBytes sum;
+  size_t bitmaps = 0;
+  size_t direct = 0;
+  size_t indexes = 0;
+  for (const std::string& name : db.RelationNames()) {
+    SCOPED_TRACE(name);
+    const Relation& rel = **db.GetRelation(name);
+    sum += rel.bytes();
+
+    const Column& pk = rel.column(*rel.schema().primary_key());
+    int64_t lo = std::numeric_limits<int64_t>::max();
+    int64_t hi = std::numeric_limits<int64_t>::min();
+    for (Tid t = 0; t < pk.size(); ++t) {
+      lo = std::min(lo, static_cast<int64_t>(pk.raw_bits(t)));
+      hi = std::max(hi, static_cast<int64_t>(pk.raw_bits(t)));
+    }
+    // A set of at most 8 keys keeps its first 16-slot table.
+    ASSERT_GT(pk.size(), 8u);
+    const size_t words = static_cast<size_t>((hi >> 6) - (lo >> 6) + 1);
+    const size_t slots = PowerOfTwoSlots(pk.size(), 1, 2);
+    const FlatKeySet& set = rel.primary_key_set();
+    EXPECT_EQ(set.size(), pk.size());
+    EXPECT_EQ(set.bitmap(), words <= slots) << words << " words, " << slots
+                                            << " slots";
+    if (set.bitmap()) {
+      ++bitmaps;
+      // Spare words for growth, never past the table's size.
+      EXPECT_GE(set.bytes(), 8 * words);
+      EXPECT_LE(set.bytes(), 8 * slots);
+    } else {
+      EXPECT_EQ(set.bytes(), 8 * slots);
+    }
+
+    for (const std::string& attr : rel.IndexedAttributes()) {
+      SCOPED_TRACE(attr);
+      const Column& col = rel.column(*rel.schema().AttributeIndex(attr));
+      std::unordered_set<int64_t> keys;
+      for (Tid t = 0; t < col.size(); ++t) {
+        if (!col.IsNull(t)) keys.insert(static_cast<int64_t>(col.raw_bits(t)));
+      }
+      ASSERT_FALSE(keys.empty());
+      const auto [min, max] = std::minmax_element(keys.begin(), keys.end());
+      const size_t entries = static_cast<size_t>(*max - *min + 1);
+      const size_t slot_bytes = 16 * PowerOfTwoSlots(keys.size(), 7, 10);
+      const bool direct_smaller = 8 * entries <= slot_bytes;
+      const ColumnIndex* index = rel.GetIndex(attr);
+      ASSERT_NE(index, nullptr);
+      EXPECT_EQ(index->direct(), direct_smaller)
+          << entries << " entries, " << slot_bytes << " slot bytes";
+      EXPECT_EQ(index->entry_bytes(),
+                direct_smaller ? 8 * entries : slot_bytes);
+      EXPECT_EQ(index->tid_bytes(), 8 * col.size());
+      EXPECT_EQ(index->owned_bytes(), 0u);
+      ++indexes;
+      if (index->direct()) ++direct;
+    }
+  }
+  // The datagen's surrogate keys are dense: every primary-key set is a
+  // bitmap, and only THEATRE.tid and PLAY.tid (122 theatre ids, the
+  // paper's 1,000 below the synthetic ones) and AWARD.mid (1,099 of about
+  // 7,000 film ids) stay hashed.
+  EXPECT_EQ(bitmaps, db.num_relations());
+  EXPECT_EQ(indexes, 15u);
+  EXPECT_EQ(direct, 12u);
+
+  // The database's report is its relations' reports summed by kind.
+  const StorageBytes total = db.bytes();
+  EXPECT_EQ(total.columns, sum.columns);
+  EXPECT_EQ(total.primary_keys, sum.primary_keys);
+  EXPECT_EQ(total.index_entries, sum.index_entries);
+  EXPECT_EQ(total.index_tids, sum.index_tids);
+  EXPECT_EQ(total.owned_runs, 0u);
+  EXPECT_EQ(total.total(), sum.total());
+  EXPECT_GE(total.columns, 8 * db.TotalTuples());
+}
+
+TEST(DatabaseBytesTest, InsertsAfterTheBuildReportOwnedRuns) {
+  MoviesConfig config;
+  config.num_movies = 300;
+  auto ds = MoviesDataset::Create(config);
+  ASSERT_TRUE(ds.ok());
+  Relation* movie = *ds->db().GetRelation("MOVIE");
+  const StorageBytes before = movie->bytes();
+  EXPECT_EQ(before.owned_runs, 0u);
+  // An existing director's run moves out of the built array.
+  ASSERT_TRUE(movie->Insert({Value(int64_t{900000}), Value("Late Film"),
+                             Value(int64_t{2026}), Value(int64_t{1000})})
+                  .ok());
+  const StorageBytes after = movie->bytes();
+  EXPECT_GT(after.owned_runs, 0u);
+  EXPECT_GE(after.columns, before.columns);
+  EXPECT_EQ(ds->db().bytes().owned_runs, after.owned_runs);
 }
 
 }  // namespace

@@ -84,6 +84,8 @@ constexpr const char* kHelp = R"(commands:
   budget N                 per-query access budget: max index probes + tuple
                            fetches + scans (0 = unbounded)
   stats                    access counters of the last query + global totals
+                           + the database's bytes by structure and the
+                           layout of its key tables
                            (+ per-level cache ratios when caching is on,
                            + retry / degradation / injector counters when
                            faults are armed)
@@ -580,8 +582,29 @@ Status CmdStats(ShellState* state) {
                   static_cast<unsigned long long>(sq.breaker_rejects));
     }
   }
-  // Data-layout footprint (DESIGN.md §13): the process-wide interner and
-  // the last query's arena high-water mark.
+  // Data-layout footprint (DESIGN.md §13): the source database's stored
+  // structures by kind and the layout each key table chose, the
+  // process-wide interner and the last query's arena high-water mark.
+  const StorageBytes bytes = state->db->bytes();
+  std::printf("storage:    columns=%zu primary-keys=%zu index-entries=%zu "
+              "index-tids=%zu owned-runs=%zu total=%zu\n",
+              bytes.columns, bytes.primary_keys, bytes.index_entries,
+              bytes.index_tids, bytes.owned_runs, bytes.total());
+  size_t key_sets = 0, bitmaps = 0, indexes = 0, direct = 0;
+  for (const std::string& name : state->db->RelationNames()) {
+    const Relation& rel = **state->db->GetRelation(name);
+    if (rel.schema().primary_key()) {
+      ++key_sets;
+      if (rel.primary_key_set().bitmap()) ++bitmaps;
+    }
+    for (const std::string& attr : rel.IndexedAttributes()) {
+      ++indexes;
+      if (rel.GetIndex(attr)->direct()) ++direct;
+    }
+  }
+  std::printf(
+      "key tables: primary-key bitmaps=%zu/%zu direct indexes=%zu/%zu\n",
+      bitmaps, key_sets, direct, indexes);
   SymbolTableStats sym = SymbolTable::Global()->stats();
   std::printf("symbols:    count=%llu bytes=%llu blocks=%llu interns=%llu\n",
               static_cast<unsigned long long>(sym.symbols),
