@@ -67,16 +67,19 @@ inline double Percentile(std::vector<double> samples, double p) {
 }
 
 /// Counter deltas between two snapshots of one cache level (entries and
-/// bytes report the 'after' state: they are gauges, not counters).
+/// the byte figures report the 'after' state: they are gauges, not
+/// counters).
 inline LruCacheStats CacheStatsDelta(const LruCacheStats& after,
                                      const LruCacheStats& before) {
   LruCacheStats d;
   d.hits = after.hits - before.hits;
   d.misses = after.misses - before.misses;
   d.inserts = after.inserts - before.inserts;
+  d.rejected = after.rejected - before.rejected;
   d.evictions = after.evictions - before.evictions;
   d.entries = after.entries;
   d.charge_bytes = after.charge_bytes;
+  d.doorkeeper_bytes = after.doorkeeper_bytes;
   return d;
 }
 
@@ -86,6 +89,7 @@ inline void AppendCacheJson(std::ostream* os, const char* level,
                             const LruCacheStats& s) {
   *os << "      \"" << level << "\": {\"hits\": " << s.hits
       << ", \"misses\": " << s.misses << ", \"inserts\": " << s.inserts
+      << ", \"rejected\": " << s.rejected
       << ", \"evictions\": " << s.evictions
       << ", \"hit_rate\": " << s.hit_rate() << "}";
 }

@@ -11,8 +11,9 @@
 // service under load (closed-loop clients self-throttle and flatter p99).
 //
 // After the sweep, a hit/miss split pass (DESIGN.md §16) measures the
-// cache-to-wire fast path: a hit pass repeats one popular body (after the
-// first render every response is served from the memoized body cache),
+// cache-to-wire fast path: a hit pass repeats one popular body (the body
+// cache stores it on its second sight, and every later response is served
+// from the memoized render),
 // and a miss pass gives every request a distinct fingerprint (a unique
 // tiny min_path_weight per body — far below any real edge weight, so the
 // answer bytes are unchanged but the cache key never repeats).
@@ -527,9 +528,11 @@ int LoadGenMain(int argc, char** argv) {
     points.push_back(std::move(r));
   }
 
-  // Hit/miss split pass at one moderate offered load. The hit pass was
-  // already primed by the byte-identity probe (same body), so virtually
-  // every 200 is served straight from the memoized render.
+  // Hit/miss split pass at one moderate offered load. The byte-identity
+  // probe and the sweep already sent this body (pool[0] heads the Zipf
+  // mix), so the body cache, which stores a body on its second sight,
+  // holds it: virtually every 200 is served straight from the memoized
+  // render.
   const double hm_qps = smoke ? 20 : 80;
   const std::string hit_body = "{\"tokens\":[\"" + JsonEscape(pool[0]) +
                                "\"],\"tuples_per_relation\":5}";

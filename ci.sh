@@ -5,11 +5,13 @@
 #   2. Bench smokes     — bench/cache_effectiveness on a tiny dataset (fails
 #                         on a zero answer-cache hit rate or any stale
 #                         answer served after an insert — epoch invalidation
-#                         gate), bench/dbgen_scaling in smoke mode (fails
-#                         if any run of the one Fig. 5 planner with its
-#                         chunk tasks spread over a pool — one partition,
-#                         or 2/4/8 hash partitions — emits a different
-#                         database or report than the inline run —
+#                         gate; the stale gate warms each token until it is
+#                         admitted and hits, since a cache stores a key on
+#                         its second sight), bench/dbgen_scaling in smoke
+#                         mode (fails if any run of the one Fig. 5 planner
+#                         with its chunk tasks spread over a pool — one
+#                         partition, or 2/4/8 hash partitions — emits a
+#                         different database or report than the inline run —
 #                         determinism gate, DESIGN.md §11 + §15), and
 #                         bench/fault_tolerance in smoke mode
 #                         (fails when disarmed fault machinery costs > 5%
@@ -87,7 +89,9 @@
 #                         suite (slowloris timeouts, drain, socket chaos),
 #                         the planner determinism suite, the TaskPool
 #                         suite, the FlatKeySet set in both layouts (hash
-#                         table and bitmap), the Relation/Database storage
+#                         table and bitmap), the sharded LRU (each shard's
+#                         admission doorkeeper is a FlatKeySet), the
+#                         Relation/Database storage
 #                         suites (primary-key set and FK checks over it,
 #                         in-place index runs, the byte report), the
 #                         flat-run ColumnIndex against a scan in both key
@@ -275,11 +279,11 @@ cmake -B "$ROOT/build-asan-ubsan" -S "$ROOT" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo -DPRECIS_SANITIZE="address,undefined"
 cmake --build "$ROOT/build-asan-ubsan" -j "$JOBS" \
   --target fault_injection_test fuzz_lite_test service_test \
-           arena_test columnar_test server_test shard_test \
+           arena_test columnar_test server_test shard_test lru_cache_test \
            answer_cache_test parallel_dbgen_test task_pool_test storage_test \
            serialization_test
 PRECIS_TASK_POOL_THREADS=4 \
   ctest --test-dir "$ROOT/build-asan-ubsan" --output-on-failure -j "$JOBS" \
-  -R 'FaultInjector|Retry|FaultChaos|CacheTaint|Service|FuzzLite|Arena|Column|FlatKeySet|Relation|Database|Serialization|JsonLite|HttpParser|RequestParse|HttpServer|Shard|MergeAscendingTids|AnswerCache|CircuitBreaker|ServerChaosConfig|ParallelDbGen|TaskPool'
+  -R 'FaultInjector|Retry|FaultChaos|CacheTaint|Service|FuzzLite|Arena|Column|FlatKeySet|LruCache|Relation|Database|Serialization|JsonLite|HttpParser|RequestParse|HttpServer|Shard|MergeAscendingTids|AnswerCache|CircuitBreaker|ServerChaosConfig|ParallelDbGen|TaskPool'
 
 echo "=== CI passed (Release + bench smokes + server smoke + chaos drill + $SANITIZER + asan,ubsan chaos) ==="

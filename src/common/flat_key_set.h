@@ -97,6 +97,14 @@ class FlatKeySet {
     if (slots > table_.size()) Relay(false, slots, 0);
   }
 
+  /// Drops every key and keeps the array, so refilling the set to its old
+  /// size allocates nothing.
+  void Clear() {
+    std::fill(table_.begin(), table_.end(), bitmap_ ? 0 : kEmptySlot);
+    size_ = 0;
+    has_empty_slot_key_ = false;
+  }
+
   size_t size() const { return size_; }
 
   /// True when the keys are laid out as a bitmap, false for the hash table.

@@ -1,7 +1,7 @@
 #include "precis/constraints.h"
 
 #include <algorithm>
-#include <sstream>
+#include <charconv>
 
 namespace precis {
 
@@ -36,10 +36,12 @@ class MinPathWeightConstraint : public DegreeConstraint {
     return candidate.weight() >= w0_;
   }
 
+  // The shortest rendering that reads back as w0: the string is part of
+  // the schema- and answer-cache keys, so two weights must never share one.
   std::string ToString() const override {
-    std::ostringstream os;
-    os << "w >= " << w0_;
-    return os.str();
+    char buf[32];
+    char* end = std::to_chars(buf, buf + sizeof(buf), w0_).ptr;
+    return "w >= " + std::string(buf, end);
   }
 
  private:

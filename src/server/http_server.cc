@@ -864,7 +864,8 @@ void AppendCacheStats(std::ostringstream* os, const char* level,
   *os << "\"" << level << "\":{\"hits\":" << s.hits
       << ",\"misses\":" << s.misses << ",\"evictions\":" << s.evictions
       << ",\"entries\":" << s.entries << ",\"bytes\":" << s.charge_bytes
-      << "}";
+      << ",\"rejected\":" << s.rejected
+      << ",\"doorkeeper_bytes\":" << s.doorkeeper_bytes << "}";
 }
 
 }  // namespace
@@ -908,7 +909,19 @@ std::string HttpServer::MetricsJson() const {
        << ",\"dropped_tuples_total\":" << sm.dropped_tuples_total
        << ",\"p50_latency_ms\":" << sm.p50_latency_seconds * 1e3
        << ",\"p99_latency_ms\":" << sm.p99_latency_seconds * 1e3
-       << ",\"caches\":{";
+       << ",\"total_latency_seconds\":" << sm.total_latency_seconds
+       << ",\"span_seconds\":{";
+    // The engine's stages, summed over every query; a stage that never ran
+    // (answer_cache with the caches off) reads 0.
+    const char* sep = "";
+    for (const char* stage :
+         {"answer_cache", "db_gen", "match_tokens", "schema_gen"}) {
+      auto it = sm.span_seconds.find(stage);
+      os << sep << "\"" << stage << "\":"
+         << (it != sm.span_seconds.end() ? it->second : 0.0);
+      sep = ",";
+    }
+    os << "},\"caches\":{";
     AppendCacheStats(&os, "token", sm.token_cache);
     os << ",";
     AppendCacheStats(&os, "schema", sm.schema_cache);

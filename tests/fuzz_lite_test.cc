@@ -330,22 +330,30 @@ TEST_P(FuzzLiteTest, BodyCacheStaysCoherentUnderInsertQueryInterleavings) {
     ASSERT_TRUE(expect.ok());
     const std::string expected = AnswerToJson(*expect);
 
-    auto single = cached->AnswerSharedRendered(PrecisQuery{{token}}, *degree,
-                                               *cardinality);
-    ASSERT_TRUE(single.ok());
-    ASSERT_NE(single->body_json, nullptr);
-    EXPECT_EQ(*single->body_json, expected)
-        << "single engine served stale bytes for '" << token << "' at step "
-        << i;
-    auto shard = sharded->AnswerSharedRendered(PrecisQuery{{token}}, *degree,
-                                               *cardinality);
-    ASSERT_TRUE(shard.ok());
-    ASSERT_NE(shard->body_json, nullptr);
-    EXPECT_EQ(*shard->body_json, expected)
-        << "partitioned engine served stale bytes for '" << token
-        << "' at step "
-        << i;
+    // One to three calls in a row: a body is stored on its second sight
+    // under one epoch and served from the third.
+    const size_t calls = 1 + rng.Index(3);
+    for (size_t call = 0; call < calls; ++call) {
+      auto single = cached->AnswerSharedRendered(PrecisQuery{{token}},
+                                                 *degree, *cardinality);
+      ASSERT_TRUE(single.ok());
+      ASSERT_NE(single->body_json, nullptr);
+      EXPECT_EQ(*single->body_json, expected)
+          << "single engine served stale bytes for '" << token
+          << "' at step " << i << " call " << call;
+      auto shard = sharded->AnswerSharedRendered(PrecisQuery{{token}},
+                                                 *degree, *cardinality);
+      ASSERT_TRUE(shard.ok());
+      ASSERT_NE(shard->body_json, nullptr);
+      EXPECT_EQ(*shard->body_json, expected)
+          << "partitioned engine served stale bytes for '" << token
+          << "' at step " << i << " call " << call;
+    }
   }
+  // The coherence checks above cover memoized bodies only if some were
+  // served.
+  EXPECT_GT(cached->body_cache_stats().hits, 0u);
+  EXPECT_GT(sharded->body_cache_stats().hits, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzLiteTest,

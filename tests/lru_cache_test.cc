@@ -19,10 +19,17 @@ std::shared_ptr<const int> Boxed(int v) {
   return std::make_shared<const int>(v);
 }
 
+/// Puts `key` twice: the doorkeeper turns its first sight away, and the
+/// second stores it.
+void Admit(Cache* cache, const std::string& key, int v, size_t charge) {
+  cache->Put(key, Boxed(v), charge);
+  cache->Put(key, Boxed(v), charge);
+}
+
 TEST(LruCacheTest, MissThenHit) {
   Cache cache(1024, /*num_shards=*/1);
   EXPECT_EQ(cache.Get("a"), nullptr);
-  cache.Put("a", Boxed(7), 10);
+  Admit(&cache, "a", 7, 10);
   auto hit = cache.Get("a");
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(*hit, 7);
@@ -35,13 +42,96 @@ TEST(LruCacheTest, MissThenHit) {
   EXPECT_DOUBLE_EQ(stats.hit_rate(), 0.5);
 }
 
+TEST(LruCacheTest, FirstPutStoresNothingAndSecondStores) {
+  Cache cache(1024, /*num_shards=*/1);
+  cache.Put("a", Boxed(1), 10);
+  EXPECT_EQ(cache.Get("a"), nullptr);
+  LruCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.rejected, 1u);
+  EXPECT_EQ(stats.inserts, 0u);
+  EXPECT_EQ(stats.entries, 0u);
+  EXPECT_EQ(stats.charge_bytes, 0u);
+  EXPECT_GT(stats.doorkeeper_bytes, 0u);
+
+  cache.Put("a", Boxed(2), 10);
+  auto hit = cache.Get("a");
+  ASSERT_NE(hit, nullptr);
+  EXPECT_EQ(*hit, 2);
+  stats = cache.stats();
+  EXPECT_EQ(stats.rejected, 1u);
+  EXPECT_EQ(stats.inserts, 1u);
+  EXPECT_EQ(stats.entries, 1u);
+  EXPECT_EQ(stats.charge_bytes, 10u);
+}
+
+TEST(LruCacheTest, StreamOfDistinctKeysStoresNothing) {
+  // A cold stream: every key is asked once. Nothing is stored, nothing is
+  // evicted, and the doorkeepers stay within their windows.
+  constexpr size_t kCapacity = 64 << 20;
+  constexpr size_t kShards = 8;
+  Cache cache(kCapacity, kShards);
+  EXPECT_EQ(cache.doorkeeper_window(), kCapacity / kShards / 1024);
+  constexpr int kKeys = 1000000;
+  for (int i = 0; i < kKeys; ++i) {
+    cache.Put("k" + std::to_string(i), Boxed(i), 100);
+  }
+  LruCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.entries, 0u);
+  EXPECT_EQ(stats.evictions, 0u);
+  EXPECT_EQ(stats.inserts, 0u);
+  EXPECT_EQ(stats.charge_bytes, 0u);
+  EXPECT_EQ(stats.rejected, static_cast<uint64_t>(kKeys));
+  // Each shard's set holds at most a window of hashes, so its array is at
+  // most the hash table a window needs.
+  EXPECT_GT(stats.doorkeeper_bytes, 0u);
+  EXPECT_LE(stats.doorkeeper_bytes,
+            kShards * FlatKeySet::HashSlots(cache.doorkeeper_window()) *
+                sizeof(uint64_t));
+}
+
+TEST(LruCacheTest, DoorkeeperWindowHasAFloor) {
+  EXPECT_EQ(Cache(64, 1).doorkeeper_window(), 64u);
+  EXPECT_EQ(Cache(1 << 20, 1).doorkeeper_window(), 1024u);
+}
+
+TEST(LruCacheTest, ClearEmptiesTheDoorkeeper) {
+  Cache cache(1024, 4);
+  cache.Put("a", Boxed(1), 10);  // recorded, not stored
+  cache.Clear();
+  cache.Put("a", Boxed(1), 10);  // a first sight again
+  LruCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.rejected, 2u);
+  EXPECT_EQ(stats.inserts, 0u);
+  EXPECT_EQ(cache.Get("a"), nullptr);
+  cache.Put("a", Boxed(1), 10);
+  EXPECT_NE(cache.Get("a"), nullptr);
+}
+
+TEST(LruCacheTest, ConcurrentFirstPutsOfOneKeyHoldItOnce) {
+  Cache cache(8192, 8);
+  constexpr int kThreads = 8;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&cache, t] { cache.Put("k", Boxed(t), 16); });
+  }
+  for (std::thread& t : threads) t.join();
+  // The first Put to take the shard lock is turned away; every later one
+  // stores or replaces the one entry.
+  LruCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.rejected, 1u);
+  EXPECT_EQ(stats.inserts, static_cast<uint64_t>(kThreads - 1));
+  EXPECT_EQ(stats.entries, 1u);
+  EXPECT_EQ(stats.charge_bytes, 16u);
+  EXPECT_NE(cache.Get("k"), nullptr);
+}
+
 TEST(LruCacheTest, EvictsLeastRecentlyUsedFirst) {
   // One shard so the LRU order is global and deterministic.
   Cache cache(100, /*num_shards=*/1);
-  cache.Put("a", Boxed(1), 40);
-  cache.Put("b", Boxed(2), 40);
+  Admit(&cache, "a", 1, 40);
+  Admit(&cache, "b", 2, 40);
   ASSERT_NE(cache.Get("a"), nullptr);  // promotes "a" over "b"
-  cache.Put("c", Boxed(3), 40);        // 120 > 100: evicts the tail = "b"
+  Admit(&cache, "c", 3, 40);           // 120 > 100: evicts the tail = "b"
   EXPECT_EQ(cache.Get("b"), nullptr);
   EXPECT_NE(cache.Get("a"), nullptr);
   EXPECT_NE(cache.Get("c"), nullptr);
@@ -53,6 +143,7 @@ TEST(LruCacheTest, EvictsLeastRecentlyUsedFirst) {
 
 TEST(LruCacheTest, ReplacingAKeyUpdatesValueAndCharge) {
   Cache cache(1024, 1);
+  cache.Put("a", Boxed(1), 100);  // turned away at the door
   cache.Put("a", Boxed(1), 100);
   cache.Put("a", Boxed(2), 30);
   auto hit = cache.Get("a");
@@ -66,7 +157,7 @@ TEST(LruCacheTest, ReplacingAKeyUpdatesValueAndCharge) {
 
 TEST(LruCacheTest, OversizedEntryIsNeverHeld) {
   Cache cache(64, 1);
-  cache.Put("huge", Boxed(1), 1000);
+  Admit(&cache, "huge", 1, 1000);
   EXPECT_EQ(cache.Get("huge"), nullptr);
   LruCacheStats stats = cache.stats();
   EXPECT_EQ(stats.entries, 0u);
@@ -76,9 +167,7 @@ TEST(LruCacheTest, OversizedEntryIsNeverHeld) {
 
 TEST(LruCacheTest, ZeroChargeIsClampedToOne) {
   Cache cache(4, 1);
-  for (int i = 0; i < 8; ++i) {
-    cache.Put("k" + std::to_string(i), Boxed(i), 0);
-  }
+  for (int i = 0; i < 8; ++i) Admit(&cache, "k" + std::to_string(i), i, 0);
   // 8 one-byte entries against a 4-byte budget: half must have evicted.
   LruCacheStats stats = cache.stats();
   EXPECT_EQ(stats.entries, 4u);
@@ -88,8 +177,8 @@ TEST(LruCacheTest, ZeroChargeIsClampedToOne) {
 
 TEST(LruCacheTest, EraseRemovesOnlyThatKey) {
   Cache cache(1024, 1);
-  cache.Put("a", Boxed(1), 10);
-  cache.Put("b", Boxed(2), 10);
+  Admit(&cache, "a", 1, 10);
+  Admit(&cache, "b", 2, 10);
   EXPECT_TRUE(cache.Erase("a"));
   EXPECT_FALSE(cache.Erase("a"));
   EXPECT_EQ(cache.Get("a"), nullptr);
@@ -99,7 +188,7 @@ TEST(LruCacheTest, EraseRemovesOnlyThatKey) {
 
 TEST(LruCacheTest, ClearDropsEntriesButKeepsCounters) {
   Cache cache(1024, 4);
-  cache.Put("a", Boxed(1), 10);
+  Admit(&cache, "a", 1, 10);
   ASSERT_NE(cache.Get("a"), nullptr);
   EXPECT_EQ(cache.Get("missing"), nullptr);
   cache.Clear();
@@ -113,10 +202,10 @@ TEST(LruCacheTest, ClearDropsEntriesButKeepsCounters) {
 
 TEST(LruCacheTest, SharedValueSurvivesEviction) {
   Cache cache(50, 1);
-  cache.Put("a", Boxed(42), 40);
+  Admit(&cache, "a", 42, 40);
   auto held = cache.Get("a");
   ASSERT_NE(held, nullptr);
-  cache.Put("b", Boxed(2), 40);  // evicts "a" while `held` is live
+  Admit(&cache, "b", 2, 40);  // evicts "a" while `held` is live
   EXPECT_EQ(cache.Get("a"), nullptr);
   EXPECT_EQ(*held, 42);  // the reader's reference stays valid
 }

@@ -85,16 +85,19 @@ TEST_F(SchemaCacheTest, DisabledByDefault) {
   EXPECT_EQ(engine_->schema_cache_stats().misses, 0u);
 }
 
-TEST_F(SchemaCacheTest, SecondIdenticalQueryHits) {
+TEST_F(SchemaCacheTest, ThirdIdenticalQueryHits) {
   engine_->set_caches_enabled(true);
   auto d = MinPathWeight(0.9);
   auto c = MaxTuplesPerRelation(3);
+  // The first sight is turned away at the door; the second stores.
+  ASSERT_TRUE(engine_->Answer(PrecisQuery{{"Woody Allen"}}, *d, *c).ok());
   auto a = engine_->Answer(PrecisQuery{{"Woody Allen"}}, *d, *c);
   auto b = engine_->Answer(PrecisQuery{{"Woody Allen"}}, *d, *c);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
-  EXPECT_EQ(engine_->schema_cache_stats().misses, 1u);
+  EXPECT_EQ(engine_->schema_cache_stats().misses, 2u);
   EXPECT_EQ(engine_->schema_cache_stats().hits, 1u);
+  EXPECT_EQ(engine_->schema_cache_stats().rejected, 1u);
   EXPECT_EQ(a->database.DescribeSchema(), b->database.DescribeSchema());
 }
 
@@ -104,11 +107,14 @@ TEST_F(SchemaCacheTest, DifferentTokensSameRelationsShareEntry) {
   auto c = MaxTuplesPerRelation(3);
   // Two different director names: both live only in DIRECTOR (and
   // possibly ACTOR for Woody) — use two movie titles for a clean case.
+  // The first title is asked twice, so its schema is stored.
+  ASSERT_TRUE(
+      engine_->Answer(PrecisQuery{{"Match Point"}}, *d, *c).ok());
   ASSERT_TRUE(
       engine_->Answer(PrecisQuery{{"Match Point"}}, *d, *c).ok());
   ASSERT_TRUE(
       engine_->Answer(PrecisQuery{{"Anything Else"}}, *d, *c).ok());
-  EXPECT_EQ(engine_->schema_cache_stats().misses, 1u);
+  EXPECT_EQ(engine_->schema_cache_stats().misses, 2u);
   EXPECT_EQ(engine_->schema_cache_stats().hits, 1u);
 }
 
@@ -132,8 +138,11 @@ TEST_F(SchemaCacheTest, CachedAnswerMatchesUncached) {
   auto c = MaxTuplesPerRelation(5);
   auto cold = engine_->Answer(PrecisQuery{{"Woody Allen"}}, *d, *c);
   engine_->set_caches_enabled(true);
+  // Two calls store the schema; the third reads it from the cache.
+  ASSERT_TRUE(engine_->Answer(PrecisQuery{{"Woody Allen"}}, *d, *c).ok());
   ASSERT_TRUE(engine_->Answer(PrecisQuery{{"Woody Allen"}}, *d, *c).ok());
   auto warm = engine_->Answer(PrecisQuery{{"Woody Allen"}}, *d, *c);
+  EXPECT_EQ(engine_->schema_cache_stats().hits, 1u);
   ASSERT_TRUE(cold.ok());
   ASSERT_TRUE(warm.ok());
   EXPECT_EQ(cold->schema.ToString(), warm->schema.ToString());
@@ -145,10 +154,14 @@ TEST_F(SchemaCacheTest, ClearResetsEntriesButKeepsCounters) {
   auto d = MinPathWeight(0.9);
   auto c = MaxTuplesPerRelation(3);
   ASSERT_TRUE(engine_->Answer(PrecisQuery{{"Match Point"}}, *d, *c).ok());
+  ASSERT_TRUE(engine_->Answer(PrecisQuery{{"Match Point"}}, *d, *c).ok());
+  EXPECT_EQ(engine_->schema_cache_stats().entries, 1u);
   engine_->set_caches_enabled(false);  // switching off empties the caches
   engine_->set_caches_enabled(true);
   ASSERT_TRUE(engine_->Answer(PrecisQuery{{"Match Point"}}, *d, *c).ok());
-  EXPECT_EQ(engine_->schema_cache_stats().misses, 2u);
+  EXPECT_EQ(engine_->schema_cache_stats().misses, 3u);
+  // The doorkeeper was emptied too: the query is a first sight again.
+  EXPECT_EQ(engine_->schema_cache_stats().entries, 0u);
 }
 
 }  // namespace

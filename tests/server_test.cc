@@ -377,6 +377,48 @@ TEST(HttpServerTest, HealthzAndMetrics) {
   EXPECT_EQ(tuples, static_cast<double>(TestDataset().db().TotalTuples()));
 }
 
+TEST(HttpServerTest, MetricsReportStageTotalsAndAdmission) {
+  // One cache miss: /metrics sums its stage times per profile, and the
+  // cache rows show the answer turned away at the door.
+  Harness h = Harness::Start();
+  h.engine->set_caches_enabled(true);
+  HttpClient client = h.Client();
+  auto miss = client.Post("/query", "{\"tokens\":[\"Woody Allen\"]}");
+  ASSERT_TRUE(miss.ok()) << miss.status().ToString();
+  ASSERT_EQ(miss->status, 200);
+
+  auto metrics = client.Get("/metrics");
+  ASSERT_TRUE(metrics.ok());
+  auto parsed = ParseJson(metrics->body);
+  ASSERT_TRUE(parsed.ok()) << metrics->body;
+  const JsonValue* profiles = parsed->Find("profiles");
+  ASSERT_NE(profiles, nullptr) << metrics->body;
+  const JsonValue* profile = profiles->Find("default");
+  ASSERT_NE(profile, nullptr) << metrics->body;
+  const JsonValue* total = profile->Find("total_latency_seconds");
+  ASSERT_NE(total, nullptr) << metrics->body;
+  EXPECT_GT(total->number, 0.0);
+  const JsonValue* spans = profile->Find("span_seconds");
+  ASSERT_NE(spans, nullptr) << metrics->body;
+  for (const char* stage :
+       {"answer_cache", "db_gen", "match_tokens", "schema_gen"}) {
+    const JsonValue* seconds = spans->Find(stage);
+    ASSERT_NE(seconds, nullptr) << stage;
+    EXPECT_TRUE(seconds->is_number()) << stage;
+  }
+  EXPECT_GT(spans->Find("db_gen")->number, 0.0);
+
+  const JsonValue* caches = profile->Find("caches");
+  ASSERT_NE(caches, nullptr) << metrics->body;
+  const JsonValue* answer = caches->Find("answer");
+  ASSERT_NE(answer, nullptr) << metrics->body;
+  ASSERT_NE(answer->Find("rejected"), nullptr) << metrics->body;
+  ASSERT_NE(answer->Find("doorkeeper_bytes"), nullptr) << metrics->body;
+  EXPECT_EQ(answer->Find("rejected")->number, 1.0);
+  EXPECT_GT(answer->Find("doorkeeper_bytes")->number, 0.0);
+  EXPECT_EQ(answer->Find("entries")->number, 0.0);
+}
+
 TEST(HttpServerTest, ServedAnswerIsByteIdenticalToInProcess) {
   Harness h = Harness::Start();
   const std::string body =
@@ -403,14 +445,18 @@ TEST(HttpServerTest, ServedAnswerIsByteIdenticalToInProcess) {
 }
 
 TEST(HttpServerTest, CacheHitServesIdenticalBytesToMissRender) {
-  // With the engine caches on, the first /query renders and memoizes the
-  // body; the repeat is served from the body cache through the zero-copy
-  // write path (DESIGN.md §16). The wire bytes must not change.
+  // With the engine caches on, the first /query renders the body and the
+  // doorkeeper records it; the second renders and memoizes it; the repeat
+  // is served from the body cache through the zero-copy write path
+  // (DESIGN.md §16). The wire bytes must not change.
   Harness h = Harness::Start();
   h.engine->set_caches_enabled(true);
   const std::string body =
       "{\"tokens\":[\"Woody Allen\"],\"tuples_per_relation\":4}";
   HttpClient client = h.Client();
+  auto first = client.Post("/query", body);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_EQ(first->status, 200);
   auto miss = client.Post("/query", body);
   ASSERT_TRUE(miss.ok()) << miss.status().ToString();
   ASSERT_EQ(miss->status, 200);
@@ -418,6 +464,7 @@ TEST(HttpServerTest, CacheHitServesIdenticalBytesToMissRender) {
   ASSERT_TRUE(hit.ok()) << hit.status().ToString();
   ASSERT_EQ(hit->status, 200);
   EXPECT_EQ(hit->body, miss->body);
+  EXPECT_EQ(first->body, miss->body);
   // The repeat actually came from the memoized render.
   EXPECT_GE(h.engine->body_cache_stats().hits, 1u);
   // And both agree with a fresh in-process render of the same request.

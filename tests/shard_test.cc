@@ -573,6 +573,7 @@ class ShardedCacheTest : public ::testing::Test {
 };
 
 TEST_F(ShardedCacheTest, RepeatQueryHitsFullAnswerCache) {
+  ASSERT_NE(Ask("Woody Allen"), nullptr);  // first sight: turned away
   auto first = Ask("Woody Allen");
   ASSERT_NE(first, nullptr);
   auto second = Ask("Woody Allen");
@@ -586,8 +587,10 @@ TEST_F(ShardedCacheTest, RepeatQueryHitsFullAnswerCache) {
 }
 
 TEST_F(ShardedCacheTest, SingleShardInsertRebuildsAnswerWhileTokenLookupsHit) {
-  ASSERT_NE(Ask("Woody Allen"), nullptr);
+  ASSERT_NE(Ask("Woody Allen"), nullptr);  // first sight: turned away
+  ASSERT_NE(Ask("Woody Allen"), nullptr);  // stored
   ASSERT_NE(Ask("Woody Allen"), nullptr);  // warm: full-answer hit
+  ASSERT_EQ(engine_->answer_cache_stats().hits, 1u);
 
   // Route one insert; exactly the owner's epoch moves.
   const ShardedDatabase& partitions = *engine_->partitions();
@@ -626,6 +629,8 @@ TEST_F(ShardedCacheTest, InsertKeepsAnswersIdenticalToSingleEngine) {
   // Warm every cache level, then mutate: post-insert answers must still be
   // byte-identical to a single engine over an identically mutated source
   // (both engines index at Create; later inserts are not re-indexed).
+  // Two calls: a level stores a key on its second sight.
+  ASSERT_NE(Ask("Woody Allen"), nullptr);
   ASSERT_NE(Ask("Woody Allen"), nullptr);
 
   auto single = PrecisEngine::Create(&dataset_->db(), &dataset_->graph());
@@ -658,6 +663,7 @@ TEST_F(ShardedCacheTest, BodyCacheMemoizesRendersAndInvalidatesOnInsert) {
     EXPECT_TRUE(rendered.ok());
     return rendered.ok() ? *rendered : RenderedAnswer{};
   };
+  ASSERT_NE(ask().body_json, nullptr);  // first sight: turned away
   auto first = ask();
   ASSERT_NE(first.body_json, nullptr);
   EXPECT_EQ(*first.body_json, AnswerToJson(*first.answer));
@@ -1051,7 +1057,8 @@ TEST_F(ShardFaultDomainTest, DegradedAnswersAreNeverCached) {
 
   // Two degraded runs (below the breaker's failure threshold of 3, so the
   // later fault-free queries are not themselves skipped by an open
-  // breaker): none may be served from (or admitted to) the cache.
+  // breaker): none may be served from (or admitted to) the cache, nor
+  // even reach its doorkeeper, where a second sight would be stored.
   for (int i = 0; i < 2; ++i) {
     ExecutionContext ctx;
     AttachInjector(&ctx, &injector);
@@ -1060,9 +1067,12 @@ TEST_F(ShardFaultDomainTest, DegradedAnswersAreNeverCached) {
     EXPECT_TRUE((*answer)->report.degradation.degraded()) << i;
   }
   EXPECT_EQ(engine->answer_cache_stats().hits, 0u);
+  EXPECT_EQ(engine->answer_cache_stats().inserts, 0u);
+  EXPECT_EQ(engine->answer_cache_stats().rejected, 0u);
 
   // The same query without the fault domain caches normally, proving the
   // misses above were taint, not a broken cache.
+  ASSERT_TRUE(ask(nullptr).ok());  // first sight: turned away
   auto first = ask(nullptr);
   ASSERT_TRUE(first.ok());
   EXPECT_FALSE((*first)->report.degradation.degraded());

@@ -291,8 +291,9 @@ TEST(InvertedIndexReferenceTest, LookupMatchesBruteForceScan) {
   for (const std::string& token : tokens) {
     const std::vector<TokenOccurrence> expected = ReferenceLookup(db, token);
     if (!expected.empty()) ++matched;
-    // Cache off, then on: a miss that fills it, then a hit.
-    for (int pass = 0; pass < 3; ++pass) {
+    // Cache off, then on: a miss turned away at the door, a miss that
+    // fills it, then a hit.
+    for (int pass = 0; pass < 4; ++pass) {
       index->set_lookup_cache_enabled(pass > 0);
       const OccurrenceList list = index->Lookup(token);
       const std::vector<TokenOccurrence>& got = *list;

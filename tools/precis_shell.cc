@@ -513,12 +513,15 @@ Status CmdStats(ShellState* state) {
   if (state->caches_enabled && state->engine != nullptr) {
     auto print_cache = [](const char* level, const LruCacheStats& s) {
       std::printf("cache %-7s hits=%llu misses=%llu evictions=%llu "
-                  "entries=%llu bytes=%llu hit-rate=%.2f\n",
+                  "entries=%llu bytes=%llu rejected=%llu "
+                  "doorkeeper-bytes=%llu hit-rate=%.2f\n",
                   level, static_cast<unsigned long long>(s.hits),
                   static_cast<unsigned long long>(s.misses),
                   static_cast<unsigned long long>(s.evictions),
                   static_cast<unsigned long long>(s.entries),
                   static_cast<unsigned long long>(s.charge_bytes),
+                  static_cast<unsigned long long>(s.rejected),
+                  static_cast<unsigned long long>(s.doorkeeper_bytes),
                   s.hit_rate());
     };
     print_cache("token:", state->engine->token_cache_stats());
