@@ -95,10 +95,13 @@
 #                         suites (primary-key set and FK checks over it,
 #                         in-place index runs, the byte report), the
 #                         flat-run ColumnIndex against a scan in both key
-#                         tables (direct and hashed), and the
+#                         tables (direct and hashed), the
 #                         serialization suite (LoadDatabase builds each
-#                         index in bulk after the rows are in) rebuilt
-#                         under address+undefined sanitizers.
+#                         index in bulk after the rows are in) and the
+#                         SymbolTable suite (raw byte copies into slabs,
+#                         offset arithmetic, a slab filled to its last
+#                         byte, strings longer than a slab) rebuilt under
+#                         address+undefined sanitizers.
 #                         Every answer's rows pass through the planner's
 #                         arena chunk buffers, inline or pooled.
 #                         Injected faults exercise every degradation path
@@ -281,9 +284,9 @@ cmake --build "$ROOT/build-asan-ubsan" -j "$JOBS" \
   --target fault_injection_test fuzz_lite_test service_test \
            arena_test columnar_test server_test shard_test lru_cache_test \
            answer_cache_test parallel_dbgen_test task_pool_test storage_test \
-           serialization_test
+           serialization_test symbol_table_test
 PRECIS_TASK_POOL_THREADS=4 \
   ctest --test-dir "$ROOT/build-asan-ubsan" --output-on-failure -j "$JOBS" \
-  -R 'FaultInjector|Retry|FaultChaos|CacheTaint|Service|FuzzLite|Arena|Column|FlatKeySet|LruCache|Relation|Database|Serialization|JsonLite|HttpParser|RequestParse|HttpServer|Shard|MergeAscendingTids|AnswerCache|CircuitBreaker|ServerChaosConfig|ParallelDbGen|TaskPool'
+  -R 'FaultInjector|Retry|FaultChaos|CacheTaint|Service|FuzzLite|Arena|Column|FlatKeySet|LruCache|Relation|Database|Serialization|JsonLite|HttpParser|RequestParse|HttpServer|Shard|MergeAscendingTids|AnswerCache|CircuitBreaker|ServerChaosConfig|ParallelDbGen|TaskPool|SymbolTable'
 
 echo "=== CI passed (Release + bench smokes + server smoke + chaos drill + $SANITIZER + asan,ubsan chaos) ==="

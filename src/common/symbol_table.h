@@ -16,13 +16,15 @@
 //   * copying a string value is copying 4 bytes — tuple projection and
 //     chunk materialization stop calling malloc per string cell.
 //
-// Storage is slab-backed: symbols live in fixed-size blocks that are
-// allocated under the shard lock and published with a release store, so
-// readers resolve ids wait-free (str()/hash() take no lock). Ids are
-// dense per shard and encode their shard in the low bits. The table is
-// append-only for the process lifetime — the précis engine never
-// deletes strings, and an interner that frees would invalidate ids held
-// by live Values.
+// Each shard holds three structures: the bytes, appended into 32 KiB
+// slabs that never move; one 16-byte entry per symbol (arena offset,
+// length, memoized hash) in blocks published with a release store; and
+// an open-addressing table of 4-byte ids that finds a string's symbol.
+// Readers resolve ids wait-free (str()/hash() take no lock).
+// Ids are dense per shard and encode their shard in the low bits. The
+// table is append-only for the process lifetime — the précis engine
+// never deletes strings, and an interner that frees would invalidate
+// ids held by live Values.
 //
 // Thread-safety: Intern and Find are sharded-locked (16 shards); str()
 // and hash() are lock-free. An id obtained from any synchronized
@@ -31,14 +33,10 @@
 #ifndef PRECIS_COMMON_SYMBOL_TABLE_H_
 #define PRECIS_COMMON_SYMBOL_TABLE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <optional>
-#include <string>
 #include <string_view>
-#include <unordered_map>
 
 namespace precis {
 
@@ -48,14 +46,23 @@ using SymbolId = uint32_t;
 /// \brief Footprint counters, exported through PrecisService::metrics()
 /// and the shell `stats` command.
 struct SymbolTableStats {
-  uint64_t symbols = 0;      // distinct interned strings
-  uint64_t bytes = 0;        // sum of interned string lengths
-  uint64_t blocks = 0;       // storage slabs allocated
-  uint64_t interns = 0;      // Intern() calls (hits + misses)
+  uint64_t symbols = 0;         // distinct interned strings
+  uint64_t bytes = 0;           // sum of interned string lengths
+  uint64_t blocks = 0;          // entry blocks and byte slabs allocated
+  uint64_t interns = 0;         // Intern() calls (hits + misses)
+  uint64_t reserved_bytes = 0;  // capacity held: slabs, entry blocks, id
+                                // tables and the fixed per-shard arrays
 };
 
 class SymbolTable {
  public:
+  /// Shards; the k-th new symbol of shard s (s = hash & 15) gets id
+  /// k * kNumShards + s.
+  static constexpr uint32_t kNumShards = 16;
+  /// Bytes per arena slab. A longer string gets contiguous bytes of its
+  /// own.
+  static constexpr uint32_t kSlabBytes = 32 << 10;
+
   /// The process-wide table every Value and index uses. Leaked
   /// singleton (like TaskPool::Shared()) so ids outlive static
   /// destruction order.
@@ -72,9 +79,9 @@ class SymbolTable {
   /// The id of `s` if it has been interned; never inserts.
   std::optional<SymbolId> Find(std::string_view s) const;
 
-  /// The interned bytes of `id`. The reference is stable for the table's
-  /// lifetime. Wait-free.
-  const std::string& str(SymbolId id) const;
+  /// The interned bytes of `id`. The view stays valid, at the same
+  /// address, for the table's lifetime. Wait-free.
+  std::string_view str(SymbolId id) const;
 
   /// Memoized std::hash<std::string> of the interned bytes. Wait-free.
   size_t hash(SymbolId id) const;
@@ -82,17 +89,6 @@ class SymbolTable {
   SymbolTableStats stats() const;
 
  private:
-  static constexpr uint32_t kNumShards = 16;       // power of two
-  static constexpr uint32_t kBlockSize = 1024;     // symbols per slab
-  static constexpr uint32_t kMaxBlocks = 1 << 14;  // 16M symbols/shard cap
-
-  struct Slot {
-    std::string str;
-    size_t hash = 0;
-  };
-  struct Block {
-    Slot slots[kBlockSize];
-  };
   struct Shard;
 
   std::unique_ptr<Shard[]> shards_;

@@ -931,6 +931,7 @@ std::string HttpServer::MetricsJson() const {
     AppendCacheStats(&os, "body", sm.body_cache);
     os << "},\"symbols\":{\"count\":" << sm.symbol_table.symbols
        << ",\"bytes\":" << sm.symbol_table.bytes
+       << ",\"reserved_bytes\":" << sm.symbol_table.reserved_bytes
        << "},\"arena\":{\"peak_bytes_max\":" << sm.arena_peak_bytes_max
        << ",\"peak_bytes_total\":" << sm.arena_peak_bytes_total << "}";
     if (!sm.shards.empty()) {

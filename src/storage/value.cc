@@ -38,7 +38,7 @@ std::string Value::ToString() const {
     os << AsDouble();
     return os.str();
   }
-  return AsString();
+  return std::string(AsString());
 }
 
 size_t Value::Hash() const {

@@ -33,7 +33,7 @@ const char* DataTypeToString(DataType t);
 struct Symbol {
   SymbolId id = 0;
 
-  const std::string& str() const { return SymbolTable::Global()->str(id); }
+  std::string_view str() const { return SymbolTable::Global()->str(id); }
   size_t hash() const { return SymbolTable::Global()->hash(id); }
 
   bool operator==(const Symbol& o) const { return id == o.id; }
@@ -79,9 +79,11 @@ class Value {
   bool is_string() const { return std::holds_alternative<Symbol>(v_); }
 
   /// Accessors; undefined behaviour on type mismatch (assert in debug).
+  /// AsString's view points into the global SymbolTable, so it stays
+  /// valid for the process lifetime, past this Value's.
   int64_t AsInt64() const { return std::get<int64_t>(v_); }
   double AsDouble() const { return std::get<double>(v_); }
-  const std::string& AsString() const { return std::get<Symbol>(v_).str(); }
+  std::string_view AsString() const { return std::get<Symbol>(v_).str(); }
   Symbol symbol() const { return std::get<Symbol>(v_); }
 
   /// True if this value's dynamic type matches the declared column type.

@@ -65,9 +65,7 @@ bool ContainsPhraseSymbols(std::string_view text,
   // value's words, which would take a SymbolTable shard lock per word.
   const SymbolTable* symbols = SymbolTable::Global();
   return ContainsWordRun(TokenizeWords(text), words.size(),
-                         [&](size_t i) -> const std::string& {
-                           return symbols->str(words[i]);
-                         });
+                         [&](size_t i) { return symbols->str(words[i]); });
 }
 
 bool ContainsPhrase(std::string_view text,

@@ -1,8 +1,10 @@
 // Allocation budgets (DESIGN.md §13): a cold result-database generation —
 // the Fig. 5 planner, its emit phase and the FK check — allocates per
 // query, relation and edge, never per accepted tuple; an index build
-// allocates per index, never per distinct key; and a primary-key set
-// allocates per doubling of its table, never per key.
+// allocates per index, never per distinct key; a primary-key set
+// allocates per doubling of its table, never per key; and the symbol
+// table allocates per slab, entry block and id-table doubling, never per
+// symbol.
 //
 // This executable replaces global operator new with one that counts the
 // calling thread's allocations. An inline Generate (parallelism 1, no
@@ -17,9 +19,11 @@
 #include <memory>
 #include <new>
 #include <string>
+#include <vector>
 
 #include "common/execution_context.h"
 #include "common/flat_key_set.h"
+#include "common/symbol_table.h"
 #include "datagen/movies_dataset.h"
 #include "precis/constraints.h"
 #include "precis/database_generator.h"
@@ -156,6 +160,32 @@ TEST_F(AllocBudgetTest, PrimaryKeySetsAllocatePerDoublingNotPerKey) {
   // window doubles as the keys climb: 62 allocations for the 11 sets, where
   // hash tables doubling from 16 slots took 106.
   EXPECT_LE(allocations, 62u) << keys << " keys";
+}
+
+TEST_F(AllocBudgetTest, InterningAllocatesPerSlabNotPerSymbol) {
+  // As many distinct strings as the 34k-film build interns, 8 to 30
+  // bytes long (a mean of 19).
+  std::vector<std::string> strings;
+  for (int i = 0; i < 58920; ++i) {
+    std::string s = std::to_string(i);
+    s.resize(8 + (i * 7) % 23, static_cast<char>('a' + i % 26));
+    strings.push_back(std::move(s));
+  }
+  SymbolTable table;
+  const uint64_t fixed_bytes = table.stats().reserved_bytes;
+  const uint64_t before = t_allocations;
+  for (const std::string& s : strings) table.Intern(s);
+  const uint64_t allocations = t_allocations - before;
+  const SymbolTableStats stats = table.stats();
+  ASSERT_EQ(stats.symbols, strings.size());
+  // Per shard: one 4096-entry block, three 32 KiB slabs and ten id-table
+  // doublings (16 to 8192 slots). A map node or a string copy per symbol
+  // would cost tens of thousands.
+  EXPECT_LE(allocations, 224u) << stats.symbols << " symbols";
+  // Bytes reserved per symbol, the fixed per-shard arrays aside: about 27
+  // of slab (19 of them string), 18 of entry and 9 of id table.
+  EXPECT_LE(stats.reserved_bytes - fixed_bytes, 55 * stats.symbols)
+      << stats.bytes << " string bytes";
 }
 
 }  // namespace

@@ -419,6 +419,29 @@ TEST(HttpServerTest, MetricsReportStageTotalsAndAdmission) {
   EXPECT_EQ(answer->Find("entries")->number, 0.0);
 }
 
+TEST(HttpServerTest, MetricsReportSymbolTableCapacity) {
+  // The interner's footprint comes from its capacities, so it covers at
+  // least the string bytes it holds.
+  Harness h = Harness::Start();
+  HttpClient client = h.Client();
+  auto metrics = client.Get("/metrics");
+  ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
+  auto parsed = ParseJson(metrics->body);
+  ASSERT_TRUE(parsed.ok()) << metrics->body;
+  const JsonValue* profiles = parsed->Find("profiles");
+  ASSERT_NE(profiles, nullptr) << metrics->body;
+  const JsonValue* profile = profiles->Find("default");
+  ASSERT_NE(profile, nullptr) << metrics->body;
+  const JsonValue* symbols = profile->Find("symbols");
+  ASSERT_NE(symbols, nullptr) << metrics->body;
+  const JsonValue* bytes = symbols->Find("bytes");
+  const JsonValue* reserved = symbols->Find("reserved_bytes");
+  ASSERT_NE(bytes, nullptr) << metrics->body;
+  ASSERT_NE(reserved, nullptr) << metrics->body;
+  EXPECT_GT(bytes->number, 0.0);
+  EXPECT_GE(reserved->number, bytes->number);
+}
+
 TEST(HttpServerTest, ServedAnswerIsByteIdenticalToInProcess) {
   Harness h = Harness::Start();
   const std::string body =

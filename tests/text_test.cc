@@ -236,7 +236,7 @@ std::vector<std::string> SampleTokens(const Database& db, Rng* rng) {
       for (int draw = 0; draw < 3 && rel->num_tuples() > 0; ++draw) {
         const Value v = rel->ColumnValue(rng->Index(rel->num_tuples()), a);
         if (v.is_null()) continue;
-        const std::string& text = v.AsString();
+        const std::string text(v.AsString());
         const std::vector<std::string> words = TokenizeWords(text);
         if (words.empty()) continue;
         tokens.push_back(text);
@@ -266,7 +266,7 @@ std::vector<std::string> SampleTokens(const Database& db, Rng* rng) {
   const size_t genre_attr = *genre->schema().AttributeIndex("genre");
   std::set<std::string> genres;
   for (Tid tid = 0; tid < genre->num_tuples(); ++tid) {
-    genres.insert(genre->ColumnValue(tid, genre_attr).AsString());
+    genres.emplace(genre->ColumnValue(tid, genre_attr).AsString());
   }
   tokens.insert(tokens.end(), genres.begin(), genres.end());
   tokens.push_back("qzxvkw");

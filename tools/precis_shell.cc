@@ -609,11 +609,14 @@ Status CmdStats(ShellState* state) {
       "key tables: primary-key bitmaps=%zu/%zu direct indexes=%zu/%zu\n",
       bitmaps, key_sets, direct, indexes);
   SymbolTableStats sym = SymbolTable::Global()->stats();
-  std::printf("symbols:    count=%llu bytes=%llu blocks=%llu interns=%llu\n",
-              static_cast<unsigned long long>(sym.symbols),
-              static_cast<unsigned long long>(sym.bytes),
-              static_cast<unsigned long long>(sym.blocks),
-              static_cast<unsigned long long>(sym.interns));
+  std::printf(
+      "symbols:    count=%llu bytes=%llu reserved=%llu blocks=%llu "
+      "interns=%llu\n",
+      static_cast<unsigned long long>(sym.symbols),
+      static_cast<unsigned long long>(sym.bytes),
+      static_cast<unsigned long long>(sym.reserved_bytes),
+      static_cast<unsigned long long>(sym.blocks),
+      static_cast<unsigned long long>(sym.interns));
   if (state->last_context != nullptr) {
     ArenaStats arena = state->last_context->arena_stats();
     std::printf("arena:      peak=%llu reserved=%llu slabs=%llu\n",
