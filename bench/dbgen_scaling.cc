@@ -4,9 +4,10 @@
 //
 //   * pooled: one partition (the database read in place) with chunk tasks
 //     on a work-stealing TaskPool of that width (parallelism = width);
-//   * partitioned: `width` hash partitions behind a ShardedSource, each
-//     join edge's lookups scattered over them and chunk tasks on a pool of
-//     that width (parallelism 1: the width comes from the partitions).
+//   * partitioned: `width` hash partitions of the same database behind a
+//     healthy ShardedSource, which reads it in place, with chunk tasks on a
+//     pool of that width (parallelism 1: the width comes from the
+//     partitions). The two shapes should cost the same.
 //
 // Sweep: width in {2, 4, 8} x {pooled, partitioned} x {cpu, sim-io} x
 // cardinality points. The inline run is what PrecisEngine runs over a
@@ -50,7 +51,6 @@
 #include "common/task_pool.h"
 #include "precis/constraints.h"
 #include "precis/database_generator.h"
-#include "shard/sharded_database.h"
 #include "shard/sharded_source.h"
 
 namespace precis {
@@ -81,18 +81,13 @@ int Main() {
   const std::vector<size_t> widths = {2, 4, 8};
   const char* const shapes[] = {"pooled", "partitioned"};
 
-  // Partition once per width (that cost is engine construction, not
-  // per-query work); one pool per width serves both shapes.
-  std::map<size_t, ShardedDatabase> partitions;
+  // Count the partitions once per width (that cost is engine construction,
+  // not per-query work); one pool per width serves both shapes.
+  const DatabaseSource in_place(&dataset.db());
+  std::map<size_t, std::unique_ptr<SourcePartitions>> partitions;
   std::map<size_t, std::unique_ptr<TaskPool>> pools;
   for (size_t w : widths) {
-    auto partitioned = ShardedDatabase::Partition(dataset.db(), w);
-    if (!partitioned.ok()) {
-      std::fprintf(stderr, "partition(%zu): %s\n", w,
-                   partitioned.status().ToString().c_str());
-      return 1;
-    }
-    partitions.emplace(w, std::move(*partitioned));
+    partitions[w] = std::make_unique<SourcePartitions>(&dataset.db(), w);
     pools[w] = std::make_unique<TaskPool>(w);
   }
 
@@ -147,7 +142,7 @@ int Main() {
             run = bench::TimeGenerate(ResultDatabaseGenerator(&dataset.db()),
                                       director, *cardinality, run_options);
           } else {
-            ShardedSource source(&partitions.at(w));
+            const ShardedSource source(&in_place, partitions.at(w).get());
             run = bench::TimeGenerate(ResultDatabaseGenerator(&source),
                                       director, *cardinality, run_options);
           }

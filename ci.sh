@@ -34,8 +34,9 @@
 #                         test suite in step 1.
 #   3. Server smoke     — tools/precis_serve started on an ephemeral port
 #                         with --shards 2 (PrecisEngine over 2 hash
-#                         partitions, scatter-gather) and driven over real
-#                         sockets by bench/load_gen in smoke mode. load_gen
+#                         partitions of the one copy of the dataset) and
+#                         driven over real sockets by bench/load_gen in
+#                         smoke mode. load_gen
 #                         fails on any transport error, unexpected 4xx/5xx,
 #                         or a served body that is not byte-identical to the
 #                         in-process one-partition answer (DESIGN.md §14 +
@@ -45,11 +46,18 @@
 #                         bytes, §16). load_gen also runs a hit/miss split
 #                         pass (reported in smoke; the 1.5x p99 gate arms
 #                         in full runs). The leg then SIGTERMs the server
-#                         and requires a graceful zero exit.
+#                         and requires a graceful zero exit. Last, a memory
+#                         gate starts precis_serve at 34k films with
+#                         --shards 1 and with --shards 4, reads VmHWM from
+#                         /proc/<pid>/status at each listening line, and
+#                         fails when the 4-partition peak exceeds the
+#                         1-partition peak by more than 5% (partitions are
+#                         fault domains over the one copy, DESIGN.md §15).
 #   4. Chaos smoke      — tools/precis_serve restarted with --shards 4,
 #                         --kill-shard 1 (a fault-scheduled permanently dead
-#                         shard), --replicas on (hedged sub-queries: a slow
-#                         lookup is re-issued against its partition) and a
+#                         shard), --replicas on (hedged share reads: a
+#                         stalled partition's share of an edge is re-read
+#                         from the source) and a
 #                         seeded socket-chaos spec, then driven by
 #                         bench/load_gen --chaos. The chaos pass gates on
 #                         what outage handling promises (DESIGN.md §17):
@@ -74,9 +82,9 @@
 #                         pool is pinned to >= 4 threads so intra-query
 #                         parallelism really interleaves under the
 #                         sanitizer. The partition fault-domain suite
-#                         (circuit breakers, hedged sub-queries, degraded
-#                         merges) runs here too: hedging races a second
-#                         read of a partition against a stalled primary by
+#                         (circuit breakers, hedged share reads, degraded
+#                         answers) runs here too: hedging races a second
+#                         read of the source against a stalled primary by
 #                         design.
 #   6. ASan + UBSan     — the chaos sanitizer gate: the fault-injection
 #                         suite, the fuzz-lite chaos sweep (including its
@@ -84,8 +92,8 @@
 #                         interleaving sweep), the answer/body cache suite,
 #                         the partitioned engine suites of shard_test
 #                         (determinism, per-partition caches, the service,
-#                         circuit breakers, hedged sub-queries, degraded
-#                         merges — all matched by 'Shard'), the HTTP server
+#                         circuit breakers, hedged share reads, degraded
+#                         answers — all matched by 'Shard'), the HTTP server
 #                         suite (slowloris timeouts, drain, socket chaos),
 #                         the planner determinism suite, the TaskPool
 #                         suite, the FlatKeySet set in both layouts (hash
@@ -147,10 +155,9 @@ PRECIS_BENCH_MOVIES=300 PRECIS_BENCH_SMOKE=1 \
 
 echo "=== [3/6] Server smoke (precis_serve + load_gen over real sockets) ==="
 SERVE_LOG="$ROOT/build-release/precis_serve_smoke.log"
-# --shards 2 serves a 2-partition engine (scatter-gather); load_gen's
-# identity probe compares served bytes against an in-process one-partition
-# engine, so this leg also checks the partitioning byte-identity guarantee
-# end-to-end.
+# --shards 2 serves a 2-partition engine; load_gen's identity probe compares
+# served bytes against an in-process one-partition engine, so this leg also
+# checks the partitioning byte-identity guarantee end-to-end.
 "$ROOT/build-release/tools/precis_serve" \
   --port 0 --movies 300 --workers 2 --io-threads 2 --queue-depth 32 \
   --shards 2 \
@@ -190,6 +197,42 @@ kill -TERM "$SERVE_PID"
 if ! wait "$SERVE_PID"; then
   echo "precis_serve did not exit cleanly on SIGTERM:" >&2
   cat "$SERVE_LOG" >&2
+  exit 1
+fi
+# Memory gate: a partition is a set of the source's tids, not a copy, so
+# --shards 4 must peak within 5% of --shards 1. Prints the server's VmHWM
+# in kB, read from /proc at its listening line, then stops it.
+hwm_at_listening_line() {
+  HWM_LOG="$ROOT/build-release/precis_serve_hwm_$1.log"
+  rm -f "$HWM_LOG"  # a stale listening line must not be read as this one
+  "$ROOT/build-release/tools/precis_serve" --port 0 --movies 34000 \
+    --shards "$1" >"$HWM_LOG" 2>&1 &
+  HWM_PID=$!
+  i=0
+  while ! grep -q '^precis_serve listening on ' "$HWM_LOG" 2>/dev/null; do
+    if ! kill -0 "$HWM_PID" 2>/dev/null || [ $i -ge 600 ]; then
+      echo "precis_serve --shards $1 never reported a listening port:" >&2
+      cat "$HWM_LOG" >&2
+      kill "$HWM_PID" 2>/dev/null || true
+      return 1
+    fi
+    sleep 0.1
+    i=$((i + 1))
+  done
+  sed -n 's/^VmHWM:[[:space:]]*\([0-9][0-9]*\) kB$/\1/p' "/proc/$HWM_PID/status"
+  kill -TERM "$HWM_PID"
+  if ! wait "$HWM_PID"; then
+    echo "precis_serve --shards $1 did not exit cleanly on SIGTERM:" >&2
+    cat "$HWM_LOG" >&2
+    return 1
+  fi
+}
+HWM_ONE="$(hwm_at_listening_line 1)"
+HWM_FOUR="$(hwm_at_listening_line 4)"
+echo "VmHWM at 34k films: --shards 1 ${HWM_ONE} kB, --shards 4 ${HWM_FOUR} kB"
+if [ -z "$HWM_ONE" ] || [ -z "$HWM_FOUR" ] ||
+   [ $((HWM_FOUR * 100)) -gt $((HWM_ONE * 105)) ]; then
+  echo "MEMORY GATE FAILED: --shards 4 must peak within 5% of --shards 1" >&2
   exit 1
 fi
 
@@ -275,7 +318,7 @@ cmake --build "$ROOT/build-$SANITIZER" -j "$JOBS" \
            shard_test
 PRECIS_TASK_POOL_THREADS=4 \
   ctest --test-dir "$ROOT/build-$SANITIZER" --output-on-failure -j "$JOBS" \
-  -R 'Concurrency|Service|ExecutionContext|LruCache|AnswerCache|TaskPool|ParallelDbGen|Arena|SymbolTable|JsonLite|HttpParser|RequestParse|HttpServer|Shard|MergeAscendingTids|CircuitBreaker|ServerChaosConfig'
+  -R 'Concurrency|Service|ExecutionContext|LruCache|AnswerCache|TaskPool|ParallelDbGen|Arena|SymbolTable|JsonLite|HttpParser|RequestParse|HttpServer|Shard|CircuitBreaker|ServerChaosConfig'
 
 echo "=== [6/6] ASan+UBSan build + chaos sanitizer gate ==="
 cmake -B "$ROOT/build-asan-ubsan" -S "$ROOT" \
@@ -287,6 +330,6 @@ cmake --build "$ROOT/build-asan-ubsan" -j "$JOBS" \
            serialization_test symbol_table_test
 PRECIS_TASK_POOL_THREADS=4 \
   ctest --test-dir "$ROOT/build-asan-ubsan" --output-on-failure -j "$JOBS" \
-  -R 'FaultInjector|Retry|FaultChaos|CacheTaint|Service|FuzzLite|Arena|Column|FlatKeySet|LruCache|Relation|Database|Serialization|JsonLite|HttpParser|RequestParse|HttpServer|Shard|MergeAscendingTids|AnswerCache|CircuitBreaker|ServerChaosConfig|ParallelDbGen|TaskPool|SymbolTable'
+  -R 'FaultInjector|Retry|FaultChaos|CacheTaint|Service|FuzzLite|Arena|Column|FlatKeySet|LruCache|Relation|Database|Serialization|JsonLite|HttpParser|RequestParse|HttpServer|Shard|AnswerCache|CircuitBreaker|ServerChaosConfig|ParallelDbGen|TaskPool|SymbolTable'
 
 echo "=== CI passed (Release + bench smokes + server smoke + chaos drill + $SANITIZER + asan,ubsan chaos) ==="

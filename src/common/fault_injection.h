@@ -175,8 +175,9 @@ class FaultInjector {
   /// the schedule names domains, other domains never fire (their checks
   /// still count). A firing kLatencySpike schedule sleeps inline unless
   /// `stall_ns` is non-null, in which case the spike is *returned* for the
-  /// caller to serve wherever it wants (the coordinator decides, the shard
-  /// task sleeps). Hot path: a single relaxed load when the site is off.
+  /// caller to serve wherever it wants (the query's fault plan decides, the
+  /// partition's share task sleeps). Hot path: a single relaxed load when
+  /// the site is off.
   Status CheckDomain(FaultSite site, uint32_t domain,
                      uint64_t* stall_ns = nullptr) {
     if (stall_ns != nullptr) *stall_ns = 0;

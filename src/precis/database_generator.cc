@@ -25,8 +25,9 @@
 //     buffers are concatenated in acceptance order and inserted; the
 //     per-relation emit and per-FK validation are tasks too.
 //
-// The source is a PartitionSource: one Database (DatabaseSource) or one
-// sharded query (ShardedSource). Tasks run inline on the caller when
+// The source is a PartitionSource: one Database (DatabaseSource), or the
+// same Database under one query's partition fault plan (ShardedSource).
+// Tasks run inline on the caller when
 // max(parallelism, partitions) == 1 and on the task pool otherwise. The
 // emitted database and DbGenReport are byte-identical either way, at any
 // pool size, including budget-stopped partial runs; deadline and

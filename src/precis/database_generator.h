@@ -133,8 +133,8 @@ struct RelationDegradation {
   uint64_t failed_lookups = 0;
   /// Retries performed for this relation's accesses (successful or not).
   uint64_t retries = 0;
-  /// Tuples of this relation resident on shards the coordinator skipped
-  /// (open circuit / exhausted retries) — an upper bound on what the shard
+  /// Tuples of this relation owned by partitions the query skipped (open
+  /// circuit / exhausted retries) — an upper bound on what the partition
   /// outage cost this relation (DESIGN.md §17).
   uint64_t unavailable_tuples = 0;
 };
@@ -146,9 +146,9 @@ struct RelationDegradation {
 struct DegradationReport {
   std::vector<RelationDegradation> relations;
 
-  /// Shards the coordinator completed the merge without (open-circuit or
-  /// retry-exhausted shard sub-queries, DESIGN.md §17); empty for a healthy
-  /// run. `shards_total` is the partition count those ids index into.
+  /// Partitions the query ran without (open circuit or retry-exhausted
+  /// probe, DESIGN.md §17); empty for a healthy run. `shards_total` is the
+  /// partition count those ids index into.
   std::vector<uint32_t> shards_skipped;
   uint32_t shards_total = 0;
 
@@ -236,7 +236,7 @@ class ResultDatabaseGenerator {
   explicit ResultDatabaseGenerator(const Database* source)
       : database_(source) {}
 
-  /// Generation over any partition source, e.g. one sharded query's
+  /// Generation over any partition source, e.g. one partitioned query's
   /// ShardedSource. The source must outlive the generator.
   explicit ResultDatabaseGenerator(const PartitionSource* source)
       : source_(source) {}

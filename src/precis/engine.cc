@@ -50,6 +50,11 @@ Result<PrecisEngine> PrecisEngine::Create(const Database* db,
   if (db == nullptr || graph == nullptr) {
     return Status::InvalidArgument("database and graph must be non-null");
   }
+  if (partitions > kMaxPartitions) {
+    return Status::InvalidArgument(
+        "at most " + std::to_string(kMaxPartitions) + " partitions, not " +
+        std::to_string(partitions));
+  }
   if (with_replicas && partitions < 2) {
     return Status::InvalidArgument(
         "hedged sub-queries (replicas) need at least 2 partitions");
@@ -58,21 +63,10 @@ Result<PrecisEngine> PrecisEngine::Create(const Database* db,
   if (!index.ok()) return index.status();
   PrecisEngine engine(db, graph, std::move(*index));
   if (partitions <= 1) return engine;
-  auto sharded = ShardedDatabase::Partition(*db, partitions);
-  if (!sharded.ok()) return sharded.status();
-  engine.partitions_ = std::make_unique<ShardedDatabase>(std::move(*sharded));
+  engine.partitions_ = std::make_unique<SourcePartitions>(db, partitions);
   engine.health_ = std::make_unique<ShardHealthTracker>(partitions);
   engine.hedging_ = with_replicas;
   return engine;
-}
-
-Result<Tid> PrecisEngine::Insert(const std::string& relation, Tuple tuple) {
-  if (partitions_ == nullptr) {
-    return Status::InvalidArgument(
-        "a one-partition engine reads its database in place; insert into "
-        "that Database");
-  }
-  return partitions_->Insert(relation, std::move(tuple));
 }
 
 std::optional<ShardQueryFaultPlan> PrecisEngine::DecidePlan(
@@ -97,12 +91,14 @@ std::vector<TokenMatch> PrecisEngine::MatchTokens(
       // they own is part of what the outage costs the answer (DESIGN.md
       // §17).
       auto kept = std::make_shared<std::vector<TokenOccurrence>>();
+      const ShardRouter& router = partitions_->router();
       for (const TokenOccurrence& occ : *found) {
-        auto view = partitions_->GetView(occ.relation);
-        if (!view.ok()) continue;  // the index and the copy share relations
+        const uint64_t seed = ShardRouter::RelationSeed(occ.relation);
         TokenOccurrence live{occ.relation, occ.attribute, {}};
         for (Tid tid : occ.tids) {
-          if (plan->live[(*view)->OwnerOf(tid)] != 0) live.tids.push_back(tid);
+          if (plan->live[router.ShardOf(seed, tid)] != 0) {
+            live.tids.push_back(tid);
+          }
         }
         if (!live.tids.empty()) kept->push_back(std::move(live));
       }
@@ -120,12 +116,13 @@ Result<ResultSchema> AssembleSeedsAndSchema(
   // Input relations (deduplicated, in match order) and seed tuple ids.
   // Relation dedup stays a linear std::find (a handful of entries). A
   // relation's first occurrence is copied in bulk as far as its tids
-  // strictly ascend (index lookups and partition merges always do), since
-  // such a run holds no repeats. Only what follows — a second occurrence
-  // reaching the same relation, or an unsorted tail — goes through a
-  // per-relation hash set, built then from the seeds so far: a GENRE token
-  // seeds tens of thousands of tuples, and a std::find over the growing
-  // list would be quadratic in them. Insertion order is match order.
+  // strictly ascend (index lookups always do, and so does what a skipped
+  // partition leaves of one), since such a run holds no repeats. Only what
+  // follows — a second occurrence reaching the same relation, or an
+  // unsorted tail — goes through a per-relation hash set, built then from
+  // the seeds so far: a GENRE token seeds tens of thousands of tuples, and
+  // a std::find over the growing list would be quadratic in them.
+  // Insertion order is match order.
   std::vector<RelationNodeId> token_relations;
   std::unordered_map<RelationNodeId, std::unordered_set<Tid>> seen_tids;
   for (const TokenMatch& match : matches) {
@@ -202,11 +199,13 @@ Result<PrecisAnswer> PrecisEngine::AnswerFromMatches(
       ctx, &seeds);
   if (!schema.ok()) return schema.status();
 
-  // The one Fig. 5 planner, over the database in place or over this
-  // query's partitioned source, which carries the fault plan and the
-  // scatter-gather ledger.
+  // The one Fig. 5 planner over the database in place: directly at one
+  // partition, and under this query's fault plan at N >= 2.
+  const DatabaseSource in_place(db_);
   std::optional<ShardedSource> sharded;
-  if (partitions_ != nullptr) sharded.emplace(partitions_.get(), plan);
+  if (partitions_ != nullptr) {
+    sharded.emplace(&in_place, partitions_.get(), plan);
+  }
   ResultDatabaseGenerator db_generator =
       sharded ? ResultDatabaseGenerator(&*sharded)
               : ResultDatabaseGenerator(db_);
@@ -215,10 +214,7 @@ Result<PrecisAnswer> PrecisEngine::AnswerFromMatches(
     return db_generator.Generate(*schema, seeds, cardinality, options, ctx);
   }();
   if (!database.ok()) return database.status();
-  if (sharded && shard_stats != nullptr) {
-    sharded->CollectStats(ctx != nullptr ? ctx->access_budget() : 0,
-                          shard_stats);
-  }
+  if (sharded && shard_stats != nullptr) *shard_stats = sharded->stats();
 
   return PrecisAnswer{std::move(matches), std::move(*schema),
                       std::move(*database), db_generator.last_report()};
@@ -277,12 +273,8 @@ std::string AnswerFingerprintBase(const PrecisQuery& query,
 }
 
 std::string PrecisEngine::EpochKey() const {
-  std::string key;
-  for (size_t p = 0; p < num_partitions(); ++p) {
-    key += std::to_string(partitions_ != nullptr ? partitions_->shard_epoch(p)
-                                                 : db_->epoch());
-    key += '|';
-  }
+  std::string key = std::to_string(db_->epoch());
+  key += '|';
   key += std::to_string(graph_->weight_epoch());
   key += '|';
   return key;

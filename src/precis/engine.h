@@ -21,7 +21,6 @@
 #include "common/result.h"
 #include "graph/schema_graph.h"
 #include "shard/shard_health.h"
-#include "shard/sharded_database.h"
 #include "shard/sharded_source.h"
 #include "storage/database.h"
 #include "text/inverted_index.h"
@@ -93,7 +92,7 @@ struct RenderedAnswer {
 
 /// \brief The epoch-free part of the full-answer cache key: canonicalized
 /// token sequence + constraint renderings + generation options. PrecisEngine
-/// prefixes every partition's epoch and the weight epoch. Deliberately
+/// prefixes the source's epoch and the weight epoch. Deliberately
 /// excludes parallelism, pool, and simulated access latency: answers
 /// produced under any of those settings are byte-identical.
 std::string AnswerFingerprintBase(const PrecisQuery& query,
@@ -125,25 +124,30 @@ Result<ResultSchema> AssembleSeedsAndSchema(
 /// generator over N >= 1 partitions of one source database and a schema
 /// graph (DESIGN.md §15).
 ///
-/// One partition is the database read in place. At N >= 2 the engine owns a
-/// hash-partitioned copy of the source's tuples and runs the Fig. 5 planner
-/// over a per-query ShardedSource. At every N one inverted index over the
-/// source matches tokens; when the query's fault plan skipped partitions
-/// (DESIGN.md §17) their tids are dropped from the matches. Answers are
-/// byte-identical at every partition count, and one cache stack serves them
-/// all.
+/// The engine reads the source database in place at every N. A partition
+/// is the set of source tids ShardRouter assigns it: a fault domain, not a
+/// copy. At N >= 2 the Fig. 5 planner runs over a per-query ShardedSource,
+/// which applies the query's fault plan (DESIGN.md §17): a skipped
+/// partition's tids are dropped from the token matches and from every
+/// lookup, and a stalled partition delays its share of each edge. Answers
+/// are byte-identical at every partition count, and one cache stack serves
+/// them all.
 class PrecisEngine {
  public:
+  /// The most partitions Create accepts. Each one costs a circuit breaker
+  /// and a latency ring; nothing uses more than 8.
+  static constexpr size_t kMaxPartitions = 1024;
+
   /// Builds the engine over `db` and `graph`, both of which must outlive
-  /// the engine and any PrecisAnswer it returns: the token index reads
-  /// `db` at every partition count.
+  /// the engine and any PrecisAnswer it returns: every query reads `db`.
   ///
-  /// With `partitions <= 1` the engine is a view over `db`; nothing is
-  /// copied. With `partitions >= 2` it also partitions a copy of `db`'s
-  /// tuples (ShardedDatabase::Partition) and tracks per-partition health.
-  /// `with_replicas` turns on hedged sub-queries: a slow partition lookup is
-  /// re-issued against the same read-only partition from a second pool task,
-  /// first response wins (DESIGN.md §17); it needs `partitions >= 2`.
+  /// With `partitions <= 1` the engine is a view over `db`. With
+  /// `partitions >= 2` it also counts each relation's tuples per partition
+  /// (SourcePartitions) and tracks per-partition health; above
+  /// kMaxPartitions it fails with InvalidArgument. `with_replicas` turns on
+  /// hedged share reads: a stalled partition's share of an edge is re-read
+  /// from the source by a second pool task, first response wins (DESIGN.md
+  /// §17); it needs `partitions >= 2`.
   static Result<PrecisEngine> Create(const Database* db,
                                      const SchemaGraph* graph,
                                      size_t partitions = 1,
@@ -159,7 +163,7 @@ class PrecisEngine {
   /// with the cause flagged in PrecisAnswer::report.stop_reason.
   ///
   /// At N >= 2 partitions, `shard_stats` (when given) receives the query's
-  /// scatter-gather telemetry; a one-partition engine leaves it untouched.
+  /// fault-domain telemetry; a one-partition engine leaves it untouched.
   Result<PrecisAnswer> Answer(const PrecisQuery& query,
                               const DegreeConstraint& degree,
                               const CardinalityConstraint& cardinality,
@@ -182,8 +186,8 @@ class PrecisEngine {
   ///
   /// The answer is returned as an immutable shared value so a cache hit
   /// hands out the stored answer without copying its result database. When
-  /// the answer cache is enabled, the lookup key fingerprints every
-  /// partition's mutation epoch (bumped by Insert / CreateIndex /
+  /// the answer cache is enabled, the lookup key fingerprints the source
+  /// database's mutation epoch (bumped by Insert / CreateIndex /
   /// CreateRelation / AddForeignKey), the SchemaGraph's weight epoch
   /// (bumped by every edge addition or re-weighting), the
   /// synonym-canonicalized token sequence, the degree and cardinality
@@ -220,14 +224,6 @@ class PrecisEngine {
       const DbGenOptions& options = DbGenOptions(),
       ExecutionContext* ctx = nullptr,
       ShardQueryStats* shard_stats = nullptr) const;
-
-  /// Routed insert into a partitioned engine: the tuple lands on its owning
-  /// partition, and only that partition's epoch moves. Inserted tuples are
-  /// not indexed for token matching (postings are built once, as at one
-  /// partition). A one-partition engine reads its database in place and
-  /// rejects this call — insert into that Database instead. Not safe
-  /// against concurrent queries.
-  Result<Tid> Insert(const std::string& relation, Tuple tuple);
 
   /// Installs a synonym table applied to every query token before lookup
   /// (§5.1's "W. Allen" == "Woody Allen"). Pass nullptr to remove. The
@@ -280,16 +276,16 @@ class PrecisEngine {
   }
 
   size_t num_partitions() const {
-    return partitions_ != nullptr ? partitions_->num_shards() : 1;
+    return partitions_ != nullptr ? partitions_->num_partitions() : 1;
   }
-  /// The owned partitioned copy; null at one partition.
-  const ShardedDatabase* partitions() const { return partitions_.get(); }
+  /// The partitions of the source: its tids by owner and their tuple
+  /// counts. Null at one partition.
+  const SourcePartitions* partitions() const { return partitions_.get(); }
   /// Per-partition fault-domain health: circuit breakers, hedge-delay
   /// windows, hedge and skip counters (DESIGN.md §17). Fault domains are
   /// partitions, so this is null at one partition.
   const ShardHealthTracker* health() const { return health_.get(); }
-  /// The inverted index over the source database; its tids are the global
-  /// tids at every partition count.
+  /// The inverted index over the source database.
   const InvertedIndex& index() const { return index_; }
 
  private:
@@ -323,8 +319,8 @@ class PrecisEngine {
                                          const ShardQueryFaultPlan* plan,
                                          ShardQueryStats* shard_stats) const;
 
-  /// The epoch part of the full-answer key: every partition's mutation
-  /// epoch, then the graph's weight epoch, each followed by '|'.
+  /// The epoch part of the full-answer key: the source's mutation epoch,
+  /// then the graph's weight epoch, each followed by '|'.
   std::string EpochKey() const;
 
   /// Shared implementation of AnswerShared / AnswerSharedRendered. When
@@ -336,17 +332,16 @@ class PrecisEngine {
       ExecutionContext* ctx, ShardQueryStats* shard_stats,
       std::shared_ptr<const std::string>* body_out) const;
 
-  /// The source database: the one partition, read in place, and what the
-  /// token index reads at every N.
+  /// The source database, read in place at every N.
   const Database* db_;
   const SchemaGraph* graph_;
   InvertedIndex index_;
-  /// The partitioned copy; null at one partition.
-  std::unique_ptr<ShardedDatabase> partitions_;
+  /// Null at one partition.
+  std::unique_ptr<SourcePartitions> partitions_;
   /// Internally synchronized, so const query paths share it; null at one
   /// partition.
   std::unique_ptr<ShardHealthTracker> health_;
-  /// Whether slow partition lookups hedge (Create's `with_replicas`).
+  /// Whether stalled partition shares hedge (Create's `with_replicas`).
   bool hedging_ = false;
   const SynonymTable* synonyms_ = nullptr;
 

@@ -11,9 +11,9 @@
 //
 //   * DatabaseSource (below) is the one-partition source — a view over an
 //     existing Database that looks keys up on demand;
-//   * ShardedSource (shard/sharded_source.h) serves one query over a
-//     hash-partitioned ShardedDatabase, scattering each edge's lookups
-//     across the shards.
+//   * ShardedSource (shard/sharded_source.h) serves one query over N
+//     partitions of that same Database, which are sets of its tids: it
+//     reads through a DatabaseSource and applies the query's fault plan.
 //
 // Every source charges the query's ExecutionContext exactly as the
 // unpartitioned Relation calls would, so budgets, fault sequences and
@@ -86,8 +86,8 @@ class SourceRelation {
                            ExecutionContext* ctx) const = 0;
 
   /// The lookups of one join edge over `keys` (which must outlive the
-  /// result). `pool` is where the source may scatter work; null means the
-  /// query runs inline on the caller.
+  /// result). `pool` is where the source may run per-partition work; null
+  /// means the query runs inline on the caller.
   virtual std::unique_ptr<KeyLookup> LookupKeys(const std::string& attribute,
                                                 const std::vector<Value>& keys,
                                                 TaskPool* pool) const = 0;

@@ -935,14 +935,9 @@ std::string HttpServer::MetricsJson() const {
        << "},\"arena\":{\"peak_bytes_max\":" << sm.arena_peak_bytes_max
        << ",\"peak_bytes_total\":" << sm.arena_peak_bytes_total << "}";
     if (!sm.shards.empty()) {
-      // Sharded serving (DESIGN.md §15): scatter-gather counters per shard
-      // plus the merge-time percentiles and the rebalanced-budget total.
+      // Partitioned serving (DESIGN.md §15, §17): the fault-domain totals,
+      // then each partition's tuples and breaker.
       os << ",\"shards\":{\"count\":" << sm.shards.size()
-         << ",\"merge_p50_ms\":" << sm.shard_merge_p50_seconds * 1e3
-         << ",\"merge_p99_ms\":" << sm.shard_merge_p99_seconds * 1e3
-         << ",\"rebalanced_budget_total\":"
-         << sm.shard_rebalanced_budget_total
-         // Fault-domain serving totals (DESIGN.md §17).
          << ",\"degraded_queries\":" << sm.shard_degraded_queries
          << ",\"shard_skips\":" << sm.shard_skips_total
          << ",\"probe_retries\":" << sm.shard_probe_retries_total
@@ -952,10 +947,7 @@ std::string HttpServer::MetricsJson() const {
       for (size_t s = 0; s < sm.shards.size(); ++s) {
         if (s > 0) os << ",";
         const PrecisService::ShardMetricsEntry& shard = sm.shards[s];
-        os << "{\"subqueries\":" << shard.subqueries
-           << ",\"charges\":" << shard.charges
-           << ",\"tuples\":" << shard.tuples
-           << ",\"scratch_peak_bytes\":" << shard.scratch_peak_bytes
+        os << "{\"tuples\":" << shard.tuples
            << ",\"breaker\":{\"state\":\"" << shard.breaker_state
            << "\",\"opened\":" << shard.breaker_opened
            << ",\"rejected\":" << shard.breaker_rejected

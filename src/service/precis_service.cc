@@ -28,7 +28,6 @@ PrecisService::PrecisService(const PrecisEngine* engine, Options options)
   latencies_.samples.reserve(kLatencyWindow);
   if (engine_->num_partitions() >= 2) {
     metrics_.shards.resize(engine_->num_partitions());
-    merge_times_.samples.reserve(kLatencyWindow);
   }
   workers_.reserve(options_.num_workers);
   for (size_t i = 0; i < options_.num_workers; ++i) {
@@ -302,18 +301,6 @@ void PrecisService::RecordOutcome(const ServiceResponse& response,
   }
   latencies_.Add(response.latency_seconds);
   if (metrics_.shards.empty()) return;
-  // Cache hits contribute a zero-work sample, so merge percentiles honestly
-  // reflect what served queries cost.
-  merge_times_.Add(shard_stats.merge_seconds);
-  for (size_t s = 0;
-       s < shard_stats.subqueries.size() && s < metrics_.shards.size(); ++s) {
-    ShardMetricsEntry& shard = metrics_.shards[s];
-    shard.subqueries += shard_stats.subqueries[s];
-    shard.charges += shard_stats.charges[s];
-    shard.scratch_peak_bytes =
-        std::max(shard.scratch_peak_bytes, shard_stats.scratch_bytes[s]);
-  }
-  metrics_.shard_rebalanced_budget_total += shard_stats.rebalanced_charges;
   if (!shard_stats.shards_skipped.empty()) ++metrics_.shard_degraded_queries;
   metrics_.shard_skips_total += shard_stats.shards_skipped.size();
   metrics_.shard_probe_retries_total += shard_stats.shard_probe_retries;
@@ -341,7 +328,6 @@ double Percentile(std::vector<double>* samples, double p) {
 PrecisService::Metrics PrecisService::metrics() const {
   Metrics snapshot;
   std::vector<double> latencies;
-  std::vector<double> merges;
   {
     // Only the copy-out holds the lock; the percentile sorts run on the
     // copies, so a scrape never stalls RecordOutcome (and through it the
@@ -349,12 +335,9 @@ PrecisService::Metrics PrecisService::metrics() const {
     std::lock_guard<std::mutex> lock(metrics_mutex_);
     snapshot = metrics_;
     latencies = latencies_.samples;
-    merges = merge_times_.samples;
   }
   snapshot.p50_latency_seconds = Percentile(&latencies, 0.50);
   snapshot.p99_latency_seconds = Percentile(&latencies, 0.99);
-  snapshot.shard_merge_p50_seconds = Percentile(&merges, 0.50);
-  snapshot.shard_merge_p99_seconds = Percentile(&merges, 0.99);
   // The interner is process-wide (every Value shares it), so its footprint
   // belongs in the same one-call serving snapshot.
   snapshot.symbol_table = SymbolTable::Global()->stats();
@@ -369,7 +352,7 @@ PrecisService::Metrics PrecisService::metrics() const {
   if (const ShardHealthTracker* health = engine_->health()) {
     for (size_t s = 0; s < snapshot.shards.size(); ++s) {
       ShardMetricsEntry& shard = snapshot.shards[s];
-      shard.tuples = engine_->partitions()->shard(s).TotalTuples();
+      shard.tuples = engine_->partitions()->TuplesOn(s);
       CircuitBreakerStats breaker = health->breaker(s).stats();
       shard.breaker_state = BreakerStateToString(breaker.state);
       shard.breaker_opened = breaker.opened_total;

@@ -142,16 +142,8 @@ class PrecisService {
   /// with N >= 2 partitions (DESIGN.md §15); a one-partition engine reports
   /// none.
   struct ShardMetricsEntry {
-    /// Physical sub-operations dispatched to the shard (edge prefetches +
-    /// chunk materializations) across all served queries.
-    uint64_t subqueries = 0;
-    /// Physical charges on the shard (lookups + tuple fetches).
-    uint64_t charges = 0;
-    /// Tuples currently resident on the shard.
+    /// Tuples of the source the partition owns now.
     uint64_t tuples = 0;
-    /// Largest single-edge prefetch scratch buffer held for the shard
-    /// across all served queries (the sharded analog of the arena peak).
-    uint64_t scratch_peak_bytes = 0;
     /// The shard's circuit-breaker snapshot (DESIGN.md §17): state string
     /// ("closed"/"open"/"half_open") plus lifetime transition counters.
     std::string breaker_state = "closed";
@@ -208,18 +200,11 @@ class PrecisService {
     /// Partitioned serving (DESIGN.md §15): one entry per partition; empty
     /// at one partition.
     std::vector<ShardMetricsEntry> shards;
-    /// Percentiles of the per-query scatter-gather merge wall time, over
-    /// the same window of recent queries.
-    double shard_merge_p50_seconds = 0.0;
-    double shard_merge_p99_seconds = 0.0;
-    /// Total charges that exceeded the even per-shard budget slice —
-    /// budget effectively rebalanced toward hot shards.
-    uint64_t shard_rebalanced_budget_total = 0;
     /// Fault-domain serving totals (DESIGN.md §17), all queries combined:
-    /// queries whose merge completed without at least one shard, individual
-    /// shard exclusions, kShardSubquery probe retries, breaker fast-fails
-    /// (skips without probing), hedged sub-queries launched, and hedges
-    /// that beat the primary.
+    /// queries answered without at least one partition, individual
+    /// partition exclusions, kShardSubquery probe retries, breaker
+    /// fast-fails (skips without probing), hedged share reads launched, and
+    /// hedges that beat the primary.
     uint64_t shard_degraded_queries = 0;
     uint64_t shard_skips_total = 0;
     uint64_t shard_probe_retries_total = 0;
@@ -288,12 +273,12 @@ class PrecisService {
   };
 
   void WorkerLoop();
-  /// Runs one request; `shard_stats` receives its scatter-gather telemetry
-  /// at N >= 2 partitions.
+  /// Runs one request; `shard_stats` receives its fault-domain telemetry at
+  /// N >= 2 partitions.
   ServiceResponse RunOne(const ServiceRequest& request,
                          ShardQueryStats* shard_stats);
   /// Folds one finished query into metrics_ (and, at N >= 2 partitions,
-  /// its telemetry into the per-partition counters).
+  /// its telemetry into the fault-domain totals).
   void RecordOutcome(const ServiceResponse& response,
                      const ShardQueryStats& shard_stats);
 
@@ -315,8 +300,6 @@ class PrecisService {
   mutable std::mutex metrics_mutex_;
   Metrics metrics_;
   SampleRing latencies_;
-  /// Per-query scatter-gather merge seconds (N >= 2 partitions only).
-  SampleRing merge_times_;
 
   std::vector<std::thread> workers_;
 };

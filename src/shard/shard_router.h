@@ -1,9 +1,10 @@
 // ShardRouter: stable tuple-id -> shard placement (DESIGN.md §15).
 //
-// Routing must be a pure function of (relation, global tid) so that datagen,
-// later inserts, and index rebuilds land tuples on the same shard in every
-// process and on every platform — the determinism suite partitions the same
-// dataset repeatedly and expects identical placements. The router therefore
+// A partition is the set of source tids the router assigns it, so routing
+// must be a pure function of (relation, tid): a tuple inserted after the
+// partitions were counted, and a tid the token index returns, land on the
+// same partition in every process and on every platform — the degraded
+// answers the chaos drill fingerprints depend on it. The router therefore
 // avoids std::hash (implementation-defined) in favour of FNV-1a over the
 // relation name and a splitmix64 finalizer over the tid.
 
@@ -36,7 +37,7 @@ class ShardRouter {
     return h;
   }
 
-  /// The shard owning global tuple id `tid` of the relation with seed
+  /// The shard owning tuple id `tid` of the relation with seed
   /// `relation_seed` (splitmix64 finalizer: full-avalanche, branch-free).
   size_t ShardOf(uint64_t relation_seed, Tid tid) const {
     uint64_t z = (tid ^ relation_seed) + 0x9e3779b97f4a7c15ULL;

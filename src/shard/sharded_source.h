@@ -1,121 +1,109 @@
-// ShardedSource: one query's view of a ShardedDatabase as a Fig. 5
-// generation source (DESIGN.md §15, §17).
+// Partitions as fault domains over one source Database (DESIGN.md §15, §17).
 //
-// ResultDatabaseGenerator plans the whole query on one thread; this source
-// supplies what it reads, spread over the shards:
+// A partition is the set of source tids ShardRouter assigns to it; nothing
+// is copied. SourcePartitions is the engine-lifetime half: the router plus
+// each relation's tuple count per partition. ShardedSource is one query's
+// half: the one-partition source, read in place, under the query's
+// ShardQueryFaultPlan:
 //
-//   * Lookups scatter: when the planner opens a join edge, one task per
-//     live shard looks every key up in its shard (null context: no fault
-//     checks, no query charges) and the per-key lists merge ascending into
-//     exactly the unpartitioned posting order. The planner then consumes
-//     the keys one by one; each Lookup replays, through
-//     ShardedRelation::MirrorLookupCharges, the probe/scan charge and fault
-//     check Relation::LookupEquals would have made, so the injector and the
-//     budget see an unpartitioned run while the shards did the work.
-//   * Projection scatters: a chunk's global tids group by owning shard and
-//     run each shard's columnar kernel, scattering rows back into
-//     acceptance order; the context is charged the same fetch total.
-//   * Fault domains: the query's ShardQueryFaultPlan decides which shards
-//     take part, which stall, and whether a slow shard's lookups are hedged:
-//     re-issued against the same read-only shard from a second task, so the
-//     answer cannot change.
-//
-// Each source also keeps the query's ShardQueryStats ledger — telemetry
-// only: budget authority stays with the planner's simulated charge replay,
-// because per-shard cutoffs would make answers depend on the shard count.
+//   * a healthy query (nothing skipped, nothing stalled) gets the
+//     one-partition relations themselves, so it does no per-partition work;
+//   * a query that skipped partitions drops their tids from each in-place
+//     lookup, after the lookup has made its usual probe or scan charge, so
+//     the injector and the budget see an unpartitioned run;
+//   * a stalled partition delays its share of each edge: the edge opens
+//     once the partition has served its stall and re-read the edge's keys
+//     from the source. When the plan allows hedging, a share that outlives
+//     the partition's hedging delay is read again from a second task, first
+//     response wins. Stalls and hedges move time, never tids.
 
 #ifndef PRECIS_SHARD_SHARDED_SOURCE_H_
 #define PRECIS_SHARD_SHARDED_SOURCE_H_
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "precis/partition_source.h"
 #include "shard/shard_health.h"
-#include "shard/sharded_database.h"
+#include "shard/shard_router.h"
+#include "storage/database.h"
 
 namespace precis {
 
-/// \brief Per-query scatter-gather telemetry: where the physical work
-/// landed and what the deterministic merge cost. Never feeds back into
-/// truncation decisions (DESIGN.md §15).
+/// \brief Per-query fault-domain telemetry (DESIGN.md §17): partitions the
+/// query ran without, the probe retries spent deciding that, partitions
+/// skipped on an open breaker without probing, and the hedged share reads.
 struct ShardQueryStats {
-  /// Wall seconds spent in per-edge scatter + ascending k-way merges.
-  double merge_seconds = 0.0;
-  /// Number of scatter-gather merge rounds (one per executed edge).
-  uint64_t merge_events = 0;
-  /// Per-shard physical sub-operations dispatched (one per shard per edge
-  /// prefetch, one per chunk task that touched the shard).
-  std::vector<uint64_t> subqueries;
-  /// Per-shard physical charges: shard-side lookups plus tuples fetched.
-  std::vector<uint64_t> charges;
-  /// Per-shard peak prefetch scratch bytes: the largest single-edge
-  /// posting buffer the scatter held for the shard.
-  std::vector<uint64_t> scratch_bytes;
-  /// The query's global access budget (0 = unlimited) and its even
-  /// per-shard slice.
-  uint64_t budget_total = 0;
-  uint64_t budget_slice = 0;
-  /// Sum over shards of the charges that exceeded the even slice — how
-  /// much of the budget effectively rebalanced toward hot shards.
-  uint64_t rebalanced_charges = 0;
-
-  /// Fault-domain telemetry (DESIGN.md §17): shards this query's merge
-  /// completed without, probe retries spent deciding that, shards skipped
-  /// on an open breaker without probing, and the hedged sub-query ledger.
   std::vector<uint32_t> shards_skipped;
   uint64_t shard_probe_retries = 0;
   uint64_t breaker_rejects = 0;
   uint64_t hedged_subqueries = 0;
   uint64_t hedge_wins = 0;
-
-  void Resize(size_t num_shards) {
-    subqueries.assign(num_shards, 0);
-    charges.assign(num_shards, 0);
-    scratch_bytes.assign(num_shards, 0);
-    shards_skipped.clear();
-    shard_probe_retries = 0;
-    breaker_rejects = 0;
-    hedged_subqueries = 0;
-    hedge_wins = 0;
-  }
 };
 
-/// \brief One query over a ShardedDatabase, as a PartitionSource.
+/// \brief N partitions of one source Database, as sets of source tids.
+class SourcePartitions {
+ public:
+  /// Counts every relation's tuples per partition. `db` must outlive this.
+  SourcePartitions(const Database* db, size_t num_partitions);
+
+  size_t num_partitions() const { return router_.num_shards(); }
+  const ShardRouter& router() const { return router_; }
+
+  /// The partition owning tid `tid` of `relation`.
+  size_t ShardOf(const std::string& relation, Tid tid) const {
+    return router_.ShardOf(ShardRouter::RelationSeed(relation), tid);
+  }
+
+  /// The tuples of `relation` that `partition` owns now: the count taken at
+  /// construction plus a router pass over the tids appended since.
+  uint64_t TuplesOn(const std::string& relation, size_t partition) const;
+  /// The tuples of every relation that `partition` owns now.
+  uint64_t TuplesOn(size_t partition) const;
+
+ private:
+  struct Counted {
+    Tid tuples = 0;                // the relation's size when counted
+    std::vector<uint64_t> owned;   // [num_partitions]
+  };
+
+  const Database* db_;
+  ShardRouter router_;
+  std::map<std::string, Counted> counted_;
+};
+
+/// \brief One query over N partitions of a source, as a PartitionSource.
 class ShardedSource final : public PartitionSource {
  public:
-  /// `plan`, when given, applies the query's fault-domain decisions: shards
-  /// it skipped contribute nothing to any lookup (their tuples are
-  /// reported per relation as unavailable_tuples), live shards serve their
-  /// injected stall inside their lookup task, and — when the plan allows
-  /// hedging — a sub-query that outlives the shard's hedging delay is
-  /// re-issued from a second task against the same shard, first response
-  /// wins. Both `sharded` and `plan` must outlive the source.
-  explicit ShardedSource(const ShardedDatabase* sharded,
-                         const ShardQueryFaultPlan* plan = nullptr);
-  ~ShardedSource() override;
+  /// `in_place` is the one-partition source over the Database `partitions`
+  /// counted. `plan`, when given, applies the query's fault-domain
+  /// decisions. All three must outlive the source.
+  ShardedSource(const PartitionSource* in_place,
+                const SourcePartitions* partitions,
+                const ShardQueryFaultPlan* plan = nullptr);
 
-  size_t num_partitions() const override { return sharded_->num_shards(); }
+  size_t num_partitions() const override {
+    return partitions_->num_partitions();
+  }
   Result<std::unique_ptr<SourceRelation>> OpenRelation(
       const std::string& name) const override;
   const std::vector<ForeignKey>& foreign_keys() const override {
-    return sharded_->foreign_keys();
+    return in_place_->foreign_keys();
   }
   std::vector<uint32_t> skipped_partitions() const override;
 
-  /// Writes the query's scatter-gather telemetry; call once generation has
-  /// returned. `budget` is the query's access budget (0 = unlimited).
-  void CollectStats(uint64_t budget, ShardQueryStats* stats) const;
-
-  /// The per-query ledger the relation views write into.
-  struct Ledger;
+  /// The query's telemetry; complete once generation has returned.
+  const ShardQueryStats& stats() const { return stats_; }
 
  private:
-  const ShardedDatabase* sharded_;
+  const PartitionSource* in_place_;
+  const SourcePartitions* partitions_;
   const ShardQueryFaultPlan* plan_;
-  std::unique_ptr<Ledger> ledger_;
+  /// Written by the planner thread through the relations it opens.
+  mutable ShardQueryStats stats_;
 };
 
 }  // namespace precis

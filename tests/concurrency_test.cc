@@ -364,10 +364,9 @@ TEST_F(ConcurrencyTest, ServiceWorkersShareTheTaskPool) {
 
 TEST_F(ConcurrencyTest, ShardedServiceByteIdenticalUnderConcurrentLoad) {
   // PrecisService over a 4-partition engine under the same contention
-  // shape: four workers submit a mixed batch whose scatter tasks land on
-  // the shared TaskPool. Every answer must be byte-identical to the
-  // one-partition sequential reference, and the per-partition serving
-  // counters must account for the scatter work.
+  // shape: four workers submit a mixed batch whose chunk tasks land on the
+  // shared TaskPool. Every answer must be byte-identical to the
+  // one-partition sequential reference.
   auto d = MinPathWeight(0.8);
   auto c = MaxTuplesPerRelation(10);
   auto reference = engine_->Answer(PrecisQuery{{"Woody Allen"}}, *d, *c);
@@ -406,9 +405,6 @@ TEST_F(ConcurrencyTest, ShardedServiceByteIdenticalUnderConcurrentLoad) {
   PrecisService::Metrics metrics = (*service)->metrics();
   EXPECT_EQ(metrics.queries_served, 24u);
   ASSERT_EQ(metrics.shards.size(), 4u);
-  uint64_t subqueries = 0;
-  for (const auto& shard : metrics.shards) subqueries += shard.subqueries;
-  EXPECT_GT(subqueries, 0u);
   (*service)->Shutdown();
 }
 

@@ -315,14 +315,12 @@ TEST_P(FuzzLiteTest, BodyCacheStaysCoherentUnderInsertQueryInterleavings) {
   int64_t next_gid = 5000000 + static_cast<int64_t>(GetParam()) * 10000;
   for (int i = 0; i < 30; ++i) {
     if (rng.Index(3) == 0) {
-      // Mirror one insert into the source database (the single engines
-      // read it directly) and the partitioned engine's copy.
+      // One insert into the source database, which every engine reads in
+      // place.
       int64_t mid = (*movie)->tuple(rng.Index((*movie)->num_tuples()))[0]
                         .AsInt64();
       Tuple tuple{Value(next_gid++), Value(mid), Value("fuzzwave")};
-      auto src = (*genre)->Insert(tuple);
-      ASSERT_TRUE(src.ok());
-      ASSERT_TRUE(sharded->Insert("GENRE", std::move(tuple)).ok());
+      ASSERT_TRUE((*genre)->Insert(std::move(tuple)).ok());
       continue;
     }
     const std::string& token = tokens[rng.Index(tokens.size())];

@@ -2,7 +2,8 @@
 // strategy, option and stop mode, the planner must produce a database that
 // is BYTE-IDENTICAL (via storage/serialization) to the sequential walk
 // oracle, with an equal DbGenReport — run inline, on pools of 1, 2 and 8
-// threads, and over 2- and 4-partition ShardedDatabase sources.
+// threads, and through 2- and 4-partition ShardedSources over the same
+// database.
 
 #include <gtest/gtest.h>
 
@@ -20,7 +21,6 @@
 #include "precis/schema_generator.h"
 #include "precis/tuple_weights.h"
 #include "sequential_walk.h"
-#include "shard/sharded_database.h"
 #include "shard/sharded_source.h"
 #include "storage/serialization.h"
 
@@ -155,9 +155,8 @@ void ExpectDeterministic(
 
   for (size_t partitions : {size_t{2}, size_t{4}}) {
     SCOPED_TRACE("partitions=" + std::to_string(partitions));
-    auto sharded = ShardedDatabase::Partition(db, partitions);
-    ASSERT_TRUE(sharded.ok());
-    ShardedSource source(&*sharded);
+    const SourcePartitions sharded(&db, partitions);
+    const ShardedSource source(&unpartitioned, &sharded);
     DbGenOptions options = base;
     options.pool = &pool2;
     ExpectSameOutcome(

@@ -1,16 +1,19 @@
-// Partitioned scatter-gather execution (DESIGN.md §15): the central contract
-// is byte-identity — for ANY partition count, strategy, fault schedule, or
-// deadline/budget stop, PrecisEngine must produce exactly the answer its
-// one-partition form produces — itself checked against the sequential walk
-// oracle (tests/sequential_walk.h). Plus router stability, partition/insert
-// routing, deterministic merges, and the per-partition cache epoch scheme.
+// Partitions as fault domains over the one source (DESIGN.md §15, §17): the
+// central contract is byte-identity — for ANY partition count, strategy,
+// fault schedule, or deadline/budget stop, PrecisEngine must produce exactly
+// the answer its one-partition form produces — itself checked against the
+// sequential walk oracle (tests/sequential_walk.h). Plus router stability,
+// the skipped-partition lookup filter, caching over the one epoch, and what
+// a dead, stalled or hedged partition does to an answer.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
+#include <map>
 #include <memory>
-#include <optional>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -27,7 +30,6 @@
 #include "service/precis_service.h"
 #include "shard/shard_health.h"
 #include "shard/shard_router.h"
-#include "shard/sharded_database.h"
 #include "shard/sharded_source.h"
 #include "storage/serialization.h"
 #include "text/synonyms.h"
@@ -37,7 +39,7 @@ namespace precis {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Router and merge primitives.
+// Router.
 
 TEST(ShardRouterTest, StableAcrossInstances) {
   ShardRouter a(4);
@@ -64,18 +66,8 @@ TEST(ShardRouterTest, SpreadsTuplesAcrossAllShards) {
   }
 }
 
-TEST(MergeAscendingTidsTest, MergesSortedRunsByteExactly) {
-  EXPECT_TRUE(MergeAscendingTids({}).empty());
-  EXPECT_TRUE(MergeAscendingTids({{}, {}}).empty());
-  EXPECT_EQ(MergeAscendingTids({{1, 3, 5}}), (std::vector<Tid>{1, 3, 5}));
-  EXPECT_EQ(MergeAscendingTids({{1, 4, 7}, {2, 5}, {}, {0, 9}}),
-            (std::vector<Tid>{0, 1, 2, 4, 5, 7, 9}));
-  // A single live list must come through unchanged.
-  EXPECT_EQ(MergeAscendingTids({{}, {2, 6}, {}}), (std::vector<Tid>{2, 6}));
-}
-
 // ---------------------------------------------------------------------------
-// Partitioning and routed inserts.
+// Partitions over the one source: filtered lookups and the partition cap.
 
 class ShardedDatabaseTest : public ::testing::Test {
  protected:
@@ -87,173 +79,90 @@ class ShardedDatabaseTest : public ::testing::Test {
     dataset_ = std::make_unique<MoviesDataset>(std::move(*ds));
   }
 
-  /// An unused GENRE row referencing an existing movie.
-  Tuple FreshGenreTuple(int64_t gid) {
-    auto genre = dataset_->db().GetRelation("GENRE");
-    Value mid = (*genre)->ColumnValue(0, 1);  // GENRE(gid*, mid, genre)
-    return Tuple{Value(gid), mid, Value("shardcore")};
-  }
-
   std::unique_ptr<MoviesDataset> dataset_;
 };
 
-TEST_F(ShardedDatabaseTest, PartitionPreservesEveryTupleAndValue) {
-  auto sharded = ShardedDatabase::Partition(dataset_->db(), 4);
-  ASSERT_TRUE(sharded.ok());
-  EXPECT_EQ(sharded->num_shards(), 4u);
-  EXPECT_EQ(sharded->TotalTuples(), dataset_->db().TotalTuples());
-
-  for (const std::string& name : sharded->RelationNames()) {
-    auto view = sharded->GetView(name);
-    ASSERT_TRUE(view.ok());
-    auto source = dataset_->db().GetRelation(name);
-    ASSERT_TRUE(source.ok());
-    ASSERT_EQ((*view)->num_tuples(), (*source)->num_tuples());
-    // Every global tid round-trips through its owner shard with the same
-    // column values.
-    for (Tid tid = 0; tid < (*source)->num_tuples(); ++tid) {
-      size_t owner = (*view)->OwnerOf(tid);
-      Tid local = (*view)->LocalOf(tid);
-      EXPECT_EQ((*view)->GlobalOf(owner, local), tid);
-      for (size_t a = 0; a < (*source)->schema().num_attributes(); ++a) {
-        EXPECT_TRUE((*view)->ColumnValue(tid, a) ==
-                    (*source)->ColumnValue(tid, a))
-            << name << " tid " << tid << " attr " << a;
-      }
-    }
-  }
-}
-
-TEST_F(ShardedDatabaseTest, EveryShardHoldsEveryRelation) {
-  auto sharded = ShardedDatabase::Partition(dataset_->db(), 8);
-  ASSERT_TRUE(sharded.ok());
-  // Even a shard that drew zero tuples of some relation must have created
-  // it: the per-shard inverted indexes and catalogs must enumerate the
-  // same sorted relation set or merge order drifts.
-  for (size_t s = 0; s < 8; ++s) {
-    for (const std::string& name : sharded->RelationNames()) {
-      EXPECT_TRUE(sharded->shard(s).GetRelation(name).ok())
-          << "shard " << s << " relation " << name;
-    }
-  }
-}
-
 TEST_F(ShardedDatabaseTest, LookupEqualsMatchesUnpartitionedSource) {
-  auto sharded = ShardedDatabase::Partition(dataset_->db(), 4);
-  ASSERT_TRUE(sharded.ok());
-  ShardedSource source(&*sharded);
+  // Under a plan that skips partition 1 of 4, each in-place lookup returns
+  // the source's tids minus the ones partition 1 owns, and charges the
+  // unpartitioned probe or scan, pooled or inline. "did" is an indexed
+  // many-to-one join key; "year" is unindexed, so its lookups scan into
+  // buffers of their own. Every view stays valid while the lookup lives.
+  const Database& db = dataset_->db();
+  const SourcePartitions partitions(&db, 4);
+  constexpr uint32_t kSkipped = 1;
+  ShardQueryFaultPlan plan;
+  plan.live.assign(4, 1);
+  plan.live[kSkipped] = 0;
+  plan.stall_ns.assign(4, 0);
+  plan.skipped = {kSkipped};
+  const DatabaseSource in_place(&db);
+  const ShardedSource source(&in_place, &partitions, &plan);
   auto view = source.OpenRelation("MOVIE");
   ASSERT_TRUE(view.ok());
-  auto movie = dataset_->db().GetRelation("MOVIE");
+  auto movie = db.GetRelation("MOVIE");
   ASSERT_TRUE(movie.ok());
-  // "did" is a many-to-one join key (indexed), so lookups return multi-tid
-  // lists whose global order — and per-key charges — must match the
-  // unpartitioned probe, whether the scatter runs pooled or inline.
-  auto did_index = (*movie)->schema().AttributeIndex("did");
-  ASSERT_TRUE(did_index.ok());
-  std::vector<Value> keys;
-  for (Tid probe = 0; probe < 40; ++probe) {
-    keys.push_back((*movie)->ColumnValue(probe, *did_index));
-  }
-  for (TaskPool* pool : {TaskPool::Shared(), static_cast<TaskPool*>(nullptr)}) {
-    auto lookup = (*view)->LookupKeys("did", keys, pool);
-    ExecutionContext expect_ctx;
-    ExecutionContext got_ctx;
-    for (size_t k = 0; k < keys.size(); ++k) {
-      auto expect = (*movie)->LookupEquals("did", keys[k], &expect_ctx);
-      auto got = lookup->Lookup(k, &got_ctx);
-      ASSERT_TRUE(expect.ok());
-      ASSERT_TRUE(got.ok());
-      EXPECT_EQ(std::vector<Tid>(got->begin(), got->end()), *expect)
-          << "key " << k;
+  for (const std::string attribute : {"did", "year"}) {
+    auto index = (*movie)->schema().AttributeIndex(attribute);
+    ASSERT_TRUE(index.ok());
+    std::vector<Value> keys;
+    for (Tid probe = 0; probe < 40; ++probe) {
+      keys.push_back((*movie)->ColumnValue(probe, *index));
     }
-    EXPECT_EQ(got_ctx.stats().index_probes.load(),
-              expect_ctx.stats().index_probes.load());
-    EXPECT_EQ(got_ctx.stats().sequential_scans.load(),
-              expect_ctx.stats().sequential_scans.load());
-  }
-}
-
-TEST_F(ShardedDatabaseTest, InsertRoutesToOwnerAndBumpsOnlyItsEpoch) {
-  auto sharded = ShardedDatabase::Partition(dataset_->db(), 4);
-  ASSERT_TRUE(sharded.ok());
-  auto view = sharded->GetView("GENRE");
-  ASSERT_TRUE(view.ok());
-  Tid next = (*view)->num_tuples();
-  size_t owner = sharded->ShardOf("GENRE", next);
-
-  std::vector<uint64_t> before;
-  for (size_t s = 0; s < 4; ++s) before.push_back(sharded->shard_epoch(s));
-
-  auto inserted = sharded->Insert("GENRE", FreshGenreTuple(1000000));
-  ASSERT_TRUE(inserted.ok());
-  EXPECT_EQ(*inserted, next);
-  EXPECT_EQ((*view)->num_tuples(), next + 1);
-  EXPECT_EQ((*view)->OwnerOf(next), owner);
-  EXPECT_TRUE((*view)->ColumnValue(next, 2) == Value("shardcore"));
-
-  for (size_t s = 0; s < 4; ++s) {
-    if (s == owner) {
-      EXPECT_GT(sharded->shard_epoch(s), before[s]) << "owner " << s;
-    } else {
-      EXPECT_EQ(sharded->shard_epoch(s), before[s]) << "shard " << s;
+    for (TaskPool* pool :
+         {TaskPool::Shared(), static_cast<TaskPool*>(nullptr)}) {
+      SCOPED_TRACE(attribute + (pool != nullptr ? " pooled" : " inline"));
+      auto lookup = (*view)->LookupKeys(attribute, keys, pool);
+      ExecutionContext expect_ctx;
+      ExecutionContext got_ctx;
+      std::vector<std::vector<Tid>> expect(keys.size());
+      std::vector<std::span<const Tid>> got(keys.size());
+      size_t dropped = 0;
+      for (size_t k = 0; k < keys.size(); ++k) {
+        auto all = (*movie)->LookupEquals(attribute, keys[k], &expect_ctx);
+        auto live = lookup->Lookup(k, &got_ctx);
+        ASSERT_TRUE(all.ok());
+        ASSERT_TRUE(live.ok());
+        got[k] = *live;
+        for (Tid tid : *all) {
+          if (partitions.ShardOf("MOVIE", tid) == kSkipped) {
+            ++dropped;
+          } else {
+            expect[k].push_back(tid);
+          }
+        }
+      }
+      for (size_t k = 0; k < keys.size(); ++k) {
+        EXPECT_EQ(std::vector<Tid>(got[k].begin(), got[k].end()), expect[k])
+            << "key " << k;
+      }
+      EXPECT_GT(dropped, 0u);
+      EXPECT_GT(expect_ctx.stats().index_probes.load() +
+                    expect_ctx.stats().sequential_scans.load(),
+                0u);
+      EXPECT_EQ(got_ctx.stats().index_probes.load(),
+                expect_ctx.stats().index_probes.load());
+      EXPECT_EQ(got_ctx.stats().sequential_scans.load(),
+                expect_ctx.stats().sequential_scans.load());
     }
   }
 }
 
-TEST_F(ShardedDatabaseTest, InsertRejectsCrossShardPrimaryKeyDuplicate) {
-  auto sharded = ShardedDatabase::Partition(dataset_->db(), 4);
-  ASSERT_TRUE(sharded.ok());
-  auto view = sharded->GetView("GENRE");
-  ASSERT_TRUE(view.ok());
-  const Tid next = (*view)->num_tuples();
-  const size_t owner = sharded->ShardOf("GENRE", next);
-  // One stored key held by the shard the new tid routes to, and one held
-  // by another shard: uniqueness holds across shards, and both duplicates
-  // fail as the owner's own Insert fails.
-  std::optional<Tid> held_by_owner;
-  std::optional<Tid> held_elsewhere;
-  for (Tid g = 0; g < next; ++g) {
-    auto& slot = (*view)->OwnerOf(g) == owner ? held_by_owner : held_elsewhere;
-    if (!slot) slot = g;
+TEST_F(ShardedDatabaseTest, CreateRejectsPartitionCountsAboveTheCap) {
+  // Each partition costs a breaker and a latency ring, so Create refuses
+  // absurd counts before allocating any.
+  const Database& db = dataset_->db();
+  const SchemaGraph& graph = dataset_->graph();
+  for (size_t partitions : {std::numeric_limits<size_t>::max(),
+                            size_t{1} << 40, PrecisEngine::kMaxPartitions + 1}) {
+    auto engine = PrecisEngine::Create(&db, &graph, partitions);
+    ASSERT_FALSE(engine.ok()) << partitions;
+    EXPECT_TRUE(engine.status().IsInvalidArgument())
+        << engine.status().ToString();
   }
-  ASSERT_TRUE(held_by_owner && held_elsewhere);
-
-  auto counters = [&] {
-    std::vector<uint64_t> out;
-    for (size_t s = 0; s < sharded->num_shards(); ++s) {
-      out.push_back(sharded->shard(s).stats().sequential_scans.load());
-      out.push_back(sharded->shard(s).stats().index_probes.load());
-    }
-    return out;
-  };
-  const std::vector<uint64_t> before = counters();
-  for (Tid held : {*held_by_owner, *held_elsewhere}) {
-    SCOPED_TRACE("duplicate of tid " + std::to_string(held));
-    Tuple dup = FreshGenreTuple(0);
-    dup[0] = (*view)->ColumnValue(held, 0);
-    const std::string expected =
-        "duplicate primary key " + dup[0].ToString() + " in relation 'GENRE'";
-    auto inserted = sharded->Insert("GENRE", std::move(dup));
-    ASSERT_FALSE(inserted.ok());
-    EXPECT_EQ(inserted.status().code(), StatusCode::kConstraintViolation);
-    EXPECT_EQ(inserted.status().message(), expected);
-  }
-  // A mistyped tuple fails on its type, as the unpartitioned Insert does,
-  // even when another shard holds its key.
-  Tuple mistyped = FreshGenreTuple(0);
-  mistyped[0] = (*view)->ColumnValue(*held_elsewhere, 0);
-  mistyped[1] = Value("not a mid");
-  auto source = dataset_->db().GetRelation("GENRE");
-  ASSERT_TRUE(source.ok());
-  const Status unpartitioned = (*source)->Insert(mistyped).status();
-  ASSERT_TRUE(unpartitioned.IsInvalidArgument()) << unpartitioned.ToString();
-  auto rejected = sharded->Insert("GENRE", std::move(mistyped));
-  EXPECT_EQ(rejected.status().code(), unpartitioned.code());
-  EXPECT_EQ(rejected.status().message(), unpartitioned.message());
-  EXPECT_EQ((*view)->num_tuples(), next);
-  // The check reads primary-key sets: no shard scanned or probed.
-  EXPECT_EQ(counters(), before);
+  auto at_cap = PrecisEngine::Create(&db, &graph, PrecisEngine::kMaxPartitions);
+  ASSERT_TRUE(at_cap.ok()) << at_cap.status().ToString();
+  EXPECT_EQ(at_cap->num_partitions(), PrecisEngine::kMaxPartitions);
 }
 
 // ---------------------------------------------------------------------------
@@ -494,8 +403,8 @@ TEST_F(ShardDeterminismTest, FaultAndBudgetCombinedByteIdentical) {
 }
 
 TEST_F(ShardDeterminismTest, SynonymsAndHomonymsByteIdenticalAcrossPartitions) {
-  // §5.1 over partitions: a synonym resolves before the scattered lookup,
-  // and the homonym split answers each merged occurrence, so both match the
+  // §5.1 over partitions: a synonym resolves before the one index lookup,
+  // and the homonym split answers each occurrence, so both match the
   // one-partition engine byte for byte.
   SynonymTable synonyms;
   ASSERT_TRUE(synonyms.AddSynonym("W. Allen", "Woody Allen").ok());
@@ -535,7 +444,7 @@ TEST_F(ShardDeterminismTest, SynonymsAndHomonymsByteIdenticalAcrossPartitions) {
 }
 
 // ---------------------------------------------------------------------------
-// Per-partition caching.
+// Caching over the one source epoch.
 
 class ShardedCacheTest : public ::testing::Test {
  protected:
@@ -561,11 +470,19 @@ class ShardedCacheTest : public ::testing::Test {
     return answer.ok() ? *answer : nullptr;
   }
 
-  /// A fresh GENRE tuple; `gid` must be globally unused.
+  /// A fresh GENRE tuple; `gid` must be unused.
   Tuple FreshGenreTuple(int64_t gid) {
-    auto view = engine_->partitions()->GetView("GENRE");
-    Value mid = (*view)->ColumnValue(0, 1);  // GENRE(gid*, mid, genre)
+    auto genre = dataset_->db().GetRelation("GENRE");
+    Value mid = (*genre)->ColumnValue(0, 1);  // GENRE(gid*, mid, genre)
     return Tuple{Value(gid), mid, Value("fresh-genre")};
+  }
+
+  /// Inserts into the source, which the engine reads at every partition
+  /// count.
+  Result<Tid> InsertIntoSource(Tuple tuple) {
+    auto genre = dataset_->db().GetRelation("GENRE");
+    if (!genre.ok()) return genre.status();
+    return (*genre)->Insert(std::move(tuple));
   }
 
   std::unique_ptr<MoviesDataset> dataset_;
@@ -592,28 +509,11 @@ TEST_F(ShardedCacheTest, SingleShardInsertRebuildsAnswerWhileTokenLookupsHit) {
   ASSERT_NE(Ask("Woody Allen"), nullptr);  // warm: full-answer hit
   ASSERT_EQ(engine_->answer_cache_stats().hits, 1u);
 
-  // Route one insert; exactly the owner's epoch moves.
-  const ShardedDatabase& partitions = *engine_->partitions();
-  auto view = partitions.GetView("GENRE");
-  ASSERT_TRUE(view.ok());
-  Tid next = (*view)->num_tuples();
-  size_t owner = partitions.ShardOf("GENRE", next);
-  std::vector<uint64_t> epochs;
+  // One insert into the source moves its epoch.
   const LruCacheStats before = engine_->token_cache_stats();
-  for (size_t s = 0; s < engine_->num_partitions(); ++s) {
-    epochs.push_back(partitions.shard_epoch(s));
-  }
-  ASSERT_TRUE(engine_->Insert("GENRE", FreshGenreTuple(2000000)).ok());
-  for (size_t s = 0; s < engine_->num_partitions(); ++s) {
-    if (s == owner) {
-      EXPECT_GT(partitions.shard_epoch(s), epochs[s]) << "owner " << s;
-    } else {
-      EXPECT_EQ(partitions.shard_epoch(s), epochs[s]) << "partition " << s;
-    }
-  }
+  ASSERT_TRUE(InsertIntoSource(FreshGenreTuple(2000000)).ok());
 
-  // The full answer must rebuild (its key carries every partition's
-  // epoch)...
+  // The full answer must rebuild (its key carries the source's epoch)...
   uint64_t full_hits = engine_->answer_cache_stats().hits;
   ASSERT_NE(Ask("Woody Allen"), nullptr);
   EXPECT_EQ(engine_->answer_cache_stats().hits, full_hits);
@@ -627,21 +527,15 @@ TEST_F(ShardedCacheTest, SingleShardInsertRebuildsAnswerWhileTokenLookupsHit) {
 
 TEST_F(ShardedCacheTest, InsertKeepsAnswersIdenticalToSingleEngine) {
   // Warm every cache level, then mutate: post-insert answers must still be
-  // byte-identical to a single engine over an identically mutated source
-  // (both engines index at Create; later inserts are not re-indexed).
+  // byte-identical to a single engine over the same mutated source (both
+  // engines index at Create; later inserts are not re-indexed).
   // Two calls: a level stores a key on its second sight.
   ASSERT_NE(Ask("Woody Allen"), nullptr);
   ASSERT_NE(Ask("Woody Allen"), nullptr);
 
   auto single = PrecisEngine::Create(&dataset_->db(), &dataset_->graph());
   ASSERT_TRUE(single.ok());
-  auto genre = dataset_->db().GetRelation("GENRE");
-  ASSERT_TRUE(genre.ok());
-  auto source_inserted = (*genre)->Insert(FreshGenreTuple(3000000));
-  ASSERT_TRUE(source_inserted.ok());
-  auto sharded_inserted = engine_->Insert("GENRE", FreshGenreTuple(3000000));
-  ASSERT_TRUE(sharded_inserted.ok());
-  EXPECT_EQ(*sharded_inserted, *source_inserted);
+  ASSERT_TRUE(InsertIntoSource(FreshGenreTuple(3000000)).ok());
 
   auto degree = MinPathWeight(0.9);
   auto cardinality = MaxTuplesPerRelation(3);
@@ -673,9 +567,9 @@ TEST_F(ShardedCacheTest, BodyCacheMemoizesRendersAndInvalidatesOnInsert) {
   EXPECT_EQ(first.body_json.get(), second.body_json.get());
   EXPECT_EQ(engine_->body_cache_stats().hits, 1u);
 
-  // One insert moves one shard's epoch — the shard-aware key no longer
-  // matches, so the body is re-rendered from the rebuilt answer.
-  ASSERT_TRUE(engine_->Insert("GENRE", FreshGenreTuple(4000000)).ok());
+  // One insert moves the source's epoch — the key no longer matches, so
+  // the body is re-rendered from the rebuilt answer.
+  ASSERT_TRUE(InsertIntoSource(FreshGenreTuple(4000000)).ok());
   auto after = ask();
   ASSERT_NE(after.body_json, nullptr);
   EXPECT_NE(after.body_json.get(), first.body_json.get());
@@ -721,13 +615,8 @@ TEST(ShardedServiceTest, AnswersMatchSingleEngineAndMetricsFillShards) {
   PrecisService::Metrics metrics = (*service)->metrics();
   EXPECT_EQ(metrics.queries_served, 6u);
   ASSERT_EQ(metrics.shards.size(), 4u);
-  uint64_t total_subqueries = 0;
   uint64_t total_tuples = 0;
-  for (const auto& shard : metrics.shards) {
-    total_subqueries += shard.subqueries;
-    total_tuples += shard.tuples;
-  }
-  EXPECT_GT(total_subqueries, 0u);
+  for (const auto& shard : metrics.shards) total_tuples += shard.tuples;
   EXPECT_EQ(total_tuples, ds->db().TotalTuples());
   (*service)->Shutdown();
 }
@@ -912,7 +801,7 @@ TEST_F(ShardFaultDomainTest, KilledShardAnswersDegradedWithHonestReport) {
                                DbGenOptions(), &ctx, &stats);
   ASSERT_TRUE(answer.ok()) << answer.status().ToString();
 
-  // The merge completed without shard 2 and the report says so.
+  // The answer came without shard 2 and the report says so.
   const DegradationReport& degradation = answer->report.degradation;
   EXPECT_TRUE(degradation.degraded());
   EXPECT_EQ(degradation.shards_skipped, (std::vector<uint32_t>{2}));
@@ -973,7 +862,7 @@ TEST_F(ShardFaultDomainTest, DeadPartitionDropsExactlyItsOwnSeedTuples) {
       // A fresh engine per dead partition: breakers persist across queries.
       auto engine = MakeEngine(shards);
       ASSERT_NE(engine, nullptr);
-      const ShardedDatabase& partitions = *engine->partitions();
+      const SourcePartitions& partitions = *engine->partitions();
       for (const std::string& token : tokens) {
         const std::string label = "shards=" + std::to_string(shards) +
                                   " dead=" + std::to_string(dead) + " " +
@@ -1019,6 +908,67 @@ TEST_F(ShardFaultDomainTest, DeadPartitionDropsExactlyItsOwnSeedTuples) {
     }
   }
   EXPECT_GT(dropped_total, 0u) << "some dead partition must own a seed";
+}
+
+TEST_F(ShardFaultDomainTest, UnavailableTuplesCountTheSourceAsItIsNow) {
+  // Outage accounting reads the source, not a snapshot of it: a GENRE tuple
+  // inserted after Create counts toward its owner's unavailable tuples, and
+  // toward that partition's /metrics tuples.
+  auto engine = MakeEngine(4);
+  ASSERT_NE(engine, nullptr);
+  const SourcePartitions& partitions = *engine->partitions();
+  Database& db = dataset_->db();
+  auto genre = db.GetRelation("GENRE");
+  ASSERT_TRUE(genre.ok());
+  const Tid inserted = (*genre)->num_tuples();
+  const Value mid = (*genre)->ColumnValue(0, 1);  // GENRE(gid*, mid, genre)
+  ASSERT_TRUE(
+      (*genre)->Insert(Tuple{Value(int64_t{9000000}), mid, Value("outage")})
+          .ok());
+  const uint32_t dead =
+      static_cast<uint32_t>(partitions.ShardOf("GENRE", inserted));
+  auto owned_by_dead = [&](const std::string& name) {
+    auto relation = db.GetRelation(name);
+    EXPECT_TRUE(relation.ok()) << name;
+    uint64_t owned = 0;
+    for (Tid tid = 0; relation.ok() && tid < (*relation)->num_tuples();
+         ++tid) {
+      if (partitions.ShardOf(name, tid) == dead) ++owned;
+    }
+    return owned;
+  };
+
+  FaultInjector injector(3);
+  ScheduleDeadShard(&injector, dead);
+  ExecutionContext ctx;
+  AttachInjector(&ctx, &injector);
+  auto answer =
+      engine->Answer(PrecisQuery{{"Comedy"}}, *MinPathWeight(0.8),
+                     *MaxTuplesPerRelation(4), DbGenOptions(), &ctx);
+  ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+  std::map<std::string, uint64_t> unavailable;
+  for (const RelationDegradation& r : answer->report.degradation.relations) {
+    unavailable[r.relation] = r.unavailable_tuples;
+  }
+  ASSERT_EQ(unavailable.count("GENRE"), 1u);
+  for (RelationNodeId rel : answer->schema.relations()) {
+    const std::string& name = dataset_->graph().relation_name(rel);
+    EXPECT_EQ(unavailable[name], owned_by_dead(name)) << name;
+  }
+
+  auto service = PrecisService::Create(engine.get());
+  ASSERT_TRUE(service.ok());
+  PrecisService::Metrics metrics = (*service)->metrics();
+  ASSERT_EQ(metrics.shards.size(), 4u);
+  uint64_t total_tuples = 0;
+  for (const auto& shard : metrics.shards) total_tuples += shard.tuples;
+  EXPECT_EQ(total_tuples, db.TotalTuples());
+  uint64_t dead_tuples = 0;
+  for (const std::string& name : db.RelationNames()) {
+    dead_tuples += owned_by_dead(name);
+  }
+  EXPECT_EQ(metrics.shards[dead].tuples, dead_tuples);
+  (*service)->Shutdown();
 }
 
 TEST_F(ShardFaultDomainTest, TranslatorLeadsWithThePartitionNotice) {

@@ -11,10 +11,12 @@
 
 #include <poll.h>
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "common/fault_injection.h"
@@ -38,16 +40,16 @@ struct ServeFlags {
   double deadline_ms = 0.0;
   size_t parallelism = 0;
   bool cache = true;
-  /// Partitions of the engine (DESIGN.md §15): 0 and 1 both read the
-  /// dataset in place; N >= 2 serves a hash-partitioned copy through
-  /// scatter-gather. Answers are byte-identical either way.
+  /// Partitions of the engine (DESIGN.md §15): the dataset is read in
+  /// place at every count; N >= 2 splits its tids into N fault domains.
+  /// 0 and 1 are one partition. Answers are byte-identical either way.
   size_t shards = 0;
-  /// Hedge slow partition lookups: re-issue them against the same
-  /// partition from a second task (DESIGN.md §17); needs shards >= 2.
+  /// Hedge stalled partition reads: re-issue them against the same
+  /// source from a second task (DESIGN.md §17); needs shards >= 2.
   bool replicas = false;
-  /// >= 0: that shard is fault-scheduled permanently dead (latched
+  /// When set, that shard is fault-scheduled permanently dead (latched
   /// kShardSubquery fault) — the chaos-drill shape ci.sh gates on.
-  int kill_shard = -1;
+  std::optional<size_t> kill_shard;
   /// Seed for the fault injector backing --kill-shard.
   uint64_t fault_seed = 42;
   /// Socket-level chaos spec, forwarded to HttpServer (the
@@ -66,17 +68,24 @@ void Usage(const char* argv0) {
       "Serves POST /query, GET /metrics, GET /healthz until SIGINT/SIGTERM.\n"
       "--port 0 picks an ephemeral port (printed on stdout at startup).\n"
       "--queue-depth bounds the admission queue (excess -> HTTP 503).\n"
-      "--shards N >= 2 serves a copy of the dataset hash-partitioned N ways\n"
-      "  (scatter-gather execution; answers stay byte-identical). 0 or 1\n"
-      "  reads the dataset in place.\n"
-      "--replicas on hedges slow partition sub-queries: a hedge re-reads\n"
-      "  its partition from a second task, first answer wins (no copy is\n"
-      "  made; needs --shards >= 2).\n"
+      "--shards N >= 2 splits the dataset into N hash partitions: fault\n"
+      "  domains over the one copy, read in place (answers stay\n"
+      "  byte-identical). 0 or 1 is one partition.\n"
+      "--replicas on hedges stalled partition reads: a hedge re-reads the\n"
+      "  source from a second task, first answer wins (no copy is made;\n"
+      "  needs --shards >= 2).\n"
       "--kill-shard N fault-schedules shard N permanently dead: queries\n"
       "  answer degraded from the surviving shards (needs --shards >= 2).\n"
       "--chaos 'seed=7,read=0.01,write=0.01,short=0.2' injects seeded\n"
       "  socket-level errors (PRECIS_SERVER_CHAOS works too).\n",
       argv0);
+}
+
+/// A non-negative decimal integer: digits only, no sign, nothing after.
+bool ParseCount(const std::string& text, size_t* out) {
+  const char* end = text.data() + text.size();
+  auto [ptr, ec] = std::from_chars(text.data(), end, *out);
+  return !text.empty() && ec == std::errc() && ptr == end;
 }
 
 bool ParseFlags(int argc, char** argv, ServeFlags* flags) {
@@ -112,11 +121,21 @@ bool ParseFlags(int argc, char** argv, ServeFlags* flags) {
     } else if (arg == "--cache") {
       flags->cache = value != "off" && value != "0" && value != "false";
     } else if (arg == "--shards") {
-      flags->shards = static_cast<size_t>(std::atol(value.c_str()));
+      if (!ParseCount(value, &flags->shards)) {
+        std::fprintf(stderr, "--shards takes a count, not '%s'\n",
+                     value.c_str());
+        return false;
+      }
     } else if (arg == "--replicas") {
       flags->replicas = value != "off" && value != "0" && value != "false";
     } else if (arg == "--kill-shard") {
-      flags->kill_shard = std::atoi(value.c_str());
+      size_t shard = 0;
+      if (!ParseCount(value, &shard)) {
+        std::fprintf(stderr, "--kill-shard takes a shard id, not '%s'\n",
+                     value.c_str());
+        return false;
+      }
+      flags->kill_shard = shard;
     } else if (arg == "--fault-seed") {
       flags->fault_seed =
           static_cast<uint64_t>(std::strtoull(value.c_str(), nullptr, 10));
@@ -131,9 +150,13 @@ bool ParseFlags(int argc, char** argv, ServeFlags* flags) {
     std::fprintf(stderr, "--port must be in [0, 65535]\n");
     return false;
   }
-  if (flags->kill_shard >= 0 &&
-      (flags->shards < 2 ||
-       static_cast<size_t>(flags->kill_shard) >= flags->shards)) {
+  if (flags->shards > PrecisEngine::kMaxPartitions) {
+    std::fprintf(stderr, "--shards must be at most %zu\n",
+                 PrecisEngine::kMaxPartitions);
+    return false;
+  }
+  if (flags->kill_shard &&
+      (flags->shards < 2 || *flags->kill_shard >= flags->shards)) {
     std::fprintf(stderr,
                  "--kill-shard needs --shards >= 2 and a shard id < N\n");
     return false;
@@ -176,19 +199,19 @@ int ServeMain(int argc, char** argv) {
 
   // --kill-shard: a latched permanent kShardSubquery fault scoped to the
   // one shard's domain. Every query's fault plan then excludes that shard
-  // and the coordinator merges the survivors (DESIGN.md §17) — the drill
-  // ci.sh's chaos leg gates on.
+  // and answers from the others (DESIGN.md §17) — the drill ci.sh's chaos
+  // leg gates on.
   std::unique_ptr<FaultInjector> injector;
-  if (flags.kill_shard >= 0) {
+  if (flags.kill_shard) {
     injector = std::make_unique<FaultInjector>(flags.fault_seed);
     FaultSchedule dead =
         FaultSchedule::Steps({1}, FaultKind::kPermanentError);
-    dead.domains = {static_cast<uint32_t>(flags.kill_shard)};
+    dead.domains = {static_cast<uint32_t>(*flags.kill_shard)};
     injector->SetSchedule(FaultSite::kShardSubquery, dead);
     service_options.fault_injector = injector.get();
     std::fprintf(stderr,
-                 "fault schedule: shard %d permanently dead (seed %llu)\n",
-                 flags.kill_shard,
+                 "fault schedule: shard %zu permanently dead (seed %llu)\n",
+                 *flags.kill_shard,
                  static_cast<unsigned long long>(flags.fault_seed));
   }
 
@@ -202,7 +225,7 @@ int ServeMain(int argc, char** argv) {
   if (engine->num_partitions() >= 2) {
     std::fprintf(stderr, "partitioned execution: %zu partitions%s\n",
                  engine->num_partitions(),
-                 flags.replicas ? " (hedged sub-queries)" : "");
+                 flags.replicas ? " (hedged share reads)" : "");
   }
   auto service = PrecisService::Create(&*engine, service_options);
   if (!service.ok()) {

@@ -75,10 +75,11 @@ constexpr const char* kHelp = R"(commands:
   set parallelism N        intra-query parallel generation on N-way task
                            pool fan-out (1 = inline); output is
                            byte-identical at any setting
-  set shards N             serve N >= 2 hash partitions of a copy of the
-                           dataset (scatter-gather execution, DESIGN.md
-                           §15); 1 reads the dataset in place; answers
-                           are byte-identical at any setting
+  set shards N             split the dataset into N >= 2 hash partitions:
+                           fault domains over the one copy of it
+                           (DESIGN.md §15, §17); 1 reads it as one
+                           partition; answers are byte-identical at any
+                           setting
   deadline MS              per-query wall-clock deadline in ms (0 = off);
                            an expired query returns its partial answer
   budget N                 per-query access budget: max index probes + tuple
@@ -128,14 +129,14 @@ struct ShellState {
   std::shared_ptr<const PrecisAnswer> last_answer;
   /// The context the last query ran under (for 'stats' and 'trace').
   std::unique_ptr<ExecutionContext> last_context;
-  /// Scatter-gather telemetry of the last partitioned query (for 'stats').
+  /// Fault-domain telemetry of the last partitioned query (for 'stats').
   ShardQueryStats last_shard_stats;
 
+  /// Replaces the engine; a failed Create keeps the current one.
   Status RebuildEngine() {
-    last_answer.reset();
-    engine.reset();
     auto result = PrecisEngine::Create(db.get(), graph.get(), shards);
     if (!result.ok()) return result.status();
+    last_answer.reset();
     engine = std::make_unique<PrecisEngine>(std::move(*result));
     // A fresh engine starts with empty caches; re-apply the setting.
     engine->set_caches_enabled(caches_enabled);
@@ -331,13 +332,19 @@ Status CmdSet(ShellState* state, const std::vector<std::string>& args) {
   } else if (key == "shards" && args.size() == 2) {
     long n = std::atol(args[1].c_str());
     if (n < 1) return Status::InvalidArgument("shards must be >= 1");
+    const size_t previous = state->shards;
     state->shards = static_cast<size_t>(n);
     if (state->db != nullptr) {
       // Repartition now; answers stay byte-identical across shard counts.
-      PRECIS_RETURN_NOT_OK(state->RebuildEngine());
+      Status rebuilt = state->RebuildEngine();
+      if (!rebuilt.ok()) {
+        state->shards = previous;
+        return rebuilt;
+      }
     }
     if (state->shards >= 2) {
-      std::printf("shards: %zu (scatter-gather execution)\n", state->shards);
+      std::printf("shards: %zu (fault domains over the dataset)\n",
+                  state->shards);
     } else {
       std::printf("shards: 1 (dataset read in place)\n");
     }
@@ -414,7 +421,7 @@ Status CmdQuery(ShellState* state, const std::vector<std::string>& args) {
 
   // AnswerShared serves from the full-answer cache when 'set cache on' is
   // active (trace runs bypass it); otherwise it builds a fresh answer. A
-  // partitioned engine also reports where the scattered work landed.
+  // partitioned engine also reports the query's skips and hedges.
   state->last_shard_stats = ShardQueryStats();
   auto result = state->engine->AnswerShared(PrecisQuery{tokens}, *degree,
                                             *cardinality, options, ctx.get(),
@@ -532,29 +539,13 @@ Status CmdStats(ShellState* state) {
   const ShardHealthTracker* health =
       state->engine != nullptr ? state->engine->health() : nullptr;
   if (health != nullptr) {
-    // Per-partition residency plus what the last query scattered to each
-    // partition (subqueries, physical charges, peak prefetch scratch — the
-    // partitioned analog of the arena peak).
+    // The tuples each partition owns.
     const PrecisEngine& engine = *state->engine;
     const ShardQueryStats& sq = state->last_shard_stats;
     for (size_t s = 0; s < engine.num_partitions(); ++s) {
-      std::printf(
-          "shard %zu:    tuples=%llu subqueries=%llu charges=%llu "
-          "scratch-peak=%llu\n",
-          s,
-          static_cast<unsigned long long>(
-              engine.partitions()->shard(s).TotalTuples()),
-          static_cast<unsigned long long>(
-              s < sq.subqueries.size() ? sq.subqueries[s] : 0),
-          static_cast<unsigned long long>(
-              s < sq.charges.size() ? sq.charges[s] : 0),
-          static_cast<unsigned long long>(
-              s < sq.scratch_bytes.size() ? sq.scratch_bytes[s] : 0));
-    }
-    if (sq.merge_events > 0) {
-      std::printf("shard merge: events=%llu total=%.3f ms\n",
-                  static_cast<unsigned long long>(sq.merge_events),
-                  sq.merge_seconds * 1e3);
+      std::printf("shard %zu:    tuples=%llu\n", s,
+                  static_cast<unsigned long long>(
+                      engine.partitions()->TuplesOn(s)));
     }
     // Fault-domain health (DESIGN.md §17): per-shard breaker snapshot and
     // the engine-lifetime hedge/skip ledger.
