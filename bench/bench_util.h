@@ -176,9 +176,11 @@ struct TimedGeneration {
 inline TimedGeneration TimeGenerate(ResultDatabaseGenerator gen,
                                     const DbGenCase& dbgen_case,
                                     const CardinalityConstraint& c,
-                                    const DbGenOptions& options) {
+                                    const DbGenOptions& options,
+                                    const PartitionedQuery& partitioned = {}) {
   const auto start = std::chrono::steady_clock::now();
-  auto result = gen.Generate(dbgen_case.schema, dbgen_case.seeds, c, options);
+  auto result = gen.Generate(dbgen_case.schema, dbgen_case.seeds, c, options,
+                             /*ctx=*/nullptr, partitioned);
   TimedGeneration out;
   out.ms = std::chrono::duration<double, std::milli>(
                std::chrono::steady_clock::now() - start)

@@ -4,10 +4,10 @@
 //
 //   * pooled: one partition (the database read in place) with chunk tasks
 //     on a work-stealing TaskPool of that width (parallelism = width);
-//   * partitioned: `width` hash partitions of the same database behind a
-//     healthy ShardedSource, which reads it in place, with chunk tasks on a
-//     pool of that width (parallelism 1: the width comes from the
-//     partitions). The two shapes should cost the same.
+//   * partitioned: `width` hash partitions of the same database under a
+//     healthy fault plan, read in place, with chunk tasks on a pool of that
+//     width (parallelism 1: the width comes from the partitions). The two
+//     shapes should cost the same.
 //
 // Sweep: width in {2, 4, 8} x {pooled, partitioned} x {cpu, sim-io} x
 // cardinality points. The inline run is what PrecisEngine runs over a
@@ -21,10 +21,14 @@
 //     chunk tasks overlap like outstanding reads — a modelled speedup, real
 //     even on one core.
 //
-// Every run is byte-compared (storage/serialization) against the inline
-// database, and its report fields (total tuples, executed edges,
-// truncations) must match too; any mismatch exits non-zero, so the bench
-// doubles as the generation determinism gate ci.sh runs in smoke mode:
+// Full mode times each cell kRepetitions times, interleaving the inline,
+// pooled and partitioned runs, and reports per-cell medians: single runs
+// of a few milliseconds swing past the differences reported. Smoke mode
+// runs each cell once. Every run is byte-compared (storage/serialization)
+// against the first inline database, and its report fields (total tuples,
+// executed edges, truncations) must match too; any mismatch exits
+// non-zero, so the bench doubles as the generation determinism gate ci.sh
+// runs in smoke mode:
 //
 //   PRECIS_BENCH_MOVIES=300 PRECIS_BENCH_SMOKE=1 ./dbgen_scaling
 //
@@ -51,10 +55,14 @@
 #include "common/task_pool.h"
 #include "precis/constraints.h"
 #include "precis/database_generator.h"
-#include "shard/sharded_source.h"
+#include "shard/shard_health.h"
+#include "shard/source_partitions.h"
 
 namespace precis {
 namespace {
+
+/// Interleaved timings per cell in full mode (odd: the median is a run).
+constexpr size_t kRepetitions = 7;
 
 bool SameOutput(const bench::TimedGeneration& a,
                 const bench::TimedGeneration& b) {
@@ -80,14 +88,18 @@ int Main() {
             : std::vector<size_t>{1000, 4000, 16000, 64000};
   const std::vector<size_t> widths = {2, 4, 8};
   const char* const shapes[] = {"pooled", "partitioned"};
+  const size_t repetitions = smoke ? 1 : kRepetitions;
 
   // Count the partitions once per width (that cost is engine construction,
-  // not per-query work); one pool per width serves both shapes.
-  const DatabaseSource in_place(&dataset.db());
+  // not per-query work), each with a healthy plan; one pool per width
+  // serves both shapes.
   std::map<size_t, std::unique_ptr<SourcePartitions>> partitions;
+  std::map<size_t, ShardQueryFaultPlan> healthy;
   std::map<size_t, std::unique_ptr<TaskPool>> pools;
   for (size_t w : widths) {
     partitions[w] = std::make_unique<SourcePartitions>(&dataset.db(), w);
+    healthy[w] = DecideShardFaultPlan(w, /*health=*/nullptr, /*ctx=*/nullptr,
+                                      /*hedging=*/false);
     pools[w] = std::make_unique<TaskPool>(w);
   }
 
@@ -101,6 +113,7 @@ int Main() {
        << "  \"seeds\": " << num_seeds << ",\n"
        << "  \"latency_ns\": " << latency_ns << ",\n"
        << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n"
+       << "  \"repetitions\": " << repetitions << ",\n"
        << "  \"hardware_threads\": " << std::thread::hardware_concurrency()
        << ",\n  \"rows\": [\n";
 
@@ -120,44 +133,62 @@ int Main() {
       options.simulated_access_latency_ns = m == 1 ? latency_ns : 0;
       options.parallelism = 1;
 
-      bench::TimedGeneration inline_run = bench::TimeGenerate(
-          ResultDatabaseGenerator(&dataset.db()), director, *cardinality,
-          options);
+      // Repetition r runs inline, then each width pooled and partitioned;
+      // every run must emit the first inline run's database and report.
+      bench::TimedGeneration reference;
+      std::vector<double> inline_ms;
+      std::map<size_t, std::vector<double>> shape_ms[2];
+      auto check = [&](const bench::TimedGeneration& run, const char* shape,
+                       size_t w) {
+        if (SameOutput(run, reference)) return;
+        std::fprintf(stderr,
+                     "MISMATCH: mode=%s c=%zu %s width=%zu emitted a "
+                     "different database or report than the inline run\n",
+                     mode, c, shape, w);
+        ++mismatches;
+      };
+      for (size_t r = 0; r < repetitions; ++r) {
+        bench::TimedGeneration inline_run = bench::TimeGenerate(
+            ResultDatabaseGenerator(&dataset.db()), director, *cardinality,
+            options);
+        if (r == 0) reference = inline_run;
+        check(inline_run, "inline", 1);
+        inline_ms.push_back(inline_run.ms);
+        for (size_t w : widths) {
+          DbGenOptions run_options = options;
+          run_options.pool = pools[w].get();
+          run_options.parallelism = w;
+          bench::TimedGeneration pooled = bench::TimeGenerate(
+              ResultDatabaseGenerator(&dataset.db()), director, *cardinality,
+              run_options);
+          check(pooled, shapes[0], w);
+          shape_ms[0][w].push_back(pooled.ms);
+          run_options.parallelism = 1;
+          const PartitionedQuery query{partitions.at(w).get(), &healthy.at(w)};
+          bench::TimedGeneration partitioned = bench::TimeGenerate(
+              ResultDatabaseGenerator(&dataset.db()), director, *cardinality,
+              run_options, query);
+          check(partitioned, shapes[1], w);
+          shape_ms[1][w].push_back(partitioned.ms);
+        }
+      }
+      const double median_inline_ms = bench::Percentile(inline_ms, 0.5);
 
       std::vector<double> speedups[2];
       if (!first_row) json << ",\n";
       first_row = false;
       json << "    {\"mode\": \"" << mode << "\", \"c\": " << c
-           << ", \"tuples\": " << inline_run.report.total_tuples
-           << ", \"inline_ms\": " << inline_run.ms;
+           << ", \"tuples\": " << reference.report.total_tuples
+           << ", \"inline_ms\": " << median_inline_ms;
       for (int shape = 0; shape < 2; ++shape) {
         json << ", \"" << shapes[shape] << "\": [";
         for (size_t i = 0; i < widths.size(); ++i) {
           const size_t w = widths[i];
-          DbGenOptions run_options = options;
-          run_options.pool = pools[w].get();
-          bench::TimedGeneration run;
-          if (shape == 0) {
-            run_options.parallelism = w;
-            run = bench::TimeGenerate(ResultDatabaseGenerator(&dataset.db()),
-                                      director, *cardinality, run_options);
-          } else {
-            const ShardedSource source(&in_place, partitions.at(w).get());
-            run = bench::TimeGenerate(ResultDatabaseGenerator(&source),
-                                      director, *cardinality, run_options);
-          }
-          if (!SameOutput(run, inline_run)) {
-            std::fprintf(stderr,
-                         "MISMATCH: mode=%s c=%zu %s width=%zu emitted a "
-                         "different database or report than the inline "
-                         "run\n",
-                         mode, c, shapes[shape], w);
-            ++mismatches;
-          }
-          const double speedup = run.ms > 0 ? inline_run.ms / run.ms : 0.0;
+          const double ms = bench::Percentile(shape_ms[shape][w], 0.5);
+          const double speedup = ms > 0 ? median_inline_ms / ms : 0.0;
           speedups[shape].push_back(speedup);
           json << (i > 0 ? ", " : "") << "{\"width\": " << w
-               << ", \"ms\": " << run.ms << ", \"speedup\": " << speedup
+               << ", \"ms\": " << ms << ", \"speedup\": " << speedup
                << "}";
         }
         json << "]";
@@ -168,7 +199,7 @@ int Main() {
       json << "}";
 
       std::printf("%-8s %-7zu %8zu %10.2f", mode, c,
-                  inline_run.report.total_tuples, inline_run.ms);
+                  reference.report.total_tuples, median_inline_ms);
       for (int shape = 0; shape < 2; ++shape) {
         for (double s : speedups[shape]) std::printf(" %6.2fx", s);
       }

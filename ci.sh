@@ -10,9 +10,12 @@
 #                         its second sight), bench/dbgen_scaling in smoke
 #                         mode (fails if any run of the one Fig. 5 planner
 #                         with its chunk tasks spread over a pool — one
-#                         partition, or 2/4/8 hash partitions — emits a
-#                         different database or report than the inline run —
-#                         determinism gate, DESIGN.md §11 + §15), and
+#                         partition, or 2/4/8 hash partitions under a
+#                         healthy fault plan — emits a different database
+#                         or report than the inline run — determinism
+#                         gate, DESIGN.md §11 + §15; smoke mode times each
+#                         cell once, full mode takes medians of 7
+#                         interleaved repetitions), and
 #                         bench/fault_tolerance in smoke mode
 #                         (fails when disarmed fault machinery costs > 5%
 #                         more CPU per query — the median ratio of 80
@@ -55,9 +58,9 @@
 #                         fault domains over the one copy, DESIGN.md §15).
 #   4. Chaos smoke      — tools/precis_serve restarted with --shards 4,
 #                         --kill-shard 1 (a fault-scheduled permanently dead
-#                         shard), --replicas on (hedged share reads: a
-#                         stalled partition's share of an edge is re-read
-#                         from the source) and a
+#                         shard), --replicas on (hedging: a stalled
+#                         partition delays an edge by at most its hedging
+#                         delay, a computed wait) and a
 #                         seeded socket-chaos spec, then driven by
 #                         bench/load_gen --chaos. The chaos pass gates on
 #                         what outage handling promises (DESIGN.md §17):
@@ -82,19 +85,24 @@
 #                         pool is pinned to >= 4 threads so intra-query
 #                         parallelism really interleaves under the
 #                         sanitizer. The partition fault-domain suite
-#                         (circuit breakers, hedged share reads, degraded
-#                         answers) runs here too: hedging races a second
-#                         read of the source against a stalled primary by
-#                         design.
+#                         (circuit breakers, the planner's skip filter,
+#                         computed stall waits and hedges, degraded
+#                         answers) runs here too: partitioned queries
+#                         always run their chunk tasks on the pool.
 #   6. ASan + UBSan     — the chaos sanitizer gate: the fault-injection
 #                         suite, the fuzz-lite chaos sweep (including its
 #                         partitioned arm and the body-cache insert/query
 #                         interleaving sweep), the answer/body cache suite,
 #                         the partitioned engine suites of shard_test
 #                         (determinism, per-partition caches, the service,
-#                         circuit breakers, hedged share reads, degraded
-#                         answers — all matched by 'Shard'), the HTTP server
-#                         suite (slowloris timeouts, drain, socket chaos),
+#                         circuit breakers, the skip filter's arena copies,
+#                         computed stall waits, degraded answers — all
+#                         matched by 'Shard'), the ExecutionContext suite
+#                         (a deadline span past the clock's range, NaN or
+#                         infinity clears the deadline instead of
+#                         overflowing the tick conversion), the HTTP server
+#                         suite (slowloris timeouts, drain, socket chaos,
+#                         deadline_ms past the clock's range),
 #                         the planner determinism suite, the TaskPool
 #                         suite, the FlatKeySet set in both layouts (hash
 #                         table and bitmap), the sharded LRU (each shard's
@@ -155,6 +163,7 @@ PRECIS_BENCH_MOVIES=300 PRECIS_BENCH_SMOKE=1 \
 
 echo "=== [3/6] Server smoke (precis_serve + load_gen over real sockets) ==="
 SERVE_LOG="$ROOT/build-release/precis_serve_smoke.log"
+rm -f "$SERVE_LOG"  # a stale listening line must not be read as this one
 # --shards 2 serves a 2-partition engine; load_gen's identity probe compares
 # served bytes against an in-process one-partition engine, so this leg also
 # checks the partitioning byte-identity guarantee end-to-end.
@@ -247,14 +256,15 @@ BASELINE_P99="$(grep -o '"p99_ms": [0-9.][0-9.]*' "$ROOT/build-release/BENCH_ser
 BASELINE_P99="$(awk "BEGIN { b = $BASELINE_P99 + 0; print (b < 2.0) ? 2.0 : b }")"
 echo "healthy baseline p99: ${BASELINE_P99} ms"
 # Two full drills against freshly started servers. Each run kills shard 1
-# of 4 permanently (breaker opens, merges skip it), hedges slow partition
-# lookups, and injects seeded short writes at the socket layer; load_gen
+# of 4 permanently (breaker opens, lookups skip its tids), hedges stalled
+# partitions, and injects seeded short writes at the socket layer; load_gen
 # gates availability/honesty/latency/determinism. The probe fingerprint
 # must match across the two processes: same seed, same degraded bytes.
 CHAOS_FP=""
 run=1
 while [ $run -le 2 ]; do
   CHAOS_LOG="$ROOT/build-release/precis_serve_chaos_$run.log"
+  rm -f "$CHAOS_LOG"  # a stale listening line must not be read as this one
   "$ROOT/build-release/tools/precis_serve" \
     --port 0 --movies 300 --workers 2 --io-threads 2 --queue-depth 32 \
     --shards 4 --replicas on --kill-shard 1 --fault-seed 42 \
@@ -327,9 +337,9 @@ cmake --build "$ROOT/build-asan-ubsan" -j "$JOBS" \
   --target fault_injection_test fuzz_lite_test service_test \
            arena_test columnar_test server_test shard_test lru_cache_test \
            answer_cache_test parallel_dbgen_test task_pool_test storage_test \
-           serialization_test symbol_table_test
+           serialization_test symbol_table_test execution_context_test
 PRECIS_TASK_POOL_THREADS=4 \
   ctest --test-dir "$ROOT/build-asan-ubsan" --output-on-failure -j "$JOBS" \
-  -R 'FaultInjector|Retry|FaultChaos|CacheTaint|Service|FuzzLite|Arena|Column|FlatKeySet|LruCache|Relation|Database|Serialization|JsonLite|HttpParser|RequestParse|HttpServer|Shard|AnswerCache|CircuitBreaker|ServerChaosConfig|ParallelDbGen|TaskPool|SymbolTable'
+  -R 'FaultInjector|Retry|FaultChaos|CacheTaint|Service|FuzzLite|Arena|Column|FlatKeySet|LruCache|Relation|Database|Serialization|JsonLite|HttpParser|RequestParse|HttpServer|Shard|AnswerCache|CircuitBreaker|ServerChaosConfig|ParallelDbGen|TaskPool|SymbolTable|ExecutionContext'
 
 echo "=== CI passed (Release + bench smokes + server smoke + chaos drill + $SANITIZER + asan,ubsan chaos) ==="

@@ -19,13 +19,24 @@ const char* StopReasonToString(StopReason reason) {
 }
 
 void ExecutionContext::SetDeadlineAfter(double seconds) {
-  if (seconds <= 0.0) {
+  // A span that is not positive, is NaN, or ends past the clock's last
+  // tick (infinity included) sets no deadline. Every double below 2^63
+  // converts to a tick count, so the range check below is exact.
+  const Clock::time_point now = Clock::now();
+  const double ticks =
+      std::chrono::duration<double, Clock::period>(
+          std::chrono::duration<double>(seconds))
+          .count();
+  if (!(seconds > 0.0) || !(ticks < 0x1p63)) {
     ClearDeadline();
     return;
   }
-  SetDeadline(Clock::now() +
-              std::chrono::duration_cast<Clock::duration>(
-                  std::chrono::duration<double>(seconds)));
+  const Clock::duration span(static_cast<Clock::rep>(ticks));
+  if (span >= Clock::time_point::max() - now) {
+    ClearDeadline();
+    return;
+  }
+  SetDeadline(now + span);
 }
 
 std::optional<double> ExecutionContext::RemainingSeconds() const {

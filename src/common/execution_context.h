@@ -78,7 +78,8 @@ class ExecutionContext {
     deadline_ns_.store(deadline.time_since_epoch().count(),
                        std::memory_order_relaxed);
   }
-  /// Deadline `seconds` from now; <= 0 clears it.
+  /// Deadline `seconds` from now. A span <= 0, NaN, or past the clock's
+  /// range (infinity included) clears it.
   void SetDeadlineAfter(double seconds);
   void ClearDeadline() {
     deadline_ns_.store(kNoDeadline, std::memory_order_relaxed);

@@ -176,8 +176,8 @@ class FaultInjector {
   /// still count). A firing kLatencySpike schedule sleeps inline unless
   /// `stall_ns` is non-null, in which case the spike is *returned* for the
   /// caller to serve wherever it wants (the query's fault plan decides, the
-  /// partition's share task sleeps). Hot path: a single relaxed load when
-  /// the site is off.
+  /// planner sleeps as each edge opens). Hot path: a single relaxed load
+  /// when the site is off.
   Status CheckDomain(FaultSite site, uint32_t domain,
                      uint64_t* stall_ns = nullptr) {
     if (stall_ns != nullptr) *stall_ns = 0;

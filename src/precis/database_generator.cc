@@ -19,14 +19,15 @@
 //     the walk's positions too, so the injector sees the walk's sequence.
 //   * FETCH: every kChunkTuples accepted tids of a relation become one
 //     materialization task that pays the simulated per-tuple I/O wait and
-//     projects the tuples, charged, into a chunk-owned arena buffer through
-//     the source. Chunk boundaries depend only on the accepted sequence.
+//     projects the tuples, charged, into a chunk-owned arena buffer. Chunk
+//     boundaries depend only on the accepted sequence.
 //   * MERGE/EMIT: after the plan completes and the chunks drain, chunk
 //     buffers are concatenated in acceptance order and inserted; the
 //     per-relation emit and per-FK validation are tasks too.
 //
-// The source is a PartitionSource: one Database (DatabaseSource), or the
-// same Database under one query's partition fault plan (ShardedSource).
+// The planner reads one Database in place. A partitioned query adds its
+// fault plan: lookups drop the tids of skipped partitions, and stalled
+// partitions delay each edge by a computed wait (DESIGN.md §15, §17).
 // Tasks run inline on the caller when
 // max(parallelism, partitions) == 1 and on the task pool otherwise. The
 // emitted database and DbGenReport are byte-identical either way, at any
@@ -43,10 +44,8 @@
 #include <chrono>
 #include <cstdint>
 #include <deque>
-#include <forward_list>
 #include <functional>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <set>
@@ -62,6 +61,7 @@
 #include "common/retry.h"
 #include "common/task_pool.h"
 #include "precis/dbgen_common.h"
+#include "shard/shard_router.h"
 #include "sql/select.h"
 
 namespace precis {
@@ -98,7 +98,7 @@ void SimulateStatementOverhead(uint64_t total_ns) {
 /// The out-of-range message Relation::Get produces, replicated so a seed
 /// tid the planner validates without fetching fails with the byte-same
 /// status text a Get would.
-std::string TidOutOfRangeMessage(Tid tid, const SourceRelation& relation) {
+std::string TidOutOfRangeMessage(Tid tid, const Relation& relation) {
   return "tid " + std::to_string(tid) + " out of range for relation '" +
          relation.schema().name() + "' with " +
          std::to_string(relation.num_tuples()) + " tuples";
@@ -107,7 +107,7 @@ std::string TidOutOfRangeMessage(Tid tid, const SourceRelation& relation) {
 /// One materialization task's input (tid snapshot) and output (projected
 /// cells, row-major `count x width`, index-aligned with `tids`). Both
 /// arrays live in the query's Arena — allocated by the planner, filled by
-/// the chunk task through the source's columnar projection, freed
+/// the chunk task through the relation's columnar projection, freed
 /// wholesale at context teardown. The task owns the cells exclusively
 /// until the group Wait hands them back to the merging thread; a Value is
 /// trivially copyable, so a chunk is two flat arena arrays.
@@ -123,7 +123,7 @@ struct MaterializedChunk {
 /// source relation's size). Arrival tags are only tracked when path-aware
 /// propagation will read them.
 struct PlannedRelation {
-  std::unique_ptr<SourceRelation> source;
+  const Relation* source = nullptr;
   std::vector<size_t> emitted;  // emitted attribute indices (sorted)
 
   std::vector<Tid> accepted;  // Fig. 5 collection order
@@ -280,77 +280,38 @@ Result<std::vector<Value>> PlanJoinKeys(
   return keys;
 }
 
-/// DatabaseSource's relation view: every call forwards to the Relation.
-class DatabaseRelation final : public SourceRelation {
- public:
-  explicit DatabaseRelation(const Relation* relation) : relation_(relation) {}
-
-  const RelationSchema& schema() const override { return relation_->schema(); }
-  size_t num_tuples() const override { return relation_->num_tuples(); }
-  Value ColumnValue(Tid tid, size_t attribute) const override {
-    return relation_->ColumnValue(tid, attribute);
-  }
-  void CountStatement(ExecutionContext* ctx) const override {
-    relation_->CountStatement(ctx);
-  }
-  void ProjectRows(const Tid* tids, size_t n,
-                   const std::vector<size_t>& projection, Value* out,
-                   ExecutionContext* ctx) const override {
-    relation_->ProjectRows(tids, n, projection, out, ctx);
-  }
-  std::unique_ptr<KeyLookup> LookupKeys(const std::string& attribute,
-                                        const std::vector<Value>& keys,
-                                        TaskPool* /*pool*/) const override;
-
- private:
-  const Relation* relation_;
-};
-
-/// On-demand lookups: key k is probed only when the planner reaches it —
-/// literally Relation::LookupEqualsView, preceded by a charge-free prefetch
-/// of the index slot a few keys ahead. An indexed probe returns the index
-/// posting in place; a scan (unindexed attribute) lands in a buffer of its
-/// own, so every view handed out stays valid while the lookup lives.
-class DatabaseKeyLookup final : public KeyLookup {
- public:
-  DatabaseKeyLookup(const Relation* relation, const std::string& attribute,
-                    const std::vector<Value>& keys)
-      : relation_(relation),
-        attribute_(attribute),
-        keys_(keys),
-        indexed_(relation->HasIndex(attribute)) {}
-
-  Result<std::span<const Tid>> Lookup(size_t k,
-                                      ExecutionContext* ctx) override {
-    if (k + 4 < keys_.size()) {
-      relation_->PrefetchEquals(attribute_, keys_[k + 4]);
+/// Serves a partitioned query's stalls as an edge's lookups open: one
+/// sleep, the longest of the stalled live partitions' waits. A partition
+/// waits out its stall, or only its hedging delay when the plan hedges and
+/// the stall outlasts that delay: the hedge fires and wins. Each wait goes
+/// into the partition's latency ring. Stalls move time, never tids.
+void ServeStalls(const ShardQueryFaultPlan& plan, ShardQueryStats* stats) {
+  ShardHealthTracker* health = plan.health;
+  uint64_t sleep_ns = 0;
+  for (size_t s = 0; s < plan.stall_ns.size(); ++s) {
+    if (plan.live[s] == 0 || plan.stall_ns[s] == 0) continue;
+    uint64_t wait = plan.stall_ns[s];
+    if (plan.hedging && health != nullptr) {
+      const uint64_t delay = health->HedgeDelayNs(s);
+      if (wait > delay) {
+        wait = delay;
+        health->hedged_subqueries.fetch_add(1, std::memory_order_relaxed);
+        health->hedge_wins.fetch_add(1, std::memory_order_relaxed);
+        if (stats != nullptr) {
+          ++stats->hedged_subqueries;
+          ++stats->hedge_wins;
+        }
+      }
     }
-    std::vector<Tid>* scan = indexed_ ? nullptr : &scans_.emplace_front();
-    return relation_->LookupEqualsView(attribute_, keys_[k], scan, ctx);
+    if (health != nullptr) health->RecordLatency(s, wait);
+    sleep_ns = std::max(sleep_ns, wait);
   }
-
- private:
-  const Relation* relation_;
-  const std::string& attribute_;
-  const std::vector<Value>& keys_;
-  const bool indexed_;
-  std::forward_list<std::vector<Tid>> scans_;  // one per scan, never moved
-};
-
-std::unique_ptr<KeyLookup> DatabaseRelation::LookupKeys(
-    const std::string& attribute, const std::vector<Value>& keys,
-    TaskPool* /*pool*/) const {
-  return std::make_unique<DatabaseKeyLookup>(relation_, attribute, keys);
+  if (sleep_ns > 0) {
+    std::this_thread::sleep_for(std::chrono::nanoseconds(sleep_ns));
+  }
 }
 
 }  // namespace
-
-Result<std::unique_ptr<SourceRelation>> DatabaseSource::OpenRelation(
-    const std::string& name) const {
-  auto relation = db_->GetRelation(name);
-  if (!relation.ok()) return relation.status();
-  return std::unique_ptr<SourceRelation>(new DatabaseRelation(*relation));
-}
 
 std::string DegradationReport::ToString() const {
   std::string out;
@@ -389,25 +350,16 @@ const char* SubsetStrategyToString(SubsetStrategy s) {
 Result<Database> ResultDatabaseGenerator::Generate(
     const ResultSchema& schema, const SeedTids& seeds,
     const CardinalityConstraint& c, const DbGenOptions& options,
-    ExecutionContext* ctx) {
-  if (source_ != nullptr) return Plan(*source_, schema, seeds, c, options, ctx);
-  DatabaseSource view(database_);
-  return Plan(view, schema, seeds, c, options, ctx);
-}
-
-Result<Database> ResultDatabaseGenerator::Plan(
-    const PartitionSource& source, const ResultSchema& schema,
-    const SeedTids& seeds, const CardinalityConstraint& c,
-    const DbGenOptions& options, ExecutionContext* ctx) {
+    ExecutionContext* ctx, const PartitionedQuery& partitioned) {
   last_report_ = DbGenReport{};
   const SchemaGraph& graph = schema.graph();
 
   std::map<RelationNodeId, PlannedRelation> planned;
   for (RelationNodeId rel : schema.relations()) {
-    auto opened = source.OpenRelation(graph.relation_name(rel));
+    auto opened = database_->GetRelation(graph.relation_name(rel));
     if (!opened.ok()) return opened.status();
     PlannedRelation& p = planned[rel];
-    p.source = std::move(*opened);
+    p.source = *opened;
     p.emitted =
         EmittedAttributeIndices(schema, rel, options.include_join_attributes);
     p.track_arrivals = options.path_aware_propagation;
@@ -427,9 +379,14 @@ Result<Database> ResultDatabaseGenerator::Plan(
   // one partition at parallelism <= 1, else on the pool with one in-flight
   // slot per unit of parallelism and at least one per partition. The task
   // group outlives nothing it references: everything chunk tasks touch
-  // (planned, sources, arena, ctx) is declared above, so the group's
-  // destructor — which waits — runs first on every return path.
-  const size_t width = std::max(options.parallelism, source.num_partitions());
+  // (planned, arena, ctx) is declared above, so the group's destructor —
+  // which waits — runs first on every return path.
+  const SourcePartitions* partitions = partitioned.partitions;
+  const ShardQueryFaultPlan* plan =
+      partitions != nullptr ? partitioned.plan : nullptr;
+  const size_t width = std::max(
+      options.parallelism, partitions != nullptr ? partitions->num_partitions()
+                                                 : size_t{1});
   TaskPool* pool =
       width >= 2 ? (options.pool != nullptr ? options.pool : TaskPool::Shared())
                  : nullptr;
@@ -477,10 +434,10 @@ Result<Database> ResultDatabaseGenerator::Plan(
   // thread: tuple-fetch checks are *replayed* at exactly the positions the
   // walk issues Gets (including duplicate fetches the planner plans away),
   // and lookups run here, so the injector consumes the walk's check
-  // sequence. Chunk tasks project through the source, which never consults
-  // the injector. The taint bit is set whenever the injector is armed —
-  // even if no fault fires — so the engine's caches never store an answer
-  // produced under fault conditions.
+  // sequence. Chunk tasks project through the relation, which never
+  // consults the injector. The taint bit is set whenever the injector is
+  // armed — even if no fault fires — so the engine's caches never store an
+  // answer produced under fault conditions.
   const bool faults = FaultsArmed(ctx);
   last_report_.fault_tainted = faults;
   auto degradation_for = [&](RelationNodeId rel) -> RelationDegradation& {
@@ -504,13 +461,16 @@ Result<Database> ResultDatabaseGenerator::Plan(
   // without are recorded before any other degradation event — the skip
   // happened before any edge ran — along with each relation's tuples
   // resident on them. Entry order is the schema's relation order.
-  const std::vector<uint32_t> skipped = source.skipped_partitions();
-  if (!skipped.empty()) {
-    last_report_.degradation.shards_skipped = skipped;
+  const bool skipping = plan != nullptr && plan->any_skipped();
+  if (skipping) {
+    last_report_.degradation.shards_skipped = plan->skipped;
     last_report_.degradation.shards_total =
-        static_cast<uint32_t>(source.num_partitions());
+        static_cast<uint32_t>(partitions->num_partitions());
     for (auto& [rel, p] : planned) {
-      const uint64_t unavailable = p.source->unavailable_tuples();
+      uint64_t unavailable = 0;
+      for (uint32_t s : plan->skipped) {
+        unavailable += partitions->TuplesOn(graph.relation_name(rel), s);
+      }
       if (unavailable > 0) {
         degradation_for(rel).unavailable_tuples += unavailable;
       }
@@ -537,7 +497,7 @@ Result<Database> ResultDatabaseGenerator::Plan(
                 tids);
       chunk->tids = tids;
       chunk->cells = arena->AllocateArray<Value>(count * chunk->width);
-      const SourceRelation* src = p.source.get();
+      const Relation* src = p.source;
       const std::vector<size_t>* emitted = &p.emitted;  // stable (node map)
       p.chunks.push_back(chunk);
       group.Run([chunk, src, emitted, latency_ns, ctx] {
@@ -580,7 +540,7 @@ Result<Database> ResultDatabaseGenerator::Plan(
       continue;
     }
     PlannedRelation& p = planned[rel];
-    const SourceRelation& src = *p.source;
+    const Relation& src = *p.source;
     src.CountStatement(ctx);  // one sigma_Tids query per seed relation
     SimulateStatementOverhead(options.statement_overhead_ns);
     if (options.trace_sql) {
@@ -646,6 +606,7 @@ Result<Database> ResultDatabaseGenerator::Plan(
     pending[rel] = schema.in_degree(rel);
   }
   std::unordered_set<const JoinEdge*> executed;
+  std::vector<Tid> scan;  // an unindexed lookup's matches, until copied out
 
   while (!plan_stopped() && executed.size() < schema.join_edges().size()) {
     const JoinEdge* next = nullptr;
@@ -685,23 +646,49 @@ Result<Database> ResultDatabaseGenerator::Plan(
     }
 
     PlannedRelation& col = planned[edge.to];
-    const SourceRelation& to_relation = *col.source;
+    const Relation& to_relation = *col.source;
 
-    // The edge's lookups, consumed key by key below. The kJoinValueLookup
-    // gate wraps each one, so a retried lookup re-runs the source's probe
-    // charge and fault checks exactly as the classic walk's retried lookup.
-    std::unique_ptr<KeyLookup> lookup =
-        to_relation.LookupKeys(edge.to_attribute, *keys, pool);
+    // The edge's lookups open: a partitioned query first serves its stalls.
+    if (plan != nullptr) ServeStalls(*plan, partitioned.stats);
+
+    // The edge's lookups, consumed key by key below, each preceded by a
+    // charge-free prefetch of the index slot a few keys ahead. The
+    // kJoinValueLookup gate wraps each one, so a retried lookup re-runs the
+    // probe or scan charge and fault checks exactly as the classic walk's
+    // retried lookup. An index probe returns its posting in place. Only
+    // after a lookup succeeds are the skipped partitions' tids dropped, so
+    // charges and fault checks stay unpartitioned; the live tids, like a
+    // scan's matches, are copied into the query arena, where every view
+    // stays valid until the edge drains.
+    const bool indexed = to_relation.HasIndex(edge.to_attribute);
+    const uint64_t to_seed =
+        skipping ? ShardRouter::RelationSeed(to_schema.name()) : 0;
     auto lookup_key = [&](size_t k,
                           uint64_t* retries) -> Result<std::span<const Tid>> {
-      if (!faults) return lookup->Lookup(k, ctx);
-      return RetryWithBackoff(
-          ctx->retry_policy(), ctx, FaultSite::kJoinValueLookup,
-          [&]() -> Result<std::span<const Tid>> {
-            PRECIS_RETURN_NOT_OK(ctx->CheckFault(FaultSite::kJoinValueLookup));
-            return lookup->Lookup(k, ctx);
-          },
-          retries);
+      if (k + 4 < keys->size()) {
+        to_relation.PrefetchEquals(edge.to_attribute, (*keys)[k + 4]);
+      }
+      auto probe = [&]() -> Result<std::span<const Tid>> {
+        if (faults) {
+          PRECIS_RETURN_NOT_OK(ctx->CheckFault(FaultSite::kJoinValueLookup));
+        }
+        return to_relation.LookupEqualsView(edge.to_attribute, (*keys)[k],
+                                            &scan, ctx);
+      };
+      auto tids = faults ? RetryWithBackoff(ctx->retry_policy(), ctx,
+                                            FaultSite::kJoinValueLookup, probe,
+                                            retries)
+                         : probe();
+      if (!tids.ok() || (indexed && !skipping)) return tids;
+      Tid* kept = arena->AllocateArray<Tid>(tids->size());
+      size_t n = 0;
+      for (Tid tid : *tids) {
+        if (!skipping ||
+            plan->live[partitions->router().ShardOf(to_seed, tid)] != 0) {
+          kept[n++] = tid;
+        }
+      }
+      return std::span<const Tid>(kept, n);
     };
 
     if (options.trace_sql) {
@@ -820,7 +807,7 @@ Result<Database> ResultDatabaseGenerator::Plan(
       // RoundRobin: one scan per key (PerValueScanSet::Open parity: scans
       // opened after a stop are empty and uncharged), then one tuple per
       // open scan per round while the cardinality constraint holds. Scans
-      // are views the lookup keeps valid until the edge is done.
+      // are views that stay valid until the edge is done.
       std::vector<std::span<const Tid>> scans;
       scans.reserve(keys->size());
       // Mirror of PerValueScanSet's degradation counters, folded into the
@@ -966,7 +953,7 @@ Result<Database> ResultDatabaseGenerator::Plan(
     bool holds = false;
   };
   std::vector<FkCheck> checks;
-  for (const ForeignKey& fk : source.foreign_keys()) {
+  for (const ForeignKey& fk : database_->foreign_keys()) {
     if (!result.HasRelation(fk.child_relation) ||
         !result.HasRelation(fk.parent_relation)) {
       continue;

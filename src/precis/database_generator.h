@@ -19,9 +19,10 @@
 #include "common/execution_context.h"
 #include "common/result.h"
 #include "common/task_pool.h"
+#include "shard/shard_health.h"
+#include "shard/source_partitions.h"
 #include "storage/database.h"
 #include "precis/constraints.h"
-#include "precis/partition_source.h"
 #include "precis/result_schema.h"
 #include "precis/tuple_weights.h"
 
@@ -224,22 +225,29 @@ struct DbGenReport {
 /// query tokens (returned by the inverted index).
 using SeedTids = std::map<RelationNodeId, std::vector<Tid>>;
 
+/// \brief One partitioned query's fault-domain decisions (DESIGN.md §15,
+/// §17). The default is a query over one partition. With `partitions`
+/// set, `plan` must be too: the planner drops the tids of the partitions
+/// the plan skips from every lookup, counts their tuples as unavailable,
+/// and sleeps out the plan's stalls when each edge's lookups open.
+struct PartitionedQuery {
+  const SourcePartitions* partitions = nullptr;
+  const ShardQueryFaultPlan* plan = nullptr;
+  /// Receives the query's hedged stalls; may be null.
+  ShardQueryStats* stats = nullptr;
+};
+
 /// \brief Implements the Result Database Algorithm of Fig. 5.
 ///
 /// One planner for every execution shape (DESIGN.md §11): it walks the
-/// algorithm on the calling thread over tids and counts, reads its source
-/// through the PartitionSource interface, and materializes accepted tuples
-/// in chunk tasks that run inline or on a task pool.
+/// algorithm on the calling thread over tids and counts, reads the source
+/// database in place, and materializes accepted tuples in chunk tasks that
+/// run inline or on a task pool.
 class ResultDatabaseGenerator {
  public:
-  /// Generation over one unpartitioned database (a DatabaseSource view).
+  /// `source` must outlive the generator.
   explicit ResultDatabaseGenerator(const Database* source)
       : database_(source) {}
-
-  /// Generation over any partition source, e.g. one partitioned query's
-  /// ShardedSource. The source must outlive the generator.
-  explicit ResultDatabaseGenerator(const PartitionSource* source)
-      : source_(source) {}
 
   /// Generates the result database for `schema` seeded with `seeds` under
   /// cardinality constraint `c`. The result is a fully formed Database: its
@@ -253,6 +261,9 @@ class ResultDatabaseGenerator {
   /// so far are emitted as a well-formed (constraint-checked) partial
   /// database and the cause is recorded in DbGenReport::stop_reason.
   ///
+  /// `partitioned` runs the query over the source's partitions under its
+  /// fault plan; the pool width is then at least the partition count.
+  ///
   /// The database and report are byte-identical at every parallelism and
   /// partition count, including budget-stopped partial answers: budget
   /// stops are decided against a simulated charge counter that replays the
@@ -263,18 +274,13 @@ class ResultDatabaseGenerator {
   Result<Database> Generate(const ResultSchema& schema, const SeedTids& seeds,
                             const CardinalityConstraint& c,
                             const DbGenOptions& options = DbGenOptions(),
-                            ExecutionContext* ctx = nullptr);
+                            ExecutionContext* ctx = nullptr,
+                            const PartitionedQuery& partitioned = {});
 
   const DbGenReport& last_report() const { return last_report_; }
 
  private:
-  Result<Database> Plan(const PartitionSource& source,
-                        const ResultSchema& schema, const SeedTids& seeds,
-                        const CardinalityConstraint& c,
-                        const DbGenOptions& options, ExecutionContext* ctx);
-
-  const Database* database_ = nullptr;
-  const PartitionSource* source_ = nullptr;
+  const Database* database_;
   DbGenReport last_report_;
 };
 

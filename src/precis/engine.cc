@@ -201,20 +201,21 @@ Result<PrecisAnswer> PrecisEngine::AnswerFromMatches(
 
   // The one Fig. 5 planner over the database in place: directly at one
   // partition, and under this query's fault plan at N >= 2.
-  const DatabaseSource in_place(db_);
-  std::optional<ShardedSource> sharded;
-  if (partitions_ != nullptr) {
-    sharded.emplace(&in_place, partitions_.get(), plan);
+  ShardQueryStats stats;
+  if (plan != nullptr) {
+    stats = {plan->skipped, plan->probe_retries, plan->breaker_rejects};
   }
-  ResultDatabaseGenerator db_generator =
-      sharded ? ResultDatabaseGenerator(&*sharded)
-              : ResultDatabaseGenerator(db_);
+  ResultDatabaseGenerator db_generator(db_);
   Result<Database> database = [&] {
     ScopedSpan span(ctx, "db_gen");
-    return db_generator.Generate(*schema, seeds, cardinality, options, ctx);
+    return db_generator.Generate(
+        *schema, seeds, cardinality, options, ctx,
+        PartitionedQuery{partitions_.get(), plan, &stats});
   }();
   if (!database.ok()) return database.status();
-  if (sharded && shard_stats != nullptr) *shard_stats = sharded->stats();
+  if (plan != nullptr && shard_stats != nullptr) {
+    *shard_stats = std::move(stats);
+  }
 
   return PrecisAnswer{std::move(matches), std::move(*schema),
                       std::move(*database), db_generator.last_report()};

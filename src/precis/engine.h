@@ -21,7 +21,7 @@
 #include "common/result.h"
 #include "graph/schema_graph.h"
 #include "shard/shard_health.h"
-#include "shard/sharded_source.h"
+#include "shard/source_partitions.h"
 #include "storage/database.h"
 #include "text/inverted_index.h"
 #include "text/synonyms.h"
@@ -126,10 +126,10 @@ Result<ResultSchema> AssembleSeedsAndSchema(
 ///
 /// The engine reads the source database in place at every N. A partition
 /// is the set of source tids ShardRouter assigns it: a fault domain, not a
-/// copy. At N >= 2 the Fig. 5 planner runs over a per-query ShardedSource,
-/// which applies the query's fault plan (DESIGN.md §17): a skipped
-/// partition's tids are dropped from the token matches and from every
-/// lookup, and a stalled partition delays its share of each edge. Answers
+/// copy. At N >= 2 the Fig. 5 planner applies each query's fault plan
+/// (DESIGN.md §17): a skipped partition's tids are dropped from the token
+/// matches and from every lookup, and a stalled partition delays each
+/// edge by its wait. Answers
 /// are byte-identical at every partition count, and one cache stack serves
 /// them all.
 class PrecisEngine {
@@ -145,9 +145,9 @@ class PrecisEngine {
   /// `partitions >= 2` it also counts each relation's tuples per partition
   /// (SourcePartitions) and tracks per-partition health; above
   /// kMaxPartitions it fails with InvalidArgument. `with_replicas` turns on
-  /// hedged share reads: a stalled partition's share of an edge is re-read
-  /// from the source by a second pool task, first response wins (DESIGN.md
-  /// §17); it needs `partitions >= 2`.
+  /// hedging: a stalled partition delays an edge by at most its hedging
+  /// delay, the hedge counted as fired and won (DESIGN.md §17); it needs
+  /// `partitions >= 2`.
   static Result<PrecisEngine> Create(const Database* db,
                                      const SchemaGraph* graph,
                                      size_t partitions = 1,
@@ -341,7 +341,7 @@ class PrecisEngine {
   /// Internally synchronized, so const query paths share it; null at one
   /// partition.
   std::unique_ptr<ShardHealthTracker> health_;
-  /// Whether stalled partition shares hedge (Create's `with_replicas`).
+  /// Whether stalled partitions hedge (Create's `with_replicas`).
   bool hedging_ = false;
   const SynonymTable* synonyms_ = nullptr;
 

@@ -203,8 +203,8 @@ class PrecisService {
     /// Fault-domain serving totals (DESIGN.md §17), all queries combined:
     /// queries answered without at least one partition, individual
     /// partition exclusions, kShardSubquery probe retries, breaker
-    /// fast-fails (skips without probing), hedged share reads launched, and
-    /// hedges that beat the primary.
+    /// fast-fails (skips without probing), hedges fired, and hedges that
+    /// beat the stall.
     uint64_t shard_degraded_queries = 0;
     uint64_t shard_skips_total = 0;
     uint64_t shard_probe_retries_total = 0;

@@ -2,7 +2,7 @@
 //
 // ShardHealthTracker is the engine-lifetime state: one CircuitBreaker per
 // shard plus a latency window per shard that derives the hedging delay
-// (~p99 of recent stalled-share latencies, clamped). ShardQueryFaultPlan is
+// (~p99 of recent stall waits, clamped). ShardQueryFaultPlan is
 // the per-query decision derived from it on the calling thread before
 // generation starts: which shards participate, which are skipped (open
 // circuit, or kShardSubquery probe failed after retries), and what injected
@@ -68,7 +68,7 @@ class ShardHealthTracker {
     return *breakers_[shard];
   }
 
-  /// Records one stalled share's wall latency for shard `shard`.
+  /// Records one stall wait of shard `shard`.
   void RecordLatency(size_t shard, uint64_t ns) {
     Ring& ring = rings_[shard];
     std::lock_guard<std::mutex> lock(ring.mu);
@@ -80,9 +80,9 @@ class ShardHealthTracker {
     ++ring.next;
   }
 
-  /// The delay after which a stalled share of `shard` should be hedged
-  /// (read a second time): ~p99 of the recent latency window, clamped into
-  /// the policy bounds (the default before any sample lands).
+  /// The delay after which a stall of `shard` is hedged: ~p99 of the
+  /// recent latency window, clamped into the policy bounds (the default
+  /// before any sample lands).
   uint64_t HedgeDelayNs(size_t shard) const {
     uint64_t p99 = 0;
     {
@@ -100,7 +100,7 @@ class ShardHealthTracker {
   }
 
   /// Lifetime counters (exported via /metrics and shell `stats`).
-  std::atomic<uint64_t> hedged_subqueries{0};  ///< hedged share reads launched
+  std::atomic<uint64_t> hedged_subqueries{0};  ///< hedges fired
   std::atomic<uint64_t> hedge_wins{0};         ///< hedges that beat the primary
   std::atomic<uint64_t> shard_skips{0};        ///< per-query shard exclusions
 
@@ -125,7 +125,7 @@ struct ShardQueryFaultPlan {
   uint64_t probe_retries = 0;      ///< kShardSubquery probe retries performed
   uint64_t breaker_rejects = 0;    ///< shards skipped without probing
   ShardHealthTracker* health = nullptr;
-  bool hedging = false;            ///< stalled shares may be hedged
+  bool hedging = false;            ///< stalls may be hedged
 
   bool any_skipped() const { return !skipped.empty(); }
 };
@@ -135,8 +135,8 @@ struct ShardQueryFaultPlan {
 /// check); otherwise the kShardSubquery domain check runs under the retry
 /// policy (the simulated "can we reach this shard" probe) and its outcome
 /// feeds the breaker. A reachable shard then consults kShardTimeout for an
-/// injected stall, which the shard's share task serves at each join edge —
-/// an *erroring* kShardTimeout schedule counts as a probe failure too.
+/// injected stall, which the planner serves as each join edge opens — an
+/// *erroring* kShardTimeout schedule counts as a probe failure too.
 inline ShardQueryFaultPlan DecideShardFaultPlan(size_t num_shards,
                                                 ShardHealthTracker* health,
                                                 ExecutionContext* ctx,

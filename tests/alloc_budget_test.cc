@@ -115,8 +115,8 @@ TEST_F(AllocBudgetTest, ColdGenerationAllocatesPerQueryNotPerTuple) {
       << large.tuples << " tuples";
   // The counts themselves, as measured (225 and 3,500 tuples): a change
   // that allocates more per query shows here first.
-  EXPECT_LE(small.allocations, 254u);
-  EXPECT_LE(large.allocations, 320u);
+  EXPECT_LE(small.allocations, 245u);
+  EXPECT_LE(large.allocations, 311u);
 }
 
 TEST_F(AllocBudgetTest, IndexBuildAllocatesPerIndexNotPerKey) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <limits>
 #include <thread>
 
 namespace precis {
@@ -30,20 +31,29 @@ TEST(ExecutionContextTest, DeadlineExpires) {
 }
 
 TEST(ExecutionContextTest, NonPositiveDeadlineClears) {
-  ExecutionContext ctx;
-  ctx.SetDeadlineAfter(10.0);
-  EXPECT_TRUE(ctx.has_deadline());
-  ctx.SetDeadlineAfter(0.0);
-  EXPECT_FALSE(ctx.has_deadline());
-  EXPECT_FALSE(ctx.ShouldStop());
+  // So does a span the clock cannot represent: 1e10 s is past the int64
+  // nanosecond range (~9.2e9 s), and infinity and NaN name no instant.
+  for (double seconds : {0.0, 1e10, std::numeric_limits<double>::infinity(),
+                         std::numeric_limits<double>::quiet_NaN()}) {
+    SCOPED_TRACE(seconds);
+    ExecutionContext ctx;
+    ctx.SetDeadlineAfter(10.0);
+    EXPECT_TRUE(ctx.has_deadline());
+    ctx.SetDeadlineAfter(seconds);
+    EXPECT_FALSE(ctx.has_deadline());
+    EXPECT_FALSE(ctx.ShouldStop());
+  }
 }
 
 TEST(ExecutionContextTest, GenerousDeadlineDoesNotStop) {
-  ExecutionContext ctx;
-  ctx.SetDeadlineAfter(3600.0);
-  EXPECT_FALSE(ctx.ShouldStop());
-  ASSERT_TRUE(ctx.RemainingSeconds().has_value());
-  EXPECT_GT(*ctx.RemainingSeconds(), 0.0);
+  // 1e9 s is near the end of the clock's range and still representable.
+  for (double seconds : {3600.0, 1e9}) {
+    ExecutionContext ctx;
+    ctx.SetDeadlineAfter(seconds);
+    EXPECT_FALSE(ctx.ShouldStop());
+    ASSERT_TRUE(ctx.RemainingSeconds().has_value());
+    EXPECT_GT(*ctx.RemainingSeconds(), 0.0);
+  }
 }
 
 TEST(ExecutionContextTest, BudgetExhaustionStops) {

@@ -2,8 +2,8 @@
 // strategy, option and stop mode, the planner must produce a database that
 // is BYTE-IDENTICAL (via storage/serialization) to the sequential walk
 // oracle, with an equal DbGenReport — run inline, on pools of 1, 2 and 8
-// threads, and through 2- and 4-partition ShardedSources over the same
-// database.
+// threads, and as 2- and 4-partition queries under a healthy fault plan
+// over the same database.
 
 #include <gtest/gtest.h>
 
@@ -21,7 +21,8 @@
 #include "precis/schema_generator.h"
 #include "precis/tuple_weights.h"
 #include "sequential_walk.h"
-#include "shard/sharded_source.h"
+#include "shard/shard_health.h"
+#include "shard/source_partitions.h"
 #include "storage/serialization.h"
 
 namespace precis {
@@ -36,7 +37,7 @@ struct RunResult {
 };
 
 /// One way of producing a result database: the oracle walk or the planner
-/// over some source, writing its report.
+/// over some partitioning of the database, writing its report.
 using Generator =
     std::function<Result<Database>(ExecutionContext* ctx, DbGenReport*)>;
 
@@ -78,13 +79,14 @@ Generator Oracle(const Database& db, const ResultSchema& schema,
   };
 }
 
-Generator Planner(const PartitionSource& source, const ResultSchema& schema,
+Generator Planner(const Database& db, const ResultSchema& schema,
                   const SeedTids& seeds, const CardinalityConstraint& c,
-                  const DbGenOptions& options) {
-  return [&source, &schema, &seeds, &c, options](ExecutionContext* ctx,
-                                                 DbGenReport* report) {
-    ResultDatabaseGenerator gen(&source);
-    auto result = gen.Generate(schema, seeds, c, options, ctx);
+                  const DbGenOptions& options,
+                  const PartitionedQuery& partitioned = {}) {
+  return [&db, &schema, &seeds, &c, options, partitioned](
+             ExecutionContext* ctx, DbGenReport* report) {
+    ResultDatabaseGenerator gen(&db);
+    auto result = gen.Generate(schema, seeds, c, options, ctx, partitioned);
     *report = gen.last_report();
     return result;
   };
@@ -111,8 +113,8 @@ void ExpectSameOutcome(const RunResult& oracle, const RunResult& got) {
 
 /// Runs the oracle walk, then the planner inline, on pools of 1/2/8
 /// threads (parallelism 2/2/8, including the degenerate
-/// parallelism=2-on-1-thread case) and over 2- and 4-partition sharded
-/// sources, asserting byte-identity every time.
+/// parallelism=2-on-1-thread case) and over 2 and 4 partitions under a
+/// healthy plan, asserting byte-identity every time.
 void ExpectDeterministic(
     const Database& db, const ResultSchema& schema, const SeedTids& seeds,
     const CardinalityConstraint& c, DbGenOptions base,
@@ -122,12 +124,10 @@ void ExpectDeterministic(
   RunResult oracle = RunOnce(Oracle(db, schema, seeds, c, base), configure);
   ASSERT_TRUE(oracle.ok);
 
-  const DatabaseSource unpartitioned(&db);
   {
     SCOPED_TRACE("inline");
     ExpectSameOutcome(
-        oracle, RunOnce(Planner(unpartitioned, schema, seeds, c, base),
-                        configure));
+        oracle, RunOnce(Planner(db, schema, seeds, c, base), configure));
   }
 
   TaskPool pool1(1);
@@ -149,18 +149,21 @@ void ExpectDeterministic(
     options.parallelism = config.parallelism;
     options.pool = config.pool;
     ExpectSameOutcome(
-        oracle, RunOnce(Planner(unpartitioned, schema, seeds, c, options),
-                        configure));
+        oracle, RunOnce(Planner(db, schema, seeds, c, options), configure));
   }
 
   for (size_t partitions : {size_t{2}, size_t{4}}) {
     SCOPED_TRACE("partitions=" + std::to_string(partitions));
     const SourcePartitions sharded(&db, partitions);
-    const ShardedSource source(&unpartitioned, &sharded);
+    const ShardQueryFaultPlan healthy =
+        DecideShardFaultPlan(partitions, /*health=*/nullptr, /*ctx=*/nullptr,
+                             /*hedging=*/false);
     DbGenOptions options = base;
     options.pool = &pool2;
     ExpectSameOutcome(
-        oracle, RunOnce(Planner(source, schema, seeds, c, options), configure));
+        oracle, RunOnce(Planner(db, schema, seeds, c, options,
+                                PartitionedQuery{&sharded, &healthy}),
+                        configure));
   }
 }
 
@@ -171,11 +174,10 @@ void ExpectInlineStatsMatchOracle(const Database& db,
                                   const SeedTids& seeds,
                                   const CardinalityConstraint& c,
                                   const DbGenOptions& options) {
-  const DatabaseSource unpartitioned(&db);
   RunResult oracle = RunOnce(Oracle(db, schema, seeds, c, options), nullptr,
                              /*with_context=*/true);
-  RunResult planned = RunOnce(Planner(unpartitioned, schema, seeds, c, options),
-                              nullptr, /*with_context=*/true);
+  RunResult planned = RunOnce(Planner(db, schema, seeds, c, options), nullptr,
+                              /*with_context=*/true);
   ASSERT_TRUE(oracle.ok);
   ASSERT_TRUE(planned.ok);
   EXPECT_EQ(planned.bytes, oracle.bytes);
@@ -427,8 +429,7 @@ TEST_F(ParallelDbGenDoubleKeyTest, SignedZeroAndNaNKeysAreByteIdentical) {
 
 TEST_F(ParallelDbGenDoubleKeyTest, SignedZerosJoinAndNaNsMatchNothing) {
   Build(/*indexed=*/true);
-  const DatabaseSource source(&db_);
-  ResultDatabaseGenerator gen(&source);
+  ResultDatabaseGenerator gen(&db_);
   DbGenOptions options;
   options.strategy = SubsetStrategy::kNaiveQ;  // one IN-list for the edge
   options.trace_sql = true;
@@ -547,11 +548,10 @@ TEST_F(ParallelDbGenMoviesTest, SharedPoolDefaultIsByteIdentical) {
   par.parallelism = 4;  // pool stays nullptr -> Shared()
   auto c = MaxTuplesPerRelation(30);
   const SeedTids seeds = DirectorSeeds();
-  const DatabaseSource source(&dataset_->db());
   ExpectSameOutcome(
       RunOnce(Oracle(dataset_->db(), *schema_, seeds, *c, DbGenOptions()),
               nullptr),
-      RunOnce(Planner(source, *schema_, seeds, *c, par), nullptr));
+      RunOnce(Planner(dataset_->db(), *schema_, seeds, *c, par), nullptr));
 }
 
 TEST_F(ParallelDbGenMoviesTest, InlineStatsMatchOracleProbesAndStatements) {

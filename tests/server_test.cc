@@ -595,6 +595,27 @@ TEST(HttpServerTest, DeadlineExceededServes504WithPartialBody) {
   EXPECT_NE(body->Find("report"), nullptr);
 }
 
+TEST(HttpServerTest, DeadlinePastTheClockRangeServesAsUnbounded) {
+  PrecisService::Options options;
+  options.num_workers = 1;
+  Harness h = Harness::Start(options);
+  HttpClient client = h.Client();
+  // 1e13 ms is past the int64 nanosecond clock and 1e400 parses to
+  // infinity: neither names an instant, so each query runs without a
+  // deadline and answers in full.
+  for (const char* deadline_ms : {"1e13", "1e400"}) {
+    SCOPED_TRACE(deadline_ms);
+    auto response = client.Post(
+        "/query", std::string("{\"tokens\":[\"Woody Allen\"],"
+                              "\"deadline_ms\":") +
+                      deadline_ms + "}");
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    EXPECT_EQ(response->status, 200);
+    ASSERT_NE(response->FindHeader("X-Precis-Stop-Reason"), nullptr);
+    EXPECT_EQ(*response->FindHeader("X-Precis-Stop-Reason"), "none");
+  }
+}
+
 TEST(HttpServerTest, OverloadShedsWith503NotQueueing) {
   PrecisService::Options options;
   options.num_workers = 1;

@@ -3,12 +3,13 @@
 // fault schedule, or deadline/budget stop, PrecisEngine must produce exactly
 // the answer its one-partition form produces — itself checked against the
 // sequential walk oracle (tests/sequential_walk.h). Plus router stability,
-// the skipped-partition lookup filter, caching over the one epoch, and what
-// a dead, stalled or hedged partition does to an answer.
+// the planner's skipped-partition filter, caching over the one epoch, and
+// what a dead, stalled or hedged partition does to an answer.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <limits>
 #include <map>
@@ -24,13 +25,15 @@
 #include "common/task_pool.h"
 #include "datagen/movies_dataset.h"
 #include "datagen/movies_templates.h"
+#include "precis/database_generator.h"
 #include "precis/engine.h"
 #include "precis/json_export.h"
+#include "precis/schema_generator.h"
 #include "sequential_walk.h"
 #include "service/precis_service.h"
 #include "shard/shard_health.h"
 #include "shard/shard_router.h"
-#include "shard/sharded_source.h"
+#include "shard/source_partitions.h"
 #include "storage/serialization.h"
 #include "text/synonyms.h"
 #include "translator/translator.h"
@@ -67,7 +70,111 @@ TEST(ShardRouterTest, SpreadsTuplesAcrossAllShards) {
 }
 
 // ---------------------------------------------------------------------------
-// Partitions over the one source: filtered lookups and the partition cap.
+// The planner's skip filter: a skipped partition's tids leave each lookup
+// only after the lookup's probe or scan charge.
+
+TEST(ShardSkipFilterTest, SkippedPartitionLeavesLookupsAfterTheirCharges) {
+  // Seeds D(did) and M joined on did, with M.did indexed (index probes)
+  // and unindexed (column scans into buffers that outlive each lookup).
+  // Directors 1..6 are seeded; director 7's films join no seed.
+  constexpr uint32_t kSkipped = 1;
+  for (bool indexed : {true, false}) {
+    Database db;
+    RelationSchema d("D", {{"did", DataType::kInt64},
+                           {"dname", DataType::kString}});
+    ASSERT_TRUE(d.SetPrimaryKey("did").ok());
+    ASSERT_TRUE(db.CreateRelation(std::move(d)).ok());
+    RelationSchema m("M", {{"mid", DataType::kInt64},
+                           {"did", DataType::kInt64},
+                           {"title", DataType::kString}});
+    ASSERT_TRUE(m.SetPrimaryKey("mid").ok());
+    ASSERT_TRUE(db.CreateRelation(std::move(m)).ok());
+    Relation* directors = *db.GetRelation("D");
+    Relation* movies = *db.GetRelation("M");
+    int64_t mid = 0;
+    for (int64_t did = 1; did <= 7; ++did) {
+      ASSERT_TRUE(directors->Insert({did, "Director"}).ok());
+      for (int i = 0; i < 9; ++i, ++mid) {
+        ASSERT_TRUE(movies->Insert({mid, did, "Movie"}).ok());
+      }
+    }
+    ASSERT_TRUE(directors->CreateIndex("did").ok());
+    if (indexed) {
+      ASSERT_TRUE(movies->CreateIndex("did").ok());
+    }
+    auto graph = SchemaGraph::FromDatabase(db);
+    ASSERT_TRUE(graph.ok());
+    ASSERT_TRUE(graph->AddProjectionEdge("D", "dname", 1.0).ok());
+    ASSERT_TRUE(graph->AddProjectionEdge("M", "mid", 1.0).ok());
+    ASSERT_TRUE(graph->AddJoinEdge("D", "did", "M", "did", 1.0).ok());
+    auto schema = ResultSchemaGenerator(&*graph).Generate({std::string("D")},
+                                                          *MinPathWeight(0.9));
+    ASSERT_TRUE(schema.ok());
+    const SeedTids seeds = {{*graph->RelationId("D"), {0, 1, 2, 3, 4, 5}}};
+
+    const SourcePartitions partitions(&db, 4);
+    const ShardQueryFaultPlan healthy =
+        DecideShardFaultPlan(4, /*health=*/nullptr, /*ctx=*/nullptr,
+                             /*hedging=*/false);
+    ShardQueryFaultPlan skip = healthy;
+    skip.live[kSkipped] = 0;
+    skip.skipped = {kSkipped};
+    // What the skipped run must emit of M: the tuples that join a seed
+    // (director 1..6) and sit on a live partition.
+    std::vector<int64_t> expect;
+    size_t dropped = 0;
+    for (Tid tid = 0; tid < movies->num_tuples(); ++tid) {
+      if (movies->ColumnValue(tid, 1).AsInt64() > 6) continue;
+      if (partitions.ShardOf("M", tid) == kSkipped) {
+        ++dropped;
+      } else {
+        expect.push_back(movies->ColumnValue(tid, 0).AsInt64());
+      }
+    }
+    ASSERT_GT(dropped, 0u);
+
+    for (SubsetStrategy strategy :
+         {SubsetStrategy::kNaiveQ, SubsetStrategy::kRoundRobin}) {
+      SCOPED_TRACE(std::string(indexed ? "indexed " : "scanned ") +
+                   SubsetStrategyToString(strategy));
+      DbGenOptions options;
+      options.strategy = strategy;
+      ExecutionContext healthy_ctx;
+      ExecutionContext skip_ctx;
+      ResultDatabaseGenerator gen(&db);
+      auto full = gen.Generate(*schema, seeds, *UnlimitedCardinality(),
+                               options, &healthy_ctx,
+                               PartitionedQuery{&partitions, &healthy});
+      ASSERT_TRUE(full.ok()) << full.status().ToString();
+      auto live = gen.Generate(*schema, seeds, *UnlimitedCardinality(),
+                               options, &skip_ctx,
+                               PartitionedQuery{&partitions, &skip});
+      ASSERT_TRUE(live.ok()) << live.status().ToString();
+
+      const Relation* emitted = *live->GetRelation("M");
+      auto mid_at = emitted->schema().AttributeIndex("mid");
+      ASSERT_TRUE(mid_at.ok());
+      std::vector<int64_t> got;
+      for (Tid tid = 0; tid < emitted->num_tuples(); ++tid) {
+        got.push_back(emitted->ColumnValue(tid, *mid_at).AsInt64());
+      }
+      std::sort(got.begin(), got.end());
+      EXPECT_EQ(got, expect);
+      EXPECT_EQ((*full->GetRelation("M"))->num_tuples(),
+                expect.size() + dropped);
+
+      const AccessStats& want = healthy_ctx.stats();
+      const AccessStats& charged = skip_ctx.stats();
+      EXPECT_GT(want.index_probes.load() + want.sequential_scans.load(), 0u);
+      EXPECT_EQ(charged.index_probes.load(), want.index_probes.load());
+      EXPECT_EQ(charged.sequential_scans.load(),
+                want.sequential_scans.load());
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The partition cap.
 
 class ShardedDatabaseTest : public ::testing::Test {
  protected:
@@ -81,72 +188,6 @@ class ShardedDatabaseTest : public ::testing::Test {
 
   std::unique_ptr<MoviesDataset> dataset_;
 };
-
-TEST_F(ShardedDatabaseTest, LookupEqualsMatchesUnpartitionedSource) {
-  // Under a plan that skips partition 1 of 4, each in-place lookup returns
-  // the source's tids minus the ones partition 1 owns, and charges the
-  // unpartitioned probe or scan, pooled or inline. "did" is an indexed
-  // many-to-one join key; "year" is unindexed, so its lookups scan into
-  // buffers of their own. Every view stays valid while the lookup lives.
-  const Database& db = dataset_->db();
-  const SourcePartitions partitions(&db, 4);
-  constexpr uint32_t kSkipped = 1;
-  ShardQueryFaultPlan plan;
-  plan.live.assign(4, 1);
-  plan.live[kSkipped] = 0;
-  plan.stall_ns.assign(4, 0);
-  plan.skipped = {kSkipped};
-  const DatabaseSource in_place(&db);
-  const ShardedSource source(&in_place, &partitions, &plan);
-  auto view = source.OpenRelation("MOVIE");
-  ASSERT_TRUE(view.ok());
-  auto movie = db.GetRelation("MOVIE");
-  ASSERT_TRUE(movie.ok());
-  for (const std::string attribute : {"did", "year"}) {
-    auto index = (*movie)->schema().AttributeIndex(attribute);
-    ASSERT_TRUE(index.ok());
-    std::vector<Value> keys;
-    for (Tid probe = 0; probe < 40; ++probe) {
-      keys.push_back((*movie)->ColumnValue(probe, *index));
-    }
-    for (TaskPool* pool :
-         {TaskPool::Shared(), static_cast<TaskPool*>(nullptr)}) {
-      SCOPED_TRACE(attribute + (pool != nullptr ? " pooled" : " inline"));
-      auto lookup = (*view)->LookupKeys(attribute, keys, pool);
-      ExecutionContext expect_ctx;
-      ExecutionContext got_ctx;
-      std::vector<std::vector<Tid>> expect(keys.size());
-      std::vector<std::span<const Tid>> got(keys.size());
-      size_t dropped = 0;
-      for (size_t k = 0; k < keys.size(); ++k) {
-        auto all = (*movie)->LookupEquals(attribute, keys[k], &expect_ctx);
-        auto live = lookup->Lookup(k, &got_ctx);
-        ASSERT_TRUE(all.ok());
-        ASSERT_TRUE(live.ok());
-        got[k] = *live;
-        for (Tid tid : *all) {
-          if (partitions.ShardOf("MOVIE", tid) == kSkipped) {
-            ++dropped;
-          } else {
-            expect[k].push_back(tid);
-          }
-        }
-      }
-      for (size_t k = 0; k < keys.size(); ++k) {
-        EXPECT_EQ(std::vector<Tid>(got[k].begin(), got[k].end()), expect[k])
-            << "key " << k;
-      }
-      EXPECT_GT(dropped, 0u);
-      EXPECT_GT(expect_ctx.stats().index_probes.load() +
-                    expect_ctx.stats().sequential_scans.load(),
-                0u);
-      EXPECT_EQ(got_ctx.stats().index_probes.load(),
-                expect_ctx.stats().index_probes.load());
-      EXPECT_EQ(got_ctx.stats().sequential_scans.load(),
-                expect_ctx.stats().sequential_scans.load());
-    }
-  }
-}
 
 TEST_F(ShardedDatabaseTest, CreateRejectsPartitionCountsAboveTheCap) {
   // Each partition costs a breaker and a latency ring, so Create refuses
@@ -1094,27 +1135,83 @@ TEST_F(ShardFaultDomainTest, HedgedSubqueriesNeverChangeAnswerBytes) {
     return answer.ok() ? AnswerToJson(*answer) : std::string();
   };
   // Reference: the same armed schedule with a 1 ns stall — far below the
-  // 2 ms hedging delay, so no hedge fires (and the run is fault-tainted
-  // exactly like the hedged one, keeping the reports comparable).
+  // 0.5 ms floor of the hedging delay, so no hedge fires (and the run is
+  // fault-tainted exactly like the hedged one, keeping the reports
+  // comparable).
   const std::string expect = run(1, nullptr);
 
-  // Stall shard 2's sub-queries well past the default 2 ms hedging delay:
-  // the coordinator re-issues them against the replica, the replica wins,
-  // and — replicas being exact copies — the bytes cannot change.
+  // Stall shard 2 well past its hedging delay: each edge's wait is cut to
+  // that delay and the hedge wins. A stall moves time, never tids, so the
+  // bytes cannot change.
   ShardQueryStats stats;
   const std::string got = run(8'000'000, &stats);  // 8 ms
 
   EXPECT_EQ(got, expect);
   EXPECT_TRUE(stats.shards_skipped.empty());
   EXPECT_GT(stats.hedged_subqueries, 0u);
-  EXPECT_GT(stats.hedge_wins, 0u) << "the unstalled replica must beat an "
-                                     "8 ms primary stall";
+  EXPECT_GT(stats.hedge_wins, 0u) << "a hedge must beat an 8 ms stall";
   EXPECT_LE(stats.hedge_wins, stats.hedged_subqueries);
   const ShardHealthTracker& health = *engine->health();
   EXPECT_GE(health.hedged_subqueries.load(std::memory_order_relaxed),
             stats.hedged_subqueries);
   EXPECT_GE(health.hedge_wins.load(std::memory_order_relaxed),
             stats.hedge_wins);
+}
+
+TEST_F(ShardFaultDomainTest, StallIsOneComputedWaitPerEdge) {
+  // An 8 ms stall on partition 2 of 4. With hedging, every edge waits only
+  // the hedging delay, and its hedge fires and wins; without, every edge
+  // sleeps the whole stall. Either way the bytes are a 1 ns stall's.
+  struct Run {
+    std::string json;
+    size_t edges = 0;
+    double wall_ms = 0.0;
+  };
+  auto run = [&](const PrecisEngine& engine, uint64_t stall_ns,
+                 ShardQueryStats* stats) {
+    FaultInjector injector(11);
+    FaultSchedule stall =
+        FaultSchedule::Probability(1.0, FaultKind::kLatencySpike);
+    stall.latency_spike_ns = stall_ns;
+    stall.domains = {2};
+    injector.SetSchedule(FaultSite::kShardTimeout, stall);
+    ExecutionContext ctx;
+    AttachInjector(&ctx, &injector);
+    DbGenOptions options;
+    options.strategy = SubsetStrategy::kRoundRobin;
+    const auto start = std::chrono::steady_clock::now();
+    auto answer =
+        engine.Answer(PrecisQuery{{"Woody Allen"}}, *MinPathWeight(0.8),
+                      *MaxTuplesPerRelation(4), options, &ctx, stats);
+    Run out;
+    out.wall_ms = std::chrono::duration<double, std::milli>(
+                      std::chrono::steady_clock::now() - start)
+                      .count();
+    EXPECT_TRUE(answer.ok());
+    if (!answer.ok()) return out;
+    out.json = AnswerToJson(*answer);
+    out.edges = answer->report.executed_edges.size();
+    return out;
+  };
+  for (bool hedging : {true, false}) {
+    SCOPED_TRACE(hedging ? "hedging" : "no hedging");
+    auto engine = MakeEngine(4, hedging);
+    ASSERT_NE(engine, nullptr);
+    const Run expect = run(*engine, 1, nullptr);
+    ShardQueryStats stats;
+    const Run got = run(*engine, 8'000'000, &stats);
+    EXPECT_EQ(got.json, expect.json);
+    ASSERT_GT(got.edges, 0u);
+    if (hedging) {
+      EXPECT_EQ(stats.hedged_subqueries, got.edges);
+      EXPECT_EQ(stats.hedge_wins, got.edges);
+    } else {
+      EXPECT_EQ(stats.hedged_subqueries, 0u);
+      EXPECT_EQ(stats.hedge_wins, 0u);
+      // A sleep never returns early, so only the lower bound holds.
+      EXPECT_GE(got.wall_ms, 8.0 * static_cast<double>(got.edges));
+    }
+  }
 }
 
 TEST(ShardedServiceTest, KilledShardServesDegradedAndExportsBreakers) {

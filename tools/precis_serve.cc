@@ -44,8 +44,8 @@ struct ServeFlags {
   /// place at every count; N >= 2 splits its tids into N fault domains.
   /// 0 and 1 are one partition. Answers are byte-identical either way.
   size_t shards = 0;
-  /// Hedge stalled partition reads: re-issue them against the same
-  /// source from a second task (DESIGN.md §17); needs shards >= 2.
+  /// Hedge stalled partitions: a stall delays an edge by at most the
+  /// partition's hedging delay (DESIGN.md §17); needs shards >= 2.
   bool replicas = false;
   /// When set, that shard is fault-scheduled permanently dead (latched
   /// kShardSubquery fault) — the chaos-drill shape ci.sh gates on.
@@ -71,9 +71,9 @@ void Usage(const char* argv0) {
       "--shards N >= 2 splits the dataset into N hash partitions: fault\n"
       "  domains over the one copy, read in place (answers stay\n"
       "  byte-identical). 0 or 1 is one partition.\n"
-      "--replicas on hedges stalled partition reads: a hedge re-reads the\n"
-      "  source from a second task, first answer wins (no copy is made;\n"
-      "  needs --shards >= 2).\n"
+      "--replicas on hedges stalled partitions: a stall delays an edge by\n"
+      "  at most the partition's hedging delay (no copy is made; needs\n"
+      "  --shards >= 2).\n"
       "--kill-shard N fault-schedules shard N permanently dead: queries\n"
       "  answer degraded from the surviving shards (needs --shards >= 2).\n"
       "--chaos 'seed=7,read=0.01,write=0.01,short=0.2' injects seeded\n"
@@ -225,7 +225,7 @@ int ServeMain(int argc, char** argv) {
   if (engine->num_partitions() >= 2) {
     std::fprintf(stderr, "partitioned execution: %zu partitions%s\n",
                  engine->num_partitions(),
-                 flags.replicas ? " (hedged share reads)" : "");
+                 flags.replicas ? " (hedged stalls)" : "");
   }
   auto service = PrecisService::Create(&*engine, service_options);
   if (!service.ok()) {
