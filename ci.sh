@@ -72,7 +72,12 @@
 #                         runs the whole drill twice against freshly started
 #                         servers and requires the probe fingerprints of
 #                         both runs to match — same seed, same degraded
-#                         bytes, across processes.
+#                         bytes, across processes. The fingerprint hashes
+#                         served bytes, so it moved once when an
+#                         occurrence began rendering its matched-tuple
+#                         count instead of its tids (it was
+#                         f204e03c08f2cc39 before); no constant pins it,
+#                         only the two runs' agreement.
 #   5. ThreadSanitizer  — the concurrency-sensitive tests (ExecutionContext,
 #                         PrecisService, engine concurrency, the sharded LRU,
 #                         the answer cache, the work-stealing TaskPool, the
@@ -113,10 +118,13 @@
 #                         flat-run ColumnIndex against a scan in both key
 #                         tables (direct and hashed), the
 #                         serialization suite (LoadDatabase builds each
-#                         index in bulk after the rows are in) and the
+#                         index in bulk after the rows are in), the
 #                         SymbolTable suite (raw byte copies into slabs,
 #                         offset arithmetic, a slab filled to its last
-#                         byte, strings longer than a slab) rebuilt under
+#                         byte, strings longer than a slab) and the JSON
+#                         renderer's own suite (escaping, scalars, whole
+#                         databases, answers whose occurrences render
+#                         matched-tuple counts) rebuilt under
 #                         address+undefined sanitizers.
 #                         Every answer's rows pass through the planner's
 #                         arena chunk buffers, inline or pooled.
@@ -337,9 +345,10 @@ cmake --build "$ROOT/build-asan-ubsan" -j "$JOBS" \
   --target fault_injection_test fuzz_lite_test service_test \
            arena_test columnar_test server_test shard_test lru_cache_test \
            answer_cache_test parallel_dbgen_test task_pool_test storage_test \
-           serialization_test symbol_table_test execution_context_test
+           serialization_test symbol_table_test execution_context_test \
+           json_export_test
 PRECIS_TASK_POOL_THREADS=4 \
   ctest --test-dir "$ROOT/build-asan-ubsan" --output-on-failure -j "$JOBS" \
-  -R 'FaultInjector|Retry|FaultChaos|CacheTaint|Service|FuzzLite|Arena|Column|FlatKeySet|LruCache|Relation|Database|Serialization|JsonLite|HttpParser|RequestParse|HttpServer|Shard|AnswerCache|CircuitBreaker|ServerChaosConfig|ParallelDbGen|TaskPool|SymbolTable|ExecutionContext'
+  -R 'FaultInjector|Retry|FaultChaos|CacheTaint|Service|FuzzLite|Arena|Column|FlatKeySet|LruCache|Relation|Database|Serialization|JsonLite|HttpParser|RequestParse|HttpServer|Shard|AnswerCache|CircuitBreaker|ServerChaosConfig|ParallelDbGen|TaskPool|SymbolTable|ExecutionContext|AnswerToJson|DatabaseToJson|JsonEscape|ValueToJson'
 
 echo "=== CI passed (Release + bench smokes + server smoke + chaos drill + $SANITIZER + asan,ubsan chaos) ==="

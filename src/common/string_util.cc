@@ -1,6 +1,8 @@
 #include "common/string_util.h"
 
 #include <cctype>
+#include <charconv>
+#include <cmath>
 
 namespace precis {
 
@@ -51,6 +53,16 @@ bool StartsWith(std::string_view s, std::string_view prefix) {
 bool EndsWith(std::string_view s, std::string_view suffix) {
   return s.size() >= suffix.size() &&
          s.substr(s.size() - suffix.size()) == suffix;
+}
+
+bool ParseNonNegativeDouble(std::string_view text, double* out) {
+  if (text.empty() || text.front() == '-') return false;
+  const char* end = text.data() + text.size();
+  double value = 0.0;
+  auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end || !std::isfinite(value)) return false;
+  *out = value;
+  return true;
 }
 
 }  // namespace precis

@@ -28,6 +28,11 @@ bool StartsWith(std::string_view s, std::string_view prefix);
 /// True if `s` ends with `suffix`.
 bool EndsWith(std::string_view s, std::string_view suffix);
 
+/// Parses a finite, non-negative decimal number ("250", "0.5", "1e3") that
+/// fills the whole of `text`: a minus sign, trailing junk, nan, inf or a
+/// value past double's range fails and leaves `*out` alone.
+bool ParseNonNegativeDouble(std::string_view text, double* out);
+
 }  // namespace precis
 
 #endif  // PRECIS_COMMON_STRING_UTIL_H_

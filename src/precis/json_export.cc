@@ -208,8 +208,7 @@ std::string AnswerToJson(const PrecisAnswer& answer) {
     for (const TokenMatch& match : answer.matches) {
       estimate += 96 + match.token.size() + match.resolved_token.size();
       for (const TokenOccurrence& occ : match.occurrences()) {
-        estimate += 64 + occ.relation.size() + occ.attribute.size() +
-                    8 * occ.tids.size();
+        estimate += 64 + occ.relation.size() + occ.attribute.size();
       }
     }
     estimate += 128 * answer.schema.relations().size() +
@@ -236,12 +235,9 @@ std::string AnswerToJson(const PrecisAnswer& answer) {
       AppendJsonEscaped(&out, occ.relation);
       out += "\",\"attribute\":\"";
       AppendJsonEscaped(&out, occ.attribute);
-      out += "\",\"tids\":[";
-      for (size_t t = 0; t < occ.tids.size(); ++t) {
-        if (t > 0) out += ",";
-        AppendUint(&out, occ.tids[t]);
-      }
-      out += "]}";
+      out += "\",\"matched_tuples\":";
+      AppendUint(&out, occ.tids.size());
+      out += "}";
     }
     out += "]}";
   }

@@ -36,7 +36,13 @@ std::string DatabaseToJson(const Database& db);
 
 /// \brief A full précis answer: token matches, the result schema D'
 /// (relations, projected attributes, join edges, in-degrees), the result
-/// database, and the generation report.
+/// database, and the generation report:
+/// {"matches": [{"token", "resolved_token", "occurrences": [{"relation",
+/// "attribute", "matched_tuples"}]}], "schema": ..., "database": ...,
+/// "report": ...}
+/// An occurrence renders how many tuples matched, not their tids: tids are
+/// storage row ids no reader of the body can resolve, and the matched
+/// tuples that made the cardinality cut are already in "database".
 std::string AnswerToJson(const PrecisAnswer& answer);
 
 }  // namespace precis

@@ -222,5 +222,23 @@ TEST(StringUtilTest, StartsEndsWith) {
   EXPECT_FALSE(EndsWith("cis", "precis"));
 }
 
+TEST(StringUtilTest, ParseNonNegativeDoubleTakesWholeFiniteNumbers) {
+  double v = -1.0;
+  EXPECT_TRUE(ParseNonNegativeDouble("250", &v));
+  EXPECT_EQ(v, 250.0);
+  EXPECT_TRUE(ParseNonNegativeDouble("0.5", &v));
+  EXPECT_EQ(v, 0.5);
+  EXPECT_TRUE(ParseNonNegativeDouble("1e3", &v));
+  EXPECT_EQ(v, 1000.0);
+  EXPECT_TRUE(ParseNonNegativeDouble("0", &v));
+  EXPECT_EQ(v, 0.0);
+  for (const char* bad : {"", "junk", "-5", "-0", "1x", " 1", "1 ", "+1",
+                          "nan", "inf", "-inf", "1e400", "0x10"}) {
+    v = 7.0;
+    EXPECT_FALSE(ParseNonNegativeDouble(bad, &v)) << "'" << bad << "'";
+    EXPECT_EQ(v, 7.0) << "'" << bad << "'";
+  }
+}
+
 }  // namespace
 }  // namespace precis

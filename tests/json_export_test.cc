@@ -2,6 +2,7 @@
 
 #include <memory>
 #include <stack>
+#include <string>
 
 #include "common/execution_context.h"
 #include "common/fault_injection.h"
@@ -176,6 +177,61 @@ TEST(AnswerToJsonTest, FaultTaintedAnswerReportsPerRelationLosses) {
   EXPECT_NE(json.find("\"dropped_tuples\":"), std::string::npos);
   EXPECT_NE(json.find("\"failed_lookups\":"), std::string::npos);
   EXPECT_NE(json.find("\"retries\":"), std::string::npos);
+}
+
+TEST(AnswerToJsonTest, OccurrencesRenderTheirMatchedTupleCount) {
+  MoviesConfig config;
+  config.num_movies = 120;
+  auto ds = MoviesDataset::Create(config);
+  ASSERT_TRUE(ds.ok());
+  auto engine = PrecisEngine::Create(&ds->db(), &ds->graph());
+  ASSERT_TRUE(engine.ok());
+  // A homonym: the token occurs in more than one (relation, attribute).
+  const OccurrenceList occurrences = engine->index().Lookup("Woody Allen");
+  ASSERT_GE(occurrences->size(), 2u);
+  auto answer = engine->Answer(PrecisQuery{{"Woody Allen"}},
+                               *MinPathWeight(0.9), *MaxTuplesPerRelation(3));
+  ASSERT_TRUE(answer.ok());
+
+  const std::string json = AnswerToJson(*answer);
+  EXPECT_TRUE(BalancedJson(json)) << json;
+  for (const TokenOccurrence& occ : *occurrences) {
+    const std::string entry = "{\"relation\":\"" + occ.relation +
+                              "\",\"attribute\":\"" + occ.attribute +
+                              "\",\"matched_tuples\":" +
+                              std::to_string(occ.tids.size()) + "}";
+    EXPECT_NE(json.find(entry), std::string::npos) << entry << "\n" << json;
+  }
+  EXPECT_EQ(json.find("\"tids\""), std::string::npos) << json;
+}
+
+TEST(AnswerToJsonTest, MatchesDoNotGrowWithPostings) {
+  // A GENRE token over 6,000 films matches far more tuples than c = 10
+  // keeps; the body's matches section stays a count per occurrence.
+  MoviesConfig config;
+  config.num_movies = 6000;
+  auto ds = MoviesDataset::Create(config);
+  ASSERT_TRUE(ds.ok());
+  auto engine = PrecisEngine::Create(&ds->db(), &ds->graph());
+  ASSERT_TRUE(engine.ok());
+  auto answer = engine->Answer(PrecisQuery{{"Comedy"}}, *MinPathWeight(0.9),
+                               *MaxTuplesPerRelation(10));
+  ASSERT_TRUE(answer.ok());
+  size_t matched = 0;
+  for (const TokenMatch& match : answer->matches) {
+    for (const TokenOccurrence& occ : match.occurrences()) {
+      matched += occ.tids.size();
+    }
+  }
+  // Each rendered tid would take at least two bytes ("7,").
+  ASSERT_GT(matched, 128u);
+
+  const std::string json = AnswerToJson(*answer);
+  const size_t begin = json.find("{\"matches\":");
+  const size_t end = json.find(",\"schema\":");
+  ASSERT_EQ(begin, 0u) << json.substr(0, 64);
+  ASSERT_NE(end, std::string::npos);
+  EXPECT_LT(end - begin, 256u) << json.substr(begin, end - begin);
 }
 
 TEST(AnswerToJsonTest, EmptyAnswerSerializes) {

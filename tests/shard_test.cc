@@ -210,8 +210,24 @@ TEST_F(ShardedDatabaseTest, CreateRejectsPartitionCountsAboveTheCap) {
 // The determinism suite: sharded answers are byte-identical to the single
 // engine under every stop/fault/strategy combination.
 
+/// Every occurrence's tids, which the body renders only as a count.
+std::string MatchTids(const PrecisAnswer& answer) {
+  std::string out;
+  for (const TokenMatch& match : answer.matches) {
+    out += match.resolved_token + ":";
+    for (const TokenOccurrence& occ : match.occurrences()) {
+      out += occ.relation + "." + occ.attribute + "[";
+      for (Tid tid : occ.tids) out += std::to_string(tid) + ",";
+      out += "]";
+    }
+    out += ";";
+  }
+  return out;
+}
+
 struct RunDigest {
   std::string answer_json;
+  std::string match_tids;
   std::string degradation;
   std::vector<std::string> executed_edges;
   std::vector<std::string> truncated;
@@ -293,6 +309,7 @@ class ShardDeterminismTest : public ::testing::Test {
     RunDigest digest;
     if (!answer.ok()) return digest;
     digest.answer_json = AnswerToJson(*answer);
+    digest.match_tids = MatchTids(*answer);
     digest.degradation = answer->report.degradation.ToString();
     digest.executed_edges = answer->report.executed_edges;
     digest.truncated = answer->report.truncated_relations;
@@ -307,6 +324,7 @@ class ShardDeterminismTest : public ::testing::Test {
   void ExpectIdentical(const RunDigest& expect, const RunDigest& got,
                        const std::string& label) {
     EXPECT_EQ(got.answer_json, expect.answer_json) << label;
+    EXPECT_EQ(got.match_tids, expect.match_tids) << label;
     EXPECT_EQ(got.degradation, expect.degradation) << label;
     EXPECT_EQ(got.executed_edges, expect.executed_edges) << label;
     EXPECT_EQ(got.truncated, expect.truncated) << label;
@@ -796,6 +814,7 @@ class ShardFaultDomainTest : public ::testing::Test {
 
   struct Digest {
     std::string answer_json;
+    std::string match_tids;
     std::string degradation;
     std::string db_bytes;
   };
@@ -819,6 +838,7 @@ class ShardFaultDomainTest : public ::testing::Test {
     Digest digest;
     if (!answer.ok()) return digest;
     digest.answer_json = AnswerToJson(*answer);
+    digest.match_tids = MatchTids(*answer);
     digest.degradation = answer->report.degradation.ToString();
     std::ostringstream os;
     EXPECT_TRUE(SaveDatabase(answer->database, &os).ok());
@@ -883,6 +903,7 @@ TEST_F(ShardFaultDomainTest, DegradedAnswersByteIdenticalAcrossReruns) {
               std::to_string(seed) + " parallelism=" +
               std::to_string(parallelism);
           EXPECT_EQ(got.answer_json, expect.answer_json) << label;
+          EXPECT_EQ(got.match_tids, expect.match_tids) << label;
           EXPECT_EQ(got.degradation, expect.degradation) << label;
           EXPECT_EQ(got.db_bytes, expect.db_bytes) << label;
         }
@@ -944,6 +965,16 @@ TEST_F(ShardFaultDomainTest, DeadPartitionDropsExactlyItsOwnSeedTuples) {
           EXPECT_EQ(got[i].relation, expect[i].relation) << label;
           EXPECT_EQ(got[i].attribute, expect[i].attribute) << label;
           EXPECT_EQ(got[i].tids, expect[i].tids) << label;
+        }
+        // The body counts what survived the fault plan, not what matched.
+        const std::string json = AnswerToJson(*degraded);
+        for (const TokenOccurrence& occ : expect) {
+          const std::string entry =
+              "{\"relation\":\"" + occ.relation + "\",\"attribute\":\"" +
+              occ.attribute + "\",\"matched_tuples\":" +
+              std::to_string(occ.tids.size()) + "}";
+          EXPECT_NE(json.find(entry), std::string::npos)
+              << label << " " << entry;
         }
       }
     }

@@ -13,7 +13,6 @@
 
 #include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <optional>
@@ -21,6 +20,7 @@
 
 #include "common/fault_injection.h"
 #include "common/net_util.h"
+#include "common/string_util.h"
 #include "common/task_pool.h"
 #include "datagen/movies_dataset.h"
 #include "precis/engine.h"
@@ -32,7 +32,7 @@ namespace {
 
 struct ServeFlags {
   std::string address = "127.0.0.1";
-  int port = 0;  // 0 = ephemeral, printed at startup
+  size_t port = 0;  // 0 = ephemeral, printed at startup
   size_t movies = 2000;
   size_t workers = 4;
   size_t io_threads = 2;
@@ -81,11 +81,17 @@ void Usage(const char* argv0) {
       argv0);
 }
 
-/// A non-negative decimal integer: digits only, no sign, nothing after.
-bool ParseCount(const std::string& text, size_t* out) {
-  const char* end = text.data() + text.size();
-  auto [ptr, ec] = std::from_chars(text.data(), end, *out);
-  return !text.empty() && ec == std::errc() && ptr == end;
+/// Parses `flag`'s value as a non-negative decimal integer: digits only,
+/// no sign, nothing after. A malformed value is reported by flag name.
+template <typename Count>
+bool ParseCount(const std::string& flag, const std::string& value,
+                Count* out) {
+  const char* end = value.data() + value.size();
+  auto [ptr, ec] = std::from_chars(value.data(), end, *out);
+  if (!value.empty() && ec == std::errc() && ptr == end) return true;
+  std::fprintf(stderr, "%s takes a count, not '%s'\n", flag.c_str(),
+               value.c_str());
+  return false;
 }
 
 bool ParseFlags(int argc, char** argv, ServeFlags* flags) {
@@ -102,51 +108,49 @@ bool ParseFlags(int argc, char** argv, ServeFlags* flags) {
       std::fprintf(stderr, "missing value for %s\n", arg.c_str());
       return false;
     }
+    bool parsed = true;
     if (arg == "--address") {
       flags->address = value;
     } else if (arg == "--port") {
-      flags->port = std::atoi(value.c_str());
+      parsed = ParseCount(arg, value, &flags->port);
     } else if (arg == "--movies") {
-      flags->movies = static_cast<size_t>(std::atol(value.c_str()));
+      parsed = ParseCount(arg, value, &flags->movies);
     } else if (arg == "--workers") {
-      flags->workers = static_cast<size_t>(std::atol(value.c_str()));
+      parsed = ParseCount(arg, value, &flags->workers);
     } else if (arg == "--io-threads") {
-      flags->io_threads = static_cast<size_t>(std::atol(value.c_str()));
+      parsed = ParseCount(arg, value, &flags->io_threads);
     } else if (arg == "--queue-depth") {
-      flags->queue_depth = static_cast<size_t>(std::atol(value.c_str()));
+      parsed = ParseCount(arg, value, &flags->queue_depth);
     } else if (arg == "--deadline-ms") {
-      flags->deadline_ms = std::atof(value.c_str());
-    } else if (arg == "--parallelism") {
-      flags->parallelism = static_cast<size_t>(std::atol(value.c_str()));
-    } else if (arg == "--cache") {
-      flags->cache = value != "off" && value != "0" && value != "false";
-    } else if (arg == "--shards") {
-      if (!ParseCount(value, &flags->shards)) {
-        std::fprintf(stderr, "--shards takes a count, not '%s'\n",
+      if (!ParseNonNegativeDouble(value, &flags->deadline_ms)) {
+        std::fprintf(stderr,
+                     "--deadline-ms takes a finite number >= 0, not '%s'\n",
                      value.c_str());
         return false;
       }
+    } else if (arg == "--parallelism") {
+      parsed = ParseCount(arg, value, &flags->parallelism);
+    } else if (arg == "--cache") {
+      flags->cache = value != "off" && value != "0" && value != "false";
+    } else if (arg == "--shards") {
+      parsed = ParseCount(arg, value, &flags->shards);
     } else if (arg == "--replicas") {
       flags->replicas = value != "off" && value != "0" && value != "false";
     } else if (arg == "--kill-shard") {
       size_t shard = 0;
-      if (!ParseCount(value, &shard)) {
-        std::fprintf(stderr, "--kill-shard takes a shard id, not '%s'\n",
-                     value.c_str());
-        return false;
-      }
+      parsed = ParseCount(arg, value, &shard);
       flags->kill_shard = shard;
     } else if (arg == "--fault-seed") {
-      flags->fault_seed =
-          static_cast<uint64_t>(std::strtoull(value.c_str(), nullptr, 10));
+      parsed = ParseCount(arg, value, &flags->fault_seed);
     } else if (arg == "--chaos") {
       flags->chaos = value;
     } else {
       std::fprintf(stderr, "unknown flag %s\n", arg.c_str());
       return false;
     }
+    if (!parsed) return false;
   }
-  if (flags->port < 0 || flags->port > 65535) {
+  if (flags->port > 65535) {
     std::fprintf(stderr, "--port must be in [0, 65535]\n");
     return false;
   }

@@ -464,8 +464,11 @@ Status CmdQuery(ShellState* state, const std::vector<std::string>& args) {
 
 Status CmdDeadline(ShellState* state, const std::vector<std::string>& args) {
   if (args.size() != 1) return Status::InvalidArgument("usage: deadline MS");
-  double ms = std::atof(args[0].c_str());
-  if (ms < 0) return Status::InvalidArgument("deadline must be >= 0");
+  double ms = 0.0;
+  if (!ParseNonNegativeDouble(args[0], &ms)) {
+    return Status::InvalidArgument(
+        "deadline takes a finite number >= 0, not '" + args[0] + "'");
+  }
   state->deadline_ms = ms;
   if (ms > 0) {
     std::printf("deadline: %g ms per query\n", ms);
