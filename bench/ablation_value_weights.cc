@@ -53,24 +53,14 @@ const std::vector<bench::DbGenCase>& Cases() {
   return *cases;
 }
 
-/// Mean recency weight of the MOVIE tuples in a result database.
-double MeanMovieWeight(const Database& result, const Database& source) {
-  auto out_movie = result.GetRelation("MOVIE");
-  auto src_movie = source.GetRelation("MOVIE");
-  if (!out_movie.ok() || !src_movie.ok()) return 0.0;
-  auto out_mid = (*out_movie)->schema().AttributeIndex("mid");
-  if (!out_mid.ok()) return 0.0;
+/// Mean recency weight of the MOVIE tuples in a result database (its
+/// tids are the source's, which the weights are keyed on).
+double MeanMovieWeight(const ResultDatabase& result) {
+  const ResultRelation* movie = result.relation("MOVIE");
+  if (movie == nullptr || movie->tids.empty()) return 0.0;
   double total = 0.0;
-  size_t n = (*out_movie)->num_tuples();
-  if (n == 0) return 0.0;
-  for (Tid tid = 0; tid < n; ++tid) {
-    const Value mid = (*out_movie)->ColumnValue(tid, *out_mid);
-    auto src_tids = (*src_movie)->LookupEquals("mid", mid);
-    if (src_tids.ok() && !src_tids->empty()) {
-      total += RecencyWeights().Weight("MOVIE", (*src_tids)[0]);
-    }
-  }
-  return total / static_cast<double>(n);
+  for (Tid tid : movie->tids) total += RecencyWeights().Weight("MOVIE", tid);
+  return total / static_cast<double>(movie->tids.size());
 }
 
 void RunSelection(benchmark::State& state, bool ranked) {
@@ -92,7 +82,7 @@ void RunSelection(benchmark::State& state, bool ranked) {
       break;
     }
     state.PauseTiming();
-    weight_sum += MeanMovieWeight(*result, dataset.db());
+    weight_sum += MeanMovieWeight(*result);
     state.ResumeTiming();
     ++runs;
   }

@@ -73,7 +73,7 @@ void BM_PrecisAnswer(benchmark::State& state) {
     }
     benchmark::DoNotOptimize(answer);
     total_tuples += answer->database.TotalTuples();
-    total_relations += answer->database.num_relations();
+    total_relations += answer->database.relations().size();
     ++runs;
   }
   if (runs > 0) {

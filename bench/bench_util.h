@@ -168,7 +168,7 @@ inline DbGenCase DirectorCase(const MoviesDataset& dataset, bool smoke) {
 /// One timed generation run, serialized for byte comparison.
 struct TimedGeneration {
   double ms = 0.0;
-  std::string bytes;  // SaveDatabase text of the emitted database
+  std::string bytes;  // SaveDatabase text of the materialized result
   DbGenReport report;
 };
 
@@ -186,10 +186,13 @@ inline TimedGeneration TimeGenerate(ResultDatabaseGenerator gen,
                std::chrono::steady_clock::now() - start)
                .count();
   std::ostringstream os;
-  if (!result.ok() || !SaveDatabase(*result, &os).ok()) {
-    std::fprintf(stderr, "generate: %s\n",
-                 result.ok() ? "serialize failed"
-                             : result.status().ToString().c_str());
+  Status saved = result.status();
+  if (saved.ok()) {
+    auto db = result->Materialize();
+    saved = db.ok() ? SaveDatabase(*db, &os) : db.status();
+  }
+  if (!saved.ok()) {
+    std::fprintf(stderr, "generate: %s\n", saved.ToString().c_str());
     std::exit(1);
   }
   out.bytes = os.str();

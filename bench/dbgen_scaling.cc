@@ -14,8 +14,9 @@
 // database read in place, so speedup = inline_ms / ms compares real
 // serving shapes.
 //
-//   * cpu: materialization is pure compute; speedup is bounded by the core
-//     count and the serial planning fraction (Amdahl).
+//   * cpu: the plan alone. It runs serially on the calling thread, and a
+//     chunk task only charges its tuples' fetches, so this mode times the
+//     plan plus the pool's hand-off cost; no speedup is expected.
 //   * sim-io: every accepted tuple also pays PRECIS_BENCH_LATENCY_NS of
 //     simulated storage latency (the paper's §6 setting) as sleeps, which
 //     chunk tasks overlap like outstanding reads — a modelled speedup, real
@@ -24,8 +25,9 @@
 // Full mode times each cell kRepetitions times, interleaving the inline,
 // pooled and partitioned runs, and reports per-cell medians: single runs
 // of a few milliseconds swing past the differences reported. Smoke mode
-// runs each cell once. Every run is byte-compared (storage/serialization)
-// against the first inline database, and its report fields (total tuples,
+// runs each cell once. Every run's result is materialized and
+// byte-compared (storage/serialization) against the first inline one,
+// and its report fields (total tuples,
 // executed edges, truncations) must match too; any mismatch exits
 // non-zero, so the bench doubles as the generation determinism gate ci.sh
 // runs in smoke mode:
@@ -35,11 +37,9 @@
 // Knobs: PRECIS_BENCH_MOVIES, PRECIS_BENCH_LATENCY_NS (default 20000),
 // PRECIS_BENCH_OUT (default BENCH_dbgen_scaling.json).
 //
-// Full mode additionally gates on the headline claims at width 8 on the
-// largest cardinality point: >= 2x sim-io speedup for both shapes, and
-// >= 2x cpu-mode speedup at 8 partitions when the machine has >= 8 hardware
-// threads (pure compute cannot speed up past the core count; on a smaller
-// machine the cpu number is reported but not gated).
+// Full mode additionally gates on the headline claim at width 8 on the
+// largest cardinality point: >= 2x sim-io speedup for both shapes. The
+// cpu numbers are reported, not gated.
 
 #include <cstdio>
 #include <cstdlib>
@@ -224,8 +224,8 @@ int Main() {
               mismatches, headline[0][1], headline[1][1], headline[0][0],
               headline[1][0], out_path.c_str());
 
-  // Gates. Byte-identity always; the >= 2x headlines only in full mode
-  // (smoke datasets are too small for stable timing).
+  // Gates. Byte-identity always; the >= 2x sim-io headlines only in full
+  // mode (smoke datasets are too small for stable timing).
   if (mismatches != 0) {
     std::fprintf(stderr, "FAIL: %zu runs differ from the inline run\n",
                  mismatches);
@@ -241,20 +241,6 @@ int Main() {
                    shapes[shape], headline[shape][1]);
       status = 1;
     }
-  }
-  const unsigned cores = std::thread::hardware_concurrency();
-  if (cores >= 8 && headline[1][0] < 2.0) {
-    std::fprintf(stderr,
-                 "FAIL: cpu-mode speedup at 8 partitions on the largest "
-                 "cardinality is %.2fx (< 2x on %u hardware threads)\n",
-                 headline[1][0], cores);
-    status = 1;
-  }
-  if (cores < 8) {
-    std::fprintf(stderr,
-                 "note: cpu-mode 2x gate skipped (%u hardware threads < 8; "
-                 "pure compute cannot beat the core count)\n",
-                 cores);
   }
   return status;
 }

@@ -2,11 +2,6 @@
 //
 //   * index_probe     — ColumnIndex equality probes (LookupEquals through
 //                       the open-addressing table) on a join attribute.
-//   * fetch_project   — materializing projected tuples for a tid list:
-//                       the columnar ProjectRows kernel vs a row path over
-//                       a bench-local row-major copy of the relation
-//                       (per-tuple charge + per-cell copy), identical
-//                       output required cell-for-cell.
 //   * token_lookup    — InvertedIndex::Lookup over words drawn from the
 //                       indexed text (symbol-id postings path).
 //   * scan_equals     — Column::ScanEquals (SIMD-dispatched) vs the scalar
@@ -24,11 +19,8 @@
 //                       indexed titles; every phrase must hit.
 //
 // Each kernel gates on correctness (probe results vs a sequential scan,
-// columnar cells vs row cells, SIMD tids vs scalar tids, batched runs
-// vs sequential on both index layouts, every known word and phrase
-// found); full mode
-// additionally gates on the columnar fetch+project kernel not being slower
-// than the row copy. ci.sh runs the smoke form:
+// SIMD tids vs scalar tids, batched runs vs sequential on both index
+// layouts, every known word and phrase found). ci.sh runs the smoke form:
 //
 //   PRECIS_BENCH_MOVIES=300 PRECIS_BENCH_SMOKE=1 ./kernels_bench
 //
@@ -45,7 +37,6 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "common/execution_context.h"
 #include "storage/columnar.h"
 #include "storage/relation.h"
 #include "text/inverted_index.h"
@@ -133,45 +124,6 @@ int Main() {
       }
     }
     rows.push_back({"index_probe", ms, keys->size(), double(hits)});
-  }
-
-  // --- fetch_project: the dbgen chunk-materialization kernel, one bulk
-  // ProjectRows call over the columns, against a row path over a
-  // row-major copy of MOVIE built here before timing: one charged fetch
-  // per tuple plus per-cell copies out of the row vector. Both charge the
-  // same tuple-fetch totals.
-  {
-    std::vector<Tid> tids = movie.AllTids();
-    std::vector<Tuple> row_copy;
-    row_copy.reserve(tids.size());
-    for (Tid t : tids) row_copy.push_back(movie.tuple(t));
-    const std::vector<size_t> projection = {1, 2};  // title, year
-    const size_t width = projection.size();
-    std::vector<Value> row_out(tids.size() * width);
-    std::vector<Value> col_out(tids.size() * width);
-    ExecutionContext row_ctx;
-    ExecutionContext col_ctx;
-
-    double row_ms = BestOf(reps, [&] {
-      for (size_t i = 0; i < tids.size(); ++i) {
-        row_ctx.ChargeTupleFetch();
-        const Tuple& t = row_copy[tids[i]];
-        for (size_t j = 0; j < width; ++j) {
-          row_out[i * width + j] = t[projection[j]];
-        }
-      }
-    });
-    double col_ms = BestOf(reps, [&] {
-      movie.ProjectRows(tids.data(), tids.size(), projection, col_out.data(),
-                        &col_ctx);
-    });
-    if (row_out != col_out) {
-      std::fprintf(stderr, "fetch_project: columnar cells != row cells\n");
-      return 1;
-    }
-    rows.push_back({"fetch_project_row", row_ms, tids.size(), 0.0});
-    rows.push_back(
-        {"fetch_project_columnar", col_ms, tids.size(), row_ms / col_ms});
   }
 
   // --- token_lookup: single-word postings lookups over words drawn from
@@ -410,19 +362,6 @@ int Main() {
   out << "  ]\n}\n";
   out.close();
 
-  // Full-mode perf gate: the columnar kernel must not lose to the row copy
-  // (smoke datasets are too small to time meaningfully).
-  if (!smoke) {
-    for (const KernelRow& r : rows) {
-      if (r.name == "fetch_project_columnar" && r.aux < 1.0) {
-        std::fprintf(stderr,
-                     "GATE FAILED: columnar fetch+project %.2fx of row copy "
-                     "(need >= 1.0x)\n",
-                     r.aux);
-        return 1;
-      }
-    }
-  }
   std::printf("-> %s\n", out_path.c_str());
   return 0;
 }

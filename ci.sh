@@ -22,10 +22,9 @@
 #                         interleaved one-worker trial pairs — or any query
 #                         fails under injected faults — robustness gates,
 #                         DESIGN.md §12),
-#                         bench/kernels in smoke mode (fails when a columnar
-#                         kernel disagrees with a row-major copy of the
-#                         relation it read, when the SIMD
-#                         ScanEquals emits different tids than the scalar
+#                         bench/kernels in smoke mode (fails when an index
+#                         probe disagrees with a sequential scan, when the
+#                         SIMD ScanEquals emits different tids than the scalar
 #                         reference, or when a batched index probe differs
 #                         from sequential lookups or a column scan, on a
 #                         dense column built to take the direct key table
@@ -139,6 +138,20 @@
 
 set -eu
 
+# Legs 3 and 4 start precis_serve in the background and stop it when the
+# leg passes. A failing step exits through `set -e` before that, so every
+# exit path stops whichever server a leg recorded and left running.
+SERVE_PID=""
+HWM_PID=""
+CHAOS_PID=""
+stop_servers() {
+  for pid in $SERVE_PID $HWM_PID $CHAOS_PID; do
+    kill -TERM "$pid" 2>/dev/null || true
+  done
+}
+trap stop_servers EXIT
+trap 'exit 130' INT TERM
+
 SANITIZER="${PRECIS_SANITIZE:-thread}"
 JOBS="$(nproc 2>/dev/null || echo 4)"
 ROOT="$(cd "$(dirname "$0")" && pwd)"
@@ -162,8 +175,8 @@ PRECIS_BENCH_MOVIES=300 PRECIS_BENCH_SMOKE=1 \
 PRECIS_BENCH_MOVIES=300 PRECIS_BENCH_SMOKE=1 \
   PRECIS_BENCH_OUT="$ROOT/build-release/BENCH_fault_tolerance.json" \
   "$ROOT/build-release/bench/fault_tolerance"
-# Columnar kernels (index probe, fetch+project, token lookup, SIMD
-# scan-equals, batched probe, phrase intersection) must agree with their
+# Columnar kernels (index probe, token lookup, SIMD scan-equals, batched
+# probe, phrase intersection) must agree with their
 # scalar/sequential references cell-for-cell (DESIGN.md §13 + §16).
 PRECIS_BENCH_MOVIES=300 PRECIS_BENCH_SMOKE=1 \
   PRECIS_BENCH_OUT="$ROOT/build-release/BENCH_kernels.json" \
@@ -216,6 +229,7 @@ if ! wait "$SERVE_PID"; then
   cat "$SERVE_LOG" >&2
   exit 1
 fi
+SERVE_PID=""
 # Memory gate: a partition is a set of the source's tids, not a copy, so
 # --shards 4 must peak within 5% of --shards 1. Prints the server's VmHWM
 # in kB, read from /proc at its listening line, then stops it.
@@ -225,6 +239,9 @@ hwm_at_listening_line() {
   "$ROOT/build-release/tools/precis_serve" --port 0 --movies 34000 \
     --shards "$1" >"$HWM_LOG" 2>&1 &
   HWM_PID=$!
+  # This runs in a command substitution, whose subshell does not inherit
+  # the script's traps.
+  trap stop_servers EXIT
   i=0
   while ! grep -q '^precis_serve listening on ' "$HWM_LOG" 2>/dev/null; do
     if ! kill -0 "$HWM_PID" 2>/dev/null || [ $i -ge 600 ]; then
@@ -243,6 +260,7 @@ hwm_at_listening_line() {
     cat "$HWM_LOG" >&2
     return 1
   fi
+  HWM_PID=""
 }
 HWM_ONE="$(hwm_at_listening_line 1)"
 HWM_FOUR="$(hwm_at_listening_line 4)"
@@ -310,6 +328,7 @@ while [ $run -le 2 ]; do
     cat "$CHAOS_LOG" >&2
     exit 1
   fi
+  CHAOS_PID=""
   FP="$(sed -n 's/.*"probe_fingerprint": "\([0-9a-f][0-9a-f]*\)".*/\1/p' "$ROOT/build-release/BENCH_chaos.json")"
   if [ -z "$FP" ]; then
     echo "BENCH_chaos.json has no probe_fingerprint" >&2
@@ -349,6 +368,6 @@ cmake --build "$ROOT/build-asan-ubsan" -j "$JOBS" \
            json_export_test
 PRECIS_TASK_POOL_THREADS=4 \
   ctest --test-dir "$ROOT/build-asan-ubsan" --output-on-failure -j "$JOBS" \
-  -R 'FaultInjector|Retry|FaultChaos|CacheTaint|Service|FuzzLite|Arena|Column|FlatKeySet|LruCache|Relation|Database|Serialization|JsonLite|HttpParser|RequestParse|HttpServer|Shard|AnswerCache|CircuitBreaker|ServerChaosConfig|ParallelDbGen|TaskPool|SymbolTable|ExecutionContext|AnswerToJson|DatabaseToJson|JsonEscape|ValueToJson'
+  -R 'FaultInjector|Retry|FaultChaos|CacheTaint|Service|FuzzLite|Arena|Column|FlatKeySet|LruCache|Relation|Database|Serialization|JsonLite|HttpParser|RequestParse|HttpServer|Shard|AnswerCache|CircuitBreaker|ServerChaosConfig|ParallelDbGen|TaskPool|SymbolTable|ExecutionContext|AnswerToJson|JsonEscape|ValueToJson'
 
 echo "=== CI passed (Release + bench smokes + server smoke + chaos drill + $SANITIZER + asan,ubsan chaos) ==="

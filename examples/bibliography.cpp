@@ -31,7 +31,8 @@ void Ask(PrecisEngine* engine, const TemplateCatalog& catalog,
     std::printf("  no occurrences.\n\n");
     return;
   }
-  std::printf("%s\n", answer->database.DescribeSchema().c_str());
+  std::printf("%s\n",
+              answer->database.Materialize()->DescribeSchema().c_str());
   Translator translator(&catalog);
   auto text = translator.Render(*answer);
   if (text.ok() && !text->empty()) std::printf("%s\n\n", text->c_str());

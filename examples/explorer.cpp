@@ -183,7 +183,7 @@ int main(int argc, char** argv) {
     }
   }
   std::printf("result database:\n%s\n",
-              answer->database.DescribeSchema().c_str());
+              answer->database.Materialize()->DescribeSchema().c_str());
   if (trace_sql) {
     std::printf("submitted statements:\n");
     for (const std::string& sql : answer->report.sql_trace) {

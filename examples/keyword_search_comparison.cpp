@@ -59,7 +59,7 @@ int main() {
     return 1;
   }
   std::printf("a whole sub-database:\n%s\n",
-              answer->database.DescribeSchema().c_str());
+              answer->database.Materialize()->DescribeSchema().c_str());
   auto catalog = BuildMoviesTemplateCatalog();
   Translator translator(&*catalog);
   auto text = translator.Render(*answer);

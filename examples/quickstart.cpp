@@ -58,7 +58,7 @@ int main() {
   std::printf("\nResult schema D' (Fig. 4):\n%s\n",
               answer->schema.ToString().c_str());
   std::printf("Result database D':\n%s\n",
-              answer->database.DescribeSchema().c_str());
+              answer->database.Materialize()->DescribeSchema().c_str());
 
   // 4. Translate into the paper's narrative form (§5.3).
   auto catalog = BuildMoviesTemplateCatalog();

@@ -70,7 +70,7 @@ int main() {
       return 1;
     }
     std::printf("précis of {\"%s\"}:\n%s\n", token,
-                answer->database.DescribeSchema().c_str());
+                answer->database.Materialize()->DescribeSchema().c_str());
   }
   return 0;
 }

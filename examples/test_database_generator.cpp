@@ -56,8 +56,14 @@ int main() {
       {*dataset->graph().RelationId("MOVIE"), *seed_tids}};
 
   ResultDatabaseGenerator db_gen(&dataset->db());
-  auto test_db =
-      db_gen.Generate(*schema, seeds, *MaxTuplesPerRelation(200));
+  auto view = db_gen.Generate(*schema, seeds, *MaxTuplesPerRelation(200));
+  if (!view.ok()) {
+    std::cerr << view.status() << "\n";
+    return 1;
+  }
+  // The answer is a view over the source; a test database to ship is a
+  // copy of it.
+  auto test_db = view->Materialize();
   if (!test_db.ok()) {
     std::cerr << test_db.status() << "\n";
     return 1;

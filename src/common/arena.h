@@ -9,12 +9,10 @@
 // (freed at context teardown); generators running without a context
 // create a local one per Generate call.
 //
-// Thread-safety: Allocate/Reset/stats are internally locked. Chunk
-// materialization tasks allocate their output buffers from the query's
-// arena concurrently with the planner thread, but only at chunk
-// granularity (hundreds of tuples per allocation), so the mutex is not
-// a contention point. Memory handed out is exclusively owned by the
-// caller until Reset()/destruction.
+// Thread-safety: Allocate/Reset/stats are internally locked, and the
+// planner allocates per edge or per seed relation, never per tuple, so
+// the mutex is not a contention point. Memory handed out is exclusively
+// owned by the caller until Reset()/destruction.
 
 #ifndef PRECIS_COMMON_ARENA_H_
 #define PRECIS_COMMON_ARENA_H_

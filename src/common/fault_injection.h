@@ -14,8 +14,8 @@
 // partition counts (DESIGN.md §12).
 //
 // Determinism contract with the result-database generator: fault checks
-// fire only on the planner thread. Chunk tasks project through
-// Relation::ProjectRows, which never consults the injector, and the
+// fire only on the planner thread. Chunk tasks only sleep and charge
+// (Relation::CountTupleFetches), never consulting the injector, and the
 // planner replays the fault-check sequence at exactly the positions the
 // classic tuple-at-a-time walk would issue Gets — the same mechanism that
 // replays budget charges (`sim_charges`).

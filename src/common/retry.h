@@ -130,8 +130,8 @@ auto RetryWithBackoff(const RetryPolicy& policy, ExecutionContext* ctx,
 
 /// \brief A retried fault check: the unit the Fig. 5 planner uses to
 /// *replay* the classic walk's per-Get fault/retry sequence without
-/// touching storage (its chunk tasks project through ProjectRows, which
-/// never consults the injector). Consumes exactly the same injector check
+/// touching storage (its chunk tasks only charge the fetches, and never
+/// consult the injector). Consumes exactly the same injector check
 /// indices as `RetryWithBackoff(policy, ctx, [&]{ return Get(...); })`
 /// would.
 inline Status CheckFaultWithRetry(ExecutionContext* ctx, FaultSite site,

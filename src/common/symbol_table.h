@@ -13,8 +13,8 @@
 //     table load (and produces byte-identical hash values to the old
 //     per-call std::hash<std::string>, keeping every unordered-container
 //     behaviour unchanged);
-//   * copying a string value is copying 4 bytes — tuple projection and
-//     chunk materialization stop calling malloc per string cell.
+//   * copying a string value is copying 4 bytes — reading a string cell
+//     never calls malloc.
 //
 // Each shard holds three structures: the bytes, appended into 32 KiB
 // slabs that never move; one 16-byte entry per symbol (arena offset,

@@ -4,8 +4,8 @@
 // The algorithm makes every decision that shapes the output — which tuple
 // is accepted, in which order, where the cardinality budget truncates,
 // which edge runs next — from *tids and counts only*; tuple values are
-// needed only to drive join keys (uncharged column reads) and to
-// materialize the output. That observation is the whole design:
+// needed only to drive join keys (uncharged column reads), and the answer
+// is the accepted tids themselves. That observation is the whole design:
 //
 //   * PLAN (calling thread): walks Fig. 5 — same seed order, edge schedule,
 //     per-edge RoundRobin rounds, duplicate handling and budget checks as
@@ -18,19 +18,20 @@
 //     so one observed stop stops everything. Fault checks are replayed at
 //     the walk's positions too, so the injector sees the walk's sequence.
 //   * FETCH: every kChunkTuples accepted tids of a relation become one
-//     materialization task that pays the simulated per-tuple I/O wait and
-//     projects the tuples, charged, into a chunk-owned arena buffer. Chunk
-//     boundaries depend only on the accepted sequence.
-//   * MERGE/EMIT: after the plan completes and the chunks drain, chunk
-//     buffers are concatenated in acceptance order and inserted; the
-//     per-relation emit and per-FK validation are tasks too.
+//     task that pays the chunk's simulated I/O wait and charges one tuple
+//     fetch per accepted tuple. Chunk boundaries depend only on the
+//     accepted sequence.
+//   * RESULT: after the plan completes and the chunks drain, each relation's
+//     accepted tids become a ResultRelation over the source, and each
+//     applicable source FK is checked against the accepted tuples' keys,
+//     read from the source columns. Nothing is copied.
 //
 // The planner reads one Database in place. A partitioned query adds its
 // fault plan: lookups drop the tids of skipped partitions, and stalled
 // partitions delay each edge by a computed wait (DESIGN.md §15, §17).
 // Tasks run inline on the caller when
 // max(parallelism, partitions) == 1 and on the task pool otherwise. The
-// emitted database and DbGenReport are byte-identical either way, at any
+// result database and DbGenReport are byte-identical either way, at any
 // pool size, including budget-stopped partial runs; deadline and
 // cancellation stops stay wall-clock-dependent.
 //
@@ -62,7 +63,6 @@
 #include "common/task_pool.h"
 #include "precis/dbgen_common.h"
 #include "shard/shard_router.h"
-#include "sql/select.h"
 
 namespace precis {
 
@@ -70,11 +70,12 @@ using dbgen_internal::DegradationFor;
 using dbgen_internal::EmittedAttributeIndices;
 using dbgen_internal::FaultsArmed;
 using dbgen_internal::IsToOne;
+using dbgen_internal::RenderInListSql;
 using dbgen_internal::RenderSeedSql;
 
 namespace {
 
-/// Accepted tids per materialization task. Large enough that a chunk's
+/// Accepted tids per chunk task. Large enough that a chunk's
 /// simulated I/O consolidates into one substantial sleep and the pool
 /// transfer cost is noise; small enough that a large-c query yields many
 /// chunks to steal.
@@ -104,20 +105,6 @@ std::string TidOutOfRangeMessage(Tid tid, const Relation& relation) {
          std::to_string(relation.num_tuples()) + " tuples";
 }
 
-/// One materialization task's input (tid snapshot) and output (projected
-/// cells, row-major `count x width`, index-aligned with `tids`). Both
-/// arrays live in the query's Arena — allocated by the planner, filled by
-/// the chunk task through the relation's columnar projection, freed
-/// wholesale at context teardown. The task owns the cells exclusively
-/// until the group Wait hands them back to the merging thread; a Value is
-/// trivially copyable, so a chunk is two flat arena arrays.
-struct MaterializedChunk {
-  const Tid* tids = nullptr;
-  size_t count = 0;
-  size_t width = 0;        // attributes per row
-  Value* cells = nullptr;  // count * width, row-major
-};
-
 /// Plan-side state of one result relation: the accepted tids and their
 /// bookkeeping, proportional to what the query accepts (never to the
 /// source relation's size). Arrival tags are only tracked when path-aware
@@ -132,7 +119,6 @@ struct PlannedRelation {
   std::unordered_map<Tid, std::vector<const JoinEdge*>> arrivals;
 
   size_t next_chunk_start = 0;  // first accepted index not yet chunked
-  std::vector<MaterializedChunk*> chunks;  // arena-owned, planner-ordered
 
   void Tag(Tid tid, const JoinEdge* arrival) {
     if (!track_arrivals) return;
@@ -181,7 +167,6 @@ class ThrottledGroup {
   }
 
   /// Waits for every submitted task (rethrows the first task exception).
-  /// The group is reusable afterwards — the emit and FK phases reuse it.
   void Wait() {
     if (group_) group_->Wait();
   }
@@ -311,6 +296,32 @@ void ServeStalls(const ShardQueryFaultPlan& plan, ShardQueryStats* stats) {
   }
 }
 
+/// True when every non-NULL `fk` child key among `child`'s accepted tuples
+/// equals some key among `parent`'s: Database::CheckForeignKey's verdict
+/// on the materialized result, decided on canonical column bits read from
+/// the source (-0.0 equals +0.0; a NaN child matches nothing).
+bool ForeignKeyHolds(const ForeignKey& fk, const ResultRelation& child,
+                     const ResultRelation& parent) {
+  const Column& child_col = child.source->column(
+      *child.source->schema().AttributeIndex(fk.child_attribute));
+  const Column& parent_col = parent.source->column(
+      *parent.source->schema().AttributeIndex(fk.parent_attribute));
+  const DataType type = child_col.type();
+  FlatKeySet parent_keys;
+  parent_keys.Reserve(parent.tids.size());
+  for (Tid tid : parent.tids) {
+    if (parent_col.IsNull(tid)) continue;
+    auto bits = Column::CanonicalBits(parent_col.raw_bits(tid), type);
+    if (bits) parent_keys.Insert(*bits);
+  }
+  for (Tid tid : child.tids) {
+    if (child_col.IsNull(tid)) continue;
+    auto bits = Column::CanonicalBits(child_col.raw_bits(tid), type);
+    if (!bits || !parent_keys.Contains(*bits)) return false;
+  }
+  return true;
+}
+
 }  // namespace
 
 std::string DegradationReport::ToString() const {
@@ -347,7 +358,7 @@ const char* SubsetStrategyToString(SubsetStrategy s) {
   return "unknown";
 }
 
-Result<Database> ResultDatabaseGenerator::Generate(
+Result<ResultDatabase> ResultDatabaseGenerator::Generate(
     const ResultSchema& schema, const SeedTids& seeds,
     const CardinalityConstraint& c, const DbGenOptions& options,
     ExecutionContext* ctx, const PartitionedQuery& partitioned) {
@@ -366,12 +377,9 @@ Result<Database> ResultDatabaseGenerator::Generate(
   }
   size_t total = 0;
 
-  // Per-query arena for tid snapshots and chunk cell buffers. When a
-  // context is attached its arena is used (freed wholesale at context
-  // teardown); otherwise a local arena scoped to this call serves.
-  // Declared before the task group so that the group's destructor — which
-  // waits for in-flight chunk tasks — always runs before the arena (and
-  // the memory those tasks write into) goes away.
+  // Per-query arena for an edge's lookup results and weight-ordered tids.
+  // When a context is attached its arena is used (freed wholesale at
+  // context teardown); otherwise a local arena scoped to this call serves.
   Arena local_arena;
   Arena* arena = ctx != nullptr ? &ctx->arena() : &local_arena;
 
@@ -379,8 +387,8 @@ Result<Database> ResultDatabaseGenerator::Generate(
   // one partition at parallelism <= 1, else on the pool with one in-flight
   // slot per unit of parallelism and at least one per partition. The task
   // group outlives nothing it references: everything chunk tasks touch
-  // (planned, arena, ctx) is declared above, so the group's destructor —
-  // which waits — runs first on every return path.
+  // (the source relations, ctx) outlives this call, and the group's
+  // destructor waits on every return path.
   const SourcePartitions* partitions = partitioned.partitions;
   const ShardQueryFaultPlan* plan =
       partitions != nullptr ? partitioned.plan : nullptr;
@@ -434,8 +442,8 @@ Result<Database> ResultDatabaseGenerator::Generate(
   // thread: tuple-fetch checks are *replayed* at exactly the positions the
   // walk issues Gets (including duplicate fetches the planner plans away),
   // and lookups run here, so the injector consumes the walk's check
-  // sequence. Chunk tasks project through the relation, which never
-  // consults the injector. The taint bit is set whenever the injector is
+  // sequence. Chunk tasks only sleep and charge; they never consult the
+  // injector. The taint bit is set whenever the injector is
   // armed — even if no fault fires — so the engine's caches never store an
   // answer produced under fault conditions.
   const bool faults = FaultsArmed(ctx);
@@ -477,48 +485,33 @@ Result<Database> ResultDatabaseGenerator::Generate(
     }
   }
 
-  // Spawns materialization tasks for every completed chunk of `p`'s
-  // accepted tids (`flush` also chunks the residual tail). Boundaries
-  // depend only on the accepted sequence — never on threads or timing —
-  // so the chunk set is a deterministic partition of the output.
+  // Spawns a task for every completed chunk of `p`'s accepted tids
+  // (`flush` also chunks the residual tail): it sleeps the chunk's
+  // simulated I/O wait and charges one tuple fetch per accepted tuple.
+  // Boundaries depend only on the accepted sequence — never on threads or
+  // timing. The fault injector is never consulted here: fault decisions
+  // live on the planner thread only (DESIGN.md §12).
   auto spawn_chunks = [&](PlannedRelation& p, bool flush) {
     while (p.accepted.size() - p.next_chunk_start >= kChunkTuples ||
            (flush && p.accepted.size() > p.next_chunk_start)) {
-      size_t begin = p.next_chunk_start;
-      size_t count = std::min(kChunkTuples, p.accepted.size() - begin);
-      p.next_chunk_start = begin + count;
-      auto* chunk = new (arena->Allocate(sizeof(MaterializedChunk),
-                                         alignof(MaterializedChunk)))
-          MaterializedChunk();
-      chunk->count = count;
-      chunk->width = p.emitted.size();
-      Tid* tids = arena->AllocateArray<Tid>(count);
-      std::copy(p.accepted.begin() + begin, p.accepted.begin() + begin + count,
-                tids);
-      chunk->tids = tids;
-      chunk->cells = arena->AllocateArray<Value>(count * chunk->width);
+      const size_t count =
+          std::min(kChunkTuples, p.accepted.size() - p.next_chunk_start);
+      p.next_chunk_start += count;
       const Relation* src = p.source;
-      const std::vector<size_t>* emitted = &p.emitted;  // stable (node map)
-      p.chunks.push_back(chunk);
-      group.Run([chunk, src, emitted, latency_ns, ctx] {
+      group.Run([src, count, latency_ns, ctx] {
         if (latency_ns != 0) {
           // The chunk's whole simulated I/O wait in one sleep: the same
           // total per accepted tuple whether chunks run inline or overlap.
           std::this_thread::sleep_for(std::chrono::nanoseconds(
-              latency_ns * static_cast<uint64_t>(chunk->count)));
+              latency_ns * static_cast<uint64_t>(count)));
         }
-        // Charged bulk fetch+project of planner-validated tids. Projection
-        // never consults the fault injector — fault decisions live on the
-        // planner thread only, which keeps fault sequences deterministic
-        // (DESIGN.md §12).
-        src->ProjectRows(chunk->tids, chunk->count, *emitted, chunk->cells,
-                         ctx);
+        src->CountTupleFetches(count, ctx);
       });
     }
   };
 
-  // Accepts `tid` into `p` (bookkeeping only; materialization is deferred
-  // to a chunk task). Caller has already done the dup/stop/budget checks.
+  // Accepts `tid` into `p` (bookkeeping only; its fetch is charged by a
+  // chunk task). Caller has already done the dup/stop/budget checks.
   auto accept = [&](PlannedRelation& p, Tid tid, const JoinEdge* arrival) {
     p.Tag(tid, arrival);
     p.seen.Insert(tid);
@@ -881,22 +874,18 @@ Result<Database> ResultDatabaseGenerator::Generate(
                                           graph.relation_name(edge.to));
   }
 
-  // --- Merge barrier: flush residual chunks, drain materialization --------
+  // --- Barrier: flush residual chunks and drain them ----------------------
   for (auto& [rel, p] : planned) {
     spawn_chunks(p, /*flush=*/true);
   }
   group.Wait();
 
-  // --- Step 3: emit the result database -----------------------------------
-  Database result("precis_result");
-  std::vector<RelationNodeId> rel_order(schema.relations().begin(),
-                                        schema.relations().end());
-  std::vector<Relation*> out_relations(rel_order.size(), nullptr);
-  for (size_t i = 0; i < rel_order.size(); ++i) {
-    RelationNodeId rel = rel_order[i];
+  // --- Step 3: the result database is the accepted tids, viewed through
+  // the source relations.
+  std::vector<ResultRelation> relations;
+  relations.reserve(planned.size());
+  for (auto& [rel, p] : planned) {
     const RelationSchema& src_schema = graph.relation_schema(rel);
-    const PlannedRelation& p = planned[rel];
-
     std::vector<AttributeSchema> out_attrs;
     out_attrs.reserve(p.emitted.size());
     for (size_t idx : p.emitted) out_attrs.push_back(src_schema.attribute(idx));
@@ -908,80 +897,32 @@ Result<Database> ResultDatabaseGenerator::Generate(
         PRECIS_RETURN_NOT_OK(out_schema.SetPrimaryKey(pk_name));
       }
     }
-    PRECIS_RETURN_NOT_OK(result.CreateRelation(std::move(out_schema)));
-    auto out_relation = result.GetRelation(src_schema.name());
-    if (!out_relation.ok()) return out_relation.status();
-    out_relations[i] = *out_relation;
+    relations.push_back(ResultRelation{p.source, std::move(out_schema),
+                                       std::move(p.emitted),
+                                       std::move(p.accepted)});
   }
-
-  // Chunk buffers concatenate in acceptance order, so per-relation inserts
-  // reproduce the Fig. 5 collection order. Relations are disjoint insert
-  // targets (the database epoch is atomic), so one task per relation is
-  // race-free.
-  std::vector<Status> insert_status(rel_order.size(), Status::OK());
-  for (size_t i = 0; i < rel_order.size(); ++i) {
-    PlannedRelation* p = &planned[rel_order[i]];
-    Relation* out = out_relations[i];
-    Status* slot = &insert_status[i];
-    group.Run([p, out, slot] {
-      out->Reserve(p->accepted.size());  // every chunk row, sized once
-      Tuple tuple;  // Insert copies into the columns: one buffer serves all
-      for (const MaterializedChunk* chunk : p->chunks) {
-        for (size_t r = 0; r < chunk->count; ++r) {
-          const Value* row = chunk->cells + r * chunk->width;
-          tuple.assign(row, row + chunk->width);
-          auto tid = out->Insert(tuple);
-          if (!tid.ok()) {
-            *slot = tid.status();
-            return;
-          }
-        }
-      }
-    });
-  }
-  group.Wait();
-  for (const Status& s : insert_status) {
-    PRECIS_RETURN_NOT_OK(s);
-  }
+  ResultDatabase result(std::move(relations));
 
   // --- Step 4: carry over the source foreign keys that are applicable to
-  // the result schema and actually hold on the emitted data (a cardinality
-  // cut may have removed referenced parents; such constraints are reported
-  // and omitted rather than declared falsely). One check task per FK.
-  struct FkCheck {
-    const ForeignKey* fk;
-    bool holds = false;
-  };
-  std::vector<FkCheck> checks;
+  // the result schema and actually hold on the accepted tuples (a
+  // cardinality cut may have removed referenced parents; such constraints
+  // are reported and omitted rather than declared falsely).
   for (const ForeignKey& fk : database_->foreign_keys()) {
-    if (!result.HasRelation(fk.child_relation) ||
-        !result.HasRelation(fk.parent_relation)) {
+    const ResultRelation* child = result.relation(fk.child_relation);
+    const ResultRelation* parent = result.relation(fk.parent_relation);
+    if (child == nullptr || parent == nullptr ||
+        !child->schema.HasAttribute(fk.child_attribute) ||
+        !parent->schema.HasAttribute(fk.parent_attribute)) {
       continue;
     }
-    auto child = result.GetRelation(fk.child_relation);
-    auto parent = result.GetRelation(fk.parent_relation);
-    if (!(*child)->schema().HasAttribute(fk.child_attribute) ||
-        !(*parent)->schema().HasAttribute(fk.parent_attribute)) {
-      continue;
-    }
-    checks.push_back(FkCheck{&fk});
-  }
-  for (FkCheck& check : checks) {  // `checks` is fully built: stable refs
-    FkCheck* slot = &check;
-    const Database* res = &result;
-    group.Run(
-        [res, slot] { slot->holds = res->CheckForeignKey(*slot->fk).ok(); });
-  }
-  group.Wait();
-  for (const FkCheck& check : checks) {
-    if (check.holds) {
-      PRECIS_RETURN_NOT_OK(result.AddForeignKey(*check.fk));
+    if (ForeignKeyHolds(fk, *child, *parent)) {
+      result.AddForeignKey(fk);
     } else {
-      last_report_.dropped_foreign_keys.push_back(check.fk->ToString());
+      last_report_.dropped_foreign_keys.push_back(fk.ToString());
     }
   }
 
-  last_report_.total_tuples = result.TotalTuples();
+  last_report_.total_tuples = total;
   if (ctx != nullptr) last_report_.stop_reason = ctx->stop_reason();
   return result;
 }

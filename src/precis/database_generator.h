@@ -23,6 +23,7 @@
 #include "shard/source_partitions.h"
 #include "storage/database.h"
 #include "precis/constraints.h"
+#include "precis/result_database.h"
 #include "precis/result_schema.h"
 #include "precis/tuple_weights.h"
 
@@ -98,13 +99,13 @@ struct DbGenOptions {
 
   /// Intra-query parallelism (DESIGN.md §11). The planner always makes
   /// every acceptance / truncation / budget decision on the calling thread
-  /// in the Fig. 5 order; this knob only decides where the per-tuple work
-  /// (simulated I/O waits, tuple materialization and projection,
-  /// per-relation emit, FK validation) runs. When max(parallelism, source
-  /// partitions) is 1 it runs inline on the caller; otherwise it fans out
-  /// to a work-stealing task pool with at most that many of this query's
-  /// chunk tasks in flight. The emitted database and DbGenReport are
-  /// byte-identical for every value of this knob and any pool size.
+  /// in the Fig. 5 order; this knob only decides where the per-chunk work
+  /// (simulated I/O waits, tuple-fetch charges, large join-key reads)
+  /// runs. When max(parallelism, source partitions) is 1 it runs inline on
+  /// the caller; otherwise it fans out to a work-stealing task pool with at
+  /// most that many of this query's chunk tasks in flight. The result
+  /// database and DbGenReport are byte-identical for every value of this
+  /// knob and any pool size.
   size_t parallelism = 1;
 
   /// Pool for pooled generation; nullptr (default) uses the process-wide
@@ -117,8 +118,8 @@ struct DbGenOptions {
   /// where every accepted tuple pays real I/O wait. Paid as batched
   /// *sleeps* (not busy-waits: it models time the CPU is idle), which is
   /// exactly the component concurrent subtree expansion overlaps: each
-  /// materialization chunk sleeps its tuples' share, so inline and pooled
-  /// runs pay the same total and comparisons under this knob are fair.
+  /// chunk of accepted tuples sleeps its share, so inline and pooled runs
+  /// pay the same total and comparisons under this knob are fair.
   /// Timing-only: never affects the generated database. 0 disables.
   uint64_t simulated_access_latency_ns = 0;
 };
@@ -192,15 +193,15 @@ struct DbGenReport {
   /// not hold on the generated data (a cardinality cut removed parents);
   /// they are omitted from the result database's declared constraints.
   std::vector<std::string> dropped_foreign_keys;
-  /// Total tuples emitted.
+  /// Total tuples in the result database.
   size_t total_tuples = 0;
   /// SQL text of each submitted statement, in execution order (only when
   /// DbGenOptions::trace_sql is set).
   std::vector<std::string> sql_trace;
   /// Why generation stopped before completing, when an ExecutionContext cut
   /// it short (deadline, access budget, or cancellation). kNone for a full
-  /// run. The emitted database is well-formed either way: every declared
-  /// constraint holds on the emitted data.
+  /// run. The result database is well-formed either way: every declared
+  /// constraint holds on its tuples.
   StopReason stop_reason = StopReason::kNone;
 
   /// Per-relation fault losses (empty when no fault fired). Separate from
@@ -241,8 +242,9 @@ struct PartitionedQuery {
 ///
 /// One planner for every execution shape (DESIGN.md §11): it walks the
 /// algorithm on the calling thread over tids and counts, reads the source
-/// database in place, and materializes accepted tuples in chunk tasks that
-/// run inline or on a task pool.
+/// database in place, and returns the accepted tids as a view over it.
+/// Chunk tasks that run inline or on a task pool pay the simulated access
+/// latency and the tuple-fetch charges of the accepted tuples.
 class ResultDatabaseGenerator {
  public:
   /// `source` must outlive the generator.
@@ -250,16 +252,17 @@ class ResultDatabaseGenerator {
       : database_(source) {}
 
   /// Generates the result database for `schema` seeded with `seeds` under
-  /// cardinality constraint `c`. The result is a fully formed Database: its
-  /// relations carry the projected (plus join) attributes, primary keys are
+  /// cardinality constraint `c`, as a view over the source: its relations
+  /// carry the projected (plus join) attributes, primary keys are
   /// preserved where their attribute survives projection, and every source
-  /// foreign key that is applicable and actually holds on the emitted data
-  /// is declared.
+  /// foreign key that is applicable and actually holds on the accepted
+  /// tuples is declared. An FK holds when every non-NULL child key equals
+  /// some accepted parent's key (-0.0 equals +0.0, NaN equals nothing).
   ///
   /// When `ctx` is given, every access is attributed to it and the run
-  /// stops early once the context reports ShouldStop(): the tuples fetched
-  /// so far are emitted as a well-formed (constraint-checked) partial
-  /// database and the cause is recorded in DbGenReport::stop_reason.
+  /// stops early once the context reports ShouldStop(): the tuples accepted
+  /// so far form a well-formed (constraint-checked) partial database and
+  /// the cause is recorded in DbGenReport::stop_reason.
   ///
   /// `partitioned` runs the query over the source's partitions under its
   /// fault plan; the pool width is then at least the partition count.
@@ -270,12 +273,13 @@ class ResultDatabaseGenerator {
   /// classic walk's charge sequence (one charge per probe and per candidate
   /// fetch, duplicates included). Real per-query AccessStats count the
   /// same probes and statements, but tuple fetches only for the tuples
-  /// actually materialized.
-  Result<Database> Generate(const ResultSchema& schema, const SeedTids& seeds,
-                            const CardinalityConstraint& c,
-                            const DbGenOptions& options = DbGenOptions(),
-                            ExecutionContext* ctx = nullptr,
-                            const PartitionedQuery& partitioned = {});
+  /// accepted.
+  Result<ResultDatabase> Generate(const ResultSchema& schema,
+                                  const SeedTids& seeds,
+                                  const CardinalityConstraint& c,
+                                  const DbGenOptions& options = DbGenOptions(),
+                                  ExecutionContext* ctx = nullptr,
+                                  const PartitionedQuery& partitioned = {});
 
   const DbGenReport& last_report() const { return last_report_; }
 

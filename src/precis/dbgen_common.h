@@ -4,13 +4,16 @@
 // The planner's determinism guarantee ("byte-identical output to the
 // classic walk") rests on the two computing the same emitted attribute
 // sets, the same SQL trace text and the same degradation-report order from
-// the same inputs, so both use these. (Both take their FK-holds verdicts
-// from Database::CheckForeignKey.)
+// the same inputs, so both use these. FK-holds verdicts are deliberately
+// not shared: the planner checks the accepted tuples' keys in the source
+// columns, while the oracle runs Database::CheckForeignKey over the copy
+// it builds, so each checks the other.
 
 #ifndef PRECIS_PRECIS_DBGEN_COMMON_H_
 #define PRECIS_PRECIS_DBGEN_COMMON_H_
 
 #include <cstdint>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -82,6 +85,34 @@ inline std::string RenderSeedSql(const RelationSchema& schema,
     sql += std::to_string(tids[i]);
   }
   sql += ")";
+  return sql;
+}
+
+/// Renders the sigma_{A in Ids} join query as SQL text for the trace, e.g.
+/// "SELECT title, year FROM MOVIE WHERE did IN (3, 17)", with NaiveQ's cap
+/// as "AND RowNum <= k".
+inline std::string RenderInListSql(const RelationSchema& schema,
+                                   const std::string& attribute,
+                                   const std::vector<Value>& keys,
+                                   const std::vector<size_t>& projection,
+                                   std::optional<size_t> limit) {
+  std::string sql = "SELECT ";
+  for (size_t i = 0; i < projection.size(); ++i) {
+    if (i > 0) sql += ", ";
+    sql += schema.attribute(projection[i]).name;
+  }
+  if (projection.empty()) sql += "*";
+  sql += " FROM " + schema.name() + " WHERE " + attribute + " IN (";
+  for (size_t i = 0; i < keys.size(); ++i) {
+    if (i > 0) sql += ", ";
+    if (keys[i].is_string()) {
+      sql += "'" + keys[i].ToString() + "'";
+    } else {
+      sql += keys[i].ToString();
+    }
+  }
+  sql += ")";
+  if (limit) sql += " AND RowNum <= " + std::to_string(*limit);
   return sql;
 }
 

@@ -30,15 +30,25 @@ size_t EstimateAnswerCharge(const PrecisAnswer& answer) {
     charge += m.token.capacity() + m.resolved_token.capacity() +
               EstimateOccurrencesCharge(m.occurrences());
   }
-  // Result databases dominate: charge a flat 96 bytes per tuple. A stored
-  // tuple is one 8-byte payload per attribute in its relation's columns,
-  // plus 16-32 bytes of flat primary-key set when the relation keeps its
-  // key: one 8-byte slot at a load of 1/4 to 1/2, since the emit phase's
-  // Reserve sizes the set's hash layout (an unreserved set of dense keys,
-  // as in a source relation, becomes a bitmap of about a bit per key). So
-  // this overestimates narrow result relations; the constant stays
-  // because it sets how many answers the answer cache holds.
-  charge += answer.database.TotalTuples() * 96;
+  // The result database is a view over the source: per relation, its
+  // accepted tids, its emitted attribute indices and its output schema
+  // (a name and a type per attribute); per FK that holds, four names.
+  // A name past the inline string buffer adds its heap bytes.
+  const ResultDatabase& db = answer.database;
+  const auto heap = [](const std::string& s) {
+    return s.capacity() > std::string().capacity() ? s.capacity() + 1 : 0;
+  };
+  charge += db.relations().capacity() * sizeof(ResultRelation) +
+            db.foreign_keys().capacity() * sizeof(ForeignKey);
+  for (const ResultRelation& r : db.relations()) {
+    charge += r.tids.capacity() * sizeof(Tid) +
+              r.attributes.capacity() * sizeof(size_t) +
+              r.schema.attributes().capacity() * sizeof(AttributeSchema) +
+              heap(r.schema.name());
+    for (const AttributeSchema& a : r.schema.attributes()) {
+      charge += heap(a.name);
+    }
+  }
   charge += EstimateSchemaCharge(answer.schema);
   return charge;
 }
@@ -206,7 +216,7 @@ Result<PrecisAnswer> PrecisEngine::AnswerFromMatches(
     stats = {plan->skipped, plan->probe_retries, plan->breaker_rejects};
   }
   ResultDatabaseGenerator db_generator(db_);
-  Result<Database> database = [&] {
+  Result<ResultDatabase> database = [&] {
     ScopedSpan span(ctx, "db_gen");
     return db_generator.Generate(
         *schema, seeds, cardinality, options, ctx,

@@ -54,8 +54,10 @@ struct TokenMatch {
 };
 
 /// \brief The full answer to a précis query: the result schema D', the
-/// result database D' (a genuine Database with constraints), per-token
-/// match information, and the generation report.
+/// result database D' (a view over the source with its constraints; see
+/// ResultDatabase::Materialize for a Database copy), per-token match
+/// information, and the generation report. It reads the source database,
+/// which must outlive it.
 ///
 /// A token found in several relations (the paper's homonym case — "Woody
 /// Allen" as a DIRECTOR and as an ACTOR) contributes all its occurrence
@@ -64,7 +66,7 @@ struct TokenMatch {
 struct PrecisAnswer {
   std::vector<TokenMatch> matches;
   ResultSchema schema;
-  Database database;
+  ResultDatabase database;
   DbGenReport report;
 
   /// True if no token matched anywhere (the answer is empty).
@@ -185,7 +187,7 @@ class PrecisEngine {
   /// Answer() through the full-answer cache (DESIGN.md §10, level 3).
   ///
   /// The answer is returned as an immutable shared value so a cache hit
-  /// hands out the stored answer without copying its result database. When
+  /// hands out the stored answer without copying its tid arrays. When
   /// the answer cache is enabled, the lookup key fingerprints the source
   /// database's mutation epoch (bumped by Insert / CreateIndex /
   /// CreateRelation / AddForeignKey), the SchemaGraph's weight epoch
@@ -350,8 +352,9 @@ class PrecisEngine {
   // Behind a unique_ptr so the engine stays movable despite the atomics
   // and shard mutexes. Capacity defaults: 8 MiB of schemas (they are small;
   // this is effectively "all schemas a realistic weight/constraint mix
-  // produces"), 64 MiB of answers (a result database per entry; bounded so
-  // a long tail of one-off queries evicts instead of growing forever), 32
+  // produces"), 64 MiB of answers (accepted tids and output schemas per
+  // entry; bounded so a long tail of one-off queries evicts instead of
+  // growing forever), 32
   // MiB of rendered JSON bodies (cheaper per entry than answers; sized to
   // hold the rendered form of a realistic hot set).
   struct Caches {

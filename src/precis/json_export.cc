@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <charconv>
 #include <cstdio>
+#include <vector>
 
 namespace precis {
 
@@ -64,15 +65,30 @@ void AppendValueJson(std::string* out, const Value& v) {
 /// up front: schema boilerplate plus a conservative per-cell estimate.
 /// Short numeric cells stay well under this; long strings overflow into
 /// the string's normal growth, so the estimate only needs to be close.
-size_t EstimateRelationJsonBytes(const Relation& relation) {
+size_t EstimateRelationJsonBytes(const ResultRelation& relation) {
   const size_t cells =
-      relation.num_tuples() * relation.schema().num_attributes();
-  return 96 + 64 * relation.schema().num_attributes() + 8 * cells +
+      relation.num_tuples() * relation.schema.num_attributes();
+  return 96 + 64 * relation.schema.num_attributes() + 8 * cells +
          relation.num_tuples() * 4;
 }
 
-void AppendRelation(std::string* out, const Relation& relation) {
-  const RelationSchema& schema = relation.schema();
+/// One result relation, its cells read from the source by tid. `cells` is
+/// scratch for the relation's values, row-major.
+void AppendRelation(std::string* out, const ResultRelation& relation,
+                    std::vector<Value>* cells) {
+  const RelationSchema& schema = relation.schema;
+  const size_t width = schema.num_attributes();
+  const size_t n = relation.num_tuples();
+  // Every cell is read before any is formatted, one column at a time: the
+  // reads are independent loads scattered over the source columns, and a
+  // tight loop overlaps their cache misses where formatting in between
+  // would wait on each.
+  cells->resize(n * width);
+  for (size_t i = 0; i < width; ++i) {
+    for (size_t row = 0; row < n; ++row) {
+      (*cells)[row * width + i] = relation.Cell(row, i);
+    }
+  }
   *out += "{\"name\":\"";
   AppendJsonEscaped(out, schema.name());
   *out += "\",\"attributes\":[";
@@ -89,29 +105,26 @@ void AppendRelation(std::string* out, const Relation& relation) {
     *out += "}";
   }
   *out += "],\"tuples\":[";
-  for (Tid tid = 0; tid < relation.num_tuples(); ++tid) {
-    if (tid > 0) *out += ",";
+  for (size_t row = 0; row < n; ++row) {
+    if (row > 0) *out += ",";
     *out += "[";
-    for (size_t i = 0; i < schema.num_attributes(); ++i) {
+    for (size_t i = 0; i < width; ++i) {
       if (i > 0) *out += ",";
-      AppendValueJson(out, relation.ColumnValue(tid, i));
+      AppendValueJson(out, (*cells)[row * width + i]);
     }
     *out += "]";
   }
   *out += "]}";
 }
 
-void AppendDatabaseJson(std::string* out, const Database& db) {
+void AppendDatabaseJson(std::string* out, const ResultDatabase& db) {
   *out += "{\"name\":\"";
-  AppendJsonEscaped(out, db.name());
+  AppendJsonEscaped(out, ResultDatabase::kName);
   *out += "\",\"relations\":[";
-  bool first = true;
-  for (const std::string& name : db.RelationNames()) {
-    auto rel = db.GetRelation(name);
-    if (!rel.ok()) continue;
-    if (!first) *out += ",";
-    first = false;
-    AppendRelation(out, **rel);
+  std::vector<Value> cells;
+  for (size_t r = 0; r < db.relations().size(); ++r) {
+    if (r > 0) *out += ",";
+    AppendRelation(out, db.relations()[r], &cells);
   }
   *out += "],\"foreign_keys\":[";
   for (size_t i = 0; i < db.foreign_keys().size(); ++i) {
@@ -130,11 +143,10 @@ void AppendDatabaseJson(std::string* out, const Database& db) {
   *out += "]}";
 }
 
-size_t EstimateDatabaseJsonBytes(const Database& db) {
+size_t EstimateDatabaseJsonBytes(const ResultDatabase& db) {
   size_t bytes = 64 + 96 * db.foreign_keys().size();
-  for (const std::string& name : db.RelationNames()) {
-    auto rel = db.GetRelation(name);
-    if (rel.ok()) bytes += EstimateRelationJsonBytes(**rel);
+  for (const ResultRelation& rel : db.relations()) {
+    bytes += EstimateRelationJsonBytes(rel);
   }
   return bytes;
 }
@@ -189,13 +201,6 @@ std::string JsonEscape(const std::string& raw) {
 std::string ValueToJson(const Value& v) {
   std::string out;
   AppendValueJson(&out, v);
-  return out;
-}
-
-std::string DatabaseToJson(const Database& db) {
-  std::string out;
-  out.reserve(EstimateDatabaseJsonBytes(db));
-  AppendDatabaseJson(&out, db);
   return out;
 }
 

@@ -1,4 +1,4 @@
-// JSON export of databases and précis answers.
+// JSON export of précis answers.
 //
 // Web front-ends are the paper's motivating deployment ("web accessible
 // databases ... as libraries, museums, and other organizations publish
@@ -13,7 +13,6 @@
 #include <string_view>
 
 #include "precis/engine.h"
-#include "storage/database.h"
 
 namespace precis {
 
@@ -28,18 +27,15 @@ std::string JsonEscape(const std::string& raw);
 /// \brief One value as a JSON scalar: null, number, or string.
 std::string ValueToJson(const Value& v);
 
-/// \brief A whole database:
-/// {"name": ..., "relations": [{"name", "attributes": [{"name","type",
-/// "primary_key"}], "tuples": [[...]]}], "foreign_keys": [{"child",
-/// "child_attribute", "parent", "parent_attribute"}]}
-std::string DatabaseToJson(const Database& db);
-
 /// \brief A full précis answer: token matches, the result schema D'
 /// (relations, projected attributes, join edges, in-degrees), the result
 /// database, and the generation report:
 /// {"matches": [{"token", "resolved_token", "occurrences": [{"relation",
-/// "attribute", "matched_tuples"}]}], "schema": ..., "database": ...,
-/// "report": ...}
+/// "attribute", "matched_tuples"}]}], "schema": ..., "database": {"name",
+/// "relations": [{"name", "attributes": [{"name","type","primary_key"}],
+/// "tuples": [[...]]}], "foreign_keys": [{"child", "child_attribute",
+/// "parent", "parent_attribute"}]}, "report": ...}
+/// The database's cells are read from the source by tid.
 /// An occurrence renders how many tuples matched, not their tids: tids are
 /// storage row ids no reader of the body can resolve, and the matched
 /// tuples that made the cardinality cut are already in "database".

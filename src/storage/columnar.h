@@ -4,9 +4,8 @@
 // 64-bit payloads plus a null bitmap; a relation's columns are its only
 // copy of its tuples. All three engine types fit one encoding: int64 and
 // double are stored as their bit patterns, strings as their interned
-// SymbolId. This gives the dbgen fetch+project kernels contiguous
-// per-attribute reads (256-tid chunks walk one cache-friendly array per
-// emitted attribute) instead of pointer-chasing row vectors.
+// SymbolId. This gives scans, key extraction and result rendering
+// contiguous per-attribute reads instead of pointer-chasing row vectors.
 //
 // A ColumnIndex maps canonical 64-bit key bits to ascending tid runs in one
 // tid array that Build lays out in bulk (keys written after the build own
@@ -32,7 +31,6 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <new>
 #include <optional>
 #include <span>
 #include <string>
@@ -97,30 +95,6 @@ class Column {
     return Value();
   }
 
-  /// Writes GetValue(rows[i]) to out[i * stride] for i in [0, n): the
-  /// fetch+project kernel's inner loop, with the type switch taken once
-  /// per call instead of once per cell. `out` may be raw memory — cells
-  /// are placement-new'd (Value is trivially destructible).
-  void Gather(const Tid* rows, size_t n, Value* out, size_t stride) const {
-    switch (type_) {
-      case DataType::kInt64:
-        GatherAs(rows, n, out, stride, [](uint64_t bits) {
-          return Value(static_cast<int64_t>(bits));
-        });
-        return;
-      case DataType::kDouble:
-        GatherAs(rows, n, out, stride, [](uint64_t bits) {
-          return Value(std::bit_cast<double>(bits));
-        });
-        return;
-      case DataType::kString:
-        GatherAs(rows, n, out, stride, [](uint64_t bits) {
-          return Value::FromSymbol(Symbol{static_cast<SymbolId>(bits)});
-        });
-        return;
-    }
-  }
-
   /// Raw stored payload (undefined for NULL rows).
   uint64_t raw_bits(size_t row) const { return bits_[row]; }
 
@@ -176,15 +150,6 @@ class Column {
   }
 
  private:
-  template <typename Make>
-  void GatherAs(const Tid* rows, size_t n, Value* out, size_t stride,
-                Make make) const {
-    for (size_t i = 0; i < n; ++i, out += stride) {
-      const size_t row = rows[i];
-      new (out) Value(IsNull(row) ? Value() : make(bits_[row]));
-    }
-  }
-
   static uint64_t RawBits(const Value& v) {
     if (v.is_int64()) return std::bit_cast<uint64_t>(v.AsInt64());
     if (v.is_double()) return std::bit_cast<uint64_t>(v.AsDouble());

@@ -59,11 +59,6 @@ Result<Tid> Relation::Insert(const Tuple& tuple) {
   return tid;
 }
 
-void Relation::Reserve(size_t n) {
-  for (Column& col : columns_) col.Reserve(n);
-  if (schema_.primary_key()) pk_bits_.Reserve(n);
-}
-
 Result<Tuple> Relation::Get(Tid tid, ExecutionContext* ctx) const {
   if (tid >= num_tuples_) {
     return Status::OutOfRange("tid " + std::to_string(tid) +
@@ -86,16 +81,6 @@ Tuple Relation::tuple(Tid tid) const {
   out.reserve(columns_.size());
   for (const Column& col : columns_) out.push_back(col.GetValue(tid));
   return out;
-}
-
-void Relation::ProjectRows(const Tid* tids, size_t n,
-                           const std::vector<size_t>& projection, Value* out,
-                           ExecutionContext* ctx) const {
-  CountTupleFetches(n, ctx);
-  const size_t width = projection.size();
-  for (size_t j = 0; j < width; ++j) {
-    columns_[projection[j]].Gather(tids, n, out + j, width);
-  }
 }
 
 Status Relation::CreateIndex(const std::string& attribute_name) {

@@ -58,8 +58,8 @@ struct StorageBytes {
 ///
 /// Storage is columnar (DESIGN.md §13): one Column per attribute is the
 /// only copy of each tuple. Get and tuple() materialize a row from the
-/// columns on demand; the bulk kernels (ProjectRows, column scans) and the
-/// equality indexes read the columns directly.
+/// columns on demand; column scans and the equality indexes read the
+/// columns directly.
 ///
 /// All reads that the précis generators perform are instrumented through the
 /// AccessStats of the owning Database (see access_stats.h). Instrumented
@@ -92,11 +92,6 @@ class Relation {
   /// Returns the new tuple's tid.
   Result<Tid> Insert(const Tuple& tuple);
 
-  /// Room for `n` tuples in all: the columns and a primary-key set still in
-  /// its hash layout take them without reallocating (the emit phase sizes
-  /// each fresh result relation once).
-  void Reserve(size_t n);
-
   /// True when the primary-key set holds canonical key bits `bits` (as
   /// Column::KeyBits makes them). The set holds every non-NaN key of a
   /// relation with a declared primary key, and nothing otherwise.
@@ -122,25 +117,14 @@ class Relation {
   Tuple tuple(Tid tid) const;
 
   /// Uncharged single-attribute read: join-value extraction, text
-  /// indexing and rendering read cells without materializing the row.
+  /// indexing and result-database rendering read cells without
+  /// materializing the row.
   Value ColumnValue(Tid tid, size_t attribute) const {
     return columns_[attribute].GetValue(tid);
   }
 
   /// The column of attribute `pos` (for kernels and benchmarks).
   const Column& column(size_t pos) const { return columns_[pos]; }
-
-  /// Bulk fetch+project of tids the caller already validated: fills
-  /// `out[i * width + j]` with attribute `projection[j]` of tuple
-  /// `tids[i]`, where `width = projection.size()`, iterating column-major
-  /// so each attribute is one contiguous pass over its column. Charges
-  /// `n` tuple fetches. No bounds check and, critically, no fault-injection
-  /// check: fault decisions stay on the planner thread, which replays them
-  /// (database_generator.cc, DESIGN.md §12). `out` may be raw arena
-  /// memory — cells are placement-new'd (Value is trivially destructible).
-  void ProjectRows(const Tid* tids, size_t n,
-                   const std::vector<size_t>& projection, Value* out,
-                   ExecutionContext* ctx = nullptr) const;
 
   /// Builds (or rebuilds) a hash index on the named attribute, in bulk:
   /// every run laid out in one tid array (ColumnIndex::Build). Fails when
@@ -200,6 +184,19 @@ class Relation {
     if (ctx != nullptr) ctx->ChargeStatement();
   }
 
+  /// Records `n` tuple fetches the caller read in place, by tid, without a
+  /// Get (attributed to `ctx` when given): the Fig. 5 planner charges its
+  /// accepted tuples in bulk. Every charge is a plain relaxed fetch_add, so
+  /// n at once is indistinguishable from n single charges. Never consults
+  /// the fault injector: fault decisions stay on the planner thread, which
+  /// replays them (database_generator.cc, DESIGN.md §12).
+  void CountTupleFetches(size_t n, ExecutionContext* ctx = nullptr) const {
+    if (stats_ != nullptr) {
+      stats_->tuple_fetches.fetch_add(n, std::memory_order_relaxed);
+    }
+    if (ctx != nullptr) ctx->ChargeTupleFetches(n);
+  }
+
   void set_stats(AccessStats* stats) { stats_ = stats; }
 
   /// Installs the owning database's mutation-epoch counter; Insert and
@@ -225,15 +222,6 @@ class Relation {
     }
     if (ctx != nullptr) ctx->ChargeTupleFetch();
   }
-  /// Bulk form: every Charge* is a plain relaxed fetch_add with no other
-  /// side effect, so adding n at once is indistinguishable from n single
-  /// charges.
-  void CountTupleFetches(size_t n, ExecutionContext* ctx) const {
-    if (stats_ != nullptr) {
-      stats_->tuple_fetches.fetch_add(n, std::memory_order_relaxed);
-    }
-    if (ctx != nullptr) ctx->ChargeTupleFetches(n);
-  }
   void CountSequentialScan(ExecutionContext* ctx) const {
     if (stats_ != nullptr) {
       stats_->sequential_scans.fetch_add(1, std::memory_order_relaxed);
@@ -256,10 +244,10 @@ class Relation {
   std::vector<std::unique_ptr<ColumnIndex>> indexes_;
   /// Canonical bits (Column::KeyBits) of every primary key in the
   /// relation, for O(1) uniqueness checks on Insert even when no index
-  /// exists on the key attribute (the emit phase of result-database
-  /// generation inserts into fresh unindexed relations), and for the FK
-  /// check's parent probe. NaN keys have no bits and never enter: under
-  /// Value equality they duplicate nothing. Dense keys make it a bitmap.
+  /// exists on the key attribute (a materialized result database inserts
+  /// into fresh unindexed relations), and for the FK check's parent probe.
+  /// NaN keys have no bits and never enter: under Value equality they
+  /// duplicate nothing. Dense keys make it a bitmap.
   FlatKeySet pk_bits_;
   AccessStats* stats_;
   // Owning database's mutation epoch (see Database::epoch()); may be null.

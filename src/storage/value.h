@@ -121,7 +121,7 @@ class Value {
 
 static_assert(std::is_trivially_copyable_v<Value> &&
                   std::is_trivially_destructible_v<Value>,
-              "Value must stay memcpy-able for arena chunk buffers");
+              "Value must stay memcpy-able and free to destroy");
 
 inline std::ostream& operator<<(std::ostream& os, const Value& v) {
   return os << v.ToString();

@@ -21,14 +21,16 @@ TupleBinding BindTuple(const RelationSchema& schema, const Tuple& tuple) {
 }
 
 /// All bindings of a result relation, in tuple order.
-Result<std::vector<TupleBinding>> BindRelation(const Database& db,
+Result<std::vector<TupleBinding>> BindRelation(const ResultDatabase& db,
                                                const std::string& relation) {
-  auto rel = db.GetRelation(relation);
-  if (!rel.ok()) return rel.status();
+  const ResultRelation* rel = db.relation(relation);
+  if (rel == nullptr) {
+    return Status::NotFound("relation '" + relation + "' does not exist");
+  }
   std::vector<TupleBinding> out;
-  out.reserve((*rel)->num_tuples());
-  for (Tid tid = 0; tid < (*rel)->num_tuples(); ++tid) {
-    out.push_back(BindTuple((*rel)->schema(), (*rel)->tuple(tid)));
+  out.reserve(rel->num_tuples());
+  for (size_t row = 0; row < rel->num_tuples(); ++row) {
+    out.push_back(BindTuple(rel->schema, rel->tuple(row)));
   }
   return out;
 }
@@ -264,7 +266,8 @@ Result<std::vector<std::string>> Translator::RenderOccurrence(
     const PrecisAnswer& answer, const std::string& token,
     const TokenOccurrence& occurrence, ExecutionContext* ctx) const {
   std::vector<std::string> paragraphs;
-  if (!answer.database.HasRelation(occurrence.relation)) return paragraphs;
+  const ResultRelation* rel = answer.database.relation(occurrence.relation);
+  if (rel == nullptr) return paragraphs;
 
   // Fault gate for the template-catalog lookups this occurrence will do
   // (one retried check per occurrence, on the caller's thread). Exhausted
@@ -276,8 +279,6 @@ Result<std::vector<std::string>> Translator::RenderOccurrence(
         ctx, FaultSite::kTranslatorCatalog, ctx->retry_policy()));
   }
 
-  auto rel = answer.database.GetRelation(occurrence.relation);
-  if (!rel.ok()) return rel.status();
   auto rel_id = answer.schema.graph().RelationId(occurrence.relation);
   if (!rel_id.ok()) return rel_id.status();
 
@@ -285,10 +286,10 @@ Result<std::vector<std::string>> Translator::RenderOccurrence(
   // contain the token (the result database holds at most the seed subset
   // selected under the cardinality constraint).
   std::vector<std::string> words = TokenizeWords(token);
-  const RelationSchema& schema = (*rel)->schema();
-  for (Tid tid = 0; tid < (*rel)->num_tuples(); ++tid) {
+  const RelationSchema& schema = rel->schema;
+  for (size_t row = 0; row < rel->num_tuples(); ++row) {
     if (ctx != nullptr && ctx->ShouldStop()) break;  // partial rendering
-    const Tuple tuple = (*rel)->tuple(tid);
+    const Tuple tuple = rel->tuple(row);
     bool contains = false;
     for (size_t i = 0; i < schema.num_attributes() && !contains; ++i) {
       if (schema.attribute(i).type == DataType::kString &&

@@ -35,8 +35,9 @@ class Translator {
   ///
   /// When `ctx` is given, the render is recorded as a "translate" trace
   /// span and stops between occurrences once the context says to; the
-  /// paragraphs produced so far are returned (rendering works off the
-  /// already-materialized answer, so it charges no storage accesses).
+  /// paragraphs produced so far are returned (rendering reads the
+  /// answer's accepted tuples from the source uncharged, so it charges no
+  /// storage accesses).
   Result<std::string> Render(const PrecisAnswer& answer,
                              ExecutionContext* ctx = nullptr) const;
 

@@ -1,6 +1,6 @@
 // Allocation budgets (DESIGN.md §13): a cold result-database generation —
-// the Fig. 5 planner, its emit phase and the FK check — allocates per
-// query, relation and edge, never per accepted tuple; an index build
+// the Fig. 5 planner and its FK checks — allocates per query, relation
+// and edge, never per accepted tuple; an index build
 // allocates per index, never per distinct key; a primary-key set
 // allocates per doubling of its table, never per key; and the symbol
 // table allocates per slab, entry block and id-table doubling, never per
@@ -115,8 +115,8 @@ TEST_F(AllocBudgetTest, ColdGenerationAllocatesPerQueryNotPerTuple) {
       << large.tuples << " tuples";
   // The counts themselves, as measured (225 and 3,500 tuples): a change
   // that allocates more per query shows here first.
-  EXPECT_LE(small.allocations, 245u);
-  EXPECT_LE(large.allocations, 311u);
+  EXPECT_LE(small.allocations, 157u);
+  EXPECT_LE(large.allocations, 211u);
 }
 
 TEST_F(AllocBudgetTest, IndexBuildAllocatesPerIndexNotPerKey) {

@@ -4,6 +4,7 @@
 #include <set>
 
 #include "datagen/bibliography_dataset.h"
+#include "materialized.h"
 #include "precis/engine.h"
 #include "translator/translator.h"
 
@@ -72,10 +73,10 @@ TEST_F(BibliographyTest, AuthorPrecisEndToEnd) {
   EXPECT_TRUE(answer->schema.ContainsRelation("AUTHOR"));
   EXPECT_TRUE(answer->schema.ContainsRelation("WRITES"));
   EXPECT_TRUE(answer->schema.ContainsRelation("PAPER"));
-  EXPECT_TRUE(answer->database.ValidateForeignKeys().ok());
-  auto paper = answer->database.GetRelation("PAPER");
-  ASSERT_TRUE(paper.ok());
-  EXPECT_GT((*paper)->num_tuples(), 0u);
+  EXPECT_TRUE(Materialized(answer->database).ValidateForeignKeys().ok());
+  const ResultRelation* paper = answer->database.relation("PAPER");
+  ASSERT_NE(paper, nullptr);
+  EXPECT_GT(paper->num_tuples(), 0u);
 }
 
 TEST_F(BibliographyTest, PaperPrecisIncludesCitationsButCannotReenterPaper) {
@@ -90,12 +91,12 @@ TEST_F(BibliographyTest, PaperPrecisIncludesCitationsButCannotReenterPaper) {
   EXPECT_TRUE(title_answer->schema.ContainsRelation("CITES"));
   // The PAPER relation holds exactly the matching papers (no transitive
   // re-entry): every result paper's title contains the token words.
-  auto paper = title_answer->database.GetRelation("PAPER");
-  ASSERT_TRUE(paper.ok());
-  auto title_idx = (*paper)->schema().AttributeIndex("title");
+  const ResultRelation* paper = title_answer->database.relation("PAPER");
+  ASSERT_NE(paper, nullptr);
+  auto title_idx = paper->schema.AttributeIndex("title");
   ASSERT_TRUE(title_idx.ok());
-  for (Tid tid = 0; tid < (*paper)->num_tuples(); ++tid) {
-    EXPECT_NE((*paper)->tuple(tid)[*title_idx].AsString().find(
+  for (size_t row = 0; row < paper->num_tuples(); ++row) {
+    EXPECT_NE(paper->Cell(row, *title_idx).AsString().find(
                   "Adaptive Transactions"),
               std::string::npos);
   }
@@ -108,7 +109,8 @@ TEST_F(BibliographyTest, KeywordQueryReachesPapers) {
   ASSERT_FALSE(answer->empty());
   EXPECT_TRUE(answer->schema.ContainsRelation("KEYWORD"));
   EXPECT_TRUE(answer->schema.ContainsRelation("PAPER"));
-  EXPECT_LE((*answer->database.GetRelation("PAPER"))->num_tuples(), 5u);
+  ASSERT_NE(answer->database.relation("PAPER"), nullptr);
+  EXPECT_LE(answer->database.relation("PAPER")->num_tuples(), 5u);
 }
 
 TEST_F(BibliographyTest, TranslatorRendersAuthorNarrative) {

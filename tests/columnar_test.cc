@@ -17,6 +17,7 @@
 
 #include "common/execution_context.h"
 #include "common/flat_key_set.h"
+#include "precis/result_database.h"
 #include "storage/relation.h"
 #include "storage/schema.h"
 #include "storage/value.h"
@@ -727,8 +728,9 @@ TEST(ColumnIndexDifferentialTest, SparseKeysAreHashedAndChooseAgainOutside) {
 // --- Relation reads vs the inserted rows ---
 //
 // The columns are a relation's only copy of its tuples, so every read
-// (ProjectRows, ColumnValue, Get, tuple) is checked against the rows the
-// fixture inserted, not against another read of the same columns.
+// (ColumnValue, Get, tuple, a result relation's cells) is checked against
+// the rows the fixture inserted, not against another read of the same
+// columns.
 
 struct KernelFixture {
   Relation rel;
@@ -762,38 +764,35 @@ bool SameBits(const Value& a, const Value& b) {
   return a == b;
 }
 
-TEST(RelationKernelTest, ProjectRowsMatchesRowPathAndChargesBulk) {
+TEST(RelationKernelTest, ResultRelationCellsMatchInsertedRows) {
   KernelFixture f = MakeFixture();
-  std::vector<Tid> tids;
-  for (Tid t = 0; t < f.rel.num_tuples(); t += 3) tids.push_back(t);
-  const std::vector<size_t> projection = {2, 0};  // out of order on purpose
-
-  ExecutionContext ctx;
-  std::vector<Value> out(tids.size() * projection.size());
-  f.rel.ProjectRows(tids.data(), tids.size(), projection, out.data(), &ctx);
-
-  for (size_t i = 0; i < tids.size(); ++i) {
-    const Tuple& row = f.rows[tids[i]];
-    EXPECT_TRUE(SameBits(out[i * 2 + 0], row[2])) << tids[i];
-    EXPECT_TRUE(SameBits(out[i * 2 + 1], row[0])) << tids[i];
+  ResultRelation view;
+  view.source = &f.rel;
+  view.attributes = {0, 2};
+  for (Tid t = f.rel.num_tuples(); t-- > 0;) {
+    if (t % 3 == 0) view.tids.push_back(t);  // descending on purpose
   }
-  // Bulk charge equivalence: exactly one fetch per projected row.
-  EXPECT_EQ(ctx.stats().tuple_fetches.load(), tids.size());
+  for (size_t row = 0; row < view.num_tuples(); ++row) {
+    const Tuple& inserted = f.rows[view.tids[row]];
+    EXPECT_TRUE(SameBits(view.Cell(row, 0), inserted[0])) << row;
+    EXPECT_TRUE(SameBits(view.Cell(row, 1), inserted[2])) << row;
+    const Tuple cells = view.tuple(row);
+    ASSERT_EQ(cells.size(), 2u);
+    EXPECT_TRUE(SameBits(cells[1], inserted[2])) << row;
+  }
 }
 
-TEST(RelationKernelTest, ProjectRowsIdentityMatchesInsertedRows) {
+TEST(RelationKernelTest, CountTupleFetchesChargesInBulk) {
   KernelFixture f = MakeFixture();
-  std::vector<Tid> tids = f.rel.AllTids();
-  const std::vector<size_t> identity = {0, 1, 2};
-  const size_t width = identity.size();
-  std::vector<Value> out(tids.size() * width);
-  f.rel.ProjectRows(tids.data(), tids.size(), identity, out.data());
-  for (size_t i = 0; i < tids.size(); ++i) {
-    for (size_t j = 0; j < width; ++j) {
-      EXPECT_TRUE(SameBits(out[i * width + j], f.rows[i][j]))
-          << "tid=" << i << " attr=" << j;
-    }
-  }
+  AccessStats global;
+  f.rel.set_stats(&global);
+  ExecutionContext ctx;
+  f.rel.CountTupleFetches(5, &ctx);
+  f.rel.CountTupleFetches(3);
+  // The same totals as eight single charges, with the context's share.
+  EXPECT_EQ(global.tuple_fetches.load(), 8u);
+  EXPECT_EQ(ctx.stats().tuple_fetches.load(), 5u);
+  EXPECT_EQ(ctx.accesses_charged(), 5u);
 }
 
 TEST(RelationKernelTest, ColumnValueMatchesTupleCells) {

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "datagen/movies_dataset.h"
+#include "materialized.h"
 #include "precis/engine.h"
 #include "service/precis_service.h"
 #include "storage/serialization.h"
@@ -39,7 +40,7 @@ TEST_F(ConcurrencyTest, ParallelQueriesAgreeWithSerialAnswer) {
   auto c = MaxTuplesPerRelation(5);
   auto reference = engine_->Answer(PrecisQuery{{"Woody Allen"}}, *d, *c);
   ASSERT_TRUE(reference.ok());
-  std::string expected = reference->database.DescribeSchema();
+  std::string expected = Materialized(reference->database).DescribeSchema();
 
   constexpr int kThreads = 8;
   constexpr int kQueriesPerThread = 20;
@@ -54,7 +55,9 @@ TEST_F(ConcurrencyTest, ParallelQueriesAgreeWithSerialAnswer) {
           ++failures[t];
           continue;
         }
-        if (answer->database.DescribeSchema() != expected) ++mismatches[t];
+        if (Materialized(answer->database).DescribeSchema() != expected) {
+          ++mismatches[t];
+        }
       }
     });
   }
@@ -181,7 +184,8 @@ TEST_F(ConcurrencyTest, DeadlineStoppedQueriesStayWellFormedUnderLoad) {
         ctx.SetDeadlineAfter(q % 2 == 0 ? 1e-9 : 60.0);
         auto answer = engine_->Answer(PrecisQuery{{"Woody Allen"}}, *d, *c,
                                       DbGenOptions(), &ctx);
-        if (!answer.ok() || !answer->database.ValidateForeignKeys().ok()) {
+        if (!answer.ok() ||
+            !Materialized(answer->database).ValidateForeignKeys().ok()) {
           ++failures[t];
           continue;
         }
@@ -212,7 +216,8 @@ TEST_F(ConcurrencyTest, MixedQueriesInParallel) {
       for (int q = 0; q < 15; ++q) {
         const std::string& token = tokens[(t + q) % tokens.size()];
         auto answer = engine_->Answer(PrecisQuery{{token}}, *d, *c);
-        if (!answer.ok() || !answer->database.ValidateForeignKeys().ok()) {
+        if (!answer.ok() ||
+            !Materialized(answer->database).ValidateForeignKeys().ok()) {
           ++failures[t];
         }
       }
@@ -234,7 +239,7 @@ TEST_F(ConcurrencyTest, FullyCachedEngineUnderContention) {
   for (const std::string& token : tokens) {
     auto reference = engine_->Answer(PrecisQuery{{token}}, *d, *c);
     ASSERT_TRUE(reference.ok());
-    expected.push_back(reference->database.DescribeSchema());
+    expected.push_back(Materialized(reference->database).DescribeSchema());
   }
 
   engine_->set_caches_enabled(true);
@@ -254,7 +259,8 @@ TEST_F(ConcurrencyTest, FullyCachedEngineUnderContention) {
         auto answer =
             engine_->AnswerShared(PrecisQuery{{tokens[pick]}}, *d, *c);
         if (!answer.ok() ||
-            (*answer)->database.DescribeSchema() != expected[pick]) {
+            Materialized((*answer)->database).DescribeSchema() !=
+                expected[pick]) {
           ++failures[t];
         }
       }
@@ -289,7 +295,7 @@ TEST_F(ConcurrencyTest, IntraQueryParallelismUnderInterQueryLoad) {
   };
   auto reference = engine_->Answer(PrecisQuery{{"Woody Allen"}}, *d, *c);
   ASSERT_TRUE(reference.ok());
-  std::string expected = serialize(reference->database);
+  std::string expected = serialize(Materialized(reference->database));
 
   DbGenOptions parallel_options;
   parallel_options.parallelism = 4;  // shared pool
@@ -309,7 +315,7 @@ TEST_F(ConcurrencyTest, IntraQueryParallelismUnderInterQueryLoad) {
           continue;
         }
         std::ostringstream os;
-        if (!SaveDatabase(answer->database, &os).ok() ||
+        if (!SaveDatabase(Materialized(answer->database), &os).ok() ||
             os.str() != expected) {
           ++mismatches[t];
         }
@@ -333,7 +339,7 @@ TEST_F(ConcurrencyTest, ServiceWorkersShareTheTaskPool) {
   auto reference = engine_->Answer(PrecisQuery{{"Woody Allen"}}, *d, *c);
   ASSERT_TRUE(reference.ok());
   std::ostringstream ref_os;
-  ASSERT_TRUE(SaveDatabase(reference->database, &ref_os).ok());
+  ASSERT_TRUE(SaveDatabase(Materialized(reference->database), &ref_os).ok());
   const std::string expected = ref_os.str();
 
   PrecisService::Options options;
@@ -356,7 +362,8 @@ TEST_F(ConcurrencyTest, ServiceWorkersShareTheTaskPool) {
     ASSERT_TRUE(response.status.ok()) << response.status.ToString();
     ASSERT_NE(response.answer, nullptr);
     std::ostringstream os;
-    ASSERT_TRUE(SaveDatabase(response.answer->database, &os).ok());
+    ASSERT_TRUE(
+        SaveDatabase(Materialized(response.answer->database), &os).ok());
     EXPECT_EQ(os.str(), expected);
   }
   (*service)->Shutdown();
@@ -372,7 +379,7 @@ TEST_F(ConcurrencyTest, ShardedServiceByteIdenticalUnderConcurrentLoad) {
   auto reference = engine_->Answer(PrecisQuery{{"Woody Allen"}}, *d, *c);
   ASSERT_TRUE(reference.ok());
   std::ostringstream ref_os;
-  ASSERT_TRUE(SaveDatabase(reference->database, &ref_os).ok());
+  ASSERT_TRUE(SaveDatabase(Materialized(reference->database), &ref_os).ok());
   const std::string expected = ref_os.str();
 
   auto sharded = PrecisEngine::Create(&dataset_->db(), &dataset_->graph(), 4);
@@ -398,7 +405,8 @@ TEST_F(ConcurrencyTest, ShardedServiceByteIdenticalUnderConcurrentLoad) {
     ASSERT_TRUE(response.status.ok()) << response.status.ToString();
     ASSERT_NE(response.answer, nullptr);
     std::ostringstream os;
-    ASSERT_TRUE(SaveDatabase(response.answer->database, &os).ok());
+    ASSERT_TRUE(
+        SaveDatabase(Materialized(response.answer->database), &os).ok());
     EXPECT_EQ(os.str(), expected);
   }
 

@@ -4,6 +4,7 @@
 #include <set>
 
 #include "datagen/movies_dataset.h"
+#include "materialized.h"
 #include "precis/database_generator.h"
 #include "precis/schema_generator.h"
 
@@ -86,8 +87,9 @@ TEST_F(StrategyTest, NaiveQTakesPrefixOfFirstSourceTuples) {
   ResultDatabaseGenerator gen(&db_);
   DbGenOptions options;
   options.strategy = SubsetStrategy::kNaiveQ;
-  auto result = gen.Generate(*schema_, AllDirectorSeeds(),
-                             *MaxTuplesPerRelation(3), options);
+  auto result = Materialized(
+      gen.Generate(*schema_, AllDirectorSeeds(), *MaxTuplesPerRelation(3),
+                   options));
   ASSERT_TRUE(result.ok());
   // The paper's NaiveQ risk: all three movie slots go to director 1; the
   // other directors get none. (mid is neither projected nor a join
@@ -101,8 +103,9 @@ TEST_F(StrategyTest, RoundRobinSpreadsAcrossSourceTuples) {
   ResultDatabaseGenerator gen(&db_);
   DbGenOptions options;
   options.strategy = SubsetStrategy::kRoundRobin;
-  auto result = gen.Generate(*schema_, AllDirectorSeeds(),
-                             *MaxTuplesPerRelation(3), options);
+  auto result = Materialized(
+      gen.Generate(*schema_, AllDirectorSeeds(), *MaxTuplesPerRelation(3),
+                   options));
   ASSERT_TRUE(result.ok());
   // One movie per director: mids 1, 4, 7.
   EXPECT_EQ(Column(*result, "M", "title"),
@@ -116,8 +119,9 @@ TEST_F(StrategyTest, AutoPicksRoundRobinForToNJoin) {
   ResultDatabaseGenerator gen(&db_);
   DbGenOptions options;
   options.strategy = SubsetStrategy::kAuto;
-  auto result = gen.Generate(*schema_, AllDirectorSeeds(),
-                             *MaxTuplesPerRelation(3), options);
+  auto result = Materialized(
+      gen.Generate(*schema_, AllDirectorSeeds(), *MaxTuplesPerRelation(3),
+                   options));
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(Column(*result, "M", "title"),
             (std::vector<Value>{Value("Movie 1"), Value("Movie 4"),
@@ -126,8 +130,8 @@ TEST_F(StrategyTest, AutoPicksRoundRobinForToNJoin) {
 
 TEST_F(StrategyTest, UnlimitedBudgetFetchesEverythingJoined) {
   ResultDatabaseGenerator gen(&db_);
-  auto result =
-      gen.Generate(*schema_, AllDirectorSeeds(), *UnlimitedCardinality());
+  auto result = Materialized(
+      gen.Generate(*schema_, AllDirectorSeeds(), *UnlimitedCardinality()));
   ASSERT_TRUE(result.ok());
   EXPECT_EQ((*result->GetRelation("M"))->num_tuples(), 9u);
   EXPECT_EQ((*result->GetRelation("D"))->num_tuples(), 3u);
@@ -139,8 +143,8 @@ TEST_F(StrategyTest, UnlimitedBudgetFetchesEverythingJoined) {
 
 TEST_F(StrategyTest, TruncationIsReported) {
   ResultDatabaseGenerator gen(&db_);
-  auto result =
-      gen.Generate(*schema_, AllDirectorSeeds(), *MaxTuplesPerRelation(2));
+  auto result = Materialized(
+      gen.Generate(*schema_, AllDirectorSeeds(), *MaxTuplesPerRelation(2)));
   ASSERT_TRUE(result.ok());
   const DbGenReport& report = gen.last_report();
   // Both D (3 seeds, budget 2) and M were cut.
@@ -149,8 +153,8 @@ TEST_F(StrategyTest, TruncationIsReported) {
 
 TEST_F(StrategyTest, SeedSubsetRespectsBudget) {
   ResultDatabaseGenerator gen(&db_);
-  auto result =
-      gen.Generate(*schema_, AllDirectorSeeds(), *MaxTuplesPerRelation(1));
+  auto result = Materialized(
+      gen.Generate(*schema_, AllDirectorSeeds(), *MaxTuplesPerRelation(1)));
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(Column(*result, "D", "did"),
             (std::vector<Value>{Value(int64_t{1})}));
@@ -158,8 +162,8 @@ TEST_F(StrategyTest, SeedSubsetRespectsBudget) {
 
 TEST_F(StrategyTest, MaxTotalTuplesSharedAcrossRelations) {
   ResultDatabaseGenerator gen(&db_);
-  auto result =
-      gen.Generate(*schema_, AllDirectorSeeds(), *MaxTotalTuples(4));
+  auto result = Materialized(
+      gen.Generate(*schema_, AllDirectorSeeds(), *MaxTotalTuples(4)));
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->TotalTuples(), 4u);
   EXPECT_EQ((*result->GetRelation("D"))->num_tuples(), 3u);
@@ -168,8 +172,8 @@ TEST_F(StrategyTest, MaxTotalTuplesSharedAcrossRelations) {
 
 TEST_F(StrategyTest, ZeroBudgetYieldsEmptyButWellFormedDatabase) {
   ResultDatabaseGenerator gen(&db_);
-  auto result =
-      gen.Generate(*schema_, AllDirectorSeeds(), *MaxTotalTuples(0));
+  auto result = Materialized(
+      gen.Generate(*schema_, AllDirectorSeeds(), *MaxTotalTuples(0)));
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->TotalTuples(), 0u);
   EXPECT_TRUE(result->HasRelation("D"));
@@ -179,7 +183,8 @@ TEST_F(StrategyTest, ZeroBudgetYieldsEmptyButWellFormedDatabase) {
 TEST_F(StrategyTest, DuplicateSeedTidsCollapse) {
   ResultDatabaseGenerator gen(&db_);
   SeedTids seeds = {{d_id_, {0, 0, 1, 0}}};
-  auto result = gen.Generate(*schema_, seeds, *UnlimitedCardinality());
+  auto result = Materialized(
+      gen.Generate(*schema_, seeds, *UnlimitedCardinality()));
   ASSERT_TRUE(result.ok());
   EXPECT_EQ((*result->GetRelation("D"))->num_tuples(), 2u);
 }
@@ -199,8 +204,8 @@ TEST_F(StrategyTest, SeedRelationOutsideSchemaRejected) {
 
 TEST_F(StrategyTest, JoinAttributesProjectedIntoResultByDefault) {
   ResultDatabaseGenerator gen(&db_);
-  auto result =
-      gen.Generate(*schema_, AllDirectorSeeds(), *UnlimitedCardinality());
+  auto result = Materialized(
+      gen.Generate(*schema_, AllDirectorSeeds(), *UnlimitedCardinality()));
   ASSERT_TRUE(result.ok());
   // Result schema projected only dname/title, but the join attributes did
   // are carried ("these will not show in the final answer").
@@ -215,8 +220,9 @@ TEST_F(StrategyTest, JoinAttributesCanBeExcluded) {
   ResultDatabaseGenerator gen(&db_);
   DbGenOptions options;
   options.include_join_attributes = false;
-  auto result = gen.Generate(*schema_, AllDirectorSeeds(),
-                             *UnlimitedCardinality(), options);
+  auto result = Materialized(
+      gen.Generate(*schema_, AllDirectorSeeds(), *UnlimitedCardinality(),
+                   options));
   ASSERT_TRUE(result.ok());
   EXPECT_FALSE((*result->GetRelation("D"))->schema().HasAttribute("did"));
   EXPECT_EQ((*result->GetRelation("M"))->schema().num_attributes(), 1u);
@@ -255,7 +261,8 @@ class PaperExampleTest : public ::testing::Test {
 
 TEST_F(PaperExampleTest, CardinalityThreeSelectsTheThreeNewestMovies) {
   ResultDatabaseGenerator gen(&dataset_->db());
-  auto result = gen.Generate(*schema_, seeds_, *MaxTuplesPerRelation(3));
+  auto result = Materialized(
+      gen.Generate(*schema_, seeds_, *MaxTuplesPerRelation(3)));
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(Column(*result, "MOVIE", "title"),
             (std::vector<Value>{Value("Match Point"),
@@ -276,7 +283,8 @@ TEST_F(PaperExampleTest, InDegreePostponementOrdersGenreLast) {
 
 TEST_F(PaperExampleTest, GenerousBudgetCollectsWholeNeighbourhood) {
   ResultDatabaseGenerator gen(&dataset_->db());
-  auto result = gen.Generate(*schema_, seeds_, *MaxTuplesPerRelation(100));
+  auto result = Materialized(
+      gen.Generate(*schema_, seeds_, *MaxTuplesPerRelation(100)));
   ASSERT_TRUE(result.ok());
   EXPECT_EQ((*result->GetRelation("MOVIE"))->num_tuples(), 5u);
   EXPECT_EQ((*result->GetRelation("GENRE"))->num_tuples(), 9u);
@@ -289,7 +297,8 @@ TEST_F(PaperExampleTest, DuplicateMoviesFromTwoPathsCollapse) {
   // Hollywood Ending (mid 4) and Jade Scorpion (mid 5) arrive both via
   // DIRECTOR -> MOVIE and via ACTOR -> CAST -> MOVIE; they must appear once.
   ResultDatabaseGenerator gen(&dataset_->db());
-  auto result = gen.Generate(*schema_, seeds_, *MaxTuplesPerRelation(100));
+  auto result = Materialized(
+      gen.Generate(*schema_, seeds_, *MaxTuplesPerRelation(100)));
   ASSERT_TRUE(result.ok());
   std::vector<Value> mids = Column(*result, "MOVIE", "mid");
   std::set<Value> distinct(mids.begin(), mids.end());
@@ -306,7 +315,7 @@ TEST_F(PaperExampleTest, ForeignKeyDroppedWhenParentsTruncated) {
   RelationNodeId genre = *dataset_->graph().RelationId("GENRE");
   SeedTids seeds = {{genre, {0, 1, 2}}};
   ResultDatabaseGenerator gen(&dataset_->db());
-  auto result = gen.Generate(*schema, seeds, *MaxTotalTuples(3));
+  auto result = Materialized(gen.Generate(*schema, seeds, *MaxTotalTuples(3)));
   ASSERT_TRUE(result.ok());
   EXPECT_EQ((*result->GetRelation("MOVIE"))->num_tuples(), 0u);
   ASSERT_EQ(gen.last_report().dropped_foreign_keys.size(), 1u);
@@ -317,15 +326,18 @@ TEST_F(PaperExampleTest, ForeignKeyDroppedWhenParentsTruncated) {
 
 TEST_F(PaperExampleTest, EmptySeedsYieldEmptyDatabase) {
   ResultDatabaseGenerator gen(&dataset_->db());
-  auto result = gen.Generate(*schema_, SeedTids{}, *MaxTuplesPerRelation(3));
+  auto result = Materialized(
+      gen.Generate(*schema_, SeedTids{}, *MaxTuplesPerRelation(3)));
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->TotalTuples(), 0u);
 }
 
 TEST_F(PaperExampleTest, DeterministicAcrossRuns) {
   ResultDatabaseGenerator gen(&dataset_->db());
-  auto a = gen.Generate(*schema_, seeds_, *MaxTuplesPerRelation(3));
-  auto b = gen.Generate(*schema_, seeds_, *MaxTuplesPerRelation(3));
+  auto a = Materialized(
+      gen.Generate(*schema_, seeds_, *MaxTuplesPerRelation(3)));
+  auto b = Materialized(
+      gen.Generate(*schema_, seeds_, *MaxTuplesPerRelation(3)));
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(a->DescribeSchema(), b->DescribeSchema());

@@ -10,6 +10,7 @@
 #include "datagen/movies_dataset.h"
 #include "datagen/workload.h"
 #include "graph/weight_profile.h"
+#include "materialized.h"
 #include "precis/engine.h"
 
 namespace precis {
@@ -57,11 +58,11 @@ TEST_F(EngineTest, WoodyAllenEndToEnd) {
   // Fig. 4 schema and a three-movie database.
   EXPECT_TRUE(answer->schema.ContainsRelation("MOVIE"));
   EXPECT_TRUE(answer->schema.ContainsRelation("GENRE"));
-  auto movie = answer->database.GetRelation("MOVIE");
-  ASSERT_TRUE(movie.ok());
-  EXPECT_EQ((*movie)->num_tuples(), 3u);
+  const ResultRelation* movie = answer->database.relation("MOVIE");
+  ASSERT_NE(movie, nullptr);
+  EXPECT_EQ(movie->num_tuples(), 3u);
   // The result database is a real database: constraints validated.
-  EXPECT_TRUE(answer->database.ValidateForeignKeys().ok());
+  EXPECT_TRUE(Materialized(answer->database).ValidateForeignKeys().ok());
 }
 
 TEST_F(EngineTest, UnknownTokenGivesEmptyAnswer) {
@@ -127,7 +128,8 @@ TEST_F(EngineTest, AnswerIsDeterministic) {
                            *MaxTuplesPerRelation(5));
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
-  EXPECT_EQ(a->database.DescribeSchema(), b->database.DescribeSchema());
+  EXPECT_EQ(Materialized(a->database).DescribeSchema(),
+            Materialized(b->database).DescribeSchema());
   EXPECT_EQ(a->schema.ToString(), b->schema.ToString());
 }
 
@@ -254,12 +256,13 @@ TEST_P(QueryModelPropertyTest, ResultIsAValidSubDatabase) {
   ASSERT_TRUE(answer.ok());
 
   // Condition 1: result relation names are a subset of the source's.
-  for (const std::string& name : answer->database.RelationNames()) {
+  const Database result = Materialized(answer->database);
+  for (const std::string& name : result.RelationNames()) {
     EXPECT_TRUE(ds->db().HasRelation(name));
   }
 
-  for (const std::string& name : answer->database.RelationNames()) {
-    auto out_rel = answer->database.GetRelation(name);
+  for (const std::string& name : result.RelationNames()) {
+    auto out_rel = result.GetRelation(name);
     auto src_rel = ds->db().GetRelation(name);
     ASSERT_TRUE(out_rel.ok());
     ASSERT_TRUE(src_rel.ok());
@@ -298,7 +301,7 @@ TEST_P(QueryModelPropertyTest, ResultIsAValidSubDatabase) {
   }
 
   // Condition 4 (+constraints): the declared foreign keys hold.
-  EXPECT_TRUE(answer->database.ValidateForeignKeys().ok());
+  EXPECT_TRUE(Materialized(answer->database).ValidateForeignKeys().ok());
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -329,11 +332,10 @@ TEST_P(CardinalityMonotonicityTest, LargerBudgetLargerResult) {
                               *MaxTuplesPerRelation(c + 3));
   ASSERT_TRUE(small.ok());
   ASSERT_TRUE(large.ok());
-  for (const std::string& name : small->database.RelationNames()) {
-    auto s = small->database.GetRelation(name);
-    auto l = large->database.GetRelation(name);
-    ASSERT_TRUE(l.ok());
-    EXPECT_GE((*l)->num_tuples(), (*s)->num_tuples()) << name;
+  for (const ResultRelation& s : small->database.relations()) {
+    const ResultRelation* l = large->database.relation(s.name());
+    ASSERT_NE(l, nullptr);
+    EXPECT_GE(l->num_tuples(), s.num_tuples()) << s.name();
   }
 }
 

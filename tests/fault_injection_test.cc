@@ -25,6 +25,7 @@
 #include "common/retry.h"
 #include "datagen/movies_dataset.h"
 #include "datagen/movies_templates.h"
+#include "materialized.h"
 #include "precis/engine.h"
 #include "precis/json_export.h"
 #include "sequential_walk.h"
@@ -273,7 +274,7 @@ class FaultChaosTest : public ::testing::Test {
       outcome.ok = answer.ok();
       if (answer.ok()) {
         // Degraded answers stay structurally well-formed.
-        EXPECT_TRUE(answer->database.ValidateForeignKeys().ok())
+        EXPECT_TRUE(Materialized(answer->database).ValidateForeignKeys().ok())
             << token << ": " << answer->report.degradation.ToString();
         outcome.json = AnswerToJson(*answer);
         outcome.degradation = answer->report.degradation.ToString();

@@ -15,6 +15,7 @@
 #include "common/fault_injection.h"
 #include "common/random.h"
 #include "datagen/movies_dataset.h"
+#include "materialized.h"
 #include "precis/engine.h"
 #include "precis/json_export.h"
 #include "semistructured/document.h"
@@ -192,7 +193,7 @@ TEST_P(FuzzLiteTest, ChaosQueriesUnderInjectedFaultsNeverCrash) {
               << answer.status().ToString();
           return "error:" + answer.status().ToString();
         }
-        EXPECT_TRUE(answer->database.ValidateForeignKeys().ok());
+        EXPECT_TRUE(Materialized(answer->database).ValidateForeignKeys().ok());
         EXPECT_TRUE(answer->report.fault_tainted);
         return AnswerToJson(*answer) + "|" +
                answer->report.degradation.ToString();
@@ -266,7 +267,7 @@ TEST_P(FuzzLiteTest, ShardedChaosMatchesSingleEngineUnderFaults) {
             << answer.status().ToString();
         return "error:" + answer.status().ToString();
       }
-      EXPECT_TRUE(answer->database.ValidateForeignKeys().ok());
+      EXPECT_TRUE(Materialized(answer->database).ValidateForeignKeys().ok());
       return AnswerToJson(*answer) + "|" +
              answer->report.degradation.ToString();
     };

@@ -5,6 +5,7 @@
 #include "graph/path.h"
 #include "graph/schema_graph.h"
 #include "graph/weight_profile.h"
+#include "materialized.h"
 #include "precis/engine.h"
 
 namespace precis {
@@ -298,7 +299,7 @@ TEST(DeriveGraphTest, DerivedGraphAnswersQueries) {
   ASSERT_TRUE(answer.ok());
   EXPECT_FALSE(answer->empty());
   EXPECT_TRUE(answer->schema.ContainsRelation("MOVIE"));
-  EXPECT_TRUE(answer->database.ValidateForeignKeys().ok());
+  EXPECT_TRUE(Materialized(answer->database).ValidateForeignKeys().ok());
 }
 
 TEST(DeriveGraphTest, RejectsBadWeights) {

@@ -1,14 +1,18 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <sstream>
 #include <stack>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/execution_context.h"
 #include "common/fault_injection.h"
 #include "datagen/movies_dataset.h"
 #include "precis/engine.h"
 #include "precis/json_export.h"
+#include "storage/serialization.h"
 
 namespace precis {
 namespace {
@@ -66,22 +70,34 @@ TEST(ValueToJsonTest, AllScalarKinds) {
   EXPECT_EQ(ValueToJson(Value(0.5)), "0.5");
 }
 
-TEST(DatabaseToJsonTest, StructureAndBalance) {
+TEST(AnswerToJsonTest, DatabaseStructureAndBalance) {
   Database db("demo");
   RelationSchema r("R", {{"id", DataType::kInt64},
                          {"s", DataType::kString}});
   ASSERT_TRUE(r.SetPrimaryKey("id").ok());
-  ASSERT_TRUE(db.CreateRelation(std::move(r)).ok());
+  ASSERT_TRUE(db.CreateRelation(r).ok());
   auto rel = db.GetRelation("R");
   ASSERT_TRUE((*rel)->Insert({int64_t{1}, "hello"}).ok());
   ASSERT_TRUE((*rel)->Insert({int64_t{2}, Value::Null()}).ok());
+  ASSERT_TRUE((*rel)->Insert({int64_t{3}, "skipped"}).ok());
+  auto graph = SchemaGraph::FromDatabase(db);
+  ASSERT_TRUE(graph.ok());
 
-  std::string json = DatabaseToJson(db);
+  // A view of R's first two tuples, rendered through a whole answer.
+  std::vector<ResultRelation> relations;
+  relations.push_back(ResultRelation{*rel, r, {0, 1}, {0, 1}});
+  PrecisAnswer answer{{}, ResultSchema(&*graph),
+                      ResultDatabase(std::move(relations)), DbGenReport{}};
+  std::string json = AnswerToJson(answer);
   EXPECT_TRUE(BalancedJson(json)) << json;
-  EXPECT_NE(json.find("\"name\":\"demo\""), std::string::npos);
+  EXPECT_NE(json.find("\"database\":{\"name\":\"precis_result\""),
+            std::string::npos)
+      << json;
   EXPECT_NE(json.find("\"primary_key\":true"), std::string::npos);
-  EXPECT_NE(json.find("[1,\"hello\"]"), std::string::npos);
-  EXPECT_NE(json.find("[2,null]"), std::string::npos);
+  EXPECT_NE(json.find("\"tuples\":[[1,\"hello\"],[2,null]]"),
+            std::string::npos)
+      << json;
+  EXPECT_EQ(json.find("skipped"), std::string::npos);
 }
 
 TEST(AnswerToJsonTest, FullAnswerSerializes) {
@@ -247,6 +263,62 @@ TEST(AnswerToJsonTest, EmptyAnswerSerializes) {
   std::string json = AnswerToJson(*answer);
   EXPECT_TRUE(BalancedJson(json)) << json;
   EXPECT_NE(json.find("\"occurrences\":[]"), std::string::npos);
+}
+
+// The answer is a view over the source: it reads cells through the source
+// relations by tid and keeps no column pointer, so appends that reallocate
+// every column it reads change none of its bytes.
+TEST(AnswerToJsonTest, SameBytesAfterSourceGrows) {
+  MoviesConfig config;
+  config.num_movies = 40;
+  auto ds = MoviesDataset::Create(config);
+  ASSERT_TRUE(ds.ok());
+  auto engine = PrecisEngine::Create(&ds->db(), &ds->graph());
+  ASSERT_TRUE(engine.ok());
+  auto answer = engine->Answer(PrecisQuery{{"Woody Allen"}},
+                               *MinPathWeight(0.5), *MaxTuplesPerRelation(5));
+  ASSERT_TRUE(answer.ok());
+  ASSERT_GT(answer->database.TotalTuples(), 0u);
+  auto save = [&] {
+    auto db = answer->database.Materialize();
+    EXPECT_TRUE(db.ok());
+    std::ostringstream os;
+    EXPECT_TRUE(SaveDatabase(*db, &os).ok());
+    return os.str();
+  };
+  const std::string json = AnswerToJson(*answer);
+  const std::string saved = save();
+
+  for (const ResultRelation& view : answer->database.relations()) {
+    auto source = ds->db().GetRelation(view.name());
+    ASSERT_TRUE(source.ok());
+    Relation& rel = **source;
+    const RelationSchema& schema = rel.schema();
+    // Appends until every column's capacity has at least doubled, so each
+    // column the view reads has moved. Only the key must be set (unique);
+    // every other attribute is NULL.
+    const size_t columns = rel.bytes().columns;
+    for (int64_t i = 0; rel.bytes().columns < 2 * columns + 4096; ++i) {
+      Tuple t(schema.num_attributes());
+      if (schema.primary_key()) {
+        const size_t pk = *schema.primary_key();
+        switch (schema.attribute(pk).type) {
+          case DataType::kInt64:
+            t[pk] = Value(int64_t{1} << 40 | i);
+            break;
+          case DataType::kDouble:
+            t[pk] = Value(1e15 + static_cast<double>(i));
+            break;
+          case DataType::kString:
+            t[pk] = Value("grown " + std::to_string(i));
+            break;
+        }
+      }
+      ASSERT_TRUE(rel.Insert(t).ok()) << view.name();
+    }
+  }
+  EXPECT_EQ(AnswerToJson(*answer), json);
+  EXPECT_EQ(save(), saved);
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 #include "common/execution_context.h"
 #include "common/task_pool.h"
 #include "datagen/movies_dataset.h"
+#include "materialized.h"
 #include "precis/database_generator.h"
 #include "precis/schema_generator.h"
 #include "precis/tuple_weights.h"
@@ -88,7 +89,7 @@ Generator Planner(const Database& db, const ResultSchema& schema,
     ResultDatabaseGenerator gen(&db);
     auto result = gen.Generate(schema, seeds, c, options, ctx, partitioned);
     *report = gen.last_report();
-    return result;
+    return Materialized(result);
   };
 }
 
@@ -437,7 +438,8 @@ TEST_F(ParallelDbGenDoubleKeyTest, SignedZerosJoinAndNaNsMatchNothing) {
                              options, nullptr);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   // C rows keyed +-0.0 (6), 1.5 (3) and 2.5 (3) join; NaN and 3.5 do not.
-  EXPECT_EQ((*result->GetRelation("C"))->num_tuples(), 12u);
+  ASSERT_NE(result->relation("C"), nullptr);
+  EXPECT_EQ(result->relation("C")->num_tuples(), 12u);
   // The IN-list: +0.0 first seen (the later -0.0 repeats it), both NaNs.
   ASSERT_EQ(gen.last_report().sql_trace.size(), 2u);
   EXPECT_NE(gen.last_report().sql_trace[1].find("IN (0, nan, 1.5, nan, 2.5)"),

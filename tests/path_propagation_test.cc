@@ -3,6 +3,7 @@
 #include <memory>
 
 #include "datagen/movies_dataset.h"
+#include "materialized.h"
 #include "precis/database_generator.h"
 #include "precis/schema_generator.h"
 
@@ -100,7 +101,8 @@ class PathPropagationTest : public ::testing::Test {
 
 TEST_F(PathPropagationTest, DefaultUsesEveryCollectedTuple) {
   ResultDatabaseGenerator gen(&db_);
-  auto result = gen.Generate(*schema_, seeds_, *UnlimitedCardinality());
+  auto result = Materialized(
+      gen.Generate(*schema_, seeds_, *UnlimitedCardinality()));
   ASSERT_TRUE(result.ok());
   EXPECT_EQ((*result->GetRelation("M"))->num_tuples(), 3u);
   // All three genres: m2's genre came along although no accepted path goes
@@ -112,8 +114,8 @@ TEST_F(PathPropagationTest, PathAwareFiltersByFeedingPath) {
   ResultDatabaseGenerator gen(&db_);
   DbGenOptions options;
   options.path_aware_propagation = true;
-  auto result =
-      gen.Generate(*schema_, seeds_, *UnlimitedCardinality(), options);
+  auto result = Materialized(
+      gen.Generate(*schema_, seeds_, *UnlimitedCardinality(), options));
   ASSERT_TRUE(result.ok());
   // M still holds all three tuples (both arrivals are in P_d paths)...
   EXPECT_EQ((*result->GetRelation("M"))->num_tuples(), 3u);
@@ -125,8 +127,8 @@ TEST_F(PathPropagationTest, PathAwareKeepsForeignKeysValid) {
   ResultDatabaseGenerator gen(&db_);
   DbGenOptions options;
   options.path_aware_propagation = true;
-  auto result =
-      gen.Generate(*schema_, seeds_, *UnlimitedCardinality(), options);
+  auto result = Materialized(
+      gen.Generate(*schema_, seeds_, *UnlimitedCardinality(), options));
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->ValidateForeignKeys().ok());
 }
@@ -143,8 +145,9 @@ TEST_F(PathPropagationTest, PathAwareAgreesWithDefaultWhenAllPathsContinue) {
   ResultDatabaseGenerator gen(&db_);
   DbGenOptions aware;
   aware.path_aware_propagation = true;
-  auto a = gen.Generate(*schema, seeds_, *UnlimitedCardinality(), aware);
-  auto b = gen.Generate(*schema, seeds_, *UnlimitedCardinality());
+  auto a = Materialized(
+      gen.Generate(*schema, seeds_, *UnlimitedCardinality(), aware));
+  auto b = Materialized(gen.Generate(*schema, seeds_, *UnlimitedCardinality()));
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(Gids(*a), Gids(*b));
@@ -167,8 +170,10 @@ TEST_F(PathPropagationTest, PaperExampleUnaffectedByPathAwareness) {
   ResultDatabaseGenerator gen(&ds->db());
   DbGenOptions aware;
   aware.path_aware_propagation = true;
-  auto a = gen.Generate(*schema, seeds, *MaxTuplesPerRelation(100), aware);
-  auto b = gen.Generate(*schema, seeds, *MaxTuplesPerRelation(100));
+  auto a = Materialized(
+      gen.Generate(*schema, seeds, *MaxTuplesPerRelation(100), aware));
+  auto b = Materialized(
+      gen.Generate(*schema, seeds, *MaxTuplesPerRelation(100)));
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(a->DescribeSchema(), b->DescribeSchema());

@@ -4,6 +4,7 @@
 
 #include "datagen/movies_dataset.h"
 #include "graph/weight_profile.h"
+#include "materialized.h"
 #include "precis/engine.h"
 
 namespace precis {
@@ -98,7 +99,8 @@ TEST_F(SchemaCacheTest, ThirdIdenticalQueryHits) {
   EXPECT_EQ(engine_->schema_cache_stats().misses, 2u);
   EXPECT_EQ(engine_->schema_cache_stats().hits, 1u);
   EXPECT_EQ(engine_->schema_cache_stats().rejected, 1u);
-  EXPECT_EQ(a->database.DescribeSchema(), b->database.DescribeSchema());
+  EXPECT_EQ(Materialized(a->database).DescribeSchema(),
+            Materialized(b->database).DescribeSchema());
 }
 
 TEST_F(SchemaCacheTest, DifferentTokensSameRelationsShareEntry) {
@@ -146,7 +148,8 @@ TEST_F(SchemaCacheTest, CachedAnswerMatchesUncached) {
   ASSERT_TRUE(cold.ok());
   ASSERT_TRUE(warm.ok());
   EXPECT_EQ(cold->schema.ToString(), warm->schema.ToString());
-  EXPECT_EQ(cold->database.DescribeSchema(), warm->database.DescribeSchema());
+  EXPECT_EQ(Materialized(cold->database).DescribeSchema(),
+            Materialized(warm->database).DescribeSchema());
 }
 
 TEST_F(SchemaCacheTest, ClearResetsEntriesButKeepsCounters) {

@@ -2,6 +2,7 @@
 
 #include <memory>
 
+#include "materialized.h"
 #include "precis/engine.h"
 #include "semistructured/document.h"
 #include "semistructured/shredder.h"
@@ -162,13 +163,13 @@ TEST_F(ShredderTest, PrecisQueryOverShreddedDocument) {
   EXPECT_TRUE(answer->schema.ContainsRelation("author"));
   EXPECT_TRUE(answer->schema.ContainsRelation("book"));
   EXPECT_TRUE(answer->schema.ContainsRelation("section"));
-  EXPECT_TRUE(answer->database.ValidateForeignKeys().ok());
-  auto book = answer->database.GetRelation("book");
-  ASSERT_TRUE(book.ok());
-  ASSERT_EQ((*book)->num_tuples(), 1u);
-  auto isbn = (*book)->schema().AttributeIndex("isbn");
+  EXPECT_TRUE(Materialized(answer->database).ValidateForeignKeys().ok());
+  const ResultRelation* book = answer->database.relation("book");
+  ASSERT_NE(book, nullptr);
+  ASSERT_EQ(book->num_tuples(), 1u);
+  auto isbn = book->schema.AttributeIndex("isbn");
   ASSERT_TRUE(isbn.ok());
-  EXPECT_EQ((*book)->tuple(0)[*isbn].AsString(), "222");
+  EXPECT_EQ(book->Cell(0, *isbn).AsString(), "222");
 }
 
 TEST_F(ShredderTest, WeightOptionsValidated) {

@@ -8,8 +8,8 @@
 #include <vector>
 
 #include "common/retry.h"
+#include "oracle_scans.h"
 #include "precis/dbgen_common.h"
-#include "sql/select.h"
 
 namespace precis {
 
@@ -17,6 +17,7 @@ using dbgen_internal::DegradationFor;
 using dbgen_internal::EmittedAttributeIndices;
 using dbgen_internal::FaultsArmed;
 using dbgen_internal::IsToOne;
+using dbgen_internal::RenderInListSql;
 using dbgen_internal::RenderSeedSql;
 
 namespace {
@@ -85,7 +86,9 @@ Result<Database> SequentialWalk(const Database& db,
                                 const SeedTids& seeds,
                                 const CardinalityConstraint& c,
                                 const DbGenOptions& options,
-                                ExecutionContext* ctx, DbGenReport* report) {
+                                ExecutionContext* ctx, DbGenReport* report,
+                                std::map<RelationNodeId, std::vector<Tid>>*
+                                    accepted) {
   *report = DbGenReport{};
   const SchemaGraph& graph = schema.graph();
 
@@ -465,6 +468,7 @@ Result<Database> SequentialWalk(const Database& db,
       Tuple projected = ProjectTuple(row.values, ordered);
       auto tid = (*out_relation)->Insert(std::move(projected));
       if (!tid.ok()) return tid.status();
+      if (accepted != nullptr) (*accepted)[rel].push_back(row.tid);
     }
   }
 
@@ -512,11 +516,28 @@ Result<PrecisAnswer> OracleAnswer(const Database& db,
       AssembleSeedsAndSchema(&graph, matches, degree, nullptr, ctx, &seeds);
   if (!schema.ok()) return schema.status();
   DbGenReport report;
-  auto database =
-      SequentialWalk(db, *schema, seeds, cardinality, options, ctx, &report);
+  std::map<RelationNodeId, std::vector<Tid>> accepted;
+  auto database = SequentialWalk(db, *schema, seeds, cardinality, options,
+                                 ctx, &report, &accepted);
   if (!database.ok()) return database.status();
-  return PrecisAnswer{std::move(matches), std::move(*schema),
-                      std::move(*database), std::move(report)};
+
+  // The walk's accepted tids and FK verdicts, as a view over `db`.
+  std::vector<ResultRelation> relations;
+  for (RelationNodeId rel : schema->relations()) {
+    const std::string& name = graph.relation_name(rel);
+    auto source = db.GetRelation(name);
+    if (!source.ok()) return source.status();
+    auto copy = database->GetRelation(name);
+    if (!copy.ok()) return copy.status();
+    relations.push_back(ResultRelation{
+        *source, (*copy)->schema(),
+        EmittedAttributeIndices(*schema, rel, options.include_join_attributes),
+        std::move(accepted[rel])});
+  }
+  ResultDatabase view(std::move(relations));
+  for (const ForeignKey& fk : database->foreign_keys()) view.AddForeignKey(fk);
+  return PrecisAnswer{std::move(matches), std::move(*schema), std::move(view),
+                      std::move(report)};
 }
 
 }  // namespace precis

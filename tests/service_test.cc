@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "datagen/movies_dataset.h"
+#include "materialized.h"
 #include "precis/engine.h"
 #include "precis/json_export.h"
 
@@ -64,8 +65,8 @@ TEST_F(ServiceTest, ExecuteMatchesDirectEngineAnswer) {
   ASSERT_TRUE(response.status.ok());
   ASSERT_NE(response.answer, nullptr);
   EXPECT_EQ(response.stop_reason, StopReason::kNone);
-  EXPECT_EQ(response.answer->database.DescribeSchema(),
-            direct->database.DescribeSchema());
+  EXPECT_EQ(Materialized(response.answer->database).DescribeSchema(),
+            Materialized(direct->database).DescribeSchema());
   EXPECT_GE(response.latency_seconds, 0.0);
 }
 
@@ -173,7 +174,8 @@ TEST_F(ServiceTest, DeadlineExpiredQueriesReturnWellFormedPartialAnswers) {
     // (possibly empty) answer, flagged as partial.
     ASSERT_TRUE(response.status.ok()) << response.status.ToString();
     ASSERT_NE(response.answer, nullptr);
-    EXPECT_TRUE(response.answer->database.ValidateForeignKeys().ok());
+    EXPECT_TRUE(
+        Materialized(response.answer->database).ValidateForeignKeys().ok());
     if (response.stop_reason == StopReason::kDeadlineExceeded) {
       ++deadline_hits;
       EXPECT_TRUE(response.partial());
@@ -197,7 +199,8 @@ TEST_F(ServiceTest, AccessBudgetTruncatesAndIsCounted) {
   ASSERT_TRUE(response.status.ok());
   ASSERT_NE(response.answer, nullptr);
   EXPECT_EQ(response.stop_reason, StopReason::kAccessBudgetExhausted);
-  EXPECT_TRUE(response.answer->database.ValidateForeignKeys().ok());
+  EXPECT_TRUE(
+      Materialized(response.answer->database).ValidateForeignKeys().ok());
   EXPECT_EQ((*service)->metrics().budget_truncations, 1u);
 
   // An untruncated run of the same query fetches strictly more.

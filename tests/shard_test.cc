@@ -25,6 +25,7 @@
 #include "common/task_pool.h"
 #include "datagen/movies_dataset.h"
 #include "datagen/movies_templates.h"
+#include "materialized.h"
 #include "precis/database_generator.h"
 #include "precis/engine.h"
 #include "precis/json_export.h"
@@ -151,17 +152,18 @@ TEST(ShardSkipFilterTest, SkippedPartitionLeavesLookupsAfterTheirCharges) {
                                PartitionedQuery{&partitions, &skip});
       ASSERT_TRUE(live.ok()) << live.status().ToString();
 
-      const Relation* emitted = *live->GetRelation("M");
-      auto mid_at = emitted->schema().AttributeIndex("mid");
+      const ResultRelation* emitted = live->relation("M");
+      ASSERT_NE(emitted, nullptr);
+      auto mid_at = emitted->schema.AttributeIndex("mid");
       ASSERT_TRUE(mid_at.ok());
       std::vector<int64_t> got;
-      for (Tid tid = 0; tid < emitted->num_tuples(); ++tid) {
-        got.push_back(emitted->ColumnValue(tid, *mid_at).AsInt64());
+      for (size_t row = 0; row < emitted->num_tuples(); ++row) {
+        got.push_back(emitted->Cell(row, *mid_at).AsInt64());
       }
       std::sort(got.begin(), got.end());
       EXPECT_EQ(got, expect);
-      EXPECT_EQ((*full->GetRelation("M"))->num_tuples(),
-                expect.size() + dropped);
+      ASSERT_NE(full->relation("M"), nullptr);
+      EXPECT_EQ(full->relation("M")->num_tuples(), expect.size() + dropped);
 
       const AccessStats& want = healthy_ctx.stats();
       const AccessStats& charged = skip_ctx.stats();
@@ -316,7 +318,7 @@ class ShardDeterminismTest : public ::testing::Test {
     digest.stop = answer->report.stop_reason;
     digest.ctx_stop = ctx.stop_reason();
     std::ostringstream os;
-    EXPECT_TRUE(SaveDatabase(answer->database, &os).ok());
+    EXPECT_TRUE(SaveDatabase(Materialized(answer->database), &os).ok());
     digest.db_bytes = os.str();
     return digest;
   }
@@ -841,7 +843,7 @@ class ShardFaultDomainTest : public ::testing::Test {
     digest.match_tids = MatchTids(*answer);
     digest.degradation = answer->report.degradation.ToString();
     std::ostringstream os;
-    EXPECT_TRUE(SaveDatabase(answer->database, &os).ok());
+    EXPECT_TRUE(SaveDatabase(Materialized(answer->database), &os).ok());
     digest.db_bytes = os.str();
     return digest;
   }

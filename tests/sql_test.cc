@@ -1,10 +1,17 @@
+// The §5.2 query shapes as the tests and the planner use them: the
+// sequential walk's RoundRobin cursors (oracle_scans.h) and the IN-list
+// SQL the planner traces (precis/dbgen_common.h).
+
 #include <gtest/gtest.h>
 
-#include "sql/select.h"
+#include "oracle_scans.h"
+#include "precis/dbgen_common.h"
 #include "storage/database.h"
 
 namespace precis {
 namespace {
+
+using dbgen_internal::RenderInListSql;
 
 /// A GENRE-like relation: gid*, mid (to-N join attribute), genre.
 class SqlTest : public ::testing::Test {
@@ -40,68 +47,6 @@ TEST_F(SqlTest, ProjectTuple) {
   EXPECT_EQ(ProjectTuple(t, {2}), (Tuple{"Drama"}));
   EXPECT_EQ(ProjectTuple(t, {2, 0}), (Tuple{"Drama", int64_t{1}}));
   EXPECT_EQ(ProjectTuple(t, {}), Tuple{});
-}
-
-TEST_F(SqlTest, ResolveProjection) {
-  auto p = ResolveProjection(rel_->schema(), {"genre", "gid"});
-  ASSERT_TRUE(p.ok());
-  EXPECT_EQ(*p, (std::vector<size_t>{2, 0}));
-  EXPECT_TRUE(
-      ResolveProjection(rel_->schema(), {"nope"}).status().IsNotFound());
-}
-
-TEST_F(SqlTest, FetchByTidsReturnsRequestedRows) {
-  auto rows = FetchByTids(*rel_, {0, 2}, {2}, std::nullopt);
-  ASSERT_TRUE(rows.ok());
-  ASSERT_EQ(rows->size(), 2u);
-  EXPECT_EQ((*rows)[0].tid, 0u);
-  EXPECT_EQ((*rows)[0].values, (Tuple{"Drama"}));
-  EXPECT_EQ((*rows)[1].values, (Tuple{"Comedy"}));
-}
-
-TEST_F(SqlTest, FetchByTidsHonoursLimit) {
-  auto rows = FetchByTids(*rel_, {0, 1, 2, 3}, AllAttrs(), 2);
-  ASSERT_TRUE(rows.ok());
-  EXPECT_EQ(rows->size(), 2u);
-}
-
-TEST_F(SqlTest, FetchByTidsBadTid) {
-  EXPECT_TRUE(
-      FetchByTids(*rel_, {99}, AllAttrs(), std::nullopt).status().IsOutOfRange());
-}
-
-TEST_F(SqlTest, FetchByTidsCountsFetches) {
-  ASSERT_TRUE(FetchByTids(*rel_, {0, 1, 2}, AllAttrs(), std::nullopt).ok());
-  EXPECT_EQ(db_.stats().tuple_fetches, 3u);
-}
-
-TEST_F(SqlTest, FetchByJoinValuesProbesPerKey) {
-  auto rows = FetchByJoinValues(*rel_, "mid",
-                                {Value(int64_t{1}), Value(int64_t{3})},
-                                AllAttrs(), std::nullopt);
-  ASSERT_TRUE(rows.ok());
-  EXPECT_EQ(rows->size(), 5u);  // 2 for mid=1 + 3 for mid=3
-  EXPECT_EQ(db_.stats().index_probes, 2u);
-  EXPECT_EQ(db_.stats().tuple_fetches, 5u);
-}
-
-TEST_F(SqlTest, FetchByJoinValuesLimitStopsEarly) {
-  auto rows = FetchByJoinValues(*rel_, "mid",
-                                {Value(int64_t{1}), Value(int64_t{3})},
-                                AllAttrs(), 3);
-  ASSERT_TRUE(rows.ok());
-  EXPECT_EQ(rows->size(), 3u);
-  // Prefix behaviour: mid=1 rows come before mid=3 rows.
-  EXPECT_EQ((*rows)[0].values[2], Value("Drama"));
-  EXPECT_EQ((*rows)[1].values[2], Value("Thriller"));
-  EXPECT_EQ((*rows)[2].values[2], Value("Comedy"));
-}
-
-TEST_F(SqlTest, FetchByJoinValuesMissingKeyYieldsNothing) {
-  auto rows = FetchByJoinValues(*rel_, "mid", {Value(int64_t{42})},
-                                AllAttrs(), std::nullopt);
-  ASSERT_TRUE(rows.ok());
-  EXPECT_TRUE(rows->empty());
 }
 
 TEST_F(SqlTest, PerValueScanSetRoundRobinOrder) {

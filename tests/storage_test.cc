@@ -200,21 +200,6 @@ TEST(RelationTest, PrimaryKeyWithAllBitsSetIsAnOrdinaryKey) {
   EXPECT_EQ(r.num_tuples(), 2u);
 }
 
-TEST(RelationTest, ReserveKeepsTuplesAndKeyChecks) {
-  Relation r(MovieSchema());
-  ASSERT_TRUE(r.Insert({int64_t{1}, "A", int64_t{2000}}).ok());
-  r.Reserve(200);
-  for (int64_t mid = 2; mid <= 200; ++mid) {
-    ASSERT_TRUE(r.Insert({mid, Value::Null(), mid}).ok());
-  }
-  EXPECT_TRUE(r.Insert({int64_t{1}, "dup", int64_t{1}})
-                  .status()
-                  .IsConstraintViolation());
-  EXPECT_EQ(r.num_tuples(), 200u);
-  EXPECT_EQ(r.tuple(0), (Tuple{int64_t{1}, "A", int64_t{2000}}));
-  EXPECT_EQ(r.tuple(199), (Tuple{int64_t{200}, Value::Null(), int64_t{200}}));
-}
-
 TEST(RelationTest, GetOutOfRange) {
   Relation r(MovieSchema());
   EXPECT_TRUE(r.Get(0).status().IsOutOfRange());

@@ -3,6 +3,7 @@
 #include <memory>
 
 #include "datagen/movies_dataset.h"
+#include "materialized.h"
 #include "precis/engine.h"
 #include "text/synonyms.h"
 
@@ -97,7 +98,8 @@ TEST_F(SynonymEngineTest, VariantSpellingResolvesWithTable) {
   ASSERT_EQ(answer->matches.size(), 1u);
   EXPECT_EQ(answer->matches[0].token, "W. Allen");
   EXPECT_EQ(answer->matches[0].resolved_token, "Woody Allen");
-  EXPECT_EQ((*answer->database.GetRelation("MOVIE"))->num_tuples(), 3u);
+  ASSERT_NE(answer->database.relation("MOVIE"), nullptr);
+  EXPECT_EQ(answer->database.relation("MOVIE")->num_tuples(), 3u);
 }
 
 TEST_F(SynonymEngineTest, TableCanBeRemoved) {
@@ -138,8 +140,8 @@ TEST_F(SynonymEngineTest, PerOccurrenceAnswersDifferInShape) {
   // The director-rooted answer contains DIRECTOR data; the actor-rooted one
   // reaches MOVIE through CAST. Both are valid sub-databases.
   for (const PrecisAnswer& a : *answers) {
-    EXPECT_TRUE(a.database.ValidateForeignKeys().ok());
-    EXPECT_TRUE(a.database.HasRelation("MOVIE"));
+    EXPECT_TRUE(Materialized(a.database).ValidateForeignKeys().ok());
+    EXPECT_NE(a.database.relation("MOVIE"), nullptr);
   }
 }
 
@@ -163,8 +165,8 @@ TEST_F(SynonymEngineTest, SingleOccurrenceMatchesCombinedAnswer) {
   ASSERT_TRUE(combined.ok());
   ASSERT_TRUE(split.ok());
   ASSERT_EQ(split->size(), 1u);
-  EXPECT_EQ((*split)[0].database.DescribeSchema(),
-            combined->database.DescribeSchema());
+  EXPECT_EQ(Materialized((*split)[0].database).DescribeSchema(),
+            Materialized(combined->database).DescribeSchema());
 }
 
 }  // namespace

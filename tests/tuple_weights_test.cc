@@ -3,6 +3,7 @@
 #include <memory>
 
 #include "datagen/movies_dataset.h"
+#include "materialized.h"
 #include "precis/database_generator.h"
 #include "precis/schema_generator.h"
 #include "precis/tuple_weights.h"
@@ -154,8 +155,8 @@ TEST_F(RankedSelectionTest, UnrankedTakesHeapPrefix) {
   DbGenOptions options;
   options.strategy = SubsetStrategy::kNaiveQ;
   SeedTids seeds = {{*graph_->RelationId("D"), {0}}};
-  auto result =
-      gen.Generate(*schema_, seeds, *MaxTuplesPerRelation(2), options);
+  auto result = Materialized(
+      gen.Generate(*schema_, seeds, *MaxTuplesPerRelation(2), options));
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(Years(*result), (std::vector<int64_t>{1950, 1951}));
 }
@@ -165,8 +166,8 @@ TEST_F(RankedSelectionTest, RankedTakesHeaviestTuples) {
   DbGenOptions options;
   options.tuple_weights = &weights_;
   SeedTids seeds = {{*graph_->RelationId("D"), {0}}};
-  auto result =
-      gen.Generate(*schema_, seeds, *MaxTuplesPerRelation(2), options);
+  auto result = Materialized(
+      gen.Generate(*schema_, seeds, *MaxTuplesPerRelation(2), options));
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(Years(*result), (std::vector<int64_t>{1954, 1953}));
 }
@@ -176,8 +177,8 @@ TEST_F(RankedSelectionTest, RankedWithoutTruncationKeepsEverything) {
   DbGenOptions options;
   options.tuple_weights = &weights_;
   SeedTids seeds = {{*graph_->RelationId("D"), {0}}};
-  auto result = gen.Generate(*schema_, seeds, *UnlimitedCardinality(),
-                             options);
+  auto result = Materialized(
+      gen.Generate(*schema_, seeds, *UnlimitedCardinality(), options));
   ASSERT_TRUE(result.ok());
   EXPECT_EQ((*result->GetRelation("M"))->num_tuples(), 5u);
 }
@@ -191,8 +192,8 @@ TEST_F(RankedSelectionTest, RankedSeedsPreferHeavyTuples) {
   DbGenOptions options;
   options.tuple_weights = &weights_;
   SeedTids seeds = {{*graph_->RelationId("M"), {0, 1, 2, 3, 4}}};
-  auto result =
-      gen.Generate(*schema, seeds, *MaxTuplesPerRelation(2), options);
+  auto result = Materialized(
+      gen.Generate(*schema, seeds, *MaxTuplesPerRelation(2), options));
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(Years(*result), (std::vector<int64_t>{1954, 1953}));
 }
@@ -205,8 +206,8 @@ TEST_F(RankedSelectionTest, UnweightedRelationsKeepRetrievalOrder) {
   DbGenOptions options;
   options.tuple_weights = &empty;
   SeedTids seeds = {{*graph_->RelationId("D"), {0}}};
-  auto result =
-      gen.Generate(*schema_, seeds, *MaxTuplesPerRelation(2), options);
+  auto result = Materialized(
+      gen.Generate(*schema_, seeds, *MaxTuplesPerRelation(2), options));
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(Years(*result), (std::vector<int64_t>{1950, 1951}));
 }
@@ -228,8 +229,8 @@ TEST(RankedMoviesTest, WoodyAllenPrecisShowsNewestMoviesFirst) {
   DbGenOptions options;
   options.tuple_weights = &weights;
   SeedTids seeds = {{*ds->graph().RelationId("DIRECTOR"), {0}}};
-  auto result =
-      gen.Generate(*schema, seeds, *MaxTuplesPerRelation(2), options);
+  auto result = Materialized(
+      gen.Generate(*schema, seeds, *MaxTuplesPerRelation(2), options));
   ASSERT_TRUE(result.ok());
   auto movie = result->GetRelation("MOVIE");
   auto title = (*movie)->schema().AttributeIndex("title");

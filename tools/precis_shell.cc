@@ -449,9 +449,11 @@ Status CmdQuery(ShellState* state, const std::vector<std::string>& args) {
     state->last_answer.reset();
     return Status::OK();
   }
+  auto materialized = answer->database.Materialize();
+  if (!materialized.ok()) return materialized.status();
   std::printf("result schema:\n%s\nresult database:\n%s",
               answer->schema.ToString().c_str(),
-              answer->database.DescribeSchema().c_str());
+              materialized->DescribeSchema().c_str());
   if (state->trace_sql) {
     std::printf("statements:\n");
     for (const std::string& sql : answer->report.sql_trace) {
@@ -709,8 +711,9 @@ Status CmdDot(ShellState* state, const std::vector<std::string>& args) {
 Status CmdSave(ShellState* state, const std::vector<std::string>& args) {
   PRECIS_RETURN_NOT_OK(NeedAnswer(*state));
   if (args.size() != 1) return Status::InvalidArgument("usage: save FILE");
-  PRECIS_RETURN_NOT_OK(
-      SaveDatabaseToFile(state->last_answer->database, args[0]));
+  auto materialized = state->last_answer->database.Materialize();
+  if (!materialized.ok()) return materialized.status();
+  PRECIS_RETURN_NOT_OK(SaveDatabaseToFile(*materialized, args[0]));
   std::printf("wrote %s (%zu tuples)\n", args[0].c_str(),
               state->last_answer->database.TotalTuples());
   return Status::OK();
