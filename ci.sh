@@ -123,7 +123,11 @@
 #                         byte, strings longer than a slab) and the JSON
 #                         renderer's own suite (escaping, scalars, whole
 #                         databases, answers whose occurrences render
-#                         matched-tuple counts) rebuilt under
+#                         matched-tuple counts), the token index and
+#                         tokenizer suites (32-bit posting runs, phrase
+#                         intersection, the occurrence charge) and the
+#                         planner's paper-example and strategy suites
+#                         (its accepted tid lists) rebuilt under
 #                         address+undefined sanitizers.
 #                         Every answer's rows pass through the planner's
 #                         arena chunk buffers, inline or pooled.
@@ -365,9 +369,9 @@ cmake --build "$ROOT/build-asan-ubsan" -j "$JOBS" \
            arena_test columnar_test server_test shard_test lru_cache_test \
            answer_cache_test parallel_dbgen_test task_pool_test storage_test \
            serialization_test symbol_table_test execution_context_test \
-           json_export_test
+           json_export_test text_test database_generator_test
 PRECIS_TASK_POOL_THREADS=4 \
   ctest --test-dir "$ROOT/build-asan-ubsan" --output-on-failure -j "$JOBS" \
-  -R 'FaultInjector|Retry|FaultChaos|CacheTaint|Service|FuzzLite|Arena|Column|FlatKeySet|LruCache|Relation|Database|Serialization|JsonLite|HttpParser|RequestParse|HttpServer|Shard|AnswerCache|CircuitBreaker|ServerChaosConfig|ParallelDbGen|TaskPool|SymbolTable|ExecutionContext|AnswerToJson|JsonEscape|ValueToJson'
+  -R 'FaultInjector|Retry|FaultChaos|CacheTaint|Service|FuzzLite|Arena|Column|FlatKeySet|LruCache|Relation|Database|Serialization|JsonLite|HttpParser|RequestParse|HttpServer|Shard|AnswerCache|CircuitBreaker|ServerChaosConfig|ParallelDbGen|TaskPool|SymbolTable|ExecutionContext|AnswerToJson|JsonEscape|ValueToJson|InvertedIndex|Tokenizer|PaperExample|Strategy'
 
 echo "=== CI passed (Release + bench smokes + server smoke + chaos drill + $SANITIZER + asan,ubsan chaos) ==="

@@ -3,6 +3,7 @@
 #ifndef PRECIS_COMMON_STRING_UTIL_H_
 #define PRECIS_COMMON_STRING_UTIL_H_
 
+#include <cstddef>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -27,6 +28,12 @@ bool StartsWith(std::string_view s, std::string_view prefix);
 
 /// True if `s` ends with `suffix`.
 bool EndsWith(std::string_view s, std::string_view suffix);
+
+/// Heap bytes `s` holds, for memory charges: its buffer and terminator
+/// once it outgrew the inline (small-string) buffer, otherwise none.
+inline size_t StringHeapBytes(const std::string& s) {
+  return s.capacity() > std::string().capacity() ? s.capacity() + 1 : 0;
+}
 
 /// Parses a finite, non-negative decimal number ("250", "0.5", "1e3") that
 /// fills the whole of `text`: a minus sign, trailing junk, nan, inf or a

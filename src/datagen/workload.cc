@@ -94,6 +94,7 @@ Result<std::vector<Tid>> RandomSeedTids(const Database& db,
   if (n == 0) return std::vector<Tid>{};
   size_t take = std::min(k, n);
   std::vector<size_t> picks = rng->SampleWithoutReplacement(n, take);
+  // Each pick is below n, a relation's size, so it fits a Tid.
   std::vector<Tid> out(picks.begin(), picks.end());
   return out;
 }

@@ -6,6 +6,7 @@
 #include <unordered_set>
 #include <utility>
 
+#include "common/string_util.h"
 #include "precis/json_export.h"
 
 namespace precis {
@@ -27,26 +28,23 @@ size_t EstimateSchemaCharge(const ResultSchema& schema) {
 size_t EstimateAnswerCharge(const PrecisAnswer& answer) {
   size_t charge = sizeof(PrecisAnswer) + 512;
   for (const TokenMatch& m : answer.matches) {
-    charge += m.token.capacity() + m.resolved_token.capacity() +
+    charge += StringHeapBytes(m.token) + StringHeapBytes(m.resolved_token) +
               EstimateOccurrencesCharge(m.occurrences());
   }
   // The result database is a view over the source: per relation, its
   // accepted tids, its emitted attribute indices and its output schema
   // (a name and a type per attribute); per FK that holds, four names.
-  // A name past the inline string buffer adds its heap bytes.
+  // A string past its inline buffer adds its heap bytes.
   const ResultDatabase& db = answer.database;
-  const auto heap = [](const std::string& s) {
-    return s.capacity() > std::string().capacity() ? s.capacity() + 1 : 0;
-  };
   charge += db.relations().capacity() * sizeof(ResultRelation) +
             db.foreign_keys().capacity() * sizeof(ForeignKey);
   for (const ResultRelation& r : db.relations()) {
     charge += r.tids.capacity() * sizeof(Tid) +
               r.attributes.capacity() * sizeof(size_t) +
               r.schema.attributes().capacity() * sizeof(AttributeSchema) +
-              heap(r.schema.name());
+              StringHeapBytes(r.schema.name());
     for (const AttributeSchema& a : r.schema.attributes()) {
-      charge += heap(a.name);
+      charge += StringHeapBytes(a.name);
     }
   }
   charge += EstimateSchemaCharge(answer.schema);

@@ -47,7 +47,12 @@
 
 namespace precis {
 
-using Tid = uint64_t;  // mirrors relation.h (kept in sync by static_assert there)
+/// Tuple identifier: the row position of a tuple in its relation's columns.
+/// Tids are stable — the engine is append-only (the précis workload never
+/// deletes from the source database) — and 32-bit: every relation stops at
+/// ColumnIndex::kMaxRows rows (Relation::Insert), so no tid wraps. Postings,
+/// index runs and accepted lists store 4 bytes per tuple.
+using Tid = uint32_t;
 
 /// \brief One attribute of a relation, stored contiguously.
 class Column {
@@ -108,7 +113,8 @@ class Column {
   /// by KeyBits). Compile-time dispatch: AVX2 / SSE4.2 compare kernels when
   /// the build enables them, otherwise the scalar loop; every variant emits
   /// the exact tid sequence of ScanEqualsScalar (bench/kernels gates this
-  /// cell-for-cell, DESIGN.md §16).
+  /// cell-for-cell, DESIGN.md §16). A relation's column holds at most
+  /// ColumnIndex::kMaxRows rows, so every row number fits a Tid.
   void ScanEquals(uint64_t key_bits, std::vector<Tid>* out) const;
 
   /// Scalar reference implementation of ScanEquals — always compiled, so
@@ -119,7 +125,7 @@ class Column {
     for (size_t row = 0; row < n; ++row) {
       if (IsNull(row)) continue;
       const uint64_t raw = bits_[row];
-      if (raw == key_bits || raw == alt) out->push_back(row);
+      if (raw == key_bits || raw == alt) out->push_back(static_cast<Tid>(row));
     }
   }
 
@@ -216,15 +222,17 @@ inline void Column::ScanEquals(uint64_t key_bits, std::vector<Tid>* out) const {
 #endif
       mask &= ~static_cast<unsigned>(null_word >> r) & lane_mask;
       while (mask != 0) {
-        out->push_back(base + r +
-                       static_cast<unsigned>(__builtin_ctz(mask)));
+        out->push_back(static_cast<Tid>(
+            base + r + static_cast<unsigned>(__builtin_ctz(mask))));
         mask &= mask - 1;
       }
     }
     for (; r < limit; ++r) {
       if ((null_word >> r) & 1) continue;
       const uint64_t raw = bits_[base + r];
-      if (raw == key_bits || raw == alt) out->push_back(base + r);
+      if (raw == key_bits || raw == alt) {
+        out->push_back(static_cast<Tid>(base + r));
+      }
     }
   }
 #else
@@ -249,14 +257,15 @@ inline void Column::ScanEquals(uint64_t key_bits, std::vector<Tid>* out) const {
 /// [lo, hi] (read as signed 64-bit numbers) take no more bytes than the
 /// slot table for their count would; dense surrogate keys pick it, sparse
 /// ones (strings, doubles, scattered ids) stay hashed. So an index costs
-/// its key table plus 8 bytes per indexed row. The array is never
+/// its key table plus 4 bytes (a Tid) per indexed row. The array is never
 /// reallocated: an Insert moves only the touched key's run (or a new
 /// key's) into a vector the index owns, and appends there. An Insert that
 /// needs the table to grow — a key outside the direct window, or a slot
 /// table past its load — chooses the layout again by the same rule.
 class ColumnIndex {
  public:
-  /// Most rows Build indexes: run starts and lengths are 32-bit, and a
+  /// Most rows Build indexes, and most rows any relation holds
+  /// (Relation::Insert): run starts, lengths and tids are 32-bit, and a
   /// length of 2^32 - 1 marks an owned run.
   static constexpr size_t kMaxRows = std::numeric_limits<uint32_t>::max() - 1;
 
@@ -269,7 +278,7 @@ class ColumnIndex {
   /// Appends `tid` to the run of `key`; tids must come in ascending order.
   /// The first write to a key moves its run into a vector of its own.
   /// Owned runs are numbered in 32 bits, so at most kMaxRows keys may own
-  /// one (Relation::Insert keeps an indexed relation within kMaxRows rows).
+  /// one (Relation::Insert keeps every relation within kMaxRows rows).
   void Insert(const Value& key, Tid tid) {
     if (key.is_null()) {
       null_tids_.push_back(tid);
@@ -505,6 +514,9 @@ class ColumnIndex {
   size_t used_ = 0;                       // distinct non-null keys
 };
 
+// Every row a relation may hold has a tid, and the largest Tid stays free.
+static_assert(ColumnIndex::kMaxRows < std::numeric_limits<Tid>::max());
+
 inline Result<ColumnIndex> ColumnIndex::Build(const Column& column) {
   const size_t rows = column.size();
   if (rows > kMaxRows) {
@@ -559,8 +571,9 @@ inline Result<ColumnIndex> ColumnIndex::Build(const Column& column) {
   for (Slot& slot : index.slots_) assign_start(slot.entry);
   index.tids_.resize(next);
   index.null_tids_.reserve(nulls);
-  // Fill pass in row order, so every run comes out ascending.
-  for (size_t row = 0; row < rows; ++row) {
+  // Fill pass in row order, so every run comes out ascending. Rows are at
+  // most kMaxRows, checked above, so each is a Tid.
+  for (Tid row = 0; row < rows; ++row) {
     if (column.IsNull(row)) {
       index.null_tids_.push_back(row);
       continue;

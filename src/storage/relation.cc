@@ -25,11 +25,11 @@ Status Relation::Validate(const Tuple& tuple) const {
 
 Result<Tid> Relation::Insert(const Tuple& tuple) {
   PRECIS_RETURN_NOT_OK(Validate(tuple));
-  // An index numbers its owned runs in 32 bits (columnar.h), so an indexed
-  // relation stops at the most rows an index build takes.
-  if (!indexes_.empty() && num_tuples_ >= ColumnIndex::kMaxRows) {
-    return Status::OutOfRange("relation '" + name() + "' is indexed and " +
-                              "full: an index holds at most " +
+  // Tids and index runs are 32-bit (columnar.h), so every relation stops
+  // at the most rows an index build takes, indexed or not: no tid wraps.
+  if (num_tuples_ >= ColumnIndex::kMaxRows) {
+    return Status::OutOfRange("relation '" + name() + "' is full: a " +
+                              "relation holds at most " +
                               std::to_string(ColumnIndex::kMaxRows) + " rows");
   }
   if (schema_.primary_key()) {
@@ -48,7 +48,7 @@ Result<Tid> Relation::Insert(const Tuple& tuple) {
           name() + "'");
     }
   }
-  Tid tid = num_tuples_++;
+  const Tid tid = static_cast<Tid>(num_tuples_++);  // below kMaxRows
   for (size_t pos = 0; pos < indexes_.size(); ++pos) {
     if (indexes_[pos] != nullptr) indexes_[pos]->Insert(tuple[pos], tid);
   }

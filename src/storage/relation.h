@@ -21,11 +21,6 @@
 
 namespace precis {
 
-/// Tuple identifier: the row position of a tuple in its relation's columns.
-/// Tids are stable — the engine is append-only (the précis workload never
-/// deletes from the source database; result databases are built fresh).
-using Tid = uint64_t;
-
 /// \brief A tuple is a vector of values, positionally aligned with the
 /// relation schema's attributes.
 using Tuple = std::vector<Value>;
@@ -86,7 +81,8 @@ class Relation {
   /// Insert does first.
   Status Validate(const Tuple& tuple) const;
 
-  /// Appends a tuple; validates arity and types, enforces primary-key
+  /// Appends a tuple; validates arity and types, refuses a row past
+  /// ColumnIndex::kMaxRows (tids are 32-bit), enforces primary-key
   /// uniqueness if a key is declared, and maintains all indexes (a key's
   /// run moves out of the bulk-built array into a vector its index owns).
   /// Returns the new tuple's tid.

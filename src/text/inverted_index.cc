@@ -5,6 +5,7 @@
 #include <optional>
 
 #include "common/gallop.h"
+#include "common/string_util.h"
 
 namespace precis {
 
@@ -78,6 +79,9 @@ Result<InvertedIndex> InvertedIndex::Build(const Database& db) {
   }
   index.postings_.reserve(building.size());
   for (auto& [w, word] : building) {
+    for (const TokenOccurrence& occ : word.occurrences) {
+      index.posting_bytes_ += occ.tids.capacity() * sizeof(Tid);
+    }
     index.postings_.emplace(
         w, WordPostings{std::make_shared<const std::vector<TokenOccurrence>>(
                             std::move(word.occurrences)),
@@ -89,8 +93,9 @@ Result<InvertedIndex> InvertedIndex::Build(const Database& db) {
 size_t EstimateOccurrencesCharge(const std::vector<TokenOccurrence>& occs) {
   size_t charge = sizeof(std::vector<TokenOccurrence>);
   for (const TokenOccurrence& occ : occs) {
-    charge += sizeof(TokenOccurrence) + occ.relation.capacity() +
-              occ.attribute.capacity() + occ.tids.capacity() * sizeof(Tid);
+    charge += sizeof(TokenOccurrence) + StringHeapBytes(occ.relation) +
+              StringHeapBytes(occ.attribute) +
+              occ.tids.capacity() * sizeof(Tid);
   }
   return charge;
 }

@@ -71,6 +71,11 @@ class InvertedIndex {
   /// Number of posting entries across all words.
   size_t num_postings() const { return num_postings_; }
 
+  /// Bytes held by the posting arrays (their capacities times
+  /// sizeof(Tid)), computed once by Build. Runs are trimmed to size, so
+  /// this is sizeof(Tid) per posting.
+  size_t posting_bytes() const { return posting_bytes_; }
+
   /// Token-occurrence cache (DESIGN.md §10, level 1): memoizes the result
   /// of multi-word Lookup calls. Intersecting tid runs and re-scanning
   /// stored strings for contiguous-phrase verification is the most
@@ -116,6 +121,7 @@ class InvertedIndex {
   std::vector<const Relation*> relations_;
   std::unordered_map<SymbolId, WordPostings> postings_;
   size_t num_postings_ = 0;
+  size_t posting_bytes_ = 0;
 
   // Token-occurrence cache, keyed by the normalized phrase's word-id
   // sequence (4 raw bytes per word — unambiguous, cheaper than re-joining
@@ -131,7 +137,9 @@ class InvertedIndex {
 };
 
 /// \brief Approximate heap footprint of a lookup result, used as the LRU
-/// charge (exposed for tests and the engine's answer-cache estimate).
+/// charge (exposed for tests and the engine's answer-cache estimate): the
+/// occurrence array, each tid array, and a name only past its inline
+/// buffer (StringHeapBytes).
 size_t EstimateOccurrencesCharge(const std::vector<TokenOccurrence>& occs);
 
 }  // namespace precis

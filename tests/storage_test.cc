@@ -613,7 +613,7 @@ TEST(DatabaseBytesTest, KeyTablesHoldTheSmallerLayoutAtSixThousandFilms) {
           << entries << " entries, " << slot_bytes << " slot bytes";
       EXPECT_EQ(index->entry_bytes(),
                 direct_smaller ? 8 * entries : slot_bytes);
-      EXPECT_EQ(index->tid_bytes(), 8 * col.size());
+      EXPECT_EQ(index->tid_bytes(), 4 * col.size());  // a 32-bit tid a row
       EXPECT_EQ(index->owned_bytes(), 0u);
       ++indexes;
       if (index->direct()) ++direct;

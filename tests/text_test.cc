@@ -182,6 +182,35 @@ TEST_F(InvertedIndexTest, WordRepeatedInOneValueIndexedOnce) {
   }
 }
 
+TEST_F(InvertedIndexTest, PostingsCostFourBytesPerTid) {
+  // Build trims every run to size, so a posting is one 32-bit tid.
+  EXPECT_EQ(index_->posting_bytes(), 4 * index_->num_postings());
+  MoviesConfig config;
+  config.num_movies = 6000;
+  auto dataset = MoviesDataset::Create(config);
+  ASSERT_TRUE(dataset.ok());
+  auto index = InvertedIndex::Build(dataset->db());
+  ASSERT_TRUE(index.ok());
+  EXPECT_GT(index->num_postings(), 100000u);
+  EXPECT_EQ(index->posting_bytes(), 4 * index->num_postings());
+}
+
+TEST(InvertedIndexChargeTest, NamesCountOnlyPastTheirInlineBuffer) {
+  // Every name of the movie schema fits a string's inline buffer: the
+  // charge is the occurrence array and the tid arrays, nothing more.
+  const std::vector<TokenOccurrence> inline_names = {
+      {"MOVIE", "title", {1, 2, 3}}, {"GENRE", "genre", {4}}};
+  EXPECT_EQ(EstimateOccurrencesCharge(inline_names),
+            sizeof(std::vector<TokenOccurrence>) +
+                2 * sizeof(TokenOccurrence) + 4 * sizeof(Tid));
+  // A name past the inline buffer adds its heap buffer and terminator.
+  const std::string long_name(40, 'R');
+  const std::vector<TokenOccurrence> heap_name = {{long_name, "title", {1}}};
+  EXPECT_EQ(EstimateOccurrencesCharge(heap_name),
+            sizeof(std::vector<TokenOccurrence>) + sizeof(TokenOccurrence) +
+                heap_name[0].relation.capacity() + 1 + sizeof(Tid));
+}
+
 TEST(InvertedIndexEdgeTest, NonStringAttributesIgnored) {
   Database db;
   RelationSchema nums("NUMS", {{"id", DataType::kInt64},

@@ -85,8 +85,9 @@ constexpr const char* kHelp = R"(commands:
   budget N                 per-query access budget: max index probes + tuple
                            fetches + scans (0 = unbounded)
   stats                    access counters of the last query + global totals
-                           + the database's bytes by structure and the
-                           layout of its key tables
+                           + the database's bytes by structure, the
+                           layout of its key tables and the token
+                           index's postings
                            (+ per-level cache ratios when caching is on,
                            + retry / degradation / injector counters when
                            faults are armed)
@@ -582,13 +583,20 @@ Status CmdStats(ShellState* state) {
     }
   }
   // Data-layout footprint (DESIGN.md §13): the source database's stored
-  // structures by kind and the layout each key table chose, the
-  // process-wide interner and the last query's arena high-water mark.
+  // structures by kind, the token index's postings, the layout each key
+  // table chose, the process-wide interner and the last query's arena
+  // high-water mark.
   const StorageBytes bytes = state->db->bytes();
   std::printf("storage:    columns=%zu primary-keys=%zu index-entries=%zu "
               "index-tids=%zu owned-runs=%zu total=%zu\n",
               bytes.columns, bytes.primary_keys, bytes.index_entries,
               bytes.index_tids, bytes.owned_runs, bytes.total());
+  if (state->engine != nullptr) {
+    const InvertedIndex& index = state->engine->index();
+    std::printf("index:      words=%zu postings=%zu posting-bytes=%zu\n",
+                index.num_words(), index.num_postings(),
+                index.posting_bytes());
+  }
   size_t key_sets = 0, bitmaps = 0, indexes = 0, direct = 0;
   for (const std::string& name : state->db->RelationNames()) {
     const Relation& rel = **state->db->GetRelation(name);
